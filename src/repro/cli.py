@@ -231,6 +231,25 @@ def _make_serve_scheduler(args: argparse.Namespace):
     return sched.with_autoscale(auto)
 
 
+def _load_fault_plan(path: str):
+    """The ``--faults PLAN.json`` of ``serve`` and ``agent``; an unreadable
+    or malformed plan exits 2 like every other config error."""
+    from repro.faults import FaultError, FaultPlan
+
+    try:
+        payload = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValidationError(f"cannot read fault plan: {exc}") from None
+    except ValueError as exc:
+        raise ValidationError(
+            f"fault plan {path} is not valid JSON: {exc}"
+        ) from None
+    try:
+        return FaultPlan.from_payload(payload)
+    except FaultError as exc:
+        raise ValidationError(f"invalid fault plan {path}: {exc}") from None
+
+
 def _make_serve_jobs(args: argparse.Namespace):
     """The job manager behind ``provmark serve``: a process fleet over a
     durable queue with ``--workers`` (and, with ``--cluster``, a TCP
@@ -245,17 +264,7 @@ def _make_serve_jobs(args: argparse.Namespace):
                 "are installed into the supervised worker processes and "
                 "the coordinator)"
             )
-        from repro.faults import FaultPlan
-
-        try:
-            payload = json.loads(Path(args.faults).read_text())
-        except OSError as exc:
-            raise ValidationError(f"cannot read fault plan: {exc}") from None
-        except ValueError as exc:
-            raise ValidationError(
-                f"fault plan {args.faults} is not valid JSON: {exc}"
-            ) from None
-        faults = FaultPlan.from_payload(payload)
+        faults = _load_fault_plan(args.faults)
     scheduler = _make_serve_scheduler(args)
     if args.workers > 0 or cluster_port is not None:
         if not args.queue:
@@ -398,19 +407,7 @@ def _cmd_agent(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    faults = None
-    if getattr(args, "faults", None):
-        from repro.faults import FaultPlan
-
-        try:
-            payload = json.loads(Path(args.faults).read_text())
-        except OSError as exc:
-            raise ValidationError(f"cannot read fault plan: {exc}") from None
-        except ValueError as exc:
-            raise ValidationError(
-                f"fault plan {args.faults} is not valid JSON: {exc}"
-            ) from None
-        faults = FaultPlan.from_payload(payload)
+    faults = _load_fault_plan(args.faults) if args.faults else None
     if args.workers < 1:
         raise ValidationError(
             f"agent --workers must be >= 1, got {args.workers}"

@@ -6,9 +6,10 @@ arbitrates claims for the whole fleet through the local
 fleet-wide).  Remote hosts run :func:`run_agent`, whose PR 6 worker
 processes speak to the coordinator through a :class:`RemoteQueue` — a
 ``JobQueue`` duck type over a length-prefixed, versioned JSON wire
-protocol with per-message auth.  Fleet transitions fan out pub-sub
-style through an :class:`EventHub`; ``subscribe`` streams them and
-``GET /v1/cluster`` renders them.
+protocol with per-request auth, whose vocabulary is the one
+:data:`OPS` table of queue-method names.  Fleet transitions fan out
+pub-sub style through an :class:`EventHub`; ``subscribe`` streams them
+and ``GET /v1/cluster`` renders them.
 """
 
 from repro.cluster.agent import default_node_id, parse_endpoint, run_agent
@@ -16,6 +17,7 @@ from repro.cluster.coordinator import DEFAULT_NODE_TTL, ClusterCoordinator
 from repro.cluster.events import EVENT_KINDS, ClusterEvent, EventHub
 from repro.cluster.protocol import (
     MAX_FRAME_BYTES,
+    OPS,
     PROTOCOL_VERSION,
     ClusterUnavailableError,
     FrameError,
@@ -39,6 +41,7 @@ __all__ = [
     "EventHub",
     "FrameError",
     "MAX_FRAME_BYTES",
+    "OPS",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "RemoteOpError",

@@ -28,7 +28,6 @@ from __future__ import annotations
 import os
 import socket
 import threading
-import time
 from pathlib import Path
 from typing import Callable, Optional, Tuple
 
@@ -136,8 +135,7 @@ def run_agent(
     try:
         while not stop.wait(beat_every):
             try:
-                beat = client.node_heartbeat()
-                if not beat.get("known", True):
+                if not client.node_heartbeat():
                     # outlived a TTL sweep (partition, coordinator
                     # restart): rejoin so the registry row comes back
                     client.register(workers, host=socket.gethostname())

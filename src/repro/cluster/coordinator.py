@@ -1,27 +1,35 @@
 """ClusterCoordinator: the TCP claim arbiter colocated with the spool.
 
 One coordinator runs next to the durable spool and exports the
-:class:`~repro.exec.queue.JobQueue` over the wire protocol.  Remote
-claims go through the *same* ``claim()`` path local workers use, so
-every PR 9 scheduling property — strict priority from ``p<rank>.``
-token prefixes, aging promotion, fair-share ledger charges — holds
-fleet-wide by construction: there is exactly one arbiter and it is the
-queue itself.
+:class:`~repro.exec.queue.JobQueue` over the wire protocol.  A request
+names a queue method and its arguments (see
+:data:`~repro.cluster.protocol.OPS`), so remote claims go through the
+*same* ``claim()`` path local workers use, and every scheduling
+property of the queue — strict priority from ``p<rank>.`` token
+prefixes, aging promotion, fair-share ledger charges — holds fleet-wide
+by construction: there is exactly one arbiter and it is the queue
+itself.
 
-Beyond relaying queue verbs, the coordinator owns what only a
-fleet-level view can:
+Verbs the coordinator adds nothing to (``heartbeat``,
+``update_progress``, ``cancel_requested``) are answered by
+``getattr(queue, op)(**args)``.  An ``_op_<name>`` hook stands in only
+where the coordinator owns fleet-level state:
 
-* **node registry** — agents register (the response downloads the
-  spool's scheduler config and the fleet retry policy), heartbeat, and
-  deregister; every authenticated message from a node refreshes its
-  liveness stamp;
+* **node registry** — agents ``register`` (the result downloads the
+  spool's scheduler config and the fleet retry policy),
+  ``node_heartbeat``, and ``deregister``; every authenticated request
+  refreshes its sending node's liveness stamp;
+* **counters and events** — claims, completions, failures, retries and
+  cancellations are counted and published into an
+  :class:`~repro.cluster.events.EventHub`; a ``subscribe`` request
+  turns its connection into a push stream of event frames;
+* **draining** — a draining coordinator answers ``claim`` with nothing;
+* **one retry policy** — ``retry_or_fail`` and ``recover`` run under the
+  fleet :class:`~repro.exec.policy.RetryPolicy`, whatever the agent has;
 * **dead-node recovery** — a sweeper thread declares nodes silent past
   ``node_ttl`` dead and recovers every lease held by owners under the
   node's ``<node_id>:`` prefix, exactly like the PR 6 supervisor
   recovers a dead worker's leases by owner id;
-* **events** — every transition is published into an
-  :class:`~repro.cluster.events.EventHub`; a ``subscribe`` request
-  turns its connection into a push stream of event frames;
 * **chaos seams** — ``conn_drop`` fault specs fire here, closing the
   connection after processing a matching op but *before* the response
   leaves, which is precisely the window where client-side idempotency
@@ -38,14 +46,14 @@ from __future__ import annotations
 import socketserver
 import threading
 import time
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.api.errors import ApiError, UnauthorizedError
-from repro.cluster import protocol
+from repro.api.errors import UnauthorizedError
 from repro.cluster.events import EventHub
 from repro.cluster.protocol import (
     FrameError,
     ProtocolError,
+    decode_request,
     error_response,
     event_frame,
     ok_response,
@@ -70,12 +78,13 @@ class _NodeState:
                  "last_seen", "claims")
 
     def __init__(self, node_id: str, host: str, workers: int) -> None:
-        now = time.time()
         self.node_id = node_id
         self.host = host
         self.workers = workers
-        self.registered_at = now
-        self.last_seen = now
+        #: wall clock, for display only
+        self.registered_at = time.time()
+        #: monotonic: a wall-clock step must neither kill nor revive nodes
+        self.last_seen = time.monotonic()
         self.claims = 0
 
     def payload(self, now: float) -> Dict[str, object]:
@@ -199,8 +208,8 @@ class ClusterCoordinator:
             return len(self._nodes)
 
     def stats(self) -> Dict[str, object]:
-        """The fleet snapshot behind ``stats`` / ``/v1/cluster``."""
-        now = time.time()
+        """The fleet snapshot behind ``/v1/cluster``."""
+        now = time.monotonic()
         with self._lock:
             nodes = [
                 node.payload(now)
@@ -237,23 +246,24 @@ class ClusterCoordinator:
                 if payload is None:
                     return  # clean close
                 try:
-                    message, auth = protocol.decode_request(payload)
+                    request = decode_request(payload)
                 except ProtocolError as exc:
                     send_frame(sock, error_response(exc))
                     return
-                if self.auth_token and auth != self.auth_token:
+                if self.auth_token and request["auth"] != self.auth_token:
                     with self._lock:
                         self.counters["auth_failures_total"] += 1
                     send_frame(sock, error_response(UnauthorizedError(
                         "cluster auth token mismatch"
                     )))
                     return
-                self._touch_node(message)
-                if message.op == "subscribe":
-                    self._stream_events(sock, message)
+                node, op, args = request["node"], request["op"], request["args"]
+                self._touch_node(node)
+                if op == "subscribe":
+                    self._stream_events(sock, args["replay"])
                     return
-                response = self._dispatch(message)
-                if self._fire_conn_drop(message.op):
+                response = self._dispatch(node, op, args)
+                if self._fire_conn_drop(op):
                     return  # op processed, response dropped: chaos seam
                 send_frame(sock, response)
         except OSError:
@@ -273,168 +283,135 @@ class ClusterCoordinator:
             self.counters["conn_drops_total"] += 1
         return True
 
-    def _touch_node(self, message) -> None:
-        node_id = getattr(message, "node_id", "")
-        if not node_id:
-            return
+    def _touch_node(self, node_id: str) -> None:
         with self._lock:
             node = self._nodes.get(node_id)
             if node is not None:
-                node.last_seen = time.time()
+                node.last_seen = time.monotonic()
 
-    def _dispatch(self, message) -> Dict[str, object]:
+    def _dispatch(
+        self, node: str, op: str, args: Dict[str, object]
+    ) -> Dict[str, object]:
+        """Answer one op: the coordinator's hook where it owns fleet
+        state, else the queue method of the same name."""
+        hook = getattr(self, f"_op_{op}", None)
         try:
-            handler = getattr(self, f"_op_{message.op}")
-            return ok_response(handler(message))
-        except ApiError as exc:
-            return error_response(exc)
+            if hook is not None:
+                return ok_response(hook(node, **args))
+            return ok_response(getattr(self.queue, op)(**args))
         except Exception as exc:  # noqa: BLE001 — never kill the handler
             return error_response(exc)
 
-    # -- ops -------------------------------------------------------------------
+    # -- hooks: ops that touch fleet state -------------------------------------
 
-    def _op_register(self, msg: protocol.Register) -> Dict[str, object]:
+    def _op_register(
+        self, node: str, workers: int, host: str
+    ) -> Dict[str, object]:
         with self._lock:
-            known = msg.node_id in self._nodes
-            node = _NodeState(msg.node_id, msg.host, msg.workers)
-            self._nodes[msg.node_id] = node
+            known = node in self._nodes
+            self._nodes[node] = _NodeState(node, host, workers)
         if not known:
             self.events.publish(
-                "node_join", node_id=msg.node_id,
-                detail=f"{msg.workers} worker(s)",
+                "node_join", node_id=node, detail=f"{workers} worker(s)",
             )
         # config download: one scheduler policy and one retry policy
         # fleet-wide, both owned by the spool side
         return {
-            "node_id": msg.node_id,
+            "node_id": node,
             "node_ttl": self.node_ttl,
             "sched": self.queue.sched.to_payload(),
             "policy": self.policy.to_payload(),
         }
 
-    def _op_deregister(self, msg: protocol.Deregister) -> Dict[str, object]:
+    def _op_deregister(self, node: str) -> List[str]:
         with self._lock:
-            node = self._nodes.pop(msg.node_id, None)
-        if node is not None:
+            gone = self._nodes.pop(node, None)
+        if gone is not None:
             self.events.publish(
-                "node_leave", node_id=msg.node_id, detail="deregistered"
+                "node_leave", node_id=node, detail="deregistered"
             )
         # defensive: a deregistering node should have drained, but any
         # lease its workers still hold must not wait out the TTL
-        recovered = self._recover_node_leases(msg.node_id)
-        return {"recovered": recovered}
+        return self._recover_node_leases(node)
 
-    def _op_heartbeat(self, msg: protocol.Heartbeat) -> Dict[str, object]:
-        # node liveness was touched in the connection loop; refresh the
-        # job lease when one is named.  `known` tells a swept node it
-        # must re-register (e.g. after outliving a partition).
-        if msg.job_id:
-            self.queue.heartbeat(msg.job_id, msg.owner, msg.stage)
+    def _op_node_heartbeat(self, node: str) -> bool:
+        # liveness was touched in the connection loop; False tells a
+        # swept node it must re-register (e.g. after outliving a partition)
         with self._lock:
-            known = msg.node_id in self._nodes
-        return {"known": known}
+            return node in self._nodes
 
-    def _op_claim(self, msg: protocol.Claim) -> Dict[str, object]:
+    def _op_claim(self, node: str, owner: str) -> Optional[Dict[str, object]]:
         with self._lock:
             draining = self._draining
         if draining:
-            return {"record": None}
-        record = self.queue.claim(msg.owner)
+            return None
+        record = self.queue.claim(owner)
         if record is not None:
             with self._lock:
                 self.counters["claims_total"] += 1
-                node = self._nodes.get(msg.node_id)
-                if node is not None:
-                    node.claims += 1
+                state = self._nodes.get(node)
+                if state is not None:
+                    state.claims += 1
             self.events.publish(
-                "claim", node_id=msg.node_id,
+                "claim", node_id=node,
                 job_id=str(record.get("job_id") or ""),
                 detail=str(record.get("priority") or ""),
             )
-        return {"record": record}
+        return record
 
-    def _op_progress(self, msg: protocol.Progress) -> Dict[str, object]:
-        self.queue.update_progress(msg.job_id, msg.completed, msg.stage)
-        return {}
-
-    def _op_complete(self, msg: protocol.Complete) -> Dict[str, object]:
-        prior = self.queue.record(msg.job_id)
-        already_done = prior is not None and prior.get("state") == "done"
-        record = self.queue.complete(
-            msg.job_id,
-            result=dict(msg.result) if msg.result is not None else None,
-            results=(
-                [dict(r) for r in msg.results]
-                if msg.results is not None else None
-            ),
-            report=dict(msg.report) if msg.report is not None else None,
-        )
-        if not already_done:
+    def _op_complete(
+        self, node: str, job_id: str, **outcome: object
+    ) -> Dict[str, object]:
+        prior = self.queue.record(job_id)
+        record = self.queue.complete(job_id, **outcome)
+        if prior is None or prior.get("state") != "done":
             with self._lock:
                 self.counters["completions_total"] += 1
-            self.events.publish(
-                "complete", node_id=msg.node_id, job_id=msg.job_id,
-            )
-        return {"record": record, "already_done": already_done}
+            self.events.publish("complete", node_id=node, job_id=job_id)
+        return record
 
-    def _op_fail(self, msg: protocol.Fail) -> Dict[str, object]:
-        record = self.queue.fail(msg.job_id, msg.error)
+    def _op_fail(
+        self, node: str, job_id: str, error: str
+    ) -> Dict[str, object]:
+        record = self.queue.fail(job_id, error)
         with self._lock:
             self.counters["failures_total"] += 1
         self.events.publish(
-            "fail", node_id=msg.node_id, job_id=msg.job_id,
-            detail=msg.error[:120],
+            "fail", node_id=node, job_id=job_id, detail=error[:120],
         )
-        return {"record": record}
+        return record
 
-    def _op_retry(self, msg: protocol.Retry) -> Dict[str, object]:
-        record = self.queue.retry_or_fail(msg.job_id, msg.error, self.policy)
+    def _op_retry_or_fail(
+        self, node: str, job_id: str, error: str
+    ) -> Dict[str, object]:
+        record = self.queue.retry_or_fail(job_id, error, self.policy)
         with self._lock:
             self.counters["retries_total"] += 1
         if record.get("state") == "failed":
             self.events.publish(
-                "fail", node_id=msg.node_id, job_id=msg.job_id,
-                detail=f"retries exhausted: {msg.error[:100]}",
+                "fail", node_id=node, job_id=job_id,
+                detail=f"retries exhausted: {error[:100]}",
             )
-        return {"record": record}
+        return record
 
-    def _op_cancelled(self, msg: protocol.Cancelled) -> Dict[str, object]:
-        record = self.queue.mark_cancelled(msg.job_id)
-        self.events.publish(
-            "cancel", node_id=msg.node_id, job_id=msg.job_id,
-        )
-        return {"record": record}
+    def _op_mark_cancelled(self, node: str, job_id: str) -> Dict[str, object]:
+        record = self.queue.mark_cancelled(job_id)
+        self.events.publish("cancel", node_id=node, job_id=job_id)
+        return record
 
-    def _op_cancel_check(self, msg: protocol.CancelCheck) -> Dict[str, object]:
-        return {"cancel": self.queue.cancel_requested(msg.job_id)}
-
-    def _op_recover(self, msg: protocol.Recover) -> Dict[str, object]:
-        recovered = self.queue.recover(
-            self.policy, dead_owners=list(msg.dead_owners)
-        )
+    def _op_recover(self, node: str, dead_owners: Sequence[str]) -> List[str]:
+        recovered = self.queue.recover(self.policy, dead_owners=dead_owners)
         if recovered:
             with self._lock:
                 self.counters["recovered_leases_total"] += len(recovered)
-        return {"recovered": recovered}
-
-    def _op_record(self, msg: protocol.RecordGet) -> Dict[str, object]:
-        return {"record": self.queue.record(msg.job_id)}
-
-    def _op_stats(self, msg: protocol.Stats) -> Dict[str, object]:
-        payload = self.stats()
-        payload["depth"] = self.queue.depth()
-        payload["sched"] = self.queue.sched_stats()
-        return payload
+        return recovered
 
     # -- event streaming -------------------------------------------------------
 
-    def _stream_events(self, sock, msg: protocol.Subscribe) -> None:
-        sub, replayed = self.events.subscribe(msg.replay)
+    def _stream_events(self, sock, replay: int) -> None:
+        sub, replayed = self.events.subscribe(replay)
         try:
-            send_frame(sock, ok_response({
-                "subscribed": True,
-                "history": [e.to_payload() for e in replayed],
-            }))
+            send_frame(sock, ok_response([e.to_payload() for e in replayed]))
             while not self._stop.is_set():
                 try:
                     event = sub.get(timeout=0.5)
@@ -454,8 +431,9 @@ class ClusterCoordinator:
             self.sweep_dead_nodes()
 
     def sweep_dead_nodes(self, now: Optional[float] = None) -> List[str]:
-        """Drop TTL-expired nodes and recover their workers' leases."""
-        now = time.time() if now is None else now
+        """Drop TTL-expired nodes and recover their workers' leases
+        (``now`` is a :func:`time.monotonic` reading)."""
+        now = time.monotonic() if now is None else now
         with self._lock:
             dead = [
                 node_id for node_id, node in self._nodes.items()
@@ -486,10 +464,4 @@ class ClusterCoordinator:
             for owner in self.queue.lease_owners().values()
             if owner.startswith(prefix)
         ]
-        if not owners:
-            return []
-        recovered = self.queue.recover(self.policy, dead_owners=owners)
-        if recovered:
-            with self._lock:
-                self.counters["recovered_leases_total"] += len(recovered)
-        return recovered
+        return self._op_recover(node_id, owners) if owners else []

@@ -25,7 +25,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from collections import deque
 
-from repro.cluster.protocol import ProtocolError, _check_int, _check_str
+from repro.cluster.protocol import ProtocolError, check, is_count, is_str
 
 #: every event kind the coordinator publishes
 EVENT_KINDS = (
@@ -40,6 +40,16 @@ DEFAULT_HISTORY = 256
 SUBSCRIBER_QUEUE_MAX = 1024
 
 
+def _is_seq(value: object) -> bool:
+    """an int >= 1"""
+    return is_count(value) and value >= 1
+
+
+def _is_number(value: object) -> bool:
+    """a number"""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ClusterEvent:
     """One fleet transition, strictly typed for the wire."""
@@ -52,20 +62,15 @@ class ClusterEvent:
     detail: str = ""
 
     def __post_init__(self) -> None:
-        _check_int("ClusterEvent", "seq", self.seq, minimum=1)
-        if not isinstance(self.ts, (int, float)) or isinstance(self.ts, bool):
-            raise ProtocolError(
-                f"ClusterEvent.ts: must be a number, "
-                f"got {type(self.ts).__name__}"
-            )
+        check("ClusterEvent.seq", self.seq, _is_seq)
+        check("ClusterEvent.ts", self.ts, _is_number)
         if self.kind not in EVENT_KINDS:
             raise ProtocolError(
                 f"ClusterEvent.kind: must be one of {list(EVENT_KINDS)}, "
                 f"got {self.kind!r}"
             )
-        _check_str("ClusterEvent", "node_id", self.node_id)
-        _check_str("ClusterEvent", "job_id", self.job_id)
-        _check_str("ClusterEvent", "detail", self.detail)
+        for name in ("node_id", "job_id", "detail"):
+            check(f"ClusterEvent.{name}", getattr(self, name), is_str)
 
     def to_payload(self) -> Dict[str, object]:
         return {

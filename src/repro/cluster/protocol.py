@@ -4,24 +4,29 @@ Everything the coordinator and its agents say to each other is a
 **frame**: a 4-byte big-endian length prefix followed by one UTF-8 JSON
 object.  Three frame shapes travel over one TCP connection:
 
-* **requests** — ``{"version": 1, "auth": "<token>", "op": "claim",
-  "body": {...}}``; every message carries the shared auth token (the
-  per-message check means a connection hijacked after registration still
-  cannot act);
-* **responses** — ``{"version": 1, "ok": true, "body": {...}}`` or
-  ``{"version": 1, "ok": false, "error": {"type", "message"}}``; error
-  types map back onto the :mod:`repro.api.errors` hierarchy client-side
-  so a remote ``NotFoundError`` raises exactly like a local one;
-* **events** — ``{"version": 1, "event": {...}}``, pushed down a
+* **requests** — ``{"version": 2, "auth": "<token>", "node": "<node id>",
+  "op": "claim", "args": {"owner": "..."}}``; every request carries the
+  shared auth token (the per-request check means a connection hijacked
+  after registration still cannot act) and the sending node's id;
+* **responses** — ``{"version": 2, "ok": true, "result": <value>}`` or
+  ``{"version": 2, "ok": false, "error": {"type", "message"}}``; the
+  result is what the named method returned, and error types map back
+  onto the :mod:`repro.api.errors` hierarchy client-side so a remote
+  ``NotFoundError`` raises exactly like a local one;
+* **events** — ``{"version": 2, "event": {...}}``, pushed down a
   connection that sent ``subscribe`` (see :mod:`repro.cluster.events`).
 
-Message bodies are frozen dataclasses with the strict codec contract of
-the typed API (PR 3/4 style): unknown keys rejected, wrong-typed values
-rejected with full field paths, ``decode(encode(x)) == x``.  The verbs
-cover the whole worker-facing :class:`~repro.exec.queue.JobQueue`
-surface — claim / heartbeat / progress / complete / fail / retry /
-cancel — plus node lifecycle (register / deregister), lease recovery,
-introspection (record / stats), and the event subscription.
+The vocabulary is one table, :data:`OPS`: op → ``{arg: (check, default
+or REQUIRED)}``.  Each queue verb *is* a
+:class:`~repro.exec.queue.JobQueue` method — same name, same keyword
+arguments minus the local-only ``policy``/``now`` — so the coordinator
+can answer it with ``getattr(queue, op)(**args)``; ``register``,
+``deregister``, ``node_heartbeat`` and ``subscribe`` are the node verbs
+the coordinator answers itself.  :func:`decode_request` checks an
+envelope against the table: an unknown op or argument, a missing
+required argument, or a wrongly typed value is a :class:`ProtocolError`
+naming ``op.arg``.  The version tag makes a mixed fleet fail loudly: a
+v1 peer meets a ``ProtocolError``, never a half-decode.
 
 Framing errors split in two deliberately:
 
@@ -39,8 +44,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from dataclasses import dataclass, fields
-from typing import Dict, Mapping, Optional, Tuple, Type
+from typing import Callable, Dict, Mapping, Optional, Tuple, Type
 
 from repro.api.errors import (
     ApiError,
@@ -52,7 +56,7 @@ from repro.api.errors import (
 
 #: version tag every frame carries; mismatches are rejected outright
 #: (a mixed-version fleet must fail loudly, not half-decode)
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: hard cap on one frame's JSON payload — batch results of a
 #: 50-benchmark job are a few MB; anything near this is hostile or torn
@@ -144,339 +148,120 @@ def _recv_exact(
     return b"".join(chunks)
 
 
-# -- message vocabulary ------------------------------------------------------
+# -- the op table ------------------------------------------------------------
+#
+# A check is a predicate over one decoded JSON value; its docstring is
+# the noun phrase error messages use ("claim.owner: must be a non-empty
+# string, got ''").
 
+Check = Callable[[object], bool]
 
-def _fail(type_name: str, field: str, message: str) -> None:
-    raise ProtocolError(f"{type_name}.{field}: {message}")
 
+def is_str(value: object) -> bool:
+    """a string"""
+    return isinstance(value, str)
 
-def _check_str(
-    type_name: str, field: str, value: object, non_empty: bool = False
-) -> None:
-    if not isinstance(value, str):
-        _fail(type_name, field,
-              f"must be a string, got {type(value).__name__}")
-    if non_empty and not value:
-        _fail(type_name, field, "must be non-empty")
 
+def is_name(value: object) -> bool:
+    """a non-empty string"""
+    return isinstance(value, str) and bool(value)
 
-def _check_int(
-    type_name: str, field: str, value: object, minimum: int = 0
-) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(type_name, field,
-              f"must be an int, got {type(value).__name__}")
-    if value < minimum:
-        _fail(type_name, field, f"must be >= {minimum}, got {value}")
 
+def is_count(value: object) -> bool:
+    """an int >= 0"""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 0)
 
-def _check_obj_or_none(type_name: str, field: str, value: object) -> None:
-    if value is not None and not isinstance(value, Mapping):
-        _fail(type_name, field,
-              f"must be an object or null, got {type(value).__name__}")
 
+def is_object(value: object) -> bool:
+    """an object or null"""
+    return value is None or isinstance(value, dict)
 
-class _Message:
-    """Shared strict codec over the frozen message dataclasses."""
 
-    op = ""  # overridden per message
-
-    def to_payload(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            out[spec.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "_Message":
-        if not isinstance(payload, Mapping):
-            raise ProtocolError(
-                f"{cls.__name__} body must be a JSON object, "
-                f"got {type(payload).__name__}"
-            )
-        specs = {spec.name: spec for spec in fields(cls)}
-        unknown = sorted(set(payload) - set(specs))
-        if unknown:
-            raise ProtocolError(
-                f"{cls.__name__} body has unknown key(s): {', '.join(unknown)}"
-            )
-        kwargs: Dict[str, object] = {}
-        for name, value in payload.items():
-            if isinstance(value, list):
-                value = tuple(value)
-            kwargs[name] = value
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ProtocolError(
-                f"malformed {cls.__name__} body: {exc}"
-            ) from exc
-
-
-@dataclass(frozen=True)
-class Register(_Message):
-    """A node joins the fleet (response carries scheduler + retry policy)."""
-
-    node_id: str
-    workers: int = 1
-    host: str = ""
-
-    op = "register"
-
-    def __post_init__(self) -> None:
-        _check_str("Register", "node_id", self.node_id, non_empty=True)
-        _check_int("Register", "workers", self.workers, minimum=0)
-        _check_str("Register", "host", self.host)
-
-
-@dataclass(frozen=True)
-class Deregister(_Message):
-    """A node leaves the fleet gracefully (after draining its workers)."""
-
-    node_id: str
-
-    op = "deregister"
-
-    def __post_init__(self) -> None:
-        _check_str("Deregister", "node_id", self.node_id, non_empty=True)
-
-
-@dataclass(frozen=True)
-class Heartbeat(_Message):
-    """Node liveness; with a ``job_id``, also refreshes that job's lease."""
-
-    node_id: str
-    job_id: str = ""
-    owner: str = ""
-    stage: str = ""
-
-    op = "heartbeat"
-
-    def __post_init__(self) -> None:
-        _check_str("Heartbeat", "node_id", self.node_id, non_empty=True)
-        _check_str("Heartbeat", "job_id", self.job_id)
-        _check_str("Heartbeat", "owner", self.owner)
-        _check_str("Heartbeat", "stage", self.stage)
-        if self.job_id and not self.owner:
-            _fail("Heartbeat", "owner",
-                  "must be non-empty when job_id is set")
-
-
-@dataclass(frozen=True)
-class Claim(_Message):
-    """Claim the best runnable job for ``owner`` (a remote worker uid)."""
-
-    node_id: str
-    owner: str
-
-    op = "claim"
-
-    def __post_init__(self) -> None:
-        _check_str("Claim", "node_id", self.node_id, non_empty=True)
-        _check_str("Claim", "owner", self.owner, non_empty=True)
-
-
-@dataclass(frozen=True)
-class Progress(_Message):
-    """Stage/progress publication for a running job."""
-
-    node_id: str
-    job_id: str
-    completed: int = 0
-    stage: str = ""
-
-    op = "progress"
-
-    def __post_init__(self) -> None:
-        _check_str("Progress", "node_id", self.node_id, non_empty=True)
-        _check_str("Progress", "job_id", self.job_id, non_empty=True)
-        _check_int("Progress", "completed", self.completed)
-        _check_str("Progress", "stage", self.stage)
-
-
-@dataclass(frozen=True)
-class Complete(_Message):
-    """Record success (idempotent: a retried complete never re-charges)."""
-
-    node_id: str
-    job_id: str
-    result: Optional[Mapping[str, object]] = None
-    results: Optional[Tuple[object, ...]] = None
-    report: Optional[Mapping[str, object]] = None
-
-    op = "complete"
-
-    def __post_init__(self) -> None:
-        _check_str("Complete", "node_id", self.node_id, non_empty=True)
-        _check_str("Complete", "job_id", self.job_id, non_empty=True)
-        _check_obj_or_none("Complete", "result", self.result)
-        _check_obj_or_none("Complete", "report", self.report)
-        if self.results is not None:
-            if not isinstance(self.results, tuple):
-                _fail("Complete", "results",
-                      f"must be an array or null, "
-                      f"got {type(self.results).__name__}")
-            for i, item in enumerate(self.results):
-                if not isinstance(item, Mapping):
-                    _fail("Complete", f"results[{i}]",
-                          f"must be an object, got {type(item).__name__}")
-
-
-@dataclass(frozen=True)
-class Fail(_Message):
-    """Record a permanent failure (API errors: retrying cannot fix)."""
-
-    node_id: str
-    job_id: str
-    error: str
-
-    op = "fail"
-
-    def __post_init__(self) -> None:
-        _check_str("Fail", "node_id", self.node_id, non_empty=True)
-        _check_str("Fail", "job_id", self.job_id, non_empty=True)
-        _check_str("Fail", "error", self.error, non_empty=True)
-
-
-@dataclass(frozen=True)
-class Retry(_Message):
-    """A failed attempt: requeue under the *coordinator's* retry policy."""
-
-    node_id: str
-    job_id: str
-    error: str
-
-    op = "retry"
-
-    def __post_init__(self) -> None:
-        _check_str("Retry", "node_id", self.node_id, non_empty=True)
-        _check_str("Retry", "job_id", self.job_id, non_empty=True)
-        _check_str("Retry", "error", self.error, non_empty=True)
-
-
-@dataclass(frozen=True)
-class Cancelled(_Message):
-    """A worker observed the cancel marker and stopped the job."""
-
-    node_id: str
-    job_id: str
-
-    op = "cancelled"
-
-    def __post_init__(self) -> None:
-        _check_str("Cancelled", "node_id", self.node_id, non_empty=True)
-        _check_str("Cancelled", "job_id", self.job_id, non_empty=True)
-
-
-@dataclass(frozen=True)
-class CancelCheck(_Message):
-    """Poll the cancel marker (one stage boundary = one check)."""
-
-    node_id: str
-    job_id: str
-
-    op = "cancel_check"
-
-    def __post_init__(self) -> None:
-        _check_str("CancelCheck", "node_id", self.node_id, non_empty=True)
-        _check_str("CancelCheck", "job_id", self.job_id, non_empty=True)
-
-
-@dataclass(frozen=True)
-class Recover(_Message):
-    """An agent supervisor reports its locally dead worker incarnations."""
-
-    node_id: str
-    dead_owners: Tuple[str, ...] = ()
-
-    op = "recover"
-
-    def __post_init__(self) -> None:
-        _check_str("Recover", "node_id", self.node_id, non_empty=True)
-        if not isinstance(self.dead_owners, tuple):
-            _fail("Recover", "dead_owners",
-                  f"must be an array, got {type(self.dead_owners).__name__}")
-        for i, owner in enumerate(self.dead_owners):
-            if not isinstance(owner, str) or not owner:
-                _fail("Recover", f"dead_owners[{i}]",
-                      f"must be a non-empty string, got {owner!r}")
-
-
-@dataclass(frozen=True)
-class RecordGet(_Message):
-    """Fetch one job record (tests and tooling; not on the hot path)."""
-
-    node_id: str
-    job_id: str
-
-    op = "record"
-
-    def __post_init__(self) -> None:
-        _check_str("RecordGet", "node_id", self.node_id, non_empty=True)
-        _check_str("RecordGet", "job_id", self.job_id, non_empty=True)
-
-
-@dataclass(frozen=True)
-class Stats(_Message):
-    """Fleet snapshot: nodes, counters, queue depth, sched stats."""
-
-    node_id: str
-
-    op = "stats"
-
-    def __post_init__(self) -> None:
-        _check_str("Stats", "node_id", self.node_id, non_empty=True)
-
-
-@dataclass(frozen=True)
-class Subscribe(_Message):
-    """Switch this connection into an event stream (see events.py)."""
-
-    node_id: str
-    replay: int = 0
-
-    op = "subscribe"
-
-    def __post_init__(self) -> None:
-        _check_str("Subscribe", "node_id", self.node_id, non_empty=True)
-        _check_int("Subscribe", "replay", self.replay)
-
-
-#: every request message type, keyed by wire op
-MESSAGE_TYPES: Dict[str, Type[_Message]] = {
-    cls.op: cls
-    for cls in (
-        Register, Deregister, Heartbeat, Claim, Progress, Complete,
-        Fail, Retry, Cancelled, CancelCheck, Recover, RecordGet,
-        Stats, Subscribe,
+def is_objects(value: object) -> bool:
+    """an array of objects, or null"""
+    return value is None or (
+        isinstance(value, list) and all(isinstance(v, dict) for v in value)
     )
+
+
+def is_names(value: object) -> bool:
+    """an array of non-empty strings"""
+    return isinstance(value, list) and all(is_name(v) for v in value)
+
+
+def check(where: str, value: object, predicate: Check) -> None:
+    """Raise a :class:`ProtocolError` naming ``where`` unless
+    ``predicate`` accepts ``value``."""
+    if not predicate(value):
+        raise ProtocolError(
+            f"{where}: must be {predicate.__doc__}, got {value!r:.60}"
+        )
+
+
+#: marks an argument every request for its op must carry
+REQUIRED = object()
+
+#: the whole wire vocabulary: op -> {arg: (check, default or REQUIRED)}
+OPS: Dict[str, Dict[str, Tuple[Check, object]]] = {
+    # JobQueue verbs: the method's name and keyword arguments
+    "claim": {"owner": (is_name, REQUIRED)},
+    "heartbeat": {
+        "job_id": (is_name, REQUIRED),
+        "owner": (is_name, REQUIRED),
+        "stage": (is_str, ""),
+    },
+    "update_progress": {
+        "job_id": (is_name, REQUIRED),
+        "completed": (is_count, REQUIRED),
+        "stage": (is_str, ""),
+    },
+    "complete": {
+        "job_id": (is_name, REQUIRED),
+        "result": (is_object, None),
+        "results": (is_objects, None),
+        "report": (is_object, None),
+    },
+    "fail": {"job_id": (is_name, REQUIRED), "error": (is_name, REQUIRED)},
+    "retry_or_fail": {
+        "job_id": (is_name, REQUIRED),
+        "error": (is_name, REQUIRED),
+    },
+    "mark_cancelled": {"job_id": (is_name, REQUIRED)},
+    "cancel_requested": {"job_id": (is_name, REQUIRED)},
+    "recover": {"dead_owners": (is_names, ())},
+    # node verbs: the agent's fleet membership and the event stream
+    "register": {"workers": (is_count, REQUIRED), "host": (is_str, "")},
+    "deregister": {},
+    "node_heartbeat": {},
+    "subscribe": {"replay": (is_count, 0)},
 }
 
 
 # -- envelopes ---------------------------------------------------------------
 
 
-def encode_request(message: _Message, auth: str = "") -> Dict[str, object]:
+def encode_request(
+    op: str, args: Mapping[str, object], node: str, auth: str = ""
+) -> Dict[str, object]:
     return {
         "version": PROTOCOL_VERSION,
         "auth": auth,
-        "op": message.op,
-        "body": message.to_payload(),
+        "node": node,
+        "op": op,
+        "args": dict(args),
     }
 
 
-def decode_request(payload: Mapping[str, object]) -> Tuple[_Message, str]:
-    """Envelope + body validation; returns ``(message, auth token)``."""
+def decode_request(payload: object) -> Dict[str, object]:
+    """Check one request envelope against :data:`OPS`.
+
+    Returns the envelope with every omitted argument filled from the
+    table's defaults, ready for ``method(**request["args"])``.
+    """
     if not isinstance(payload, Mapping):
         raise ProtocolError(
             f"request must be a JSON object, got {type(payload).__name__}"
-        )
-    unknown = sorted(set(payload) - {"version", "auth", "op", "body"})
-    if unknown:
-        raise ProtocolError(
-            f"request envelope has unknown key(s): {', '.join(unknown)}"
         )
     version = payload.get("version")
     if version != PROTOCOL_VERSION:
@@ -484,26 +269,43 @@ def decode_request(payload: Mapping[str, object]) -> Tuple[_Message, str]:
             f"unsupported protocol version {version!r} "
             f"(this node speaks {PROTOCOL_VERSION})"
         )
-    auth = payload.get("auth", "")
-    if not isinstance(auth, str):
+    unknown = sorted(set(payload) - {"version", "auth", "node", "op", "args"})
+    if unknown:
         raise ProtocolError(
-            f"request 'auth' must be a string, got {type(auth).__name__}"
+            f"request envelope has unknown key(s): {', '.join(unknown)}"
         )
     op = payload.get("op")
-    cls = MESSAGE_TYPES.get(op) if isinstance(op, str) else None
-    if cls is None:
+    table = OPS.get(op) if isinstance(op, str) else None
+    if table is None:
         raise ProtocolError(
-            f"unknown op {op!r} (known: {', '.join(sorted(MESSAGE_TYPES))})"
+            f"unknown op {op!r} (known: {', '.join(sorted(OPS))})"
         )
-    return cls.from_payload(payload.get("body", {})), auth
+    auth = payload.get("auth", "")
+    node = payload.get("node")
+    args = payload.get("args", {})
+    check("request.auth", auth, is_str)
+    check(f"{op}.node", node, is_name)
+    if not isinstance(args, Mapping):
+        raise ProtocolError(
+            f"{op}.args: must be an object, got {type(args).__name__}"
+        )
+    unknown = sorted(set(args) - set(table))
+    if unknown:
+        raise ProtocolError(f"{op}.{unknown[0]}: unknown argument")
+    filled: Dict[str, object] = {}
+    for name, (predicate, default) in table.items():
+        if name in args:
+            check(f"{op}.{name}", args[name], predicate)
+            filled[name] = args[name]
+        elif default is REQUIRED:
+            raise ProtocolError(f"{op}.{name}: required argument missing")
+        else:
+            filled[name] = default
+    return encode_request(op, filled, node, auth)
 
 
-def ok_response(body: Optional[Mapping[str, object]] = None) -> Dict[str, object]:
-    return {
-        "version": PROTOCOL_VERSION,
-        "ok": True,
-        "body": dict(body or {}),
-    }
+def ok_response(result: object) -> Dict[str, object]:
+    return {"version": PROTOCOL_VERSION, "ok": True, "result": result}
 
 
 def error_response(error: BaseException) -> Dict[str, object]:
@@ -528,8 +330,8 @@ _ERROR_TYPES: Dict[str, Type[Exception]] = {
 }
 
 
-def decode_response(payload: Mapping[str, object]) -> Dict[str, object]:
-    """The body of an ok response; error responses raise.
+def decode_response(payload: Mapping[str, object]) -> object:
+    """The result of an ok response; error responses raise.
 
     Mapped error types re-raise as their local
     :mod:`repro.api.errors` class, so remote failures propagate through
@@ -545,12 +347,7 @@ def decode_response(payload: Mapping[str, object]) -> Dict[str, object]:
             f"unsupported response version {payload.get('version')!r}"
         )
     if payload.get("ok") is True:
-        body = payload.get("body", {})
-        if not isinstance(body, Mapping):
-            raise ProtocolError(
-                f"response body must be an object, got {type(body).__name__}"
-            )
-        return dict(body)
+        return payload.get("result")
     error = payload.get("error")
     if not isinstance(error, Mapping):
         raise ProtocolError("response is neither ok nor a typed error")

@@ -2,12 +2,13 @@
 
 A worker process on an agent host runs the unmodified
 :func:`~repro.exec.worker.worker_main` loop; the only difference is
-that its queue object speaks TCP.  This client implements exactly the
-queue surface the worker and its supervisor use — ``claim`` /
-``heartbeat`` / ``update_progress`` / ``complete`` / ``fail`` /
-``retry_or_fail`` / ``mark_cancelled`` / ``cancel_requested`` /
-``recover`` / ``evict_finished`` — plus the node lifecycle verbs the
-agent itself needs (``register`` / ``deregister`` / node heartbeat).
+that its queue object speaks TCP.  Every queue verb the worker and its
+supervisor use is one ``self._call(op, **args)`` carrying the
+:class:`~repro.exec.queue.JobQueue` method's own name and arguments
+(see :data:`~repro.cluster.protocol.OPS`) and returning that method's
+result, computed coordinator-side.  The node verbs the agent itself
+needs — ``register`` / ``deregister`` / ``node_heartbeat`` /
+``subscribe`` — ride the same envelope.
 
 Connection loss is survived, not surfaced: every call retries over a
 fresh connection under capped exponential backoff before giving up
@@ -32,10 +33,10 @@ import threading
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cluster import protocol
 from repro.cluster.protocol import (
     ClusterUnavailableError,
     FrameError,
+    decode_response,
     encode_request,
     recv_frame,
     send_frame,
@@ -43,12 +44,12 @@ from repro.cluster.protocol import (
 from repro.faults import FaultPlan
 
 #: reconnect schedule: capped exponential backoff over this many tries
-DEFAULT_MAX_RETRIES = 8
-DEFAULT_BACKOFF_BASE = 0.05
-DEFAULT_BACKOFF_CAP = 1.0
+MAX_RETRIES = 8
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 1.0
 
 #: per-operation socket timeout (a wedged coordinator looks like loss)
-DEFAULT_TIMEOUT = 10.0
+TIMEOUT = 10.0
 
 
 class RemoteQueue:
@@ -60,20 +61,12 @@ class RemoteQueue:
         port: int,
         node_id: str,
         auth: str = "",
-        timeout: float = DEFAULT_TIMEOUT,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         self.host = host
         self.port = int(port)
         self.node_id = node_id
         self.auth = auth
-        self.timeout = timeout
-        self.max_retries = max(0, int(max_retries))
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.faults = faults
         self._sock: Optional[socket.socket] = None
         # one socket, many threads (worker main loop + heartbeat thread):
@@ -92,34 +85,19 @@ class RemoteQueue:
             "port": self.port,
             "node_id": self.node_id,
             "auth": self.auth,
-            "timeout": self.timeout,
-            "max_retries": self.max_retries,
-            "backoff_base": self.backoff_base,
-            "backoff_cap": self.backoff_cap,
         }
 
     @classmethod
     def from_payload(
         cls,
         payload: Mapping[str, object],
-        node_id: Optional[str] = None,
         faults: Optional[FaultPlan] = None,
     ) -> "RemoteQueue":
         return cls(
             host=str(payload["host"]),
             port=int(payload["port"]),
-            node_id=str(node_id or payload.get("node_id") or "node"),
+            node_id=str(payload["node_id"]),
             auth=str(payload.get("auth") or ""),
-            timeout=float(payload.get("timeout") or DEFAULT_TIMEOUT),
-            max_retries=int(
-                payload.get("max_retries", DEFAULT_MAX_RETRIES)
-            ),
-            backoff_base=float(
-                payload.get("backoff_base", DEFAULT_BACKOFF_BASE)
-            ),
-            backoff_cap=float(
-                payload.get("backoff_cap", DEFAULT_BACKOFF_CAP)
-            ),
             faults=faults,
         )
 
@@ -128,7 +106,7 @@ class RemoteQueue:
     def _connect(self) -> socket.socket:
         if self._sock is None:
             sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
+                (self.host, self.port), timeout=TIMEOUT
             )
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._sock = sock
@@ -154,33 +132,34 @@ class RemoteQueue:
             self._close_socket()
             raise ConnectionError("injected network partition")
 
-    def _call(self, message: "protocol._Message") -> Dict[str, object]:
+    def _call(self, op: str, **args: object) -> object:
         """One request/response round trip, retried across reconnects.
 
         Retries cover transport failures only (socket errors, frames
         torn by a dying peer).  A decoded error *response* propagates
         untouched — it is the coordinator's answer.  Safe because every
         mutating verb is idempotent coordinator-side: replaying a
-        ``complete``/``fail``/``retry`` whose response was lost
+        ``complete``/``fail``/``retry_or_fail`` whose response was lost
         converges on the same terminal record.
         """
+        request = encode_request(op, args, self.node_id, self.auth)
         with self._lock:
             attempt = 0
             while True:
                 try:
-                    self._maybe_partition(message.op)
+                    self._maybe_partition(op)
                     sock = self._connect()
-                    send_frame(sock, encode_request(message, self.auth))
+                    send_frame(sock, request)
                     payload = recv_frame(sock)
                     if payload is None:
                         raise FrameError(
                             "coordinator closed the connection mid-call"
                         )
-                    return protocol.decode_response(payload)
+                    return decode_response(payload)
                 except (OSError, FrameError) as exc:
                     self._close_socket()
                     attempt += 1
-                    if attempt > self.max_retries:
+                    if attempt > MAX_RETRIES:
                         raise ClusterUnavailableError(
                             f"coordinator {self.host}:{self.port} "
                             f"unreachable after {attempt} attempt(s): "
@@ -188,10 +167,7 @@ class RemoteQueue:
                         ) from exc
                     self.reconnects += 1
                     time.sleep(
-                        min(
-                            self.backoff_cap,
-                            self.backoff_base * (2 ** (attempt - 1)),
-                        )
+                        min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (attempt - 1)))
                     )
 
     def close(self) -> None:
@@ -201,42 +177,34 @@ class RemoteQueue:
     # -- node lifecycle --------------------------------------------------------
 
     def register(self, workers: int, host: str = "") -> Dict[str, object]:
-        """Join the fleet; the response body carries the spool's
-        scheduler config and the fleet retry policy (config download)."""
-        return self._call(protocol.Register(
-            node_id=self.node_id, workers=int(workers), host=host,
-        ))
+        """Join the fleet; the result carries the spool's scheduler
+        config and the fleet retry policy (config download)."""
+        return self._call("register", workers=workers, host=host)
 
-    def deregister(self) -> Dict[str, object]:
-        return self._call(protocol.Deregister(node_id=self.node_id))
+    def deregister(self) -> List[str]:
+        return self._call("deregister")
 
-    def node_heartbeat(self) -> Dict[str, object]:
-        return self._call(protocol.Heartbeat(node_id=self.node_id))
-
-    def stats(self) -> Dict[str, object]:
-        return self._call(protocol.Stats(node_id=self.node_id))
+    def node_heartbeat(self) -> bool:
+        """Node liveness; False means the coordinator no longer knows
+        this node (swept or restarted) and it must re-register."""
+        return self._call("node_heartbeat")
 
     # -- JobQueue duck type (worker-facing) -----------------------------------
 
     def claim(
         self, owner: str, now: Optional[float] = None
     ) -> Optional[Dict[str, object]]:
-        body = self._call(protocol.Claim(node_id=self.node_id, owner=owner))
-        record = body.get("record")
-        return dict(record) if isinstance(record, Mapping) else None
+        return self._call("claim", owner=owner)
 
     def heartbeat(self, job_id: str, owner: str, stage: str = "") -> None:
-        self._call(protocol.Heartbeat(
-            node_id=self.node_id, job_id=job_id, owner=owner, stage=stage,
-        ))
+        self._call("heartbeat", job_id=job_id, owner=owner, stage=stage)
 
     def update_progress(
         self, job_id: str, completed: int, stage: str = ""
     ) -> None:
-        self._call(protocol.Progress(
-            node_id=self.node_id, job_id=job_id,
-            completed=int(completed), stage=stage,
-        ))
+        self._call(
+            "update_progress", job_id=job_id, completed=completed, stage=stage
+        )
 
     def complete(
         self,
@@ -245,47 +213,26 @@ class RemoteQueue:
         results: Optional[Sequence[Dict[str, object]]] = None,
         report: Optional[Dict[str, object]] = None,
     ) -> Dict[str, object]:
-        body = self._call(protocol.Complete(
-            node_id=self.node_id, job_id=job_id, result=result,
-            results=tuple(results) if results is not None else None,
+        return self._call(
+            "complete", job_id=job_id, result=result, results=results,
             report=report,
-        ))
-        return dict(body.get("record") or {})
+        )
 
     def fail(self, job_id: str, error: str) -> Dict[str, object]:
-        body = self._call(protocol.Fail(
-            node_id=self.node_id, job_id=job_id, error=error,
-        ))
-        return dict(body.get("record") or {})
+        return self._call("fail", job_id=job_id, error=error)
 
     def retry_or_fail(
         self, job_id: str, error: str, policy=None
     ) -> Dict[str, object]:
         """Requeue-or-fail under the coordinator's policy (one policy
         fleet-wide; the local ``policy`` argument is deliberately unused)."""
-        body = self._call(protocol.Retry(
-            node_id=self.node_id, job_id=job_id, error=error,
-        ))
-        return dict(body.get("record") or {})
+        return self._call("retry_or_fail", job_id=job_id, error=error)
 
     def mark_cancelled(self, job_id: str) -> Dict[str, object]:
-        body = self._call(protocol.Cancelled(
-            node_id=self.node_id, job_id=job_id,
-        ))
-        return dict(body.get("record") or {})
+        return self._call("mark_cancelled", job_id=job_id)
 
     def cancel_requested(self, job_id: str) -> bool:
-        body = self._call(protocol.CancelCheck(
-            node_id=self.node_id, job_id=job_id,
-        ))
-        return bool(body.get("cancel"))
-
-    def record(self, job_id: str) -> Optional[Dict[str, object]]:
-        body = self._call(protocol.RecordGet(
-            node_id=self.node_id, job_id=job_id,
-        ))
-        record = body.get("record")
-        return dict(record) if isinstance(record, Mapping) else None
+        return self._call("cancel_requested", job_id=job_id)
 
     def recover(
         self,
@@ -299,16 +246,9 @@ class RemoteQueue:
         an empty report short-circuits locally so the supervisor's 0.1s
         tick does not turn into network chatter.
         """
-        owners = tuple(dead_owners)
-        if not owners:
+        if not dead_owners:
             return []
-        body = self._call(protocol.Recover(
-            node_id=self.node_id, dead_owners=owners,
-        ))
-        recovered = body.get("recovered")
-        return [str(j) for j in recovered] if isinstance(
-            recovered, (list, tuple)
-        ) else []
+        return self._call("recover", dead_owners=list(dead_owners))
 
     def evict_finished(self, cap: int) -> int:
         """Eviction is spool maintenance; the coordinator does it."""
@@ -326,23 +266,15 @@ class RemoteQueue:
         :func:`~repro.cluster.protocol.recv_frame` /
         :func:`~repro.cluster.protocol.decode_event` until EOF.
         """
-        sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
+        sock = socket.create_connection((self.host, self.port), timeout=TIMEOUT)
         try:
             send_frame(sock, encode_request(
-                protocol.Subscribe(node_id=self.node_id, replay=replay),
-                self.auth,
+                "subscribe", {"replay": replay}, self.node_id, self.auth,
             ))
             payload = recv_frame(sock)
             if payload is None:
                 raise FrameError("coordinator closed before subscribing")
-            body = protocol.decode_response(payload)
+            return sock, decode_response(payload)
         except BaseException:
             sock.close()
             raise
-        history = body.get("history")
-        replayed = [
-            dict(e) for e in history
-        ] if isinstance(history, (list, tuple)) else []
-        return sock, replayed

@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.api.errors import (
     BackpressureError,
@@ -183,13 +183,7 @@ class FleetJobManager:
                 )
             priority = self.admission.admit(
                 request, kind, role, client_id,
-                active=(
-                    (
-                        str(rec.get("client_id") or ""),
-                        str(rec.get("state") or ""),
-                    )
-                    for rec in self.queue.records()
-                ),
+                active=self._active_jobs(),
                 retry_after=self._retry_after_estimate,
             )
             if self.capacity is not None:
@@ -316,6 +310,12 @@ class FleetJobManager:
             self.coordinator = None
 
     # -- internals -----------------------------------------------------------
+
+    def _active_jobs(self) -> Iterator[Tuple[str, str]]:
+        """``(client_id, state)`` of every spooled job.  A generator, so
+        the spool is read only if admission walks it (bounded quotas)."""
+        for rec in self.queue.records():
+            yield str(rec.get("client_id") or ""), str(rec.get("state") or "")
 
     def _retry_after_estimate(self) -> float:
         """Suggested client wait when saturated: recently finished jobs'

@@ -90,7 +90,8 @@ class FaultSpec:
     latency: float = 0.0
     #: bytes kept by ``torn_write`` (-1 = half the payload)
     keep_bytes: int = -1
-    #: wire op filter for ``conn_drop``/``partition`` (empty matches any)
+    #: wire op filter for ``conn_drop``/``partition`` (empty matches any;
+    #: else a key of :data:`repro.cluster.protocol.OPS`)
     op: str = ""
 
     def __post_init__(self) -> None:
@@ -114,6 +115,16 @@ class FaultSpec:
             )
         if self.latency < 0:
             raise FaultError(f"fault latency must be >= 0, got {self.latency}")
+        if self.op:
+            # looked up here, not at import: repro.cluster imports
+            # repro.exec, which imports this module
+            from repro.cluster.protocol import OPS
+
+            if self.op not in OPS:
+                raise FaultError(
+                    f"unknown wire op {self.op!r}; expected one of "
+                    f"{sorted(OPS)}"
+                )
 
     def to_payload(self) -> Dict[str, object]:
         return {

@@ -38,6 +38,7 @@ from repro.cluster import (
     recv_frame,
     run_agent,
 )
+from repro.cluster import remote
 from repro.exec import FleetJobManager, RetryPolicy
 from repro.faults import FaultPlan, FaultSpec
 from repro.sched import PRIORITY_CLASSES
@@ -80,10 +81,15 @@ def submit(queue, priority="", client_id=""):
                         client_id=client_id, priority=priority)
 
 
+@pytest.fixture(autouse=True)
+def fast_reconnects(monkeypatch):
+    """Tight client backoff so drop and partition paths run in test time."""
+    monkeypatch.setattr(remote, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(remote, "BACKOFF_CAP", 0.05)
+
+
 def make_client(coordinator, node_id="node-a", **kwargs):
     kwargs.setdefault("auth", coordinator.auth_token)
-    kwargs.setdefault("backoff_base", 0.01)
-    kwargs.setdefault("backoff_cap", 0.05)
     return RemoteQueue(coordinator.host, coordinator.port, node_id, **kwargs)
 
 
@@ -201,12 +207,28 @@ class TestCoordinator:
             client = make_client(coord)
             try:
                 client.register(workers=1)
-                coord.sweep_dead_nodes(now=time.time() + 120.0)
+                coord.sweep_dead_nodes(now=time.monotonic() + 120.0)
                 assert coord.node_count() == 0
-                beat = client.node_heartbeat()
-                assert beat["known"] is False  # agent must re-register
+                # agent must re-register
+                assert client.node_heartbeat() is False
                 client.register(workers=1)
                 assert coord.node_count() == 1
+            finally:
+                client.close()
+
+    def test_wall_clock_jump_sweeps_no_live_node(self, tmp_path,
+                                                 monkeypatch):
+        # liveness runs on the monotonic clock: an NTP step of an hour
+        # on the coordinator host must not declare live agents dead
+        with ClusterCoordinator(tmp_path / "spool", node_ttl=5.0) as coord:
+            client = make_client(coord)
+            try:
+                client.register(workers=1)
+                wall = time.time
+                monkeypatch.setattr(time, "time", lambda: wall() + 3600.0)
+                assert coord.sweep_dead_nodes() == []
+                assert coord.node_count() == 1
+                assert client.node_heartbeat() is True
             finally:
                 client.close()
 
@@ -278,14 +300,14 @@ class TestClusterFaults:
             assert elapsed >= 0.1  # the no-connectivity window was real
             assert client.reconnects >= 1
 
-    def test_unreachable_coordinator_raises_unavailable(self):
+    def test_unreachable_coordinator_raises_unavailable(self, monkeypatch):
         # grab a port nobody listens on
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
-        client = RemoteQueue("127.0.0.1", port, "node-a", max_retries=2,
-                             backoff_base=0.01, backoff_cap=0.02)
+        monkeypatch.setattr(remote, "MAX_RETRIES", 2)
+        client = RemoteQueue("127.0.0.1", port, "node-a")
         with pytest.raises(ClusterUnavailableError, match="unreachable"):
             client.register(workers=1)
 
@@ -505,6 +527,30 @@ class TestServeCliErrors:
         assert err.startswith("provmark: ")
         assert not (tmp_path / "plane" / "spool").exists()
 
+    def test_malformed_serve_fault_plan_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "faults.json"
+        bad.write_text(json.dumps({"specs": [{"kind": "meteor"}]}))
+        code, err = self.run_main(capsys, [
+            "serve", "--faults", str(bad), "--workers", "0",
+            "--cluster", "0", "--queue", str(tmp_path / "plane"),
+        ])
+        assert code == 2
+        assert err.startswith("provmark: ")
+        assert "meteor" in err
+        assert not (tmp_path / "plane" / "spool").exists()
+
+    def test_retired_op_in_agent_fault_plan_exits_2(self, tmp_path, capsys):
+        # a v1 op name would never match, so the fault would never fire
+        bad = tmp_path / "faults.json"
+        bad.write_text(json.dumps(
+            {"specs": [{"kind": "conn_drop", "op": "progress"}]}))
+        code, err = self.run_main(capsys, [
+            "agent", "--coordinator", "127.0.0.1:9", "--faults", str(bad),
+        ])
+        assert code == 2
+        assert err.startswith("provmark: ")
+        assert "'progress'" in err
+
     def test_agent_rejects_bad_endpoint(self, capsys):
         code, err = self.run_main(
             capsys, ["agent", "--coordinator", "nowhere"])
@@ -589,7 +635,7 @@ def test_chaos_fleet_batch_is_byte_identical_to_single_host(tmp_path):
 
     faults = FaultPlan(
         [
-            FaultSpec(kind="conn_drop", op="progress", at=5, times=1),
+            FaultSpec(kind="conn_drop", op="update_progress", at=5, times=1),
             FaultSpec(kind="conn_drop", op="complete", times=1),
         ],
         seed=2019,

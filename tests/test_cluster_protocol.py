@@ -1,14 +1,18 @@
-"""Wire-protocol codecs of the multi-host execution plane (PR 10).
+"""Wire-protocol codecs of the multi-host execution plane.
 
-Property-style, in the ``test_api_types.py`` mold: round-trip every
-message type in :data:`repro.cluster.protocol.MESSAGE_TYPES` through a
-real JSON wire trip (``decode_request(json(encode_request(msg)))``),
-reject malformed envelopes and bodies, and exercise the framing layer
-over real socket pairs — truncated prefixes, mid-frame EOF, oversized
-frames, and non-object JSON must all surface as :class:`FrameError`,
-while a clean close between frames reads as ``None``.
+Property-style, in the ``test_api_types.py`` mold, and derived from the
+op table: each request argument's generator comes from its
+:data:`repro.cluster.protocol.OPS` check, so a new op gets round-trip
+and rejection coverage (unknown argument, missing required argument,
+wrongly typed argument, empty ``node``) without a test edit, and the
+table is pinned to the ``JobQueue``/``RemoteQueue`` signatures it
+exposes.  The framing layer runs over real socket pairs — truncated
+prefixes, mid-frame EOF, oversized frames, and non-object JSON must all
+surface as :class:`FrameError`, while a clean close between frames reads
+as ``None``.
 """
 
+import inspect
 import json
 import socket
 import struct
@@ -25,28 +29,17 @@ from repro.api.errors import (
     ValidationError,
 )
 from repro.api.types import ClusterNodeInfo, ClusterStatus
+from repro.cluster import protocol
+from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.events import EVENT_KINDS, ClusterEvent, EventHub
 from repro.cluster.protocol import (
     MAX_FRAME_BYTES,
-    MESSAGE_TYPES,
+    OPS,
     PROTOCOL_VERSION,
-    Cancelled,
-    CancelCheck,
-    Claim,
-    Complete,
-    Deregister,
-    Fail,
+    REQUIRED,
     FrameError,
-    Heartbeat,
-    Progress,
     ProtocolError,
-    RecordGet,
-    Recover,
-    Register,
     RemoteOpError,
-    Retry,
-    Stats,
-    Subscribe,
     decode_event,
     decode_request,
     decode_response,
@@ -57,6 +50,8 @@ from repro.cluster.protocol import (
     recv_frame,
     send_frame,
 )
+from repro.cluster.remote import RemoteQueue
+from repro.exec.queue import JobQueue
 
 # -- generators --------------------------------------------------------------
 
@@ -65,64 +60,71 @@ names = st.text(
 )
 maybe_name = st.just("") | names
 small_ints = st.integers(min_value=0, max_value=1000)
-json_objects = st.none() | st.dictionaries(
-    names, names | small_ints, max_size=3
+json_objects = st.dictionaries(names, names | small_ints, max_size=3)
+
+#: one generator per wire check: an op built from existing checks is
+#: covered without an edit here; a new check must add its generator
+CHECK_STRATEGIES = {
+    protocol.is_str: maybe_name,
+    protocol.is_name: names,
+    protocol.is_count: small_ints,
+    protocol.is_object: st.none() | json_objects,
+    protocol.is_objects: st.none() | st.lists(json_objects, max_size=2),
+    protocol.is_names: st.lists(names, max_size=2),
+}
+
+#: decoded JSON values; a check's valid and invalid samples are the
+#: members of this pool it accepts and rejects
+JSON_VALUES = [
+    None, True, -1, 7, 1.5, "", "x", [], ["x"], [""], [7], {}, {"k": 1},
+    [{"k": 1}],
+]
+
+
+def accepted(check):
+    return [value for value in JSON_VALUES if check(value)]
+
+
+def rejected(check):
+    return [value for value in JSON_VALUES if not check(value)]
+
+
+def args_for(op):
+    """Valid arguments of ``op``: every required one, any optional subset."""
+    table = OPS[op]
+    return st.fixed_dictionaries(
+        {name: CHECK_STRATEGIES[check]
+         for name, (check, default) in table.items() if default is REQUIRED},
+        optional={
+            name: CHECK_STRATEGIES[check]
+            for name, (check, default) in table.items()
+            if default is not REQUIRED
+        },
+    )
+
+
+#: (op, args, node) triples over the whole table
+any_request = st.sampled_from(sorted(OPS)).flatmap(
+    lambda op: st.tuples(st.just(op), args_for(op), names)
 )
 
-MESSAGE_STRATEGIES = {
-    "register": st.builds(
-        Register, node_id=names, workers=small_ints, host=maybe_name
-    ),
-    "deregister": st.builds(Deregister, node_id=names),
-    "heartbeat": st.builds(
-        Heartbeat, node_id=names, job_id=st.just(""), stage=maybe_name
-    ) | st.builds(
-        Heartbeat, node_id=names, job_id=names, owner=names, stage=maybe_name
-    ),
-    "claim": st.builds(Claim, node_id=names, owner=names),
-    "progress": st.builds(
-        Progress, node_id=names, job_id=names, completed=small_ints,
-        stage=maybe_name,
-    ),
-    "complete": st.builds(
-        Complete, node_id=names, job_id=names, result=json_objects,
-        results=st.none() | st.tuples() | st.tuples(
-            st.dictionaries(names, small_ints, max_size=2)
-        ),
-        report=json_objects,
-    ),
-    "fail": st.builds(Fail, node_id=names, job_id=names, error=names),
-    "retry": st.builds(Retry, node_id=names, job_id=names, error=names),
-    "cancelled": st.builds(Cancelled, node_id=names, job_id=names),
-    "cancel_check": st.builds(CancelCheck, node_id=names, job_id=names),
-    "recover": st.builds(
-        Recover, node_id=names,
-        dead_owners=st.tuples() | st.tuples(names) | st.tuples(names, names),
-    ),
-    "record": st.builds(RecordGet, node_id=names, job_id=names),
-    "stats": st.builds(Stats, node_id=names),
-    "subscribe": st.builds(Subscribe, node_id=names, replay=small_ints),
-}
 
-any_message = st.one_of(*MESSAGE_STRATEGIES.values())
+def sample_args(op):
+    """One concrete valid argument set: the op's required arguments."""
+    return {
+        name: accepted(check)[-1]
+        for name, (check, default) in OPS[op].items() if default is REQUIRED
+    }
 
-#: one concrete, valid instance per verb (rejection tests mutate these)
-SAMPLE_MESSAGES = {
-    "register": Register(node_id="n", workers=2, host="h"),
-    "deregister": Deregister(node_id="n"),
-    "heartbeat": Heartbeat(node_id="n", job_id="j", owner="w"),
-    "claim": Claim(node_id="n", owner="w"),
-    "progress": Progress(node_id="n", job_id="j", completed=1, stage="s"),
-    "complete": Complete(node_id="n", job_id="j", result={"ok": 1}),
-    "fail": Fail(node_id="n", job_id="j", error="e"),
-    "retry": Retry(node_id="n", job_id="j", error="e"),
-    "cancelled": Cancelled(node_id="n", job_id="j"),
-    "cancel_check": CancelCheck(node_id="n", job_id="j"),
-    "recover": Recover(node_id="n", dead_owners=("n:w1.g1",)),
-    "record": RecordGet(node_id="n", job_id="j"),
-    "stats": Stats(node_id="n"),
-    "subscribe": Subscribe(node_id="n", replay=4),
-}
+
+def filled(op, args):
+    """``args`` plus the table's default for every omitted argument."""
+    defaults = {
+        name: default
+        for name, (_, default) in OPS[op].items() if default is not REQUIRED
+    }
+    return {**defaults, **args}
+
 
 cluster_events = st.builds(
     ClusterEvent,
@@ -164,28 +166,32 @@ def wire(payload):
     return json.loads(json.dumps(payload, sort_keys=True))
 
 
-# -- message round-trips -----------------------------------------------------
+# -- request round-trips -----------------------------------------------------
 
 
 class TestMessageRoundTrip:
     def test_every_op_has_a_strategy(self):
-        # a new verb must get generator coverage here, or this fails
-        assert set(MESSAGE_STRATEGIES) == set(MESSAGE_TYPES)
-        assert set(SAMPLE_MESSAGES) == set(MESSAGE_TYPES)
+        # every check the table uses has a generator, and the sample
+        # pool holds a value it accepts and a value it rejects
+        checks = {check for table in OPS.values()
+                  for check, _ in table.values()}
+        assert checks <= set(CHECK_STRATEGIES)
+        for check in checks:
+            assert accepted(check) and rejected(check), check.__name__
 
     @settings(max_examples=200, deadline=None)
-    @given(message=any_message)
-    def test_request_roundtrip(self, message):
-        decoded, auth = decode_request(wire(encode_request(message, "tok")))
-        assert decoded == message
-        assert decoded.op == message.op
-        assert auth == "tok"
+    @given(request=any_request)
+    def test_request_roundtrip(self, request):
+        op, args, node = request
+        decoded = decode_request(wire(encode_request(op, args, node, "tok")))
+        assert decoded == encode_request(op, filled(op, args), node, "tok")
 
     @settings(max_examples=50, deadline=None)
-    @given(message=any_message)
-    def test_default_auth_is_empty(self, message):
-        _, auth = decode_request(wire(encode_request(message)))
-        assert auth == ""
+    @given(request=any_request)
+    def test_default_auth_is_empty(self, request):
+        op, args, node = request
+        assert decode_request(wire(encode_request(op, args, node)))[
+            "auth"] == ""
 
     @settings(max_examples=100, deadline=None)
     @given(event=cluster_events)
@@ -204,84 +210,147 @@ class TestMessageRoundTrip:
         assert ClusterNodeInfo.from_payload(wire(info.to_payload())) == info
 
 
-# -- malformed bodies and envelopes ------------------------------------------
+# -- the table against the classes it exposes --------------------------------
+
+
+class TestOpTable:
+    #: method parameters that never cross the wire
+    LOCAL_ONLY = ("self", "policy", "now")
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_methods_take_exactly_the_table_arguments(self, op):
+        owners = [RemoteQueue] + ([JobQueue] if hasattr(JobQueue, op) else [])
+        for cls in owners:
+            params = {
+                name: param
+                for name, param in inspect.signature(
+                    getattr(cls, op)).parameters.items()
+                if name not in self.LOCAL_ONLY
+            }
+            assert set(params) == set(OPS[op]), f"{cls.__name__}.{op}"
+            for name, (_, default) in OPS[op].items():
+                expected = (inspect.Parameter.empty if default is REQUIRED
+                            else default)
+                assert params[name].default == expected, (
+                    f"{cls.__name__}.{op}({name})")
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_every_op_has_a_handler(self, op):
+        # the coordinator answers an op with its own hook or with the
+        # JobQueue method of that name (subscribe streams instead)
+        assert (op == "subscribe" or hasattr(JobQueue, op)
+                or hasattr(ClusterCoordinator, f"_op_{op}"))
+
+
+# -- malformed arguments and envelopes ---------------------------------------
 
 
 class TestRejection:
-    @pytest.mark.parametrize("op", sorted(MESSAGE_TYPES))
+    @pytest.mark.parametrize("op", sorted(OPS))
     def test_unknown_body_key_rejected(self, op):
-        payload = encode_request(SAMPLE_MESSAGES[op], "tok")
-        payload["body"]["surprise"] = 1
-        with pytest.raises(ProtocolError, match="unknown key"):
+        args = {**sample_args(op), "surprise": 1}
+        payload = encode_request(op, args, "n", "tok")
+        with pytest.raises(ProtocolError,
+                           match=f"{op}.surprise: unknown argument"):
             decode_request(wire(payload))
 
-    @pytest.mark.parametrize("op", sorted(MESSAGE_TYPES))
+    @pytest.mark.parametrize("op", sorted(OPS))
     def test_missing_required_field_rejected(self, op):
-        # node_id is required (and non-empty) on every verb
-        payload = encode_request(SAMPLE_MESSAGES[op], "tok")
-        del payload["body"]["node_id"]
-        with pytest.raises(ProtocolError):
+        # every op needs the envelope's node, plus its required arguments
+        payload = encode_request(op, sample_args(op), "n")
+        del payload["node"]
+        with pytest.raises(ProtocolError, match=f"{op}.node"):
             decode_request(wire(payload))
+        for name in sample_args(op):
+            args = sample_args(op)
+            del args[name]
+            with pytest.raises(ProtocolError, match=f"{op}.{name}: required"):
+                decode_request(wire(encode_request(op, args, "n")))
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_wrongly_typed_argument_rejected(self, op):
+        for name, (check, _) in OPS[op].items():
+            for bad in rejected(check):
+                args = {**sample_args(op), name: bad}
+                with pytest.raises(ProtocolError, match=f"{op}.{name}: must"):
+                    decode_request(wire(encode_request(op, args, "n")))
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_empty_node_rejected(self, op):
+        for node in ("", 7, None):
+            payload = encode_request(op, sample_args(op), node)
+            with pytest.raises(ProtocolError, match=f"{op}.node"):
+                decode_request(wire(payload))
 
     @pytest.mark.parametrize("body", [
-        {"node_id": ""},
-        {"node_id": 7},
-        {"node_id": None},
+        {"owner": ""},
+        {"owner": 7},
+        {"owner": None},
         [],
         "claim me",
     ])
     def test_bad_claim_bodies(self, body):
         payload = {
-            "version": PROTOCOL_VERSION, "auth": "", "op": "claim",
-            "body": body,
+            "version": PROTOCOL_VERSION, "auth": "", "node": "n",
+            "op": "claim", "args": body,
         }
         with pytest.raises(ProtocolError):
             decode_request(payload)
 
     def test_wrong_version_rejected(self):
-        payload = encode_request(Stats(node_id="n"), "tok")
+        payload = encode_request("claim", {"owner": "w"}, "n", "tok")
         payload["version"] = PROTOCOL_VERSION + 1
         with pytest.raises(ProtocolError, match="version"):
             decode_request(payload)
+        # a v1 agent's message-per-verb request fails on its tag alone
+        v1 = {"version": 1, "auth": "", "op": "progress",
+              "body": {"node_id": "n", "job_id": "j", "completed": 1}}
+        with pytest.raises(ProtocolError,
+                           match="unsupported protocol version 1"):
+            decode_request(v1)
 
     def test_unknown_op_rejected(self):
-        payload = encode_request(Stats(node_id="n"))
-        payload["op"] = "explode"
-        with pytest.raises(ProtocolError, match="unknown op"):
-            decode_request(payload)
+        # retired v1 verbs are unknown, like any other stranger
+        for op in ("explode", "progress", "record", "stats"):
+            payload = encode_request("claim", {"owner": "w"}, "n")
+            payload["op"] = op
+            with pytest.raises(ProtocolError, match="unknown op"):
+                decode_request(payload)
 
     def test_unknown_envelope_key_rejected(self):
-        payload = encode_request(Stats(node_id="n"))
+        payload = encode_request("node_heartbeat", {}, "n")
         payload["extra"] = True
         with pytest.raises(ProtocolError, match="envelope"):
             decode_request(payload)
 
     def test_non_string_auth_rejected(self):
-        payload = encode_request(Stats(node_id="n"))
+        payload = encode_request("node_heartbeat", {}, "n")
         payload["auth"] = 42
         with pytest.raises(ProtocolError, match="auth"):
             decode_request(payload)
 
     @pytest.mark.parametrize("kwargs", [
-        {"node_id": "n", "workers": -1},
-        {"node_id": "n", "workers": True},
-        {"node_id": "n", "host": 9},
+        {"workers": -1},
+        {"workers": True},
+        {"workers": 1, "host": 9},
     ])
     def test_register_field_validation(self, kwargs):
-        with pytest.raises(ProtocolError):
-            Register(**kwargs)
+        with pytest.raises(ProtocolError, match="register"):
+            decode_request(encode_request("register", kwargs, "n"))
 
     def test_heartbeat_with_job_needs_owner(self):
-        with pytest.raises(ProtocolError, match="owner"):
-            Heartbeat(node_id="n", job_id="j")
+        with pytest.raises(ProtocolError, match="heartbeat.owner"):
+            decode_request(encode_request("heartbeat", {"job_id": "j"}, "n"))
 
     def test_recover_rejects_empty_owner(self):
-        with pytest.raises(ProtocolError, match="dead_owners"):
-            Recover(node_id="n", dead_owners=("ok", ""))
+        with pytest.raises(ProtocolError, match="recover.dead_owners"):
+            decode_request(encode_request(
+                "recover", {"dead_owners": ["ok", ""]}, "n"))
 
     def test_complete_rejects_non_object_results_item(self):
-        with pytest.raises(ProtocolError, match="results"):
-            Complete(node_id="n", job_id="j", results=("nope",))
+        with pytest.raises(ProtocolError, match="complete.results"):
+            decode_request(encode_request(
+                "complete", {"job_id": "j", "results": ["nope"]}, "n"))
 
     @pytest.mark.parametrize("kwargs", [
         {"seq": 0, "ts": 1.0, "kind": "claim"},
@@ -316,8 +385,9 @@ class TestRejection:
 
 class TestResponses:
     def test_ok_roundtrip(self):
-        assert decode_response(wire(ok_response({"a": 1}))) == {"a": 1}
-        assert decode_response(wire(ok_response())) == {}
+        # the result is whatever the method returned: any JSON value
+        for result in ({"a": 1}, None, True, ["job-1"]):
+            assert decode_response(wire(ok_response(result))) == result
 
     @pytest.mark.parametrize("exc_cls", [
         ProtocolError, FrameError, ValidationError, NotFoundError,
@@ -362,7 +432,7 @@ class TestFraming:
     def test_frame_roundtrip(self):
         a, b = pair()
         try:
-            payload = encode_request(Claim(node_id="n", owner="w"), "tok")
+            payload = encode_request("claim", {"owner": "w"}, "n", "tok")
             send_frame(a, payload)
             send_frame(a, ok_response({"x": 1}))
             assert recv_frame(b) == wire(payload)
@@ -456,7 +526,7 @@ class TestFraming:
     def test_chunked_delivery_reassembles(self):
         # frames survive arbitrary TCP segmentation
         a, b = pair()
-        payload = encode_request(Stats(node_id="n"))
+        payload = encode_request("node_heartbeat", {}, "n")
         blob = json.dumps(payload, sort_keys=True).encode()
         framed = struct.pack("!I", len(blob)) + blob
         done = threading.Event()

@@ -32,6 +32,8 @@ def test_fault_kinds_cover_the_documented_set():
     {"kind": "worker_kill", "times": 0},
     {"kind": "worker_kill", "probability": 1.5},
     {"kind": "stage_latency", "latency": -1.0},
+    # a wire op that is not in the protocol's table would never fire
+    {"kind": "conn_drop", "op": "progress"},
 ])
 def test_malformed_specs_are_rejected(kwargs):
     with pytest.raises(FaultError):

@@ -222,6 +222,36 @@ def test_admission_unlimited_quota_never_touches_active_or_retry_thunk():
                      active=poisoned_jobs(), retry_after=exploding)
 
 
+def test_fleet_submit_reads_no_records_under_unlimited_quotas(
+        tmp_path, monkeypatch):
+    # the manager must hand admission a *lazy* scan: under unlimited
+    # quotas a submit never reads the spool's job records
+    from repro.api import BenchmarkService, RunRequest
+    from repro.exec import FleetJobManager
+
+    def submit_runs(manager, count):
+        calls = []
+        records = manager.queue.records
+        monkeypatch.setattr(manager.queue, "records",
+                            lambda: calls.append(1) or records())
+        service = BenchmarkService(jobs=manager)
+        for _ in range(count):
+            service.submit(RunRequest(benchmark="open", seed=5),
+                           client_id="ci")
+        return calls
+
+    with FleetJobManager(tmp_path / "open", workers=0) as manager:
+        assert submit_runs(manager, 5) == []
+
+    bounded = SchedulerConfig(quotas=QuotaTable(
+        default=QuotaPolicy(max_queued=2)))
+    with FleetJobManager(tmp_path / "bounded", workers=0,
+                         scheduler=bounded) as manager:
+        assert submit_runs(manager, 2)
+        with pytest.raises(QuotaExceededError):
+            submit_runs(manager, 1)
+
+
 def test_quota_error_is_a_distinct_429_from_capacity_and_ratelimit():
     quota = QuotaExceededError("over quota", retry_after=3.0)
     assert isinstance(quota, BackpressureError)
