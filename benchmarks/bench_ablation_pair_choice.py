@@ -27,7 +27,7 @@ SEED = 0
 
 def run_policy(fg_policy: str, bg_policy: str):
     capture = CamFlowCapture(CamFlowConfig(structural_jitter=0.5))
-    provmark = ProvMark._internal(
+    provmark = ProvMark(
         capture=capture,
         config=PipelineConfig(
             tool="camflow", seed=SEED, trials=6, filtergraphs=False,

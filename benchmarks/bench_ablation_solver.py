@@ -47,10 +47,10 @@ def test_embedding_engine(benchmark, engine):
 
 def test_engines_agree_end_to_end(benchmark):
     def run_both():
-        native = ProvMark._internal(
+        native = ProvMark(
             config=PipelineConfig(tool="spade", seed=5, engine="native")
         ).run_benchmark("open")
-        asp = ProvMark._internal(
+        asp = ProvMark(
             config=PipelineConfig(tool="spade", seed=5, engine="asp")
         ).run_benchmark("open")
         return native, asp

@@ -31,7 +31,7 @@ def run_attempts(trials: int, filtergraphs: bool, attempts: int = 6):
     completed = accurate = 0
     for attempt in range(attempts):
         capture = CamFlowCapture(CamFlowConfig(structural_jitter=JITTER))
-        provmark = ProvMark._internal(
+        provmark = ProvMark(
             capture=capture,
             config=PipelineConfig(
                 tool="camflow", seed=100 + attempt, trials=trials,

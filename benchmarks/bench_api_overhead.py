@@ -53,7 +53,7 @@ def test_facade_and_http_overhead():
             benchmark=BENCHMARK, tool="spade", seed=SEED, store_path=store
         )
         config = PipelineConfig(tool="spade", seed=SEED, store_path=store)
-        driver = ProvMark._internal(config=config)
+        driver = ProvMark(config=config)
         service = BenchmarkService()
 
         driver.run_benchmark(BENCHMARK)  # populate the store once
@@ -64,7 +64,7 @@ def test_facade_and_http_overhead():
         # HTTP leg: clients cannot pass store_path, so compare a
         # storeless POST against a storeless direct run.
         nostore_config = PipelineConfig(tool="spade", seed=SEED)
-        nostore_driver = ProvMark._internal(config=nostore_config)
+        nostore_driver = ProvMark(config=nostore_config)
         direct_nostore = measure(
             lambda: nostore_driver.run_benchmark(BENCHMARK)
         )

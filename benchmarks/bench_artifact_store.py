@@ -39,7 +39,7 @@ def sweep(store: str, names=None, resume: bool = False):
     config = PipelineConfig(
         tool="spade", seed=5, store_path=store, resume=resume
     )
-    provmark = ProvMark._internal(config=config)
+    provmark = ProvMark(config=config)
     started = time.perf_counter()
     results = provmark.run_many(names or SUITE)
     return results, time.perf_counter() - started

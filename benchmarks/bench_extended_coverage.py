@@ -20,7 +20,7 @@ def test_extended_coverage(benchmark):
     def run_all():
         results = []
         for tool in TOOLS:
-            provmark = ProvMark._internal(tool=tool, seed=6)
+            provmark = ProvMark(tool=tool, seed=6)
             for name in EXTENDED_BENCHMARKS:
                 results.append(provmark.run_benchmark(name))
         return results
@@ -47,7 +47,7 @@ def test_extended_coverage(benchmark):
 
 @pytest.mark.parametrize("tool", TOOLS)
 def test_socket_benchmark_cost(benchmark, tool):
-    provmark = ProvMark._internal(tool=tool, seed=6)
+    provmark = ProvMark(tool=tool, seed=6)
     result = benchmark.pedantic(
         provmark.run_benchmark, args=("send",), rounds=1, iterations=1
     )

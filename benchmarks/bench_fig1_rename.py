@@ -17,7 +17,7 @@ TOOLS = ("spade", "opus", "camflow")
 
 @pytest.mark.parametrize("tool", TOOLS)
 def test_fig1_rename(benchmark, tool):
-    provmark = ProvMark._internal(tool=tool, seed=1)
+    provmark = ProvMark(tool=tool, seed=1)
     result = benchmark.pedantic(
         provmark.run_benchmark, args=("rename",), rounds=1, iterations=1
     )
@@ -35,7 +35,7 @@ def test_fig1_structures_differ(benchmark):
     """The point of Figure 1: three tools, three different shapes."""
     def run():
         return {
-            tool: ProvMark._internal(tool=tool, seed=1).run_benchmark("rename")
+            tool: ProvMark(tool=tool, seed=1).run_benchmark("rename")
             for tool in TOOLS
         }
 

@@ -26,7 +26,7 @@ _collected = {}
 
 @pytest.mark.parametrize("tool", list(FIGURES))
 def test_stage_timing(benchmark, tool):
-    provmark = ProvMark._internal(tool=tool, seed=5)
+    provmark = ProvMark(tool=tool, seed=5)
 
     def run_all():
         return {name: provmark.run_benchmark(name) for name in SYSCALLS}
@@ -49,7 +49,7 @@ def test_cross_tool_shape(benchmark):
     def totals():
         out = {}
         for tool in FIGURES:
-            provmark = ProvMark._internal(tool=tool, seed=5)
+            provmark = ProvMark(tool=tool, seed=5)
             processing = transform = 0.0
             for name in SYSCALLS:
                 timing = provmark.run_benchmark(name).timings

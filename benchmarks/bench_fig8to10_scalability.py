@@ -21,7 +21,7 @@ FIGURES = {"spade": "fig8", "opus": "fig9", "camflow": "fig10"}
 
 
 def run_column(tool, scales=SCALES):
-    provmark = ProvMark._internal(tool=tool, seed=5)
+    provmark = ProvMark(tool=tool, seed=5)
     timings = {}
     for name in scales:
         result = provmark.run_benchmark(name)

@@ -49,7 +49,7 @@ def mixed_workload() -> Program:
 @pytest.mark.parametrize("tool", ["spade", "camflow"])
 def test_scale_headroom(benchmark, tool, name):
     assert "scalability" in SUITE_REGISTRY.tags(name)
-    provmark = ProvMark._internal(tool=tool, seed=5)
+    provmark = ProvMark(tool=tool, seed=5)
     result = benchmark.pedantic(
         provmark.run_benchmark, args=(name,), rounds=1, iterations=1
     )
@@ -73,7 +73,7 @@ def test_scale_headroom(benchmark, tool, name):
 
 @pytest.mark.parametrize("tool", ["spade", "camflow"])
 def test_mixed_workload(benchmark, tool):
-    provmark = ProvMark._internal(tool=tool, seed=5)
+    provmark = ProvMark(tool=tool, seed=5)
     result = benchmark.pedantic(
         provmark.run_benchmark, args=(mixed_workload(),), rounds=1, iterations=1
     )

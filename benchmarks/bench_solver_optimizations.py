@@ -26,7 +26,7 @@ CASES = [
 
 
 def best_processing(tool, name, rounds=3):
-    provmark = ProvMark._internal(tool=tool, seed=5)
+    provmark = ProvMark(tool=tool, seed=5)
     results = [provmark.run_benchmark(name) for _ in range(rounds)]
     best = min(results, key=lambda r: r.timings.processing)
     assert best.classification.value == "ok"
@@ -79,7 +79,7 @@ def test_perf_smoke_counter_ceilings(benchmark, tool):
     ~2x steps when the decomposition holds; 3x is the alarm line).
     """
     def run():
-        provmark = ProvMark._internal(tool=tool, seed=5)
+        provmark = ProvMark(tool=tool, seed=5)
         return {
             name: provmark.run_benchmark(name) for name in ("scale8", "scale16")
         }
@@ -108,7 +108,7 @@ def test_scale_headroom_within_step_budget(benchmark):
     def run():
         rows = {}
         for tool in ("spade", "camflow"):
-            provmark = ProvMark._internal(tool=tool, seed=5)
+            provmark = ProvMark(tool=tool, seed=5)
             for name in ("scale16", "scale32"):
                 rows[(tool, name)] = provmark.run_benchmark(name)
         return rows

@@ -33,15 +33,15 @@ def emit(name: str, lines: Iterable[str]) -> None:
 
 
 def record_bench(name: str, payload: object) -> None:
-    """Queue a structured payload for the consolidated BENCH_PR1.json."""
+    """Queue a structured payload for the consolidated BENCH file."""
     _recorded[name] = payload
 
 
 def timings_payload(timings) -> Dict[str, object]:
-    """A JSON-ready view of one run's StageTimings incl. solver counters."""
-    payload: Dict[str, object] = dict(timings.as_row())
+    """A JSON-ready view of one run's StageTimings: every stage (recording
+    included), the solver and store counters, and the processing total."""
+    payload: Dict[str, object] = timings.to_payload()
     payload["processing"] = timings.processing
-    payload.update(timings.solver_row())
     return payload
 
 

@@ -15,8 +15,6 @@ Both are modelled with ``bug-fixed`` switches so the before/after can be
 benchmarked.
 """
 
-import warnings
-
 from repro import PipelineConfig, ProvMark
 from repro.capture.spade import SpadeCapture, SpadeConfig
 from repro.graph.stats import connected_components, summarize
@@ -24,15 +22,12 @@ from repro.suite.program import Op, Program, create_file
 
 
 def provmark_with(config: SpadeConfig, trials: int = 2) -> ProvMark:
-    # Hand-injected captures are a legacy-driver capability the
-    # declarative API deliberately does not cover; quiet the shim's
-    # DeprecationWarning for these constructions.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return ProvMark(
-            capture=SpadeCapture(config),
-            config=PipelineConfig(tool="spade", seed=23, trials=trials),
-        )
+    # A hand-configured capture goes straight to the pipeline driver;
+    # the declarative API deliberately does not cover it.
+    return ProvMark(
+        capture=SpadeCapture(config),
+        config=PipelineConfig(tool="spade", seed=23, trials=trials),
+    )
 
 
 def check_simplify_bug() -> None:

@@ -13,7 +13,6 @@ flags immediately.
 """
 
 import tempfile
-import warnings
 
 from repro import PipelineConfig, ProvMark
 from repro.api import BenchmarkService, RunRequest
@@ -46,15 +45,12 @@ def main() -> None:
             print(f"  {name:<8} {report.status}")
 
         print("\nStep 3: 'upgrade' SPADE (enable artifact versioning) and re-run")
-        # Hand-injected captures are a legacy-driver capability the
-        # declarative API deliberately does not cover; quiet the shim's
-        # DeprecationWarning for this one construction.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            upgraded = ProvMark(
-                capture=SpadeCapture(SpadeConfig(versioning=True)),
-                config=PipelineConfig(tool="spade", seed=7),
-            )
+        # A hand-configured capture goes straight to the pipeline
+        # driver; the declarative API deliberately does not cover it.
+        upgraded = ProvMark(
+            capture=SpadeCapture(SpadeConfig(versioning=True)),
+            config=PipelineConfig(tool="spade", seed=7),
+        )
         changed = []
         for name in BENCHMARKS:
             report = store.check(upgraded.run_benchmark(name))

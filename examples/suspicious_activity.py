@@ -11,8 +11,6 @@ The resulting pattern (new task version informed by the old one, plus a
 read of a sensitive inode) is what she would feed a detection engine.
 """
 
-import warnings
-
 from repro import PipelineConfig, ProvMark
 from repro.graph.dot import graph_to_dot
 from repro.graph.stats import summarize
@@ -43,12 +41,9 @@ def escalation_scenario() -> Program:
 
 def main() -> None:
     program = escalation_scenario()
-    # Ad-hoc Program objects are a legacy-driver capability the
-    # declarative API (registered benchmark names) does not cover;
-    # quiet the shim's DeprecationWarning for this construction.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        provmark = ProvMark(config=PipelineConfig(tool="camflow", seed=31))
+    # An ad-hoc Program goes straight to the pipeline driver; the
+    # declarative API (registered benchmark names) does not cover it.
+    provmark = ProvMark(config=PipelineConfig(tool="camflow", seed=31))
     result = provmark.run_benchmark(program)
     graph = result.target_graph
     print("Privilege-escalation pattern extracted by ProvMark (CamFlow):")

@@ -15,8 +15,8 @@ Quickstart (the supported surface is :mod:`repro.api`)::
     response = service.run(RunRequest(benchmark="open", tool="spade"))
     print(response.result.classification, response.result.target_graph.size)
 
-The legacy ``ProvMark`` driver remains importable as a deprecated
-compatibility shim over the service (identical results).
+Beneath the service, :class:`ProvMark` is the pipeline driver for
+hand-configured captures and ad-hoc programs.
 """
 
 __version__ = "1.2.0"

@@ -90,7 +90,7 @@ def generate_table2(
     names = list(benchmarks or TABLE2_ORDER)
     rows: Dict[str, Dict[str, Table2Cell]] = {name: {} for name in names}
     for tool in tools:
-        provmark = ProvMark._internal(
+        provmark = ProvMark(
             config=PipelineConfig(tool=tool, seed=seed, trials=trials)
         )
         for name in names:

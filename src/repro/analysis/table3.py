@@ -53,7 +53,7 @@ def generate_table3(
 ) -> Table3:
     cells: Dict[str, Dict[str, Table3Cell]] = {}
     for tool in tools:
-        provmark = ProvMark._internal(config=PipelineConfig(tool=tool, seed=seed))
+        provmark = ProvMark(config=PipelineConfig(tool=tool, seed=seed))
         cells[tool] = {}
         for syscall in syscalls:
             result = provmark.run_benchmark(syscall)

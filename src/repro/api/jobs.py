@@ -38,8 +38,8 @@ from repro.api.types import JobStatus, RunResponse
 from repro.core.stages import ProgressEvent
 from repro.sched.admission import AdmissionController
 from repro.sched.policy import (
-    DEFAULT_CLASS_BY_KIND,
     PRIORITY_CLASSES,
+    SchedulerConfig,
     summarize_class_stats,
     zeroed_class_stats,
 )
@@ -119,18 +119,19 @@ class JobManager:
         self,
         max_workers: int = 4,
         capacity: Optional[int] = None,
-        admission: Optional[AdmissionController] = None,
+        scheduler: Optional[SchedulerConfig] = None,
     ) -> None:
         self._max_workers = max(1, max_workers)
         #: queued+running jobs admitted before submit() answers 429
         #: (None = unbounded, the historical behavior)
         self._capacity = capacity
-        #: optional scheduler gate (priority classes + quotas).  The
-        #: thread pool itself stays FIFO — true priority claim order
-        #: needs the durable fleet queue — but quotas are enforced and
-        #: the class/queue-wait are stamped onto every snapshot, so the
-        #: API contract is identical across both managers.
-        self._admission = admission
+        #: scheduler gate (priority classes + quotas; permissive defaults
+        #: without a config).  The thread pool itself stays FIFO — true
+        #: priority claim order needs the durable fleet queue — but
+        #: quotas are enforced and the class/queue-wait are stamped onto
+        #: every snapshot, so the API contract is identical across both
+        #: managers.
+        self._admission = AdmissionController(scheduler or SchedulerConfig())
         self._pool: Optional[ThreadPoolExecutor] = None
         self._jobs: Dict[str, _Job] = {}
         self._lock = threading.RLock()
@@ -158,30 +159,21 @@ class JobManager:
         ``client_id``/``request_id`` are correlation-only: the HTTP
         layer stamps the auth-resolved client and per-request id onto
         the job record so access-log lines and job snapshots join up.
-        ``role`` feeds the admission controller (when one is
-        configured): explicit priorities validate against it and quotas
-        resolve through it.
+        ``role`` feeds the admission controller: explicit priorities
+        validate against it and quotas resolve through it.
         """
         with self._lock:
             if self._closed:
                 raise ValidationError(
                     "job manager is shut down; no new jobs accepted"
                 )
-            if self._admission is not None:
-                priority = self._admission.admit(
-                    request, kind, role, client_id,
-                    active=(
-                        (job.client_id, job.state)
-                        for job in self._jobs.values()
-                    ),
-                    retry_after=self._retry_after_estimate,
-                )
-            else:
-                explicit = getattr(request, "priority", None)
-                priority = (
-                    str(explicit) if explicit
-                    else DEFAULT_CLASS_BY_KIND.get(kind, "batch")
-                )
+            priority = self._admission.admit(
+                request, kind, role, client_id,
+                active=(
+                    (job.client_id, job.state) for job in self._jobs.values()
+                ),
+                retry_after=self._retry_after_estimate,
+            )
             if self._capacity is not None:
                 active = sum(
                     1 for job in self._jobs.values()
@@ -247,11 +239,7 @@ class JobManager:
             priorities = {name: 0 for name in PRIORITY_CLASSES}
             for job in self._jobs.values():
                 if job.state == "queued":
-                    cls = job.priority or DEFAULT_CLASS_BY_KIND.get(
-                        job.kind, "batch"
-                    )
-                    if cls in priorities:
-                        priorities[cls] += 1
+                    priorities[job.priority] += 1
             return {
                 "pending": pending,
                 "leased": leased,
@@ -271,12 +259,7 @@ class JobManager:
         with self._lock:
             per: Dict[str, Dict[str, object]] = zeroed_class_stats()
             for job in self._jobs.values():
-                cls = job.priority or DEFAULT_CLASS_BY_KIND.get(
-                    job.kind, "batch"
-                )
-                row = per.get(cls)
-                if row is None:
-                    continue
+                row = per[job.priority]
                 if job.state == "queued":
                     row["pending"] += 1
                     row["waits"].append(max(0.0, now - job.submitted_at))

@@ -9,9 +9,10 @@ objects (:class:`~repro.api.types.RunRequest`,
 :class:`~repro.api.types.BatchRequest`) instead of constructing pipeline
 internals; results come back as :class:`~repro.api.types.RunResponse`
 envelopes that are byte-identical — same graphs, same timing semantics,
-same solver/store counters — to what the legacy ``ProvMark`` driver
-produced for the same configuration (the driver survives as a deprecated
-shim over the same machinery).
+same solver/store counters — to what the :class:`ProvMark` pipeline
+driver produces for the same configuration: the service pools those
+drivers, and callers with a hand-configured capture or an ad-hoc program
+build one directly.
 
 Synchronous calls (:meth:`BenchmarkService.run`,
 :meth:`BenchmarkService.run_batch`) block; :meth:`submit` /
@@ -688,12 +689,11 @@ class BenchmarkService:
 
     @staticmethod
     def _driver(request: Request) -> ProvMark:
-        """Resolve a request into the (shimmed) pipeline driver.
+        """Resolve a request into its pipeline driver.
 
-        Mirrors the legacy CLI resolution exactly — profile selection
-        first, explicit ``trials``/``filtergraphs`` overriding the
-        profile — so façade results stay byte-identical to the old
-        ``ProvMark`` paths.
+        Mirrors the CLI resolution exactly — profile selection first,
+        explicit ``trials``/``filtergraphs`` overriding the profile — so
+        façade results stay byte-identical to a hand-built ``ProvMark``.
         """
         if request.profile:
             try:
@@ -735,4 +735,4 @@ class BenchmarkService:
             cache=request.cache,
             deadline=getattr(request, "deadline", None),
         )
-        return ProvMark._internal(config=config)
+        return ProvMark(config=config)

@@ -1,13 +1,10 @@
 """Simulated provenance capture systems (paper Figure 2).
 
 Tool lookup goes through the plugin registry in
-:mod:`repro.capture.registry`; ``TOOLS`` remains available as a live
-read-only view of it (tool name -> capture class) for existing callers.
+:mod:`repro.capture.registry`: ``registered_tools()`` lists the tools,
+``get_backend(name)`` returns one's capture class and profile, and
+``register_tool`` adds a plugin backend.
 """
-
-import warnings
-from collections.abc import Mapping
-from typing import Iterator, Type
 
 from repro.capture.base import CaptureSystem, RawOutput, RecordingCost
 from repro.capture.camflow import CamFlowCapture, CamFlowConfig, RECORDED_HOOKS
@@ -32,49 +29,6 @@ from repro.capture.spade import (
 from repro.capture.spade_camflow import SpadeCamFlowCapture, SpadeCamFlowConfig
 
 
-def _warn_legacy_tools(replacement: str) -> None:
-    warnings.warn(
-        f"the legacy TOOLS view is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class _ToolClassView(Mapping):
-    """Read-only ``name -> capture class`` view over the registry.
-
-    Stays live: tools registered through ``register_tool`` appear here
-    immediately, so legacy ``TOOLS`` consumers see plugins too.
-    Deprecated — look backends up through
-    :func:`repro.capture.registry.get_backend` (or
-    ``BenchmarkService.tools()``) instead.
-    """
-
-    def __getitem__(self, name: str) -> Type[CaptureSystem]:
-        _warn_legacy_tools("repro.capture.registry.get_backend()")
-        try:
-            return get_backend(name).cls
-        except UnknownToolError:
-            # Mapping protocol (``in``, ``.get``) expects KeyError here.
-            raise KeyError(name) from None
-
-    def __iter__(self) -> Iterator[str]:
-        _warn_legacy_tools("repro.capture.registry.registered_tools()")
-        return iter(registered_tools())
-
-    def __len__(self) -> int:
-        return len(registered_tools())
-
-    def __repr__(self) -> str:
-        return f"TOOLS({dict(self)!r})"
-
-
-#: Tool name -> capture class, mirroring ProvMark's tool profiles
-#: (``spg``/``opu``/``cam`` in the paper's appendix).  Backed by the
-#: plugin registry; use ``register_tool`` to extend it.
-TOOLS: Mapping[str, Type[CaptureSystem]] = _ToolClassView()
-
-
 __all__ = [
     "BASE_RENDER_SET",
     "Backend",
@@ -92,7 +46,6 @@ __all__ = [
     "SpadeCamFlowConfig",
     "SpadeCapture",
     "SpadeConfig",
-    "TOOLS",
     "UnknownToolError",
     "WRAPPED_FUNCTIONS",
     "get_backend",

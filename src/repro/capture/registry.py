@@ -1,8 +1,6 @@
 """Capture-backend plugin registry.
 
-The tool knowledge that used to live in two hard-coded tables —
-``TOOLS`` in :mod:`repro.capture` and ``TOOL_PROFILES`` in
-:mod:`repro.core.pipeline` — lives here as a single registry of
+All tool knowledge lives here as a single registry of
 :class:`Backend` entries.  Each entry pairs the capture class with its
 :class:`BackendProfile` (default trial count and graph filtering, the
 paper's config.ini knobs), so the pipeline, the CLI tool choices, and

@@ -282,15 +282,13 @@ def _make_serve_jobs(args: argparse.Namespace):
             cluster_host=getattr(args, "cluster_host", "127.0.0.1"),
             cluster_token=getattr(args, "cluster_token", "") or "",
         )
+    if args.queue:
+        # the in-process thread pool keeps nothing on disk: a --queue
+        # that only it would see would silently not be durable
+        raise ValidationError("--queue requires --workers or --cluster")
     from repro.api.jobs import JobManager
 
-    if scheduler is not None:
-        from repro.sched import AdmissionController
-
-        return JobManager(
-            capacity=args.capacity, admission=AdmissionController(scheduler)
-        )
-    return JobManager(capacity=args.capacity)
+    return JobManager(capacity=args.capacity, scheduler=scheduler)
 
 
 def _make_serve_chain(args: argparse.Namespace):
@@ -679,8 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--queue", default=None, metavar="DIR",
-        help="execution-plane root for --workers: holds the shared "
-        "artifact store and the durable job spool",
+        help="execution-plane root for --workers or --cluster: holds the "
+        "shared artifact store and the durable job spool",
     )
     serve.add_argument(
         "--capacity", type=int, default=None, metavar="N",

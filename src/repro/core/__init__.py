@@ -7,7 +7,7 @@ from repro.core.generalize import (
     filter_incomplete,
     generalize_trials,
 )
-from repro.core.pipeline import TOOL_PROFILES, PipelineConfig, ProvMark
+from repro.core.pipeline import PipelineConfig, ProvMark
 from repro.core.recording import RecordedTrial, Recorder, RecordingSession
 from repro.core.result import BenchmarkResult, Classification, StageTimings
 from repro.core.transform import TransformError, supported_formats, transform
@@ -25,7 +25,6 @@ __all__ = [
     "Recorder",
     "RecordingSession",
     "StageTimings",
-    "TOOL_PROFILES",
     "TransformError",
     "compare",
     "filter_incomplete",

@@ -20,12 +20,10 @@ The public entry point is :class:`ProvMark`.
 from __future__ import annotations
 
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from collections.abc import Mapping
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.capture import CaptureSystem, make_capture
 from repro.capture.registry import (
@@ -48,50 +46,6 @@ from repro.graph.model import PropertyGraph
 from repro.storage.artifacts import ArtifactError, ArtifactStore
 from repro.suite.program import Program
 from repro.suite.registry import get_benchmark
-
-
-def _warn_legacy_view(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"the legacy {name} view is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class _ToolProfileView(Mapping):
-    """Legacy ``TOOL_PROFILES`` mapping, backed by the plugin registry.
-
-    Yields ``{"trials": ..., "filtergraphs": ...}`` rows exactly as the
-    old hard-coded table did, but stays live: registered plugin backends
-    appear here too.  Deprecated — read
-    :func:`repro.capture.registry.tool_profile` (or
-    ``BenchmarkService.tools()``) instead.
-    """
-
-    def __getitem__(self, name: str) -> Dict[str, object]:
-        _warn_legacy_view(
-            "TOOL_PROFILES", "repro.capture.registry.tool_profile()"
-        )
-        try:
-            profile = tool_profile(name)
-        except UnknownToolError:
-            raise KeyError(name) from None
-        return {"trials": profile.trials, "filtergraphs": profile.filtergraphs}
-
-    def __iter__(self) -> Iterator[str]:
-        _warn_legacy_view(
-            "TOOL_PROFILES", "repro.capture.registry.registered_tools()"
-        )
-        return iter(registered_tools())
-
-    def __len__(self) -> int:
-        return len(registered_tools())
-
-
-#: Tool profiles mirroring ProvMark's config.ini (CamFlow defaults to
-#: graph filtering and more trials, paper appendix A.4/A.6).  A live view
-#: of :mod:`repro.capture.registry` — the single source of tool knowledge.
-TOOL_PROFILES: Mapping[str, Dict[str, object]] = _ToolProfileView()
 
 
 @dataclass
@@ -138,48 +92,18 @@ class PipelineConfig:
 class ProvMark:
     """Automated provenance expressiveness benchmarking.
 
+    The pipeline driver beneath :class:`repro.api.BenchmarkService`,
+    which is the documented way in and builds its drivers here.  Build
+    one directly for a hand-configured capture or an ad-hoc
+    :class:`~repro.suite.program.Program`.
+
     >>> provmark = ProvMark(tool="spade", seed=7)
     >>> result = provmark.run_benchmark("open")
     >>> result.classification.value
     'ok'
-
-    .. deprecated::
-        Direct construction is a compatibility shim over the supported
-        surface, :class:`repro.api.BenchmarkService` — results are
-        byte-identical, but new code should build a
-        :class:`repro.api.RunRequest` and call the service.
     """
 
     def __init__(
-        self,
-        tool: str = "spade",
-        capture: Optional[CaptureSystem] = None,
-        config: Optional[PipelineConfig] = None,
-        capture_factory: Optional[Callable[[], CaptureSystem]] = None,
-        progress: Optional[ProgressCallback] = None,
-        **config_kwargs: object,
-    ) -> None:
-        warnings.warn(
-            "direct ProvMark(...) construction is deprecated; use "
-            "repro.api.BenchmarkService with a RunRequest instead "
-            "(identical results)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init(
-            tool=tool, capture=capture, config=config,
-            capture_factory=capture_factory, progress=progress,
-            **config_kwargs,
-        )
-
-    @classmethod
-    def _internal(cls, **kwargs: object) -> "ProvMark":
-        """Construct without the deprecation warning (façade/driver use)."""
-        self = cls.__new__(cls)
-        self._init(**kwargs)  # type: ignore[arg-type]
-        return self
-
-    def _init(
         self,
         tool: str = "spade",
         capture: Optional[CaptureSystem] = None,
@@ -425,7 +349,7 @@ def _run_benchmark_task(
 ) -> BenchmarkResult:
     """Process-pool worker: rebuild the pipeline from config and run."""
     _ensure_registered(backend)
-    return ProvMark._internal(config=config).run_benchmark(name)
+    return ProvMark(config=config).run_benchmark(name)
 
 
 def _run_benchmark_factory_task(
@@ -436,6 +360,4 @@ def _run_benchmark_factory_task(
 ) -> BenchmarkResult:
     """Process-pool worker for profile-built captures: rebuild and run."""
     _ensure_registered(backend)
-    return ProvMark._internal(
-        config=config, capture_factory=factory
-    ).run_benchmark(name)
+    return ProvMark(config=config, capture_factory=factory).run_benchmark(name)

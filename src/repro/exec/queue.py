@@ -26,8 +26,9 @@ across processes:
   embedded timestamp goes stale past ``lease_ttl`` marks a lost worker,
   and :meth:`JobQueue.recover` requeues the job with ``attempts``
   incremented (or fails it permanently past ``max_attempts``).
-* ``cancel/<job_id>`` — cancellation markers, checked by workers at
-  stage boundaries (one ``stat`` per boundary).
+* ``cancel/<job_id>`` — cancellation markers, the only record of a
+  cancel request: checked by workers at stage boundaries (one ``stat``
+  per boundary) and listed once per claim.
 
 Delivery is **at-least-once**: a worker that loses its lease to a stale
 heartbeat may still be running (the zombie case fault injection
@@ -229,7 +230,6 @@ class JobQueue:
             "result": None,
             "results": None,
             "report": None,
-            "cancel_requested": False,
             # middleware correlation: the submitting client and the HTTP
             # request id its access-log line carries ("" outside HTTP)
             "client_id": client_id,
@@ -280,6 +280,9 @@ class JobQueue:
             by_rank.setdefault(rank, []).append(
                 (stamp, token.name, token, job_id)
             )
+        # the cancel markers, listed once: a stat per candidate would
+        # cost nearly as much as reading its record
+        cancelled = set(os.listdir(self._cancel))
         usages: Dict[str, float] = {}
         for rank in sorted(by_rank):
             runnable: List[Tuple[float, float, str, Path, str]] = []
@@ -298,7 +301,7 @@ class JobQueue:
                     except OSError:
                         pass
                     continue
-                if record.get("cancel_requested"):
+                if job_id in cancelled:
                     try:
                         token.unlink()
                     except OSError:
@@ -497,7 +500,12 @@ class JobQueue:
 
     def cancel(self, job_id: str) -> Dict[str, object]:
         """Request cancellation: queued jobs stop now, running ones at
-        their next stage boundary (workers poll the marker file)."""
+        their next stage boundary (workers poll the marker file).
+
+        The marker is the only record of the request: a claimed job's
+        record is left untouched, so this never races the claimer's
+        read-modify-write of it.
+        """
         record = self.record(job_id)
         if record is None:
             raise QueueError(f"unknown job {job_id!r}")
@@ -516,9 +524,7 @@ class JobQueue:
                 token = None  # claimed in the meantime
         if token is not None:
             return self.mark_cancelled(job_id)
-        return self._update(
-            job_id, lambda rec: rec.__setitem__("cancel_requested", True)
-        )
+        return self.record(job_id) or record
 
     def cancel_requested(self, job_id: str) -> bool:
         return (self._cancel / job_id).exists()

@@ -22,7 +22,6 @@ from repro.suite.extended import (
     SOCKET_BENCHMARKS,
 )
 from repro.suite.registry import (
-    ALL_BENCHMARKS,
     FAILURE_BENCHMARKS,
     SCALABILITY_BENCHMARKS,
     SUITE_REGISTRY,
@@ -37,7 +36,6 @@ from repro.suite.registry import (
 )
 
 __all__ = [
-    "ALL_BENCHMARKS",
     "EXTENDED_BENCHMARKS",
     "SEQUENCE_BENCHMARKS",
     "SOCKET_BENCHMARKS",

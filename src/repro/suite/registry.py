@@ -16,15 +16,13 @@ the default configuration, SC = only state changes monitored, LP =
 limitation in ProvMark, DV = disconnected vforked process) — which the
 analysis stage checks the pipeline's output against.
 
-The legacy module-level lookups (``ALL_BENCHMARKS``, ``get_benchmark``,
-the per-family dicts) are preserved: ``ALL_BENCHMARKS`` is a live
-mutable view of the default registry.
+The module-level lookups ``get_benchmark`` and the per-family dicts
+read the default registry, :data:`SUITE_REGISTRY`.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import MutableMapping
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -518,44 +516,9 @@ def _seed_builtins(registry: SuiteRegistry) -> None:
         registry.register(program, tags=tags, builtin=True)
 
 
-#: the default registry every surface (service, CLI, legacy lookups) shares
+#: the default registry every surface (service, CLI, module lookups) shares
 SUITE_REGISTRY = SuiteRegistry()
 _seed_builtins(SUITE_REGISTRY)
-
-
-class _BenchmarkView(MutableMapping):
-    """Legacy ``ALL_BENCHMARKS`` mapping, live over the default registry.
-
-    Reads see every registered benchmark (builtin and custom); writes
-    register/unregister custom entries, so pre-registry code that did
-    ``ALL_BENCHMARKS[name] = program`` keeps working.
-    """
-
-    def __getitem__(self, name: str) -> Program:
-        try:
-            return SUITE_REGISTRY.get(name)
-        except KeyError:
-            raise KeyError(name) from None
-
-    def __setitem__(self, name: str, program: Program) -> None:
-        if name != program.name:
-            raise SuiteRegistryError(
-                f"key {name!r} does not match program name {program.name!r}"
-            )
-        SUITE_REGISTRY.register(program, tags=("custom",))
-
-    def __delitem__(self, name: str) -> None:
-        SUITE_REGISTRY.unregister(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(SUITE_REGISTRY)
-
-    def __len__(self) -> int:
-        return len(SUITE_REGISTRY)
-
-
-#: legacy live view; prefer SUITE_REGISTRY (or BenchmarkService)
-ALL_BENCHMARKS: MutableMapping = _BenchmarkView()
 
 
 def get_benchmark(name: str) -> Program:

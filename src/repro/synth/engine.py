@@ -101,7 +101,7 @@ def _default_driver_factory(
     store_path: Optional[str],
 ) -> DriverFactory:
     def factory(tool: str) -> ProvMark:
-        return ProvMark._internal(config=PipelineConfig(
+        return ProvMark(config=PipelineConfig(
             tool=tool,
             trials=trials,
             engine=engine,

@@ -1,5 +1,5 @@
-"""BenchmarkService façade: parity with the legacy driver, catalogs,
-async jobs, progress events, and the deprecation shims."""
+"""BenchmarkService façade: parity with the ProvMark driver, catalogs,
+async jobs, progress events, and a warning-free construction path."""
 
 import time
 import warnings
@@ -14,8 +14,7 @@ from repro.api import (
     ToolQuery,
     ValidationError,
 )
-from repro.capture import TOOLS
-from repro.core.pipeline import TOOL_PROFILES, PipelineConfig, ProvMark
+from repro.core.pipeline import PipelineConfig, ProvMark
 from repro.core.stages import ProgressEvent
 from repro.suite import TABLE2_ORDER
 
@@ -36,12 +35,6 @@ def identical(a, b) -> bool:
     )
 
 
-def legacy_provmark(**kwargs) -> ProvMark:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return ProvMark(**kwargs)
-
-
 def wait_for(service, job_id, timeout=30.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -57,21 +50,21 @@ class TestRunParity:
     def test_run_matches_legacy_driver(self, tool):
         service = BenchmarkService()
         response = service.run(RunRequest(benchmark="open", tool=tool, seed=7))
-        legacy = legacy_provmark(tool=tool, seed=7).run_benchmark("open")
-        assert identical(response.result, legacy)
+        direct = ProvMark(tool=tool, seed=7).run_benchmark("open")
+        assert identical(response.result, direct)
 
     def test_run_with_profile(self):
         service = BenchmarkService()
         response = service.run(
             RunRequest(benchmark="open", profile="cam", seed=7, trials=3)
         )
-        legacy = legacy_provmark(
+        direct = ProvMark(
             config=PipelineConfig(
                 tool="camflow", trials=3, filtergraphs=True, seed=7
             ),
         )
         assert identical(
-            response.result, legacy.run_benchmark("open")
+            response.result, direct.run_benchmark("open")
         )
 
     def test_run_with_store_roundtrip(self, tmp_path):
@@ -93,9 +86,9 @@ class TestRunParity:
         responses = service.run_batch(
             BatchRequest(benchmarks=names, tool="spade", seed=7)
         )
-        legacy = legacy_provmark(tool="spade", seed=7).run_many(list(names))
+        direct = ProvMark(tool="spade", seed=7).run_many(list(names))
         assert [r.result.benchmark for r in responses] == list(names)
-        for response, expected in zip(responses, legacy):
+        for response, expected in zip(responses, direct):
             assert identical(response.result, expected)
 
     def test_batch_default_suite_is_table2_order(self):
@@ -336,21 +329,7 @@ class TestProgressEvents:
 
 
 class TestDeprecationShims:
-    def test_direct_provmark_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="BenchmarkService"):
-            ProvMark(tool="spade", seed=1)
-
-    def test_tools_view_warns(self):
-        with pytest.warns(DeprecationWarning, match="legacy TOOLS view"):
-            TOOLS["spade"]
-        with pytest.warns(DeprecationWarning, match="legacy TOOLS view"):
-            list(TOOLS)
-
-    def test_tool_profiles_view_warns(self):
-        with pytest.warns(DeprecationWarning, match="TOOL_PROFILES"):
-            TOOL_PROFILES["camflow"]
-        with pytest.warns(DeprecationWarning, match="TOOL_PROFILES"):
-            list(TOOL_PROFILES)
+    """Neither the façade nor a directly built driver warns."""
 
     def test_facade_and_internal_paths_do_not_warn(self):
         with warnings.catch_warnings():
@@ -358,3 +337,4 @@ class TestDeprecationShims:
             BenchmarkService().run(
                 RunRequest(benchmark="open", tool="spade", seed=1)
             )
+            ProvMark(tool="spade", seed=1).run_benchmark("open")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.capture import TOOLS, make_capture
+from repro.capture import make_capture
 from repro.capture.registry import (
     BackendProfile,
     UnknownToolError,
@@ -14,7 +14,7 @@ from repro.capture.registry import (
     unregister_tool,
 )
 from repro.capture.spade import SpadeCapture
-from repro.core.pipeline import TOOL_PROFILES, PipelineConfig, ProvMark
+from repro.core.pipeline import PipelineConfig, ProvMark
 from repro.core.result import Classification
 
 
@@ -67,20 +67,6 @@ class TestRegistry:
     def test_iter_backends_sorted(self):
         names = [backend.name for backend in iter_backends()]
         assert names == sorted(names)
-
-
-class TestLegacyViews:
-    def test_tools_view_is_live(self, echo_tool):
-        assert TOOLS["echo"] is EchoCapture
-        assert "echo" in TOOLS
-        unregister_tool("echo")
-        assert "echo" not in TOOLS
-        register_tool("echo", EchoCapture)  # fixture teardown unregisters
-
-    def test_tool_profiles_view_rows(self):
-        assert TOOL_PROFILES["camflow"] == {"trials": 5, "filtergraphs": True}
-        assert TOOL_PROFILES.get("ghost", {}) == {}
-        assert set(TOOL_PROFILES) == set(registered_tools())
 
 
 class TestPluginEndToEnd:

@@ -539,6 +539,15 @@ class TestServeCliErrors:
         assert "meteor" in err
         assert not (tmp_path / "plane" / "spool").exists()
 
+    def test_queue_without_workers_or_cluster_exits_2(self, tmp_path,
+                                                      capsys):
+        # the in-process pool would ignore the spool: nothing durable
+        code, err = self.run_main(
+            capsys, ["serve", "--queue", str(tmp_path / "plane")])
+        assert code == 2
+        assert err == "provmark: --queue requires --workers or --cluster\n"
+        assert not (tmp_path / "plane").exists()
+
     def test_retired_op_in_agent_fault_plan_exits_2(self, tmp_path, capsys):
         # a v1 op name would never match, so the fault would never fire
         bad = tmp_path / "faults.json"

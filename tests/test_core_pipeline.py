@@ -4,7 +4,7 @@ import pytest
 
 from repro import PipelineConfig, ProvMark
 from repro.capture.camflow import CamFlowCapture, CamFlowConfig
-from repro.core.pipeline import TOOL_PROFILES
+from repro.capture.registry import tool_profile
 from repro.core.result import Classification
 from repro.suite.program import Op, Program
 
@@ -67,7 +67,7 @@ class TestRunBenchmark:
 class TestConfig:
     def test_tool_profiles_resolved(self):
         config = PipelineConfig(tool="camflow")
-        assert config.resolved_trials() == TOOL_PROFILES["camflow"]["trials"]
+        assert config.resolved_trials() == tool_profile("camflow").trials
         assert config.resolved_filtergraphs() is True
 
     def test_explicit_values_override_profile(self):

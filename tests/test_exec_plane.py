@@ -302,37 +302,40 @@ def test_drain_finishes_inflight_jobs_then_refuses_new_ones(tmp_path):
 
 def test_serve_sigterm_drains_the_fleet(tmp_path):
     """``provmark serve --workers N`` drains on SIGTERM: the leased job
-    finishes, the process exits 0, and the record is durable."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--workers", "1", "--queue", str(tmp_path),
-         "--drain-timeout", "60"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-    )
-    try:
-        line = proc.stdout.readline().decode()
-        assert "serving on http://" in line, line
-        base = line.split("serving on ")[1].split("/v1")[0]
-        request = urllib.request.Request(
-            base + "/v1/runs",
-            data=json.dumps({"benchmark": "open", "tool": "spade",
-                             "seed": 5}).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=30) as response:
-            job_id = json.loads(response.read())["job_id"]
-        time.sleep(0.3)  # let a worker lease it
-        proc.send_signal(signal.SIGTERM)
-        output, _ = proc.communicate(timeout=90)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-    assert proc.returncode == 0, output.decode()
-    assert b"drained cleanly" in output
-
+    finishes, the process exits 0, and the record is durable — for one
+    worker and for a fleet of two under a capacity cap."""
     from repro.exec import JobQueue
 
-    record = JobQueue(tmp_path / "spool").record(job_id)
-    assert record["state"] == "done"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for workers in (1, 2):
+        plane = tmp_path / f"plane{workers}"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--workers", str(workers), "--queue", str(plane),
+             "--capacity", "8", "--drain-timeout", "60"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        )
+        try:
+            line = proc.stdout.readline().decode()
+            assert "serving on http://" in line, line
+            base = line.split("serving on ")[1].split("/v1")[0]
+            request = urllib.request.Request(
+                base + "/v1/runs",
+                data=json.dumps({"benchmark": "open", "tool": "spade",
+                                 "seed": 5}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                job_id = json.loads(response.read())["job_id"]
+            time.sleep(0.3)  # let a worker lease it
+            proc.send_signal(signal.SIGTERM)
+            output, _ = proc.communicate(timeout=90)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, (workers, output.decode())
+        assert b"drained cleanly" in output, workers
+
+        record = JobQueue(plane / "spool").record(job_id)
+        assert record["state"] == "done", workers

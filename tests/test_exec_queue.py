@@ -1,5 +1,6 @@
 """The durable lease-based job queue and its retry policy."""
 
+import threading
 import time
 
 import pytest
@@ -150,7 +151,6 @@ def test_cancel_running_job_sets_marker_for_stage_boundaries(queue):
     job_id = submit(queue)["job_id"]
     queue.claim("w0.g1")
     record = queue.cancel(job_id)
-    assert record["cancel_requested"] is True
     assert record["state"] == "running"  # stops at the next boundary
     assert queue.cancel_requested(job_id)
     record = queue.mark_cancelled(job_id)
@@ -169,6 +169,45 @@ def test_cancel_requested_queued_job_finalizes_at_claim_time(queue):
     # pass finalizes it instead of running it
     assert queue.claim("w1.g1") is None
     assert queue.record(job_id)["state"] == "cancelled"
+
+
+def test_cancel_of_leased_job_leaves_record_file_untouched(queue):
+    job_id = submit(queue)["job_id"]
+    queue.claim("w0.g1")
+    path = queue.root / "jobs" / f"{job_id}.json"
+    before = path.read_bytes()
+    queue.cancel(job_id)
+    assert path.read_bytes() == before  # the marker alone carries it
+    assert queue.cancel_requested(job_id)
+
+
+def test_cancel_racing_claim_never_erases_the_claim(tmp_path):
+    """A claim and a cancel released together: whoever wins, a held
+    lease always comes with the claim's ``running`` record."""
+    for trial in range(200):
+        queue = JobQueue(tmp_path / f"spool{trial}")
+        job_id = submit(queue)["job_id"]
+        barrier = threading.Barrier(2, timeout=10)
+
+        def race(action):
+            barrier.wait()
+            action()
+
+        threads = [
+            threading.Thread(target=race, args=(lambda: queue.claim("w0"),)),
+            threading.Thread(target=race, args=(lambda: queue.cancel(job_id),)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive(), trial
+        if (queue.root / "leases" / job_id).exists():
+            record = queue.record(job_id)
+            assert record["state"] == "running", trial
+            assert record["owner"] == "w0", trial
+            assert record["started_at"] is not None, trial
+            assert record["attempts"] == 1, trial
 
 
 # -- lease recovery ---------------------------------------------------------

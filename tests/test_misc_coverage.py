@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.capture import TOOLS, make_capture
+from repro.capture import make_capture, registered_tools
 from repro.capture.spade import SpadeCapture
 from repro.cli import main
 from repro.kernel import Kernel, KernelError
@@ -45,8 +45,10 @@ class TestCaptureBase:
         assert len(set(costs)) > 1
 
     def test_tool_registry_complete(self):
-        assert set(TOOLS) == {"spade", "opus", "camflow", "spade-camflow"}
-        for name in TOOLS:
+        assert set(registered_tools()) == {
+            "spade", "opus", "camflow", "spade-camflow",
+        }
+        for name in registered_tools():
             capture = make_capture(name)
             assert capture.output_format in ("dot", "neo4j", "provjson")
             assert capture.recording_seconds > 0

@@ -1,5 +1,8 @@
 """Staged pipeline kernel tests: composition, context flow, timings."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro import ProvMark
@@ -166,6 +169,17 @@ class TestDriverEquivalence:
         assert set(result.timings.store_row()) == {
             "store_hits", "store_misses",
         }
+
+    def test_bench_timings_payload_carries_every_field(self):
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "conftest.py"
+        spec = importlib.util.spec_from_file_location("bench_conftest", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        timings = ProvMark(tool="spade", seed=5).run_benchmark("open").timings
+        payload = bench.timings_payload(timings)
+        assert set(payload) == set(StageTimings().to_payload()) | {"processing"}
+        assert payload["recording"] == timings.recording
+        assert payload["processing"] == timings.processing
 
     def test_comparison_failure_keeps_generalized_graphs(self):
         # bg larger than fg: embedding must fail in the comparison stage,

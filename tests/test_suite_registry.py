@@ -1,10 +1,9 @@
-"""The open SuiteRegistry and its preserved legacy lookups."""
+"""The open SuiteRegistry and its module-level lookups."""
 
 import pytest
 
 from repro.suite.program import Op, Program
 from repro.suite.registry import (
-    ALL_BENCHMARKS,
     SUITE_REGISTRY,
     SuiteRegistry,
     SuiteRegistryError,
@@ -141,26 +140,9 @@ class TestDefaultRegistrySeed:
 
 
 class TestLegacyView:
-    def test_lookup_and_len(self):
-        assert ALL_BENCHMARKS["open"].name == "open"
-        assert len(ALL_BENCHMARKS) == len(SUITE_REGISTRY)
-        assert set(ALL_BENCHMARKS) == set(SUITE_REGISTRY.names())
+    """``get_benchmark`` reads the default registry."""
 
     def test_get_benchmark_delegates(self):
         assert get_benchmark("open") is SUITE_REGISTRY.get("open")
         with pytest.raises(KeyError, match="unknown benchmark"):
             get_benchmark("made_up")
-
-    def test_mutation_writes_through(self):
-        program = custom_program("view_custom")
-        ALL_BENCHMARKS["view_custom"] = program
-        try:
-            assert SUITE_REGISTRY.get("view_custom") is program
-            assert get_benchmark("view_custom") is program
-        finally:
-            del ALL_BENCHMARKS["view_custom"]
-        assert "view_custom" not in SUITE_REGISTRY
-
-    def test_mismatched_key_rejected(self):
-        with pytest.raises(SuiteRegistryError):
-            ALL_BENCHMARKS["other_name"] = custom_program("view_custom")
