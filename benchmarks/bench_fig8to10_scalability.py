@@ -50,16 +50,14 @@ def test_scalability(benchmark, tool):
     # Processing grows with the scale factor for every tool.
     totals = [timings[name].processing for name in SCALES]
     assert totals[-1] > totals[0]
-    # CamFlow's minimizing search decomposes all the way up: solver steps
-    # stay ~linear from scale128 to scale512 (4x scale, well under the
-    # ~16x a quadratic search would show).
-    if tool == "camflow":
-        ratio = (
-            timings["scale512"].solver_steps
-            / timings["scale128"].solver_steps
-        )
-        assert ratio < 8, f"superlinear solver growth: {ratio:.1f}x"
-        assert timings["scale512"].decomposed_components > 0
+    # Every tool's minimizing search decomposes all the way up: solver
+    # steps stay ~linear from scale128 to scale512 (4x scale, well under
+    # the ~16x a quadratic search would show).
+    ratio = (
+        timings["scale512"].solver_steps / timings["scale128"].solver_steps
+    )
+    assert ratio < 8, f"superlinear solver growth: {ratio:.1f}x"
+    assert timings["scale512"].decomposed_components > 0
 
 
 def test_scalability_shapes(benchmark):

@@ -5,13 +5,14 @@ again with every optimization disabled (``solver_optimizations(False)``:
 label/degree candidate scans, full group rescans per step, uncached
 property costs, no warm starts), and
 records the processing-time ratio plus the solver counters that make the
-wins observable.  The per-case payloads land in
-``benchmarks/output/BENCH_PR1.json`` via ``record_bench``.
+wins observable.  The per-case payloads land in the consolidated BENCH
+file that ``conftest.CONSOLIDATED_NAME`` names, via ``record_bench``.
 """
 
 import pytest
 
 from repro import ProvMark
+from repro.solver import native
 from repro.solver.native import solver_optimizations
 
 from conftest import emit, record_bench, timings_payload
@@ -64,43 +65,68 @@ def test_optimization_speedup(benchmark, tool, name):
     assert ratio > 0.8  # never a regression beyond noise
 
 
-#: per-tool solver_steps ceilings at scale16 — observed values are
-#: roughly (spade 190, camflow 260, opus 630); ~2.5x headroom for noise.
-SMOKE_STEP_CEILINGS = {"spade": 500, "camflow": 700, "opus": 1600}
+#: per-tool solver_steps ceilings at scale128 — observed values are
+#: (spade 292, opus 944, camflow 1486); ~2.5x headroom for noise.
+SMOKE_STEP_CEILINGS = {"spade": 750, "camflow": 3700, "opus": 2400}
+#: scale128 is 4x scale32: a linear search grows ~4x, a quadratic ~16x.
+SMOKE_GROWTH_ALARM = 6
 
 
 @pytest.mark.parametrize("tool", sorted(SMOKE_STEP_CEILINGS))
-def test_perf_smoke_counter_ceilings(benchmark, tool):
-    """CI perf smoke: solver counters at a fixed small scale.
+def test_perf_smoke_counter_ceilings(benchmark, monkeypatch, tool):
+    """CI perf smoke: solver counters at scale32 and scale128.
 
     Guards the decomposed minimizing search against regressions without
-    timing anything: solver_steps at scale16 must stay under a fixed
-    ceiling and must not grow superlinearly from scale8 (2x scale, so
-    ~2x steps when the decomposition holds; 3x is the alarm line).
+    timing anything: solver_steps at scale128 must stay under a fixed
+    per-tool ceiling, and neither solver_steps nor the number of
+    ``property_mismatch_cost`` calls may grow superlinearly from scale32.
+    Steps cannot see a quadratic scan inside one step; the call count
+    (a monkeypatched wrapper, as perfbench's ``count_calls`` does) can.
     """
+    calls = {"count": 0}
+    original = native.property_mismatch_cost
+
+    def counted(props1, props2):
+        calls["count"] += 1
+        return original(props1, props2)
+
+    monkeypatch.setattr(native, "property_mismatch_cost", counted)
+
     def run():
         provmark = ProvMark(tool=tool, seed=5)
-        return {
-            name: provmark.run_benchmark(name) for name in ("scale8", "scale16")
-        }
+        results = {}
+        for name in ("scale32", "scale128"):
+            calls["count"] = 0
+            results[name] = (provmark.run_benchmark(name), calls["count"])
+        return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    for result in results.values():
+    for result, _ in results.values():
         assert result.classification.value == "ok"
         assert result.timings.decomposed_components > 0
-    small = results["scale8"].timings.solver_steps
-    large = results["scale16"].timings.solver_steps
+    small_result, small_calls = results["scale32"]
+    large_result, large_calls = results["scale128"]
+    small = small_result.timings.solver_steps
+    large = large_result.timings.solver_steps
     emit(f"perf_smoke_{tool}", [
-        f"scale8 steps={small}  scale16 steps={large} "
+        f"scale32 steps={small}  scale128 steps={large} "
         f"(ceiling {SMOKE_STEP_CEILINGS[tool]})",
+        f"scale32 cost calls={small_calls}  scale128 cost calls={large_calls}",
     ])
     record_bench(f"perf_smoke/{tool}", {
-        "scale8_steps": small,
-        "scale16_steps": large,
+        "scale32_steps": small,
+        "scale128_steps": large,
         "ceiling": SMOKE_STEP_CEILINGS[tool],
+        "scale32_cost_calls": small_calls,
+        "scale128_cost_calls": large_calls,
     })
     assert large <= SMOKE_STEP_CEILINGS[tool]
-    assert large < 3 * small, f"superlinear step growth: {large}/{small}"
+    assert large < SMOKE_GROWTH_ALARM * small, (
+        f"superlinear step growth: {large}/{small}"
+    )
+    assert large_calls < SMOKE_GROWTH_ALARM * small_calls, (
+        f"superlinear cost-call growth: {large_calls}/{small_calls}"
+    )
 
 
 def test_scale_headroom_within_step_budget(benchmark):

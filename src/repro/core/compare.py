@@ -12,7 +12,7 @@ from typing import Dict, Mapping
 
 from repro.graph.model import PropertyGraph
 from repro.solver import subgraph_embedding
-from repro.solver.native import DUMMY_LABEL, Matching
+from repro.solver.native import Matching, subtract_matching
 from repro.storage.artifacts import graph_from_payload, graph_to_payload
 
 
@@ -64,30 +64,6 @@ def compare(
             "background does not embed into foreground "
             f"(bg {background.size} elements, fg {foreground.size})"
         )
-    target = _subtract(foreground, matching)
+    target = subtract_matching(foreground, matching)
     return ComparisonOutcome(target=target, matching=matching)
 
-
-def _subtract(foreground: PropertyGraph, matching: Matching) -> PropertyGraph:
-    matched_nodes = set(matching.node_map.values())
-    matched_edges = set(matching.edge_map.values())
-    result = PropertyGraph(foreground.gid + "_target")
-    kept_edges = [
-        edge for edge in foreground.edges() if edge.id not in matched_edges
-    ]
-    kept_nodes = {
-        node.id for node in foreground.nodes() if node.id not in matched_nodes
-    }
-    anchors = set()
-    for edge in kept_edges:
-        for endpoint in (edge.src, edge.tgt):
-            if endpoint not in kept_nodes:
-                anchors.add(endpoint)
-    for node in foreground.nodes():
-        if node.id in kept_nodes:
-            result.add_node(node.id, node.label, node.props)
-        elif node.id in anchors:
-            result.add_node(node.id, DUMMY_LABEL, {"was": node.label})
-    for edge in kept_edges:
-        result.add_edge(edge.id, edge.src, edge.tgt, edge.label, edge.props)
-    return result

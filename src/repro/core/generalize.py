@@ -90,7 +90,8 @@ def generalize_trials(
     solver partitions the pair along WL-color-stable anchors into
     independent connected components, solves each piece, and stitches the
     results (``repro.solver.native._decomposed_isomorphism``).  The split
-    is only taken when a uniformity certificate proves the stitched answer
+    is only kept when a lower-bound certificate (every node and edge group
+    pays its class-minimum mismatch cost) proves the stitched answer
     byte-identical to the monolithic search, and it falls back to the
     monolithic path — warm bound and all — on any ambiguity, so this stage
     never observes a different generalized graph.  When the split fires,

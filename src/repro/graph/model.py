@@ -223,17 +223,28 @@ class PropertyGraph:
         return out
 
     def subgraph(self, node_ids: Iterable[str], edge_ids: Iterable[str]) -> "PropertyGraph":
-        """Induced sub-multigraph over explicit node and edge id sets."""
+        """Induced sub-multigraph over explicit node and edge id sets.
+
+        Elements keep this graph's order, so the result does not depend
+        on the order of the given ids or on the process's hash seed.
+        """
         keep_nodes: Set[str] = set(node_ids)
         keep_edges: Set[str] = set(edge_ids)
+        for unknown, kind in (
+            (keep_nodes - self._nodes.keys(), "node"),
+            (keep_edges - self._edges.keys(), "edge"),
+        ):
+            if unknown:
+                raise GraphError(f"unknown {kind} {min(unknown)!r}")
         out = PropertyGraph(self.gid)
-        for node_id in keep_nodes:
-            node = self.node(node_id)
-            out.add_node(node.id, node.label, node.props)
-        for edge_id in keep_edges:
-            edge = self.edge(edge_id)
+        for node in self.nodes():
+            if node.id in keep_nodes:
+                out.add_node(node.id, node.label, node.props)
+        for edge in self.edges():
+            if edge.id not in keep_edges:
+                continue
             if edge.src not in keep_nodes or edge.tgt not in keep_nodes:
-                raise GraphError(f"edge {edge_id!r} endpoints outside subgraph")
+                raise GraphError(f"edge {edge.id!r} endpoints outside subgraph")
             out.add_edge(edge.id, edge.src, edge.tgt, edge.label, edge.props)
         return out
 

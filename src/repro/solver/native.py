@@ -32,10 +32,13 @@ Performance architecture (see ROADMAP.md):
   as a warm upper bound for the minimizing search;
 * exact matchings are *decomposed* whenever equivalence is provable:
   WL-singleton anchors pin the cross-component constraints, the residual
-  connected components are solved independently by first-fit over their
-  WL classes, and the pieces are stitched into one matching — skipping
-  the monolithic search's O(V1·V2 + E1·E2) preprocessing entirely (see
-  the "decomposed exact matching" section below).
+  connected components are solved independently by following the DFS's
+  own candidate order over their WL classes, and the pieces are stitched
+  into one matching — skipping the monolithic search's
+  O(V1·V2 + E1·E2) preprocessing entirely.  A cost-minimizing stitch is
+  kept when it attains a lower bound summed from per-element class
+  minima, which makes generalization linear in the target size for
+  every capture tool (see the "decomposed exact matching" section below).
 
 All of the above can be disabled with :func:`solver_optimizations` (and
 the decomposition alone with :func:`solver_decomposition`) to measure
@@ -45,6 +48,7 @@ exposed through :func:`solver_stats`.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import sys
 import threading
@@ -409,28 +413,40 @@ _WL_ROUNDS = 2
 def _connected_expansion_order(graph: PropertyGraph) -> List[str]:
     """Most-constrained-first node ordering, preferring connected expansion.
 
-    The frontier of nodes adjacent to the placed prefix is maintained
-    incrementally over a precomputed adjacency map (the naive version
-    rescans every remaining node's edge lists per pick, which shows up
-    as the dominant search-construction cost on larger targets).  Shared
-    by the monolithic search and the decomposed matcher — both must place
-    nodes in exactly this order for their results to coincide.
+    Each pick is the highest-degree node adjacent to the placed prefix
+    (the whole remainder when none is), ties going to the earliest in
+    insertion order.  Frontier and remainder are heaps keyed
+    ``(-degree, position)``, so the order costs O((V + E) log V) rather
+    than a rescan of the remainder per pick, which showed up as the
+    dominant search-construction cost on larger targets.  Shared by the
+    monolithic search and the decomposed matcher — both must place nodes
+    in exactly this order for their results to coincide.
     """
-    degree = {node.id: graph.degree(node.id) for node in graph.nodes()}
-    neighbors: Dict[str, set] = {node_id: set() for node_id in degree}
+    keys = {
+        node.id: (-graph.degree(node.id), position, node.id)
+        for position, node in enumerate(graph.nodes())
+    }
+    neighbors: Dict[str, set] = {node_id: set() for node_id in keys}
     for edge in graph.edges():
         neighbors[edge.src].add(edge.tgt)
         neighbors[edge.tgt].add(edge.src)
-    remaining = dict.fromkeys(degree)  # insertion-ordered set
-    frontier: set = set()
+    rest = list(keys.values())
+    heapq.heapify(rest)
+    frontier: List[Tuple[int, int, str]] = []
+    queued: Set[str] = set()
+    placed: Set[str] = set()
     order: List[str] = []
-    while remaining:
-        pool = [n for n in remaining if n in frontier] or list(remaining)
-        pick = max(pool, key=degree.__getitem__)
+    while len(order) < len(keys):
+        heap = frontier or rest
+        pick = heapq.heappop(heap)[2]
+        if pick in placed:
+            continue
+        placed.add(pick)
         order.append(pick)
-        del remaining[pick]
-        frontier.discard(pick)
-        frontier.update(n for n in neighbors[pick] if n in remaining)
+        for neighbor in neighbors[pick]:
+            if neighbor not in placed and neighbor not in queued:
+                queued.add(neighbor)
+                heapq.heappush(frontier, keys[neighbor])
     return order
 
 
@@ -861,23 +877,24 @@ class _MatchSearch:
 #
 # * the stitched pass places nodes in the engine's canonical
 #   ``_connected_expansion_order`` and takes, for each node, the first
-#   not-yet-used candidate of its WL class (g2 insertion order) passing
-#   the same parallel-edge-group feasibility check the DFS applies — i.e.
-#   it follows the DFS's leftmost branch; if that branch completes, it is
-#   precisely the first complete solution the DFS would report;
+#   not-yet-used candidate of its WL class passing the same
+#   parallel-edge-group feasibility check the DFS applies, visiting the
+#   class in the DFS's own candidate order (g2 insertion order, stably
+#   sorted by property cost when minimizing) — i.e. it follows the DFS's
+#   leftmost branch; if that branch completes, it is precisely the first
+#   complete solution the DFS would report;
 # * for *first-solution* searches (similarity classing) that is already
 #   the full answer;
-# * for *cost-minimizing* searches (generalization) the pass only runs
-#   when a uniformity certificate proves every complete matching has the
-#   same total cost — each g1 element's property values must agree with
-#   either all or none of its WL-class candidates (volatile identifiers
-#   such as inode numbers, pids, and timestamps never coincide across
-#   trial boots, so the certificate holds on exactly the workloads whose
-#   interchangeable components blow the monolithic search up) — making
-#   the leftmost complete solution minimal, which is the one the
-#   monolithic branch-and-bound keeps (strict-improvement pruning);
-# * in every other situation (class mismatch, non-uniform costs, a stuck
-#   leftmost branch) the matcher falls back to the monolithic search.
+# * for *cost-minimizing* searches (generalization) the branch is kept
+#   only when a lower-bound certificate, checked after the pass, proves
+#   it minimal: every node pays its class-minimum property cost, every
+#   parallel-edge group pays its class-minimum assignment cost, and
+#   value-structured edge classes meet their slot potential (see
+#   :func:`_decomposed_isomorphism` for why that branch is exactly the
+#   minimum the monolithic branch-and-bound keeps);
+# * in every other situation (class mismatch, a branch above the bound,
+#   a stuck leftmost branch) the matcher falls back to the monolithic
+#   search.
 #
 # ``SolverStats.decomposed_components`` counts the independent pieces so
 # the win shows up in every report; ``component_steps_max`` records the
@@ -902,21 +919,55 @@ def _node_color_classes(graph: PropertyGraph) -> Dict[int, List[str]]:
     return _cached_structure(graph, "wl_classes", build)
 
 
-def _class_prop_profiles(
+def _class_postings(
     graph: PropertyGraph,
-) -> Dict[int, Dict[Tuple[str, str], int]]:
-    """Per WL class: how many members carry each (key, value) property."""
-    colors = _cached_structure(graph, "wl", lambda: _wl_colors(graph))
+) -> Dict[int, Dict[Tuple[str, str], List[int]]]:
+    """Per WL class: (key, value) property -> positions of its holders.
 
-    def build() -> Dict[int, Dict[Tuple[str, str], int]]:
-        profiles: Dict[int, Dict[Tuple[str, str], int]] = {}
-        for node in graph.nodes():
-            profile = profiles.setdefault(colors[node.id], {})
-            for item in node.props.items():
-                profile[item] = profile.get(item, 0) + 1
-        return profiles
+    Positions index :func:`_node_color_classes` (ascending), so a posting
+    longer than zero and shorter than its class marks an item that
+    discriminates between candidates.
+    """
+    classes = _node_color_classes(graph)
 
-    return _cached_structure(graph, "wl_profiles", build)
+    def build() -> Dict[int, Dict[Tuple[str, str], List[int]]]:
+        postings: Dict[int, Dict[Tuple[str, str], List[int]]] = {}
+        for color, members in classes.items():
+            by_item = postings[color] = {}
+            for position, node_id in enumerate(members):
+                for item in graph.node(node_id).props.items():
+                    by_item.setdefault(item, []).append(position)
+        return postings
+
+    return _cached_structure(graph, "wl_postings", build)
+
+
+def _cheapest_members(
+    props: Mapping[str, str],
+    postings: Dict[Tuple[str, str], List[int]],
+    size: int,
+) -> List[int]:
+    """Positions of the class members cheapest for ``props``, ascending.
+
+    Only items held by some but not all of a class make
+    ``property_mismatch_cost`` differ across it: each one a member holds
+    lowers its cost by one.  The members holding the most such items
+    are the class minimum and head the DFS's stable pcost order, in
+    insertion order.  Empty when no item discriminates (the cost is
+    constant over the class).  Reads only the postings of ``props``'s
+    items, never the whole class.
+    """
+    hits: Dict[int, int] = {}
+    for item in props.items():
+        holders = postings.get(item)
+        if holders is None or len(holders) == size:
+            continue
+        for position in holders:
+            hits[position] = hits.get(position, 0) + 1
+    if not hits:
+        return []
+    top = max(hits.values())
+    return sorted(position for position, count in hits.items() if count == top)
 
 
 def _edge_class_profiles(
@@ -959,34 +1010,43 @@ def _class_edge_groups(
     return _cached_structure(graph, "wl_class_groups", build)
 
 
-def _edge_group_uniform_classes(
-    graph: PropertyGraph,
-) -> Set[Tuple[int, int, str]]:
-    """Edge classes whose parallel-edge groups are property-interchangeable.
+def _groups_pay_class_minimum(
+    paid: Sequence[Tuple[List[Edge], int]],
+    groups2: Iterable[List[Edge]],
+    pair_cost: Callable[[Edge, Edge], int],
+) -> bool:
+    """True when every g1 group of one edge class paid its class minimum.
 
-    A class qualifies when every endpoint-pair group carries an identical
-    multiset of property fingerprints (e.g. each endpoint pair holds one
-    ``used/open`` plus one ``used/unlink`` edge).  Then the per-group
-    optimal assignment cost is the same whichever same-class group a node
-    matching selects, even though the *pooled* per-item counts are mixed.
+    ``paid`` holds every g1 group of the class with the assignment cost
+    the stitched matching gave it.  An exact matching pairs a group only
+    with a same-size g2 group of the same class, so that minimum ranges
+    over ``groups2``.  ``pcost`` reads only g1's items, so g2 groups whose
+    edges agree on the class's g1 item set cost the same against every g1
+    group: one representative per such bucket is evaluated.  Groups whose
+    fingerprint multisets are identical (e.g. one ``creat`` plus one
+    ``unlink`` edge each) form one bucket, as do groups differing only in
+    volatile values the g1 side never carries.
     """
-
-    def build() -> Set[Tuple[int, int, str]]:
-        uniform: Set[Tuple[int, int, str]] = set()
-        for key, by_pair in _class_edge_groups(graph).items():
-            multisets = {
-                tuple(
-                    sorted(
-                        tuple(sorted(edge.props.items())) for edge in edges
-                    )
-                )
-                for edges in by_pair.values()
-            }
-            if len(multisets) == 1:
-                uniform.add(key)
-        return uniform
-
-    return _cached_structure(graph, "wl_edge_group_uniform", build)
+    items1 = {
+        item for edges1, _ in paid for edge in edges1
+        for item in edge.props.items()
+    }
+    representatives: Dict[Tuple, List[Edge]] = {}
+    for edges2 in groups2:
+        fingerprint = tuple(sorted(
+            tuple(sorted(
+                item for item in edge.props.items() if item in items1
+            ))
+            for edge in edges2
+        ))
+        representatives.setdefault(fingerprint, edges2)
+    for edges1, cost in paid:
+        for edges2 in representatives.values():
+            if len(edges2) != len(edges1):
+                continue
+            if _optimal_group_assignment(edges1, edges2, pair_cost)[0] < cost:
+                return False
+    return True
 
 
 class _ValuePlan:
@@ -1144,43 +1204,32 @@ def _slot_valued_groups(
 
 def _minimize_cost_plan(
     g1: PropertyGraph, g2: PropertyGraph
-) -> Optional[Dict[Tuple[int, int, str], _ValuePlan]]:
-    """Prove the stitched matching can be cost-minimal; None = no proof.
+) -> Optional[
+    Tuple[Dict[Tuple[int, int, str], _ValuePlan], Set[Tuple[int, int, str]]]
+]:
+    """Sort g1's edge classes by how their minimum cost is proven.
 
-    Three tiers, coarse to fine:
+    Returns ``(plans, checked)``, or None when some g1 edge class has no
+    g2 counterpart.  Three kinds of class:
 
-    1. *Pooled uniformity* — each g1 node's/edge's (key, value) pairs are
-       carried by all or none of its WL-class candidates, so ``pcost`` is
-       constant over every candidate domain and all complete matchings
-       cost the same (the DFS-leftmost one is minimal).
-    2. *Interchangeable groups* — an edge class failing tier 1 still has
-       constant cost when all its parallel-edge groups carry identical
-       fingerprint multisets (:func:`_edge_group_uniform_classes`).
-    3. *Value-structured collisions* — cost varies through exactly one key
-       (e.g. CamFlow's ``cf:jiffies`` colliding across trials at scale512);
-       the returned :class:`_ValuePlan` lets the greedy consume pairings
-       only when the class's minimal mismatch count is preserved.
+    1. *Pooled uniformity* — each g1 edge's (key, value) pairs are carried
+       by all or none of its class's g2 edges, so every group pairing costs
+       the same and nothing needs checking.
+    2. *Value-structured collisions* (``plans``) — cost varies through
+       exactly one key (e.g. CamFlow's ``cf:jiffies`` colliding across
+       trials at scale512); the :class:`_ValuePlan` lets the stitched pass
+       consume pairings only when the class's minimal mismatch count is
+       preserved.  Its per-slot potential is a global bound that
+       per-group minima cannot give: colliding values make each group's
+       cheapest partner contended.
+    3. Every other class (``checked``) goes to the lower-bound
+       certificate: after the pass each of its groups must have paid its
+       class-minimum assignment cost (:func:`_groups_pay_class_minimum`).
 
-    Any shape outside these tiers returns None and the caller falls back
-    to the monolithic search.  Nodes get tier 1 only: a node-level
-    collision redirects the DFS's pcost-sorted candidate order itself,
-    which first-fit stitching cannot reproduce.
+    Nodes need no plan: the pass visits them in the DFS's pcost order and
+    the certificate checks each pays its class minimum.
     """
     colors1 = _cached_structure(g1, "wl", lambda: _wl_colors(g1))
-    classes2 = _node_color_classes(g2)
-    profiles2 = _class_prop_profiles(g2)
-    for node in g1.nodes():
-        members = classes2.get(colors1[node.id])
-        if not members:
-            return None
-        size = len(members)
-        if size == 1:
-            continue
-        profile = profiles2.get(colors1[node.id], {})
-        for item in node.props.items():
-            count = profile.get(item, 0)
-            if count != 0 and count != size:
-                return None
     edge_profiles2 = _edge_class_profiles(g2)
     failing: Set[Tuple[int, int, str]] = set()
     for edge in g1.edges():
@@ -1197,17 +1246,14 @@ def _minimize_cost_plan(
                 failing.add(key)
                 break
     plans: Dict[Tuple[int, int, str], _ValuePlan] = {}
-    if not failing:
-        return plans
-    uniform_groups = _edge_group_uniform_classes(g2)
+    checked: Set[Tuple[int, int, str]] = set()
     for key in failing:
-        if key in uniform_groups:
-            continue
         plan = _value_structured_plan(g1, g2, key)
         if plan is None:
-            return None
-        plans[key] = plan
-    return plans
+            checked.add(key)
+        else:
+            plans[key] = plan
+    return plans, checked
 
 
 def _exact_group_feasible(
@@ -1346,6 +1392,29 @@ def _decomposed_isomorphism(
 
     Returns a :class:`Matching` when the decomposition provably reproduces
     the monolithic search's result, or :data:`_FALLBACK` when it cannot.
+
+    When minimizing, the pass follows the monolithic DFS's leftmost
+    branch: each node visits its class in ``_MatchSearch._search``'s
+    order, unused members stably sorted by pcost (the DFS sorts only the
+    unused candidates, but stable-sorting the class once and skipping
+    used members gives the same order).  A node whose pcost is constant
+    over its class keeps the first-fit pointer scan; any other must take
+    one of its class-minimum members (:func:`_cheapest_members`) or the
+    pass falls back.
+
+    The branch is kept only when it attains a lower bound on every exact
+    matching's cost: the sum of each node's class-minimum pcost, each
+    parallel-edge group's class-minimum assignment cost (over same-size
+    g2 groups of the same edge class, because exact matching pairs no
+    others), and each value-structured class's slot potential.  The
+    monolithic search then returns exactly this branch.  Members the pass
+    skipped ahead of it are used, infeasible, or fail a value-plan pin
+    and so root only subtrees costlier than the bound.  Until the DFS
+    reaches the branch it prunes only at ``warm.cost + 1`` or at such a
+    costlier solution; along the branch, prefix cost plus suffix bound
+    never exceeds the branch's total, which is the bound and so at most
+    ``warm.cost``, so the branch is never pruned.  Once found, only a
+    strictly cheaper solution replaces it, and none exists.
     """
     if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
         return _FALLBACK
@@ -1359,11 +1428,14 @@ def _decomposed_isomorphism(
         if others is None or len(others) != len(members):
             return _FALLBACK
     plans: Dict[Tuple[int, int, str], _ValuePlan] = {}
+    checked: Set[Tuple[int, int, str]] = set()
+    postings: Dict[int, Dict[Tuple[str, str], List[int]]] = {}
     if minimize_cost:
         built = _minimize_cost_plan(g1, g2)
         if built is None:
             return _FALLBACK
-        plans = built
+        plans, checked = built
+        postings = _class_postings(g2)
     order = _cached_structure(
         g1, "order", lambda: _connected_expansion_order(g1)
     )
@@ -1379,37 +1451,55 @@ def _decomposed_isomorphism(
     )
     node_map: Dict[str, str] = {}
     inv: Dict[str, str] = {}
-    # Per-class scan position: class members are consumed left to right
-    # and never released (no backtracking), so the pointer only advances.
+
+    def place(u: str, v: str) -> bool:
+        """Map ``u -> v`` when the DFS would descend there, else undo."""
+        node_map[u] = v
+        inv[v] = u
+        if _exact_group_feasible(
+            groups1, groups2, gkeys1, gkeys2, node_map, inv, u, v
+        ) and (
+            not plans
+            or _pin_value_groups(plans, colors1, gkeys1, node_map, u)
+        ):
+            return True
+        del node_map[u]
+        del inv[v]
+        return False
+
+    # Per-class scan position: every member before it is used, and
+    # members are never released (no backtracking), so it only advances.
     scan_from: Dict[int, int] = {}
     for u in order:
         color = colors1[u]
         members = classes2[color]
-        index = scan_from.get(color, 0)
-        while index < len(members) and members[index] in inv:
-            index += 1
-        scan_from[color] = index
+        cheapest = (
+            _cheapest_members(g1.node(u).props, postings[color], len(members))
+            if minimize_cost else ()
+        )
         chosen: Optional[str] = None
-        j = index
-        while j < len(members):
-            v = members[j]
-            if v not in inv:
-                node_map[u] = v
-                inv[v] = u
-                if _exact_group_feasible(
-                    groups1, groups2, gkeys1, gkeys2, node_map, inv, u, v
-                ) and (
-                    not plans
-                    or _pin_value_groups(plans, colors1, gkeys1, node_map, u)
-                ):
+        if cheapest:
+            # Past these the node would pay more than its class minimum,
+            # breaking the certificate.
+            for position in cheapest:
+                v = members[position]
+                if v not in inv and place(u, v):
                     chosen = v
                     break
-                del node_map[u]
-                del inv[v]
-            j += 1
+        else:
+            index = scan_from.get(color, 0)
+            while index < len(members) and members[index] in inv:
+                index += 1
+            scan_from[color] = index
+            for position in range(index, len(members)):
+                v = members[position]
+                if v not in inv and place(u, v):
+                    chosen = v
+                    break
         if chosen is None:
-            # The DFS would backtrack across components here; stitching
-            # cannot replicate that, so hand the pair to the full search.
+            # The DFS would backtrack across components (or descend into
+            # a costlier member) here; stitching cannot replicate that, so
+            # hand the pair to the full search.
             return _FALLBACK
     # The leftmost branch completed: compose the edge map and total cost
     # group by group with the shared assignment machinery.
@@ -1428,11 +1518,15 @@ def _decomposed_isomorphism(
         pair_cost[key] = cost
         return cost
 
+    def edge_pair_cost(e1: Edge, e2: Edge) -> int:
+        return pcost(e1.id, e1.props, e2.id, e2.props)
+
     total = 0
     for node in g1.nodes():
         image = g2.node(node_map[node.id])
         total += pcost(node.id, node.props, image.id, image.props)
     edge_map: Dict[str, str] = {}
+    paid: Dict[Tuple[int, int, str], List[Tuple[List[Edge], int]]] = {}
     for key, edges1 in groups1.items():
         src, tgt, label = key
         edges2 = groups2.get((node_map[src], node_map[tgt], label))
@@ -1440,16 +1534,23 @@ def _decomposed_isomorphism(
             return _FALLBACK  # unreachable: feasibility checked per step
         if len(edges1) == 1:
             e1, e2 = edges1[0], edges2[0]
-            total += pcost(e1.id, e1.props, e2.id, e2.props)
+            group_cost = pcost(e1.id, e1.props, e2.id, e2.props)
             edge_map[e1.id] = e2.id
-            continue
-        group_cost, pairs = _optimal_group_assignment(
-            edges1,
-            edges2,
-            lambda e1, e2: pcost(e1.id, e1.props, e2.id, e2.props),
-        )
+        else:
+            group_cost, pairs = _optimal_group_assignment(
+                edges1, edges2, edge_pair_cost
+            )
+            edge_map.update(pairs)
         total += group_cost
-        edge_map.update(pairs)
+        class_key = (colors1[src], colors1[tgt], label)
+        if class_key in checked:
+            paid.setdefault(class_key, []).append((edges1, group_cost))
+    class_groups2 = _class_edge_groups(g2)
+    for class_key, class_paid in paid.items():
+        if not _groups_pay_class_minimum(
+            class_paid, class_groups2[class_key].values(), edge_pair_cost
+        ):
+            return _FALLBACK
     components = _residual_components(g1)
     stats.searches += 1
     stats.steps += len(order)
@@ -1602,6 +1703,17 @@ def subtract_background(
     matching = embed_subgraph(background, foreground, max_steps=max_steps)
     if matching is None:
         return None
+    return subtract_matching(foreground, matching)
+
+
+def subtract_matching(
+    foreground: PropertyGraph, matching: Matching
+) -> PropertyGraph:
+    """The foreground minus the image of a background embedding into it.
+
+    The target graph of :func:`subtract_background`, for a matching that
+    is already known (the pipeline's comparison stage computes its own).
+    """
     matched_nodes = set(matching.node_map.values())
     matched_edges = set(matching.edge_map.values())
     result = PropertyGraph(foreground.gid + "_target")

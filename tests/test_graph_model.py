@@ -141,6 +141,27 @@ class TestDerivedGraphs:
         with pytest.raises(GraphError):
             diamond_graph.subgraph(["top"], ["e3"])
 
+    def test_subgraph_unknown_ids_rejected(self, diamond_graph):
+        with pytest.raises(GraphError, match="unknown node"):
+            diamond_graph.subgraph(["top", "nowhere"], [])
+        with pytest.raises(GraphError, match="unknown edge"):
+            diamond_graph.subgraph(["top", "left"], ["e1", "e99"])
+
+    def test_subgraph_keeps_source_order(self):
+        """Order follows the source graph, not the (hash-seeded) id sets."""
+        graph = PropertyGraph()
+        node_ids = [f"n{i}" for i in range(12)]
+        edge_ids = [f"e{i}" for i in range(11)]
+        for node_id in node_ids:
+            graph.add_node(node_id, "File")
+        for index, edge_id in enumerate(edge_ids):
+            graph.add_edge(
+                edge_id, node_ids[index], node_ids[index + 1], "Used"
+            )
+        sub = graph.subgraph(reversed(node_ids), reversed(edge_ids))
+        assert list(sub.node_ids()) == node_ids
+        assert list(sub.edge_ids()) == edge_ids
+
     def test_relabel_preserves_structure(self, diamond_graph):
         relabeled = diamond_graph.relabel("z")
         assert relabeled.node_count == diamond_graph.node_count
