@@ -32,11 +32,6 @@ class Table2Cell:
         return f"{self.classification}{note}"
 
     @property
-    def expected_rendered(self) -> str:
-        note = f" ({self.expected_note})" if self.expected_note else ""
-        return f"{self.expected_classification}{note}"
-
-    @property
     def matches_expectation(self) -> bool:
         return self.classification == self.expected_classification
 

@@ -28,7 +28,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.api.errors import (
-    ApiError,
     BackpressureError,
     NotFoundError,
     ValidationError,
@@ -418,11 +417,8 @@ class JobManager:
         except JobCancelled:
             with self._lock:
                 job.state = "cancelled"
-        except ApiError as exc:
-            with self._lock:
-                job.state = "failed"
-                job.error = render_error(exc)
         except Exception as exc:  # noqa: BLE001 — job threads must not die
+            # typed like the fleet worker's failures: "<Type>: <message>"
             with self._lock:
                 job.state = "failed"
                 job.error = f"{type(exc).__name__}: {render_error(exc)}"

@@ -580,15 +580,6 @@ class BenchmarkService:
         except UnknownToolError as exc:
             raise NotFoundError(str(exc)) from None
 
-    def check_benchmark(self, name: str) -> None:
-        """Public helper: NotFoundError for names absent from the
-        registry, with the same message every internal surface renders.
-        (Internal paths resolve through ``_resolve_program`` /
-        ``_benchmark_info``, which also consult store-persisted specs.)
-        """
-        if name not in self._registry:
-            raise NotFoundError(self._unknown_benchmark(name))
-
     def _unknown_benchmark(self, name: str) -> str:
         return (
             f"unknown benchmark {name!r}; available: "

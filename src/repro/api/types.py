@@ -1,30 +1,31 @@
 """Typed requests and responses of the ``repro.api`` v1 surface.
 
-Every type is a frozen dataclass that validates strictly on
-construction (:class:`~repro.api.errors.ValidationError` on the first
-bad field) and round-trips through JSON::
+Every type is a payload type (:func:`repro.codec.payload_type`): a
+frozen dataclass whose JSON wire shape is its field list, so
+``to_payload()``, the strict ``from_payload()`` and the field type
+checks are all derived from the declarations below and round-trip::
 
     decode(encode(x)) == x
 
-``to_payload()`` emits plain JSON-serializable dicts; ``from_payload()``
-rejects unknown keys and wrong-typed values, so a malformed HTTP body or
-a stale stored payload fails loudly instead of half-decoding.  Graph and
-result values reuse the PR 2 payload codecs
+A malformed HTTP body or a stale stored payload fails loudly with a
+:class:`~repro.api.errors.ValidationError` instead of half-decoding.
+Each type's ``__post_init__`` holds only its value rules: ranges,
+choices, non-empty names, cross-field rules and the ``api_version``
+tag.  Graph and result values reuse the hand-written store codecs
 (:meth:`repro.core.result.BenchmarkResult.to_payload` and the graph
 codecs in :mod:`repro.storage.artifacts`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.api.errors import ValidationError
 from repro.api.specs import BenchmarkSpec
+from repro.codec import payload_type
 from repro.core.result import BenchmarkResult
 from repro.sched.policy import PRIORITY_CLASSES
-from repro.storage.artifacts import ArtifactError
 
 #: version tag of this request/response vocabulary; served as the
 #: ``/v1`` HTTP prefix and embedded in every response envelope
@@ -43,175 +44,59 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 JOB_KINDS = ("run", "batch", "synth")
 
 
-# -- field validation helpers -----------------------------------------------
+# -- value rules --------------------------------------------------------------
 
 
-def _fail(type_name: str, field: str, message: str) -> None:
-    raise ValidationError(f"{type_name}.{field}: {message}")
+def _fail(obj: object, field: str, message: str) -> None:
+    raise ValidationError(f"{type(obj).__name__}.{field}: {message}")
 
 
-def _check_str(
-    type_name: str, field: str, value: object,
-    optional: bool = False, non_empty: bool = False,
-) -> None:
-    if value is None:
-        if not optional:
-            _fail(type_name, field, "must be a string, not None")
-        return
-    if not isinstance(value, str):
-        _fail(type_name, field, f"must be a string, got {type(value).__name__}")
-    if non_empty and not value:
-        _fail(type_name, field, "must be non-empty")
+def _check_names(obj: object, *fields: str) -> None:
+    """Each named field — a string, or a tuple of strings — holds only
+    non-empty names (None passes: optionality is the field's type)."""
+    for field in fields:
+        value = getattr(obj, field)
+        if value == "":
+            _fail(obj, field, "must be non-empty")
+        if isinstance(value, tuple) and "" in value:
+            _fail(obj, f"{field}[{value.index('')}]", "must be non-empty")
 
 
-def _check_bool(
-    type_name: str, field: str, value: object, optional: bool = False
-) -> None:
-    if value is None and optional:
-        return
-    if not isinstance(value, bool):
-        _fail(type_name, field, f"must be a bool, got {type(value).__name__}")
-
-
-def _check_int(
-    type_name: str, field: str, value: object,
-    optional: bool = False, minimum: Optional[int] = None,
-) -> None:
-    if value is None and optional:
-        return
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(type_name, field, f"must be an int, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        _fail(type_name, field, f"must be >= {minimum}, got {value}")
-
-
-def _check_number(
-    type_name: str, field: str, value: object,
-    optional: bool = False,
+def _check_range(
+    obj: object, *fields: str,
     minimum: Optional[float] = None, maximum: Optional[float] = None,
 ) -> None:
-    if value is None and optional:
-        return
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(type_name, field, f"must be a number, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        _fail(type_name, field, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        _fail(type_name, field, f"must be <= {maximum}, got {value}")
+    """Each named numeric field lies within the bounds (None passes)."""
+    for field in fields:
+        value = getattr(obj, field)
+        if value is None:
+            continue
+        if minimum is not None and value < minimum:
+            _fail(obj, field, f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            _fail(obj, field, f"must be <= {maximum}, got {value}")
 
 
-def _check_choice(
-    type_name: str, field: str, value: object, choices: Tuple[str, ...]
-) -> None:
+def _check_choice(obj: object, field: str, choices: Tuple[str, ...]) -> None:
+    value = getattr(obj, field)
     if value not in choices:
-        _fail(type_name, field, f"must be one of {list(choices)}, got {value!r}")
+        _fail(obj, field, f"must be one of {list(choices)}, got {value!r}")
 
 
-def _decode_kwargs(cls, payload: object) -> Dict[str, object]:
-    """Strictly map a JSON object onto ``cls``'s dataclass fields.
-
-    Unknown keys are rejected (malformed payloads must not half-decode);
-    missing keys fall back to the field defaults, and JSON arrays are
-    coerced to the tuples the frozen types carry.
-    """
-    if not isinstance(payload, Mapping):
-        raise ValidationError(
-            f"{cls.__name__} payload must be a JSON object, "
-            f"got {type(payload).__name__}"
-        )
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - names)
-    if unknown:
-        raise ValidationError(
-            f"{cls.__name__} payload has unknown keys: {unknown}"
-        )
-    kwargs: Dict[str, object] = {}
-    for key, value in payload.items():
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
-    return kwargs
-
-
-def _construct(cls, kwargs: Dict[str, object]):
-    """Build the dataclass, turning missing-field TypeErrors into
-    ValidationErrors (field validation itself happens in __post_init__)."""
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ValidationError(f"{cls.__name__} payload: {exc}") from exc
-
-
-def _validate_pipeline_fields(request: object, type_name: str) -> None:
-    """The configuration fields RunRequest and BatchRequest share."""
-    _check_str(type_name, "tool", request.tool, non_empty=True)
-    _check_str(type_name, "profile", request.profile, optional=True)
-    _check_str(type_name, "config_path", request.config_path, optional=True)
-    _check_int(type_name, "trials", request.trials, optional=True, minimum=1)
-    _check_bool(
-        type_name, "filtergraphs", request.filtergraphs, optional=True
-    )
-    _check_choice(type_name, "engine", request.engine, ENGINES)
-    _check_int(type_name, "seed", request.seed, optional=True)
-    _check_number(
-        type_name, "truncation_rate", request.truncation_rate,
-        minimum=0.0, maximum=1.0,
-    )
-    _check_choice(
-        type_name, "fg_pair_policy", request.fg_pair_policy, PAIR_POLICIES
-    )
-    _check_choice(
-        type_name, "bg_pair_policy", request.bg_pair_policy, PAIR_POLICIES
-    )
-    _check_str(type_name, "store_path", request.store_path, optional=True)
-    _check_bool(type_name, "resume", request.resume)
-    _check_bool(type_name, "cache", request.cache)
-    _check_number(type_name, "deadline", request.deadline, optional=True)
-    if request.deadline is not None and request.deadline <= 0:
-        _fail(type_name, "deadline",
-              f"must be > 0 seconds, got {request.deadline}")
-    if request.priority is not None:
-        _check_choice(type_name, "priority", request.priority,
-                      PRIORITY_CLASSES)
-
-
-def _pipeline_payload(request: object) -> Dict[str, object]:
-    return {
-        "priority": request.priority,
-        "tool": request.tool,
-        "profile": request.profile,
-        "config_path": request.config_path,
-        "trials": request.trials,
-        "filtergraphs": request.filtergraphs,
-        "engine": request.engine,
-        "seed": request.seed,
-        "truncation_rate": request.truncation_rate,
-        "fg_pair_policy": request.fg_pair_policy,
-        "bg_pair_policy": request.bg_pair_policy,
-        "store_path": request.store_path,
-        "resume": request.resume,
-        "cache": request.cache,
-        "deadline": request.deadline,
-    }
+def _check_api_version(obj: object) -> None:
+    if obj.api_version != API_VERSION:
+        _fail(obj, "api_version",
+              f"must be {API_VERSION!r}, got {obj.api_version!r}")
 
 
 # -- requests ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunRequest:
-    """One benchmark run, fully declared.
+@dataclass(frozen=True, kw_only=True)
+class PipelineFields:
+    """The configuration fields :class:`RunRequest` and
+    :class:`BatchRequest` share (keyword-only), with their value rules."""
 
-    The benchmark is named by exactly one of ``benchmark`` (a registered
-    suite name) or ``spec`` (an inline
-    :class:`~repro.api.specs.BenchmarkSpec`, validated and compiled on
-    the fly without touching the registry).
-
-    ``profile`` (optionally with ``config_path``) selects a config.ini
-    tool profile exactly like ``provmark run --profile``; it overrides
-    ``tool`` while ``trials``/``filtergraphs`` still apply on top.
-    """
-
-    benchmark: Optional[str] = None
-    spec: Optional[BenchmarkSpec] = None
     tool: str = "spade"
     profile: Optional[str] = None
     config_path: Optional[str] = None
@@ -226,43 +111,54 @@ class RunRequest:
     resume: bool = False
     cache: bool = True
     #: per-benchmark wall-clock budget, seconds (enforced at stage
-    #: boundaries; an overrun is a permanent DeadlineError, never retried)
+    #: boundaries; an overrun is a permanent DeadlineError, never retried;
+    #: each run in a batch gets its own budget)
     deadline: Optional[float] = None
     #: requested scheduling class (None = the kind's default; ``urgent``
     #: requires the admin role when submitted through authenticated HTTP)
     priority: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.spec is not None and not isinstance(self.spec, BenchmarkSpec):
-            _fail("RunRequest", "spec",
-                  f"must be a BenchmarkSpec, got {type(self.spec).__name__}")
+        _check_names(self, "tool")
+        _check_range(self, "trials", minimum=1)
+        _check_choice(self, "engine", ENGINES)
+        _check_range(self, "truncation_rate", minimum=0.0, maximum=1.0)
+        _check_choice(self, "fg_pair_policy", PAIR_POLICIES)
+        _check_choice(self, "bg_pair_policy", PAIR_POLICIES)
+        if self.deadline is not None and self.deadline <= 0:
+            _fail(self, "deadline",
+                  f"must be > 0 seconds, got {self.deadline}")
+        if self.priority is not None:
+            _check_choice(self, "priority", PRIORITY_CLASSES)
+
+
+@payload_type
+class RunRequest(PipelineFields):
+    """One benchmark run, fully declared.
+
+    The benchmark is named by exactly one of ``benchmark`` (a registered
+    suite name) or ``spec`` (an inline
+    :class:`~repro.api.specs.BenchmarkSpec`, validated and compiled on
+    the fly without touching the registry).
+
+    ``profile`` (optionally with ``config_path``) selects a config.ini
+    tool profile exactly like ``provmark run --profile``; it overrides
+    ``tool`` while ``trials``/``filtergraphs`` still apply on top.
+    """
+
+    benchmark: Optional[str] = None
+    spec: Optional[BenchmarkSpec] = None
+
+    def __post_init__(self) -> None:
         if (self.benchmark is None) == (self.spec is None):
-            _fail("RunRequest", "benchmark",
+            _fail(self, "benchmark",
                   "exactly one of 'benchmark' or 'spec' must be set")
-        _check_str("RunRequest", "benchmark", self.benchmark, optional=True,
-                   non_empty=True)
-        _validate_pipeline_fields(self, "RunRequest")
-
-    def to_payload(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "benchmark": self.benchmark,
-            "spec": self.spec.to_payload() if self.spec is not None else None,
-        }
-        payload.update(_pipeline_payload(self))
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "RunRequest":
-        kwargs = _decode_kwargs(cls, payload)
-        if kwargs.get("spec") is not None:
-            kwargs["spec"] = BenchmarkSpec.from_payload(
-                kwargs["spec"], path="RunRequest.spec"
-            )
-        return _construct(cls, kwargs)
+        _check_names(self, "benchmark")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
-class BatchRequest:
+@payload_type
+class BatchRequest(PipelineFields):
     """Many benchmark runs under one configuration.
 
     ``benchmarks`` names the runs explicitly; ``tags`` instead selects
@@ -276,67 +172,21 @@ class BatchRequest:
     benchmarks: Optional[Tuple[str, ...]] = None
     tags: Optional[Tuple[str, ...]] = None
     max_workers: Optional[int] = None
-    tool: str = "spade"
-    profile: Optional[str] = None
-    config_path: Optional[str] = None
-    trials: Optional[int] = None
-    filtergraphs: Optional[bool] = None
-    engine: str = "native"
-    seed: Optional[int] = None
-    truncation_rate: float = 0.0
-    fg_pair_policy: str = "smallest"
-    bg_pair_policy: str = "smallest"
-    store_path: Optional[str] = None
-    resume: bool = False
-    cache: bool = True
-    #: per-benchmark wall-clock budget, seconds (each run in the batch
-    #: gets its own budget; enforced at stage boundaries)
-    deadline: Optional[float] = None
-    #: requested scheduling class (None = the kind's default; ``urgent``
-    #: requires the admin role when submitted through authenticated HTTP)
-    priority: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.benchmarks is not None:
-            if not isinstance(self.benchmarks, tuple):
-                _fail("BatchRequest", "benchmarks",
-                      "must be a tuple of names or None")
-            for i, name in enumerate(self.benchmarks):
-                _check_str(
-                    "BatchRequest", f"benchmarks[{i}]", name, non_empty=True
-                )
+        _check_names(self, "benchmarks", "tags")
         if self.tags is not None:
             if self.benchmarks is not None:
-                _fail("BatchRequest", "tags",
+                _fail(self, "tags",
                       "cannot be combined with an explicit 'benchmarks' list")
-            if not isinstance(self.tags, tuple) or not self.tags:
-                _fail("BatchRequest", "tags",
+            if not self.tags:
+                _fail(self, "tags",
                       "must be a non-empty tuple of tag names or None")
-            for i, tag in enumerate(self.tags):
-                _check_str("BatchRequest", f"tags[{i}]", tag, non_empty=True)
-        _check_int(
-            "BatchRequest", "max_workers", self.max_workers,
-            optional=True, minimum=1,
-        )
-        _validate_pipeline_fields(self, "BatchRequest")
-
-    def to_payload(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "benchmarks": (
-                list(self.benchmarks) if self.benchmarks is not None else None
-            ),
-            "tags": list(self.tags) if self.tags is not None else None,
-            "max_workers": self.max_workers,
-        }
-        payload.update(_pipeline_payload(self))
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "BatchRequest":
-        return _construct(cls, _decode_kwargs(cls, payload))
+        _check_range(self, "max_workers", minimum=1)
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@payload_type
 class SynthConfig:
     """One coverage-guided benchmark-synthesis run, fully declared.
 
@@ -373,64 +223,22 @@ class SynthConfig:
     MAX_PROGRAM_OPS = 64
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tools", tuple(self.tools))
-        object.__setattr__(self, "tags", tuple(self.tags))
-        _check_int("SynthConfig", "count", self.count, minimum=1)
-        if self.count > self.MAX_COUNT:
-            _fail("SynthConfig", "count",
-                  f"must be <= {self.MAX_COUNT}, got {self.count}")
-        _check_int("SynthConfig", "seed", self.seed)
+        _check_range(self, "count", minimum=1, maximum=self.MAX_COUNT)
         if not self.tools:
-            _fail("SynthConfig", "tools", "must name at least one tool")
-        for i, tool in enumerate(self.tools):
-            _check_str("SynthConfig", f"tools[{i}]", tool, non_empty=True)
+            _fail(self, "tools", "must name at least one tool")
+        _check_names(self, "tools", "tags", "name_prefix")
         if len(set(self.tools)) != len(self.tools):
-            _fail("SynthConfig", "tools", "must not repeat a tool")
-        for i, tag in enumerate(self.tags):
-            _check_str("SynthConfig", f"tags[{i}]", tag, non_empty=True)
-        _check_int("SynthConfig", "max_ops", self.max_ops, minimum=2)
-        if self.max_ops > self.MAX_PROGRAM_OPS:
-            _fail("SynthConfig", "max_ops",
-                  f"must be <= {self.MAX_PROGRAM_OPS}, got {self.max_ops}")
-        _check_number("SynthConfig", "mutation_rate", self.mutation_rate,
-                      minimum=0.0, maximum=1.0)
-        _check_str("SynthConfig", "name_prefix", self.name_prefix,
-                   non_empty=True)
-        _check_int("SynthConfig", "trials", self.trials, optional=True,
-                   minimum=1)
-        _check_choice("SynthConfig", "engine", self.engine, ENGINES)
-        _check_bool("SynthConfig", "register", self.register)
-        _check_str("SynthConfig", "store_path", self.store_path,
-                   optional=True)
-        _check_int("SynthConfig", "max_workers", self.max_workers,
-                   optional=True, minimum=1)
+            _fail(self, "tools", "must not repeat a tool")
+        _check_range(self, "max_ops", minimum=2,
+                     maximum=self.MAX_PROGRAM_OPS)
+        _check_range(self, "mutation_rate", minimum=0.0, maximum=1.0)
+        _check_range(self, "trials", "max_workers", minimum=1)
+        _check_choice(self, "engine", ENGINES)
         if self.priority is not None:
-            _check_choice("SynthConfig", "priority", self.priority,
-                          PRIORITY_CLASSES)
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "priority": self.priority,
-            "count": self.count,
-            "seed": self.seed,
-            "tools": list(self.tools),
-            "tags": list(self.tags),
-            "max_ops": self.max_ops,
-            "mutation_rate": self.mutation_rate,
-            "name_prefix": self.name_prefix,
-            "trials": self.trials,
-            "engine": self.engine,
-            "register": self.register,
-            "store_path": self.store_path,
-            "max_workers": self.max_workers,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "SynthConfig":
-        return _construct(cls, _decode_kwargs(cls, payload))
+            _check_choice(self, "priority", PRIORITY_CLASSES)
 
 
-@dataclass(frozen=True)
+@payload_type
 class SynthCoverage:
     """Coverage-model growth over one synthesis run.
 
@@ -449,32 +257,13 @@ class SynthCoverage:
     new_syscalls: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "new_syscalls", tuple(self.new_syscalls))
-        for name in ("syscalls_before", "syscalls_after",
+        _check_range(self, "syscalls_before", "syscalls_after",
                      "arg_shapes_before", "arg_shapes_after",
-                     "motifs_before", "motifs_after"):
-            _check_int("SynthCoverage", name, getattr(self, name), minimum=0)
-        for i, call in enumerate(self.new_syscalls):
-            _check_str("SynthCoverage", f"new_syscalls[{i}]", call,
-                       non_empty=True)
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "syscalls_before": self.syscalls_before,
-            "syscalls_after": self.syscalls_after,
-            "arg_shapes_before": self.arg_shapes_before,
-            "arg_shapes_after": self.arg_shapes_after,
-            "motifs_before": self.motifs_before,
-            "motifs_after": self.motifs_after,
-            "new_syscalls": list(self.new_syscalls),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "SynthCoverage":
-        return _construct(cls, _decode_kwargs(cls, payload))
+                     "motifs_before", "motifs_after", minimum=0)
+        _check_names(self, "new_syscalls")
 
 
-@dataclass(frozen=True)
+@payload_type
 class SynthReport:
     """Everything one synthesis run produced.
 
@@ -501,74 +290,18 @@ class SynthReport:
     api_version: str = API_VERSION
 
     def __post_init__(self) -> None:
-        for name in ("kept", "digests", "tools", "specs"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        _check_int("SynthReport", "seed", self.seed)
-        for name in ("requested", "generated", "mutated", "duplicates",
-                     "no_gain", "failed", "persisted"):
-            _check_int("SynthReport", name, getattr(self, name), minimum=0)
-        for i, name in enumerate(self.kept):
-            _check_str("SynthReport", f"kept[{i}]", name, non_empty=True)
-        for i, digest in enumerate(self.digests):
-            _check_str("SynthReport", f"digests[{i}]", digest,
-                       non_empty=True)
+        _check_range(self, "requested", "generated", "mutated",
+                     "duplicates", "no_gain", "failed", "persisted",
+                     minimum=0)
+        _check_names(self, "kept", "digests", "tools")
         if len(self.kept) != len(self.digests):
-            _fail("SynthReport", "digests",
-                  "must align one-to-one with 'kept'")
+            _fail(self, "digests", "must align one-to-one with 'kept'")
         if self.specs and len(self.specs) != len(self.kept):
-            _fail("SynthReport", "specs",
-                  "must align one-to-one with 'kept'")
-        for i, tool in enumerate(self.tools):
-            _check_str("SynthReport", f"tools[{i}]", tool, non_empty=True)
-        if not isinstance(self.coverage, SynthCoverage):
-            _fail("SynthReport", "coverage",
-                  f"must be a SynthCoverage, got "
-                  f"{type(self.coverage).__name__}")
-        for i, spec in enumerate(self.specs):
-            if not isinstance(spec, BenchmarkSpec):
-                _fail("SynthReport", f"specs[{i}]",
-                      f"must be a BenchmarkSpec, got {type(spec).__name__}")
-        _check_bool("SynthReport", "registered", self.registered)
-        if self.api_version != API_VERSION:
-            _fail("SynthReport", "api_version",
-                  f"must be {API_VERSION!r}, got {self.api_version!r}")
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "api_version": self.api_version,
-            "seed": self.seed,
-            "requested": self.requested,
-            "generated": self.generated,
-            "mutated": self.mutated,
-            "kept": list(self.kept),
-            "digests": list(self.digests),
-            "duplicates": self.duplicates,
-            "no_gain": self.no_gain,
-            "failed": self.failed,
-            "tools": list(self.tools),
-            "coverage": self.coverage.to_payload(),
-            "specs": [spec.to_payload() for spec in self.specs],
-            "registered": self.registered,
-            "persisted": self.persisted,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "SynthReport":
-        kwargs = _decode_kwargs(cls, payload)
-        if "coverage" not in kwargs:
-            raise ValidationError("SynthReport payload is missing 'coverage'")
-        kwargs["coverage"] = SynthCoverage.from_payload(kwargs["coverage"])
-        specs = kwargs.get("specs") or ()
-        if not isinstance(specs, tuple):
-            raise ValidationError("SynthReport.specs payload must be an array")
-        kwargs["specs"] = tuple(
-            BenchmarkSpec.from_payload(spec, path=f"SynthReport.specs[{i}]")
-            for i, spec in enumerate(specs)
-        )
-        return _construct(cls, kwargs)
+            _fail(self, "specs", "must align one-to-one with 'kept'")
+        _check_api_version(self)
 
 
-@dataclass(frozen=True)
+@payload_type
 class ToolQuery:
     """Catalog query for registered capture backends.
 
@@ -579,21 +312,13 @@ class ToolQuery:
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _check_str("ToolQuery", "name", self.name, optional=True,
-                   non_empty=True)
-
-    def to_payload(self) -> Dict[str, object]:
-        return {"name": self.name}
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "ToolQuery":
-        return _construct(cls, _decode_kwargs(cls, payload))
+        _check_names(self, "name")
 
 
 # -- responses --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@payload_type
 class ToolInfo:
     """One registered capture backend with its resolved profile."""
 
@@ -604,28 +329,11 @@ class ToolInfo:
     description: str = ""
 
     def __post_init__(self) -> None:
-        _check_str("ToolInfo", "name", self.name, non_empty=True)
-        _check_int("ToolInfo", "trials", self.trials, minimum=1)
-        _check_bool("ToolInfo", "filtergraphs", self.filtergraphs)
-        _check_str("ToolInfo", "output_format", self.output_format,
-                   non_empty=True)
-        _check_str("ToolInfo", "description", self.description)
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "filtergraphs": self.filtergraphs,
-            "output_format": self.output_format,
-            "description": self.description,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "ToolInfo":
-        return _construct(cls, _decode_kwargs(cls, payload))
+        _check_names(self, "name", "output_format")
+        _check_range(self, "trials", minimum=1)
 
 
-@dataclass(frozen=True)
+@payload_type
 class BenchmarkInfo:
     """One suite benchmark as the catalog endpoints describe it."""
 
@@ -637,31 +345,11 @@ class BenchmarkInfo:
     builtin: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tags", tuple(self.tags))
-        _check_str("BenchmarkInfo", "name", self.name, non_empty=True)
-        _check_int("BenchmarkInfo", "group", self.group, minimum=0)
-        _check_str("BenchmarkInfo", "group_name", self.group_name)
-        _check_str("BenchmarkInfo", "description", self.description)
-        for i, tag in enumerate(self.tags):
-            _check_str("BenchmarkInfo", f"tags[{i}]", tag, non_empty=True)
-        _check_bool("BenchmarkInfo", "builtin", self.builtin)
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "group": self.group,
-            "group_name": self.group_name,
-            "description": self.description,
-            "tags": list(self.tags),
-            "builtin": self.builtin,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "BenchmarkInfo":
-        return _construct(cls, _decode_kwargs(cls, payload))
+        _check_names(self, "name", "tags")
+        _check_range(self, "group", minimum=0)
 
 
-@dataclass(frozen=True)
+@payload_type
 class RunResponse:
     """The result envelope for one completed benchmark run.
 
@@ -674,37 +362,10 @@ class RunResponse:
     api_version: str = API_VERSION
 
     def __post_init__(self) -> None:
-        if not isinstance(self.result, BenchmarkResult):
-            _fail("RunResponse", "result",
-                  f"must be a BenchmarkResult, got {type(self.result).__name__}")
-        if self.api_version != API_VERSION:
-            _fail("RunResponse", "api_version",
-                  f"must be {API_VERSION!r}, got {self.api_version!r}")
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "api_version": self.api_version,
-            "result": self.result.to_payload(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "RunResponse":
-        kwargs = _decode_kwargs(cls, payload)
-        if "result" not in kwargs:
-            raise ValidationError("RunResponse payload is missing 'result'")
-        try:
-            result = BenchmarkResult.from_payload(kwargs["result"])
-        except (ArtifactError, AttributeError, IndexError, KeyError,
-                TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"RunResponse.result: malformed BenchmarkResult payload "
-                f"({exc})"
-            ) from exc
-        kwargs["result"] = result
-        return _construct(cls, kwargs)
+        _check_api_version(self)
 
 
-@dataclass(frozen=True)
+@payload_type
 class JobStatus:
     """A point-in-time snapshot of an async job.
 
@@ -746,93 +407,22 @@ class JobStatus:
     api_version: str = API_VERSION
 
     def __post_init__(self) -> None:
-        _check_str("JobStatus", "job_id", self.job_id, non_empty=True)
-        _check_choice("JobStatus", "state", self.state, JOB_STATES)
-        _check_choice("JobStatus", "kind", self.kind, JOB_KINDS)
-        _check_number("JobStatus", "submitted_at", self.submitted_at,
-                      minimum=0.0)
-        _check_number("JobStatus", "started_at", self.started_at,
-                      optional=True, minimum=0.0)
-        _check_number("JobStatus", "finished_at", self.finished_at,
-                      optional=True, minimum=0.0)
-        _check_int("JobStatus", "total", self.total, minimum=0)
-        _check_int("JobStatus", "completed", self.completed, minimum=0)
-        _check_str("JobStatus", "stage", self.stage)
-        _check_str("JobStatus", "error", self.error)
-        _check_int("JobStatus", "attempts", self.attempts, minimum=0)
-        _check_str("JobStatus", "client_id", self.client_id)
-        _check_str("JobStatus", "request_id", self.request_id)
+        _check_names(self, "job_id")
+        _check_choice(self, "state", JOB_STATES)
+        _check_choice(self, "kind", JOB_KINDS)
+        _check_range(self, "submitted_at", "started_at", "finished_at",
+                     "total", "completed", "attempts", "queue_wait",
+                     minimum=0)
         if self.priority:
-            _check_choice("JobStatus", "priority", self.priority,
-                          PRIORITY_CLASSES)
-        _check_number("JobStatus", "queue_wait", self.queue_wait,
-                      optional=True, minimum=0.0)
-        if self.result is not None and not isinstance(self.result, RunResponse):
-            _fail("JobStatus", "result", "must be a RunResponse or None")
-        if self.results is not None:
-            if not isinstance(self.results, tuple) or any(
-                not isinstance(r, RunResponse) for r in self.results
-            ):
-                _fail("JobStatus", "results",
-                      "must be a tuple of RunResponse or None")
-        if self.report is not None and not isinstance(self.report, SynthReport):
-            _fail("JobStatus", "report", "must be a SynthReport or None")
-        if self.api_version != API_VERSION:
-            _fail("JobStatus", "api_version",
-                  f"must be {API_VERSION!r}, got {self.api_version!r}")
+            _check_choice(self, "priority", PRIORITY_CLASSES)
+        _check_api_version(self)
 
     @property
     def finished(self) -> bool:
         return self.state in ("done", "failed", "cancelled")
 
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "api_version": self.api_version,
-            "job_id": self.job_id,
-            "state": self.state,
-            "kind": self.kind,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "total": self.total,
-            "completed": self.completed,
-            "stage": self.stage,
-            "error": self.error,
-            "attempts": self.attempts,
-            "client_id": self.client_id,
-            "request_id": self.request_id,
-            "priority": self.priority,
-            "queue_wait": self.queue_wait,
-            "result": self.result.to_payload() if self.result else None,
-            "results": (
-                [r.to_payload() for r in self.results]
-                if self.results is not None else None
-            ),
-            "report": (
-                self.report.to_payload() if self.report is not None else None
-            ),
-        }
 
-    @classmethod
-    def from_payload(cls, payload: object) -> "JobStatus":
-        kwargs = _decode_kwargs(cls, payload)
-        if kwargs.get("result") is not None:
-            kwargs["result"] = RunResponse.from_payload(kwargs["result"])
-        if kwargs.get("results") is not None:
-            results = kwargs["results"]
-            if not isinstance(results, tuple):
-                raise ValidationError(
-                    "JobStatus.results payload must be an array"
-                )
-            kwargs["results"] = tuple(
-                RunResponse.from_payload(r) for r in results
-            )
-        if kwargs.get("report") is not None:
-            kwargs["report"] = SynthReport.from_payload(kwargs["report"])
-        return _construct(cls, kwargs)
-
-
-@dataclass(frozen=True)
+@payload_type
 class ClusterNodeInfo:
     """One registered agent node as ``GET /v1/cluster`` describes it."""
 
@@ -843,28 +433,11 @@ class ClusterNodeInfo:
     last_seen_age: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_str("ClusterNodeInfo", "node_id", self.node_id, non_empty=True)
-        _check_str("ClusterNodeInfo", "host", self.host)
-        _check_int("ClusterNodeInfo", "workers", self.workers, minimum=0)
-        _check_int("ClusterNodeInfo", "claims", self.claims, minimum=0)
-        _check_number("ClusterNodeInfo", "last_seen_age", self.last_seen_age,
-                      minimum=0.0)
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "node_id": self.node_id,
-            "host": self.host,
-            "workers": self.workers,
-            "claims": self.claims,
-            "last_seen_age": self.last_seen_age,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "ClusterNodeInfo":
-        return _construct(cls, _decode_kwargs(cls, payload))
+        _check_names(self, "node_id")
+        _check_range(self, "workers", "claims", "last_seen_age", minimum=0)
 
 
-@dataclass(frozen=True)
+@payload_type
 class ClusterStatus:
     """The fleet snapshot behind ``GET /v1/cluster``.
 
@@ -885,51 +458,7 @@ class ClusterStatus:
     api_version: str = API_VERSION
 
     def __post_init__(self) -> None:
-        _check_bool("ClusterStatus", "enabled", self.enabled)
-        _check_str("ClusterStatus", "coordinator", self.coordinator)
-        _check_bool("ClusterStatus", "draining", self.draining)
-        if not isinstance(self.nodes, tuple) or any(
-            not isinstance(n, ClusterNodeInfo) for n in self.nodes
-        ):
-            _fail("ClusterStatus", "nodes",
-                  "must be a tuple of ClusterNodeInfo")
-        _check_int("ClusterStatus", "remote_workers", self.remote_workers,
-                   minimum=0)
-        _check_int("ClusterStatus", "local_workers", self.local_workers,
-                   minimum=0)
-        _check_int("ClusterStatus", "claims_total", self.claims_total,
-                   minimum=0)
-        _check_int("ClusterStatus", "completions_total",
-                   self.completions_total, minimum=0)
-        _check_int("ClusterStatus", "events_seq", self.events_seq, minimum=0)
-        if self.api_version != API_VERSION:
-            _fail("ClusterStatus", "api_version",
-                  f"must be {API_VERSION!r}, got {self.api_version!r}")
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "api_version": self.api_version,
-            "enabled": self.enabled,
-            "coordinator": self.coordinator,
-            "draining": self.draining,
-            "nodes": [n.to_payload() for n in self.nodes],
-            "remote_workers": self.remote_workers,
-            "local_workers": self.local_workers,
-            "claims_total": self.claims_total,
-            "completions_total": self.completions_total,
-            "events_seq": self.events_seq,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "ClusterStatus":
-        kwargs = _decode_kwargs(cls, payload)
-        if "nodes" in kwargs:
-            nodes = kwargs["nodes"]
-            if not isinstance(nodes, tuple):
-                raise ValidationError(
-                    "ClusterStatus.nodes payload must be an array"
-                )
-            kwargs["nodes"] = tuple(
-                ClusterNodeInfo.from_payload(n) for n in nodes
-            )
-        return _construct(cls, kwargs)
+        _check_range(self, "remote_workers", "local_workers",
+                     "claims_total", "completions_total", "events_seq",
+                     minimum=0)
+        _check_api_version(self)

@@ -7,9 +7,11 @@ into one :class:`EventHub`.  Subscribers are content-blind queues: a
 ``/v1/cluster`` route renders the retained ring buffer, and tests
 assert ordering on the monotonic ``seq``.
 
-Events are frozen dataclasses with the strict codec contract of the
-rest of the wire protocol, so a subscriber can round-trip and validate
-every pushed frame.  The hub keeps a bounded ring of recent events
+Events are payload types (:func:`repro.codec.payload_type`): the JSON
+codec and field type checks are derived from the fields and fail as
+:class:`~repro.cluster.protocol.ProtocolError`, like the rest of the
+wire protocol, so a subscriber can round-trip and validate every pushed
+frame.  The hub keeps a bounded ring of recent events
 (replayable on subscribe) and never blocks a publisher: a subscriber
 that stops draining loses events past its queue bound instead of
 wedging the coordinator.
@@ -20,12 +22,12 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from collections import deque
 
-from repro.cluster.protocol import ProtocolError, check, is_count, is_str
+from repro.cluster.protocol import ProtocolError
+from repro.codec import payload_type
 
 #: every event kind the coordinator publishes
 EVENT_KINDS = (
@@ -40,17 +42,7 @@ DEFAULT_HISTORY = 256
 SUBSCRIBER_QUEUE_MAX = 1024
 
 
-def _is_seq(value: object) -> bool:
-    """an int >= 1"""
-    return is_count(value) and value >= 1
-
-
-def _is_number(value: object) -> bool:
-    """a number"""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
+@payload_type(error=ProtocolError)
 class ClusterEvent:
     """One fleet transition, strictly typed for the wire."""
 
@@ -62,50 +54,15 @@ class ClusterEvent:
     detail: str = ""
 
     def __post_init__(self) -> None:
-        check("ClusterEvent.seq", self.seq, _is_seq)
-        check("ClusterEvent.ts", self.ts, _is_number)
+        if self.seq < 1:
+            raise ProtocolError(
+                f"ClusterEvent.seq: must be >= 1, got {self.seq}"
+            )
         if self.kind not in EVENT_KINDS:
             raise ProtocolError(
                 f"ClusterEvent.kind: must be one of {list(EVENT_KINDS)}, "
                 f"got {self.kind!r}"
             )
-        for name in ("node_id", "job_id", "detail"):
-            check(f"ClusterEvent.{name}", getattr(self, name), is_str)
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "seq": self.seq,
-            "ts": self.ts,
-            "kind": self.kind,
-            "node_id": self.node_id,
-            "job_id": self.job_id,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "ClusterEvent":
-        if not isinstance(payload, Mapping):
-            raise ProtocolError(
-                f"ClusterEvent payload must be an object, "
-                f"got {type(payload).__name__}"
-            )
-        known = ("seq", "ts", "kind", "node_id", "job_id", "detail")
-        unknown = sorted(set(payload) - set(known))
-        if unknown:
-            raise ProtocolError(
-                f"ClusterEvent payload has unknown key(s): "
-                f"{', '.join(unknown)}"
-            )
-        if "seq" not in payload or "ts" not in payload or "kind" not in payload:
-            raise ProtocolError(
-                "ClusterEvent payload needs 'seq', 'ts', and 'kind'"
-            )
-        try:
-            return cls(**{str(k): v for k, v in payload.items()})
-        except TypeError as exc:
-            raise ProtocolError(
-                f"malformed ClusterEvent payload: {exc}"
-            ) from exc
 
 
 class EventHub:

@@ -6,6 +6,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
+from repro.codec import fields_to_payload
 from repro.graph.model import PropertyGraph
 from repro.storage.artifacts import graph_from_payload, graph_to_payload
 
@@ -84,22 +85,8 @@ class StageTimings:
             "store_misses": self.store_misses,
         }
 
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "recording": self.recording,
-            "transformation": self.transformation,
-            "generalization": self.generalization,
-            "comparison": self.comparison,
-            "virtual_recording": self.virtual_recording,
-            "solver_steps": self.solver_steps,
-            "solver_searches": self.solver_searches,
-            "matching_cache_hits": self.matching_cache_hits,
-            "cost_cache_hits": self.cost_cache_hits,
-            "decomposed_components": self.decomposed_components,
-            "component_steps_max": self.component_steps_max,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-        }
+    #: every field, JSON-ready (the payload codec's derived encoder)
+    to_payload = fields_to_payload
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, object]) -> "StageTimings":

@@ -1,8 +1,11 @@
 """Retry, backoff, lease, and deadline policy for the execution plane.
 
-One frozen dataclass carries every fault-tolerance knob a fleet needs;
-it serializes to JSON so the supervisor can hand the exact policy to
-every worker process it spawns.
+One payload type (:func:`repro.codec.payload_type`) carries every
+fault-tolerance knob a fleet needs.  Its JSON codec and field type
+checks are derived from the fields, so the supervisor can hand the exact
+policy to every worker process it spawns and a malformed policy fails
+with a :class:`~repro.api.errors.ValidationError` (a ``ValueError``).
+``__post_init__`` holds the value rules.
 
 Backoff is capped exponential with deterministic jitter: the delay for
 attempt *n* is ``base * 2**(n-1)`` capped at ``backoff_cap``, stretched
@@ -16,11 +19,12 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
-from typing import Dict, Mapping
+
+from repro.api.errors import ValidationError
+from repro.codec import payload_type
 
 
-@dataclass(frozen=True)
+@payload_type
 class RetryPolicy:
     """Fault-tolerance knobs for one execution plane."""
 
@@ -42,24 +46,24 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
-            raise ValueError(
+            raise ValidationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
         if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff_base/backoff_cap must be >= 0")
+            raise ValidationError("backoff_base/backoff_cap must be >= 0")
         if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError(
+            raise ValidationError(
                 f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"
             )
         if self.lease_ttl <= 0:
-            raise ValueError(f"lease_ttl must be > 0, got {self.lease_ttl}")
+            raise ValidationError(f"lease_ttl must be > 0, got {self.lease_ttl}")
         if self.heartbeat_interval <= 0:
-            raise ValueError(
+            raise ValidationError(
                 f"heartbeat_interval must be > 0, "
                 f"got {self.heartbeat_interval}"
             )
         if self.heartbeat_interval >= self.lease_ttl:
-            raise ValueError(
+            raise ValidationError(
                 "heartbeat_interval must be < lease_ttl or every live "
                 "worker looks lost"
             )
@@ -80,18 +84,3 @@ class RetryPolicy:
             fraction = random.Random(zlib.crc32(material)).random()
             delay *= 1.0 + self.backoff_jitter * fraction
         return delay
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff_base": self.backoff_base,
-            "backoff_cap": self.backoff_cap,
-            "backoff_jitter": self.backoff_jitter,
-            "lease_ttl": self.lease_ttl,
-            "heartbeat_interval": self.heartbeat_interval,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "RetryPolicy":
-        return cls(**dict(payload))

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 import uuid
 from pathlib import Path
@@ -61,6 +60,7 @@ from repro.sched.policy import (
     summarize_class_stats,
     zeroed_class_stats,
 )
+from repro.storage.artifacts import write_text_atomic
 
 #: bump when the record schema changes incompatibly
 QUEUE_VERSION = 1
@@ -105,20 +105,7 @@ def _now() -> float:
 
 
 def _write_json_atomic(path: Path, payload: Dict[str, object]) -> None:
-    blob = json.dumps(payload, sort_keys=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{path.stem}.", suffix=".tmp", dir=str(path.parent)
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(blob)
-        os.replace(tmp_name, path)
-    except OSError:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_text_atomic(path, json.dumps(payload, sort_keys=True))
 
 
 def _read_json(path: Path) -> Optional[Dict[str, object]]:
@@ -748,11 +735,6 @@ class JobQueue:
             return int(payload.get("promoted") or 0)
         except (TypeError, ValueError):
             return 0
-
-    @staticmethod
-    def _job_id_of(token_name: str) -> Optional[str]:
-        parts = token_name.split("-", 1)
-        return parts[1] if len(parts) == 2 and parts[1] else None
 
     def _token_for(self, job_id: str) -> Optional[Path]:
         for token in self._pending.glob(f"*-{job_id}"):

@@ -32,8 +32,13 @@ to the spool), each firing must claim an ``O_EXCL`` token file, so a
 ``times=1`` kill happens exactly once no matter how many workers replay
 the same occurrence point.
 
-The layer is dependency-free (stdlib only); the hooks it implements are
-called from the worker's stage-boundary progress callback and from
+A :class:`FaultSpec` is a payload type (:func:`repro.codec.payload_type`):
+its JSON codec and field type checks are derived from its fields, so a
+malformed spec — an unknown key, or a mistyped ``worker`` slot that
+could never match — is a :class:`FaultError`, and ``__post_init__``
+holds only the value rules.  Beyond that codec the layer is stdlib only;
+the hooks it implements are called from the worker's stage-boundary
+progress callback and from
 :meth:`repro.storage.artifacts.ArtifactStore.save` via the module's
 ``DEFAULT_FAULT_GATE`` seam.
 """
@@ -44,9 +49,10 @@ import os
 import random
 import time
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.codec import payload_type
 
 #: the fault kinds the execution plane knows how to inject
 FAULT_KINDS = (
@@ -66,7 +72,7 @@ class FaultError(Exception):
     """A malformed fault spec or plan payload."""
 
 
-@dataclass(frozen=True)
+@payload_type(error=FaultError)
 class FaultSpec:
     """One injectable fault, addressed by site and occurrence.
 
@@ -125,42 +131,6 @@ class FaultSpec:
                     f"unknown wire op {self.op!r}; expected one of "
                     f"{sorted(OPS)}"
                 )
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "stage": self.stage,
-            "benchmark": self.benchmark,
-            "status": self.status,
-            "worker": self.worker,
-            "at": self.at,
-            "times": self.times,
-            "probability": self.probability,
-            "latency": self.latency,
-            "keep_bytes": self.keep_bytes,
-            "op": self.op,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "FaultSpec":
-        if not isinstance(payload, Mapping):
-            raise FaultError(
-                f"fault spec payload must be an object, "
-                f"got {type(payload).__name__}"
-            )
-        known = {
-            "kind", "stage", "benchmark", "status", "worker",
-            "at", "times", "probability", "latency", "keep_bytes", "op",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise FaultError(f"fault spec payload has unknown keys: {unknown}")
-        if "kind" not in payload:
-            raise FaultError("fault spec payload is missing 'kind'")
-        try:
-            return cls(**dict(payload))
-        except TypeError as exc:
-            raise FaultError(f"malformed fault spec payload: {exc}") from exc
 
 
 class FaultPlan:

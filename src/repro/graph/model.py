@@ -181,9 +181,6 @@ class PropertyGraph:
     def has_node(self, node_id: str) -> bool:
         return node_id in self._nodes
 
-    def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._edges
-
     def nodes(self) -> Iterator[Node]:
         return iter(self._nodes.values())
 

@@ -60,10 +60,6 @@ def graph_to_provjson(graph: PropertyGraph) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _node_kind_of(kind: str) -> str:
-    return kind
-
-
 def provjson_to_graph(text: str, gid: str = "prov") -> PropertyGraph:
     """Parse a PROV-JSON document into a property graph."""
     try:

@@ -25,14 +25,6 @@ class VirtualClock:
         self._now_ns += self._rng.randrange(min_ns, max_ns)
         return self._now_ns
 
-    @property
-    def now_ns(self) -> int:
-        return self._now_ns
-
-    @property
-    def now_seconds(self) -> float:
-        return self._now_ns / 1e9
-
 
 class IdAllocator:
     """Allocates run-volatile identifiers: pids, inode numbers, object ids."""

@@ -1,10 +1,16 @@
 """Scheduling vocabulary: priority classes, quotas, fair share, config.
 
-Everything here is policy *data* — small frozen dataclasses with strict
-JSON codecs (unknown keys rejected, like the rest of the typed API) and
-one on-disk ledger.  The mechanisms that consume them live elsewhere:
-admission in :mod:`repro.sched.admission`, claim-order integration in
-:mod:`repro.exec.queue`, autoscaling in :mod:`repro.sched.autoscale`.
+Everything here is policy *data* and one on-disk ledger.
+:class:`QuotaPolicy` and :class:`AutoscalePolicy` are payload types
+(:func:`repro.codec.payload_type`): their JSON codecs and field type
+checks are derived from the fields, and ``__post_init__`` holds their
+value rules.  :class:`QuotaTable` and :class:`SchedulerConfig` keep
+hand-written codecs because their wire shape is not their field list
+(``null`` tables, the nested ``fair_share`` block); they check keys
+with the same :func:`repro.codec.payload_object`.  The mechanisms that
+consume them live elsewhere: admission in :mod:`repro.sched.admission`,
+claim-order integration in :mod:`repro.exec.queue`, autoscaling in
+:mod:`repro.sched.autoscale`.
 
 Priority classes order ``urgent < interactive < batch < background``
 (lower rank claims first).  ``urgent`` is admin-only at admission; aging
@@ -17,14 +23,14 @@ scan.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro.api.errors import ValidationError
+from repro.codec import payload_object, payload_type
+from repro.storage.artifacts import write_text_atomic
 
 #: claim order, best first; ranks are the tuple indexes
 PRIORITY_CLASSES: Tuple[str, ...] = (
@@ -78,28 +84,7 @@ class PriorityClass:
         return PriorityClass(rank=class_rank(name), name=name)
 
 
-def _check_unknown(payload: Mapping[str, object], known, what: str) -> None:
-    unknown = sorted(set(payload) - set(known))
-    if unknown:
-        raise ValidationError(
-            f"unknown {what} key(s): {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(known))})"
-        )
-
-
-def _opt_count(payload: Mapping[str, object], key: str, what: str):
-    value = payload.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValidationError(
-            f"{what}.{key} must be a non-negative integer or null, "
-            f"got {value!r}"
-        )
-    return value
-
-
-@dataclass(frozen=True)
+@payload_type
 class QuotaPolicy:
     """Per-client admission limits (``None`` = unlimited).
 
@@ -111,27 +96,17 @@ class QuotaPolicy:
     max_in_flight: Optional[int] = None
     max_queued: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        for name in ("max_in_flight", "max_queued"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValidationError(
+                    f"QuotaPolicy.{name}: must be >= 0 or null, got {value}"
+                )
+
     @property
     def unlimited(self) -> bool:
         return self.max_in_flight is None and self.max_queued is None
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "max_in_flight": self.max_in_flight,
-            "max_queued": self.max_queued,
-        }
-
-    @staticmethod
-    def from_payload(payload: Mapping[str, object]) -> "QuotaPolicy":
-        if not isinstance(payload, Mapping):
-            raise ValidationError(
-                f"a quota policy must be an object, got {payload!r}"
-            )
-        _check_unknown(payload, ("max_in_flight", "max_queued"), "quota")
-        return QuotaPolicy(
-            max_in_flight=_opt_count(payload, "max_in_flight", "quota"),
-            max_queued=_opt_count(payload, "max_queued", "quota"),
-        )
 
 
 @dataclass(frozen=True)
@@ -158,11 +133,7 @@ class QuotaTable:
 
     @staticmethod
     def from_payload(payload: Mapping[str, object]) -> "QuotaTable":
-        if not isinstance(payload, Mapping):
-            raise ValidationError(
-                f"quotas must be an object, got {payload!r}"
-            )
-        _check_unknown(payload, ("default", "roles", "clients"), "quotas")
+        payload_object("QuotaTable", payload, ("default", "roles", "clients"))
 
         def _table(key: str) -> Dict[str, QuotaPolicy]:
             raw = payload.get(key) or {}
@@ -182,7 +153,7 @@ class QuotaTable:
         )
 
 
-@dataclass(frozen=True)
+@payload_type
 class AutoscalePolicy:
     """When the fleet grows and shrinks (consumed by QueueAutoscaler).
 
@@ -215,49 +186,6 @@ class AutoscalePolicy:
         for name in ("scale_up_cooldown", "scale_down_cooldown", "idle_grace"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"autoscale.{name} must be >= 0")
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "min_workers": self.min_workers,
-            "max_workers": self.max_workers,
-            "backlog_per_worker": self.backlog_per_worker,
-            "scale_up_cooldown": self.scale_up_cooldown,
-            "scale_down_cooldown": self.scale_down_cooldown,
-            "idle_grace": self.idle_grace,
-        }
-
-    @staticmethod
-    def from_payload(payload: Mapping[str, object]) -> "AutoscalePolicy":
-        if not isinstance(payload, Mapping):
-            raise ValidationError(
-                f"autoscale must be an object, got {payload!r}"
-            )
-        known = (
-            "min_workers", "max_workers", "backlog_per_worker",
-            "scale_up_cooldown", "scale_down_cooldown", "idle_grace",
-        )
-        _check_unknown(payload, known, "autoscale")
-        kwargs: Dict[str, object] = {}
-        for name in ("min_workers", "max_workers"):
-            if name in payload:
-                value = payload[name]
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValidationError(
-                        f"autoscale.{name} must be an integer, got {value!r}"
-                    )
-                kwargs[name] = value
-        for name in ("backlog_per_worker", "scale_up_cooldown",
-                     "scale_down_cooldown", "idle_grace"):
-            if name in payload:
-                value = payload[name]
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    raise ValidationError(
-                        f"autoscale.{name} must be a number, got {value!r}"
-                    )
-                kwargs[name] = float(value)
-        return AutoscalePolicy(**kwargs)
 
 
 class FairShareLedger:
@@ -310,19 +238,10 @@ class FairShareLedger:
             now,
         ) + max(0.0, float(runtime))
         payload = {"client_id": client_id, "charge": total, "ts": now}
-        blob = json.dumps(payload, sort_keys=True)
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{path.stem}.", suffix=".tmp", dir=str(self.root)
-        )
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
+            write_text_atomic(path, json.dumps(payload, sort_keys=True))
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            pass  # a lost charge reads as zero: fair share degrades, no more
         return total
 
     def usage(self, client_id: str, now: Optional[float] = None) -> float:
@@ -405,15 +324,10 @@ class SchedulerConfig:
 
     @staticmethod
     def from_payload(payload: Mapping[str, object]) -> "SchedulerConfig":
-        if not isinstance(payload, Mapping):
-            raise ValidationError(
-                f"scheduler config must be an object, got {payload!r}"
-            )
-        known = (
+        payload_object("SchedulerConfig", payload, (
             "aging_wait", "default_classes", "quotas", "fair_share",
             "autoscale",
-        )
-        _check_unknown(payload, known, "scheduler")
+        ))
         aging = payload.get("aging_wait")
         if aging is not None and (
             isinstance(aging, bool) or not isinstance(aging, (int, float))
@@ -427,11 +341,8 @@ class SchedulerConfig:
                 f"default_classes must be an object, got {classes!r}"
             )
         fair = payload.get("fair_share") or {}
-        if not isinstance(fair, Mapping):
-            raise ValidationError(
-                f"fair_share must be an object, got {fair!r}"
-            )
-        _check_unknown(fair, ("halflife", "weights"), "fair_share")
+        payload_object("SchedulerConfig.fair_share", fair,
+                       ("halflife", "weights"))
         weights = fair.get("weights") or {}
         if not isinstance(weights, Mapping):
             raise ValidationError(

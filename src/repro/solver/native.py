@@ -176,10 +176,6 @@ def solver_optimizations(enabled: bool) -> Iterator[None]:
         _OPTIMIZATIONS_ENABLED = previous
 
 
-def optimizations_enabled() -> bool:
-    return _OPTIMIZATIONS_ENABLED
-
-
 _DECOMPOSITION_ENABLED = True
 
 
@@ -201,10 +197,6 @@ def solver_decomposition(enabled: bool) -> Iterator[None]:
         _DECOMPOSITION_ENABLED = previous
 
 
-def decomposition_enabled() -> bool:
-    return _DECOMPOSITION_ENABLED and _OPTIMIZATIONS_ENABLED
-
-
 @dataclass
 class Matching:
     """A solution: node/edge mapping from graph 1 into graph 2 plus cost."""
@@ -212,11 +204,6 @@ class Matching:
     node_map: Dict[str, str]
     edge_map: Dict[str, str]
     cost: int
-
-    def mapped_elements(self) -> Dict[str, str]:
-        combined = dict(self.node_map)
-        combined.update(self.edge_map)
-        return combined
 
 
 def property_mismatch_cost(

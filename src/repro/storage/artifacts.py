@@ -69,6 +69,25 @@ def canonical_key(material: Mapping[str, object]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Publish ``text`` at ``path`` all at once: write a unique temp file
+    beside it, then ``os.replace`` it into place (the temp file is
+    removed if either step fails), so readers never see a torn file."""
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=f".{path.stem}.", suffix=".tmp", dir=str(path.parent)
+    )
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except OSError:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 @dataclass
 class StoreStats:
     """Per-store-instance counters (one run's view of the cache)."""
@@ -189,19 +208,7 @@ class ArtifactStore:
             # may publish a torn artifact under the final name and raise
             # (the injected mid-write crash the load() path must survive)
             self.fault_gate.on_store_write(stage, path, blob)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{path.stem}.", suffix=".tmp", dir=str(path.parent)
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob)
-            os.replace(tmp_name, path)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_text_atomic(path, blob)
         self.stats.writes += 1
         return path
 

@@ -113,14 +113,6 @@ class GenState:
         self.files.append(name)
         return name
 
-    def ensure_dir(self, rng: random.Random) -> str:
-        if self.dirs and rng.random() < 0.5:
-            return rng.choice(self.dirs)
-        name = self.fresh("d")
-        self.setup.append(SetupSpec(kind="dir", path=name, mode=0o755))
-        self.dirs.append(name)
-        return name
-
     def readable_fds(self) -> List[FdInfo]:
         return [fd for fd in self.fds if fd.readable]
 

@@ -316,7 +316,9 @@ class TestRuns:
 
 class TestServeCommand:
     def test_serve_smoke_over_subprocess(self, tmp_path):
-        """`provmark serve` on a free port answers a real POST /v1/runs."""
+        """`provmark serve` on a free port: healthy and idle, runs a spec
+        registered over HTTP, and answers POST /v1/runs with exactly the
+        direct run's payload (minus wall-clock stage timings)."""
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
             stdout=subprocess.PIPE,
@@ -327,25 +329,43 @@ class TestServeCommand:
         try:
             line = proc.stdout.readline()
             assert "serving on http://" in line
-            url = line.split("serving on ")[1].split(" ")[0].rstrip("/")
+            base = line.split("serving on ")[1].split("/v1")[0]
+
+            def call(path, body=None, expect=200):
+                request = urllib.request.Request(
+                    base + path,
+                    data=None if body is None else json.dumps(body).encode(),
+                    headers={"Content-Type": "application/json"},
+                    method="GET" if body is None else "POST",
+                )
+                with urllib.request.urlopen(request, timeout=120) as resp:
+                    assert resp.status == expect, (path, resp.status)
+                    return json.loads(resp.read())
+
+            health = call("/v1/health")
+            assert health["status"] == "ok", health
+            assert health["jobs"]["total"] == 0, health
+
+            registered = call("/v1/benchmarks",
+                              custom_spec_payload("ci_touch"), expect=201)
+            assert registered["benchmark"]["name"] == "ci_touch"
+            custom = call("/v1/runs", {"benchmark": "ci_touch", "seed": 5,
+                                       "wait": True})
+            assert custom["result"]["classification"] == "ok", custom
+
             body = RunRequest(benchmark="open", tool="spade",
                               seed=5).to_payload()
             body["wait"] = True
-            request = urllib.request.Request(
-                url.replace("/v1", "") + "/v1/runs",
-                data=json.dumps(body).encode("utf-8"),
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
-            with urllib.request.urlopen(request, timeout=120) as resp:
-                payload = json.loads(resp.read())
-            over_http = RunResponse.from_payload(payload)
+            over_http = call("/v1/runs", body)
             direct = BenchmarkService().run(
                 RunRequest(benchmark="open", tool="spade", seed=5)
-            )
-            assert over_http.result.target_graph == direct.result.target_graph
-            assert over_http.result.classification is \
-                direct.result.classification
+            ).to_payload()
+            for payload in (over_http, direct):
+                timings = payload["result"]["timings"]
+                for stage in ("recording", "transformation",
+                              "generalization", "comparison"):
+                    timings.pop(stage)  # wall clock differs per run
+            assert over_http == json.loads(json.dumps(direct))
         finally:
             proc.terminate()
             proc.wait(timeout=10)

@@ -261,15 +261,21 @@ def test_expired_deadline_is_a_permanent_504():
 
 
 def test_fleet_does_not_retry_deadline_misses(tmp_path):
+    request = RunRequest(benchmark="open", tool="spade", deadline=1e-9)
     with FleetJobManager(tmp_path, workers=1,
                          policy=RetryPolicy(**FAST)) as manager:
         service = BenchmarkService(jobs=manager)
-        status = service.submit(
-            RunRequest(benchmark="open", tool="spade", deadline=1e-9))
+        status = service.submit(request)
         done = wait_terminal(manager, status.job_id)
         assert done.state == "failed"
         assert done.attempts == 1  # deterministic failure: no retries
-        assert "deadline" in done.error
+        assert done.error.startswith("DeadlineError: "), done.error
+    # the thread-pool manager renders the same failure the same way
+    with BenchmarkService() as service:
+        status = service.submit(request)
+        done = wait_terminal(service.jobs, status.job_id)
+        assert done.state == "failed"
+        assert done.error.startswith("DeadlineError: "), done.error
 
 
 def test_deadline_must_be_positive():

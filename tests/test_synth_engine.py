@@ -102,15 +102,18 @@ class TestServiceSynthesize:
         service = _service()
         report = service.synthesize(SynthConfig(**SMALL))
         assert report.kept
-        for name in report.kept:
+        for name, digest in zip(report.kept, report.digests):
             info = service.benchmark_info(name)
             assert "synth" in info.tags
             assert not info.builtin
-        # registered benchmarks are runnable by name
-        response = service.run(
-            RunRequest(benchmark=report.kept[0], tool="spade", seed=5)
-        )
-        assert response.result.benchmark == report.kept[0]
+            # the registry's spec view round-trips to the report's digest
+            assert spec_digest(service.benchmark_spec(name)) == digest
+            # registered benchmarks are runnable by name
+            result = service.run(
+                RunRequest(benchmark=name, tool="spade", seed=5)
+            ).result
+            assert result.benchmark == name
+            assert result.classification.value in ("ok", "empty"), name
 
     def test_report_is_deterministic_and_round_trips(self):
         report_a = _service().synthesize(SynthConfig(**SMALL))
