@@ -89,7 +89,7 @@ class SpadeCapture(CaptureSystem):
     # -- public API ---------------------------------------------------------
 
     def record(self, trace: Trace, rng: random.Random) -> RawOutput:
-        builder = _SpadeGraphBuilder(self.config, rng)
+        builder = _SpadeGraphBuilder(self.config, rng, self.render_set())
         for event in trace.audit:
             builder.feed(event)
         graph = builder.graph
@@ -108,9 +108,13 @@ class SpadeCapture(CaptureSystem):
 class _SpadeGraphBuilder:
     """Streams audit events into an OPM property graph."""
 
-    def __init__(self, config: SpadeConfig, rng: random.Random) -> None:
+    def __init__(
+        self, config: SpadeConfig, rng: random.Random, render_set: frozenset
+    ) -> None:
         self.config = config
         self.rng = rng
+        #: syscalls this configuration renders (``SpadeCapture.render_set``)
+        self.render_set = render_set
         self.graph = PropertyGraph("spade")
         self._seq = 0
         #: pid -> current process vertex id
@@ -231,18 +235,13 @@ class _SpadeGraphBuilder:
 
     # -- event dispatch ------------------------------------------------------------
 
-    def render_set(self) -> frozenset:
-        if self.config.simplify:
-            return BASE_RENDER_SET
-        return BASE_RENDER_SET | NO_SIMPLIFY_EXTRA
-
     def feed(self, event: AuditEvent) -> None:
         if self.config.audit_success_only and not event.success:
             return
         process = self._ensure_process(event)
         self._detect_cred_change(event, process)
         process = self._process_vertex[event.subject.pid]
-        if event.syscall not in self.render_set():
+        if event.syscall not in self.render_set:
             return
         handler = getattr(self, f"_on_{event.syscall}", None)
         if handler is not None:
@@ -256,7 +255,7 @@ class _SpadeGraphBuilder:
         self._last_creds[pid] = current
         if last is None or last == current:
             return
-        if event.syscall.startswith("set") and event.syscall in self.render_set():
+        if event.syscall.startswith("set") and event.syscall in self.render_set:
             # The explicit handler renders this change itself.
             return
         old_vertex = self._process_vertex[pid]

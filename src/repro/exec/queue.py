@@ -46,7 +46,7 @@ import os
 import time
 import uuid
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.api.errors import ValidationError
 from repro.exec.policy import RetryPolicy
@@ -577,16 +577,22 @@ class JobQueue:
 
     def evict_finished(self, cap: int) -> int:
         """Drop the oldest terminal records past ``cap``; returns total
-        evictions ever (the counter survives restarts)."""
+        evictions ever (the counter survives restarts).
+
+        Only each terminal record's submission stamp and id are kept, so
+        the pass holds one parsed record (and its result payload) at a
+        time rather than the whole spool's."""
         terminal = []
-        for record in self.records():
+        for record in self._iter_records():
             if record.get("state") in TERMINAL_STATES:
-                terminal.append(record)
-        terminal.sort(key=lambda rec: float(rec.get("submitted_at") or 0.0))
+                terminal.append(
+                    (float(record.get("submitted_at") or 0.0),
+                     str(record["job_id"]))
+                )
+        terminal.sort(key=lambda entry: entry[0])
         evicted = self.evicted()
         folded = 0
-        for record in terminal[: max(0, len(terminal) - cap)]:
-            job_id = str(record["job_id"])
+        for _stamp, job_id in terminal[: max(0, len(terminal) - cap)]:
             try:
                 self._record_path(job_id).unlink()
             except OSError:
@@ -627,13 +633,16 @@ class JobQueue:
 
     def records(self) -> List[Dict[str, object]]:
         """Every readable record, oldest submission first."""
-        out = []
+        out = list(self._iter_records())
+        out.sort(key=lambda rec: float(rec.get("submitted_at") or 0.0))
+        return out
+
+    def _iter_records(self) -> Iterator[Dict[str, object]]:
+        """Every readable record, in directory order, one at a time."""
         for path in self._jobs.glob("*.json"):
             record = _read_json(path)
             if record is not None and record.get("version") == QUEUE_VERSION:
-                out.append(record)
-        out.sort(key=lambda rec: float(rec.get("submitted_at") or 0.0))
-        return out
+                yield record
 
     def depth(self) -> Dict[str, int]:
         """Active-job counts from the token/lease invariant (no record

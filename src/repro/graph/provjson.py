@@ -57,7 +57,9 @@ def graph_to_provjson(graph: PropertyGraph) -> str:
             body["prov:type"] = edge.label
         body.update(edge.props)
         doc.setdefault(relation, {})[edge.id] = body
-    return json.dumps(doc, indent=2, sort_keys=True)
+    # No indent: an indented dump runs json's pure-Python encoder, a
+    # compact one the C encoder (about 3x faster on a scale128 trial).
+    return json.dumps(doc, sort_keys=True)
 
 
 def provjson_to_graph(text: str, gid: str = "prov") -> PropertyGraph:
@@ -84,8 +86,6 @@ def provjson_to_graph(text: str, gid: str = "prov") -> PropertyGraph:
                     f"relation {edge_id!r} missing {src_key}/{tgt_key}"
                 )
             label = str(body.get("prov:type", relation))
-            if label == relation or "prov:type" not in body:
-                label = relation if "prov:type" not in body else str(body["prov:type"])
             props = {
                 k: str(v)
                 for k, v in body.items()

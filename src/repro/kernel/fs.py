@@ -9,6 +9,7 @@ need).
 from __future__ import annotations
 
 import enum
+import functools
 import stat
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -27,6 +28,24 @@ class InodeType(enum.Enum):
     CHARDEV = "chardev"
     BLOCKDEV = "blockdev"
     SOCKET = "socket"
+
+
+#: stat(2) file-type bits per inode kind (an ``InodeType`` value)
+_S_IFMT = {
+    "file": stat.S_IFREG,
+    "directory": stat.S_IFDIR,
+    "link": stat.S_IFLNK,
+    "fifo": stat.S_IFIFO,
+    "chardev": stat.S_IFCHR,
+    "blockdev": stat.S_IFBLK,
+    "socket": stat.S_IFSOCK,
+}
+
+
+@functools.lru_cache(maxsize=1024)
+def mode_string(kind: str, mode: int) -> str:
+    """``ls -l`` rendering of an inode's kind and permission bits."""
+    return stat.filemode(_S_IFMT[kind] | mode)
 
 
 @dataclass
@@ -131,6 +150,7 @@ class FileSystem:
         return head or "/", tail
 
     @staticmethod
+    @functools.lru_cache(maxsize=1024)
     def normalize(path: str, cwd: str = "/") -> str:
         if not path.startswith("/"):
             path = cwd.rstrip("/") + "/" + path
@@ -278,13 +298,4 @@ class FileSystem:
         return inode
 
     def mode_string(self, inode: Inode) -> str:
-        kind = {
-            InodeType.REGULAR: stat.S_IFREG,
-            InodeType.DIRECTORY: stat.S_IFDIR,
-            InodeType.SYMLINK: stat.S_IFLNK,
-            InodeType.FIFO: stat.S_IFIFO,
-            InodeType.CHARDEV: stat.S_IFCHR,
-            InodeType.BLOCKDEV: stat.S_IFBLK,
-            InodeType.SOCKET: stat.S_IFSOCK,
-        }[inode.type]
-        return stat.filemode(kind | inode.mode)
+        return mode_string(inode.type.value, inode.mode)

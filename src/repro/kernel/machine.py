@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.kernel.clock import IdAllocator, VirtualClock, make_rng
 from repro.kernel.errors import Errno, KernelError
-from repro.kernel.fs import FileSystem, Inode, InodeType
+from repro.kernel.fs import FileSystem, Inode, InodeType, mode_string
 from repro.kernel.process import Credentials, OpenFileDescription, Process
 from repro.kernel.trace import (
     AuditEvent,
@@ -97,6 +97,8 @@ class Machine:
         #: fds into a user array; callers read them back from here)
         self.last_objects: Tuple[ObjectInfo, ...] = ()
         self._deferred_audit: List[AuditEvent] = []
+        #: one interned snapshot per process identity (see ``_subject``)
+        self._subjects: Dict[Tuple[object, ...], SubjectInfo] = {}
         self._populate_filesystem()
         self.init_process = self._make_process(
             ppid=0, creds=Credentials.for_user(0, 0), exe="/sbin/init", comm="init"
@@ -112,24 +114,38 @@ class Machine:
     # -- boot-time state -----------------------------------------------------
 
     def _populate_filesystem(self) -> None:
+        """Build the fixed boot tree on parent inodes, with no path walks."""
         fs = self.fs
+        directories = {"": fs.inode(fs.root_ino)}
         for directory in (
             "/bin", "/sbin", "/etc", "/lib", "/tmp", "/usr", "/usr/bin",
             "/usr/local", "/usr/local/bin", "/home", "/home/bench", "/dev",
             "/var", "/var/log",
         ):
-            fs.mkdir(directory)
-        fs.write_file("/etc/passwd", b"root:x:0:0::/root:/bin/sh\n", mode=0o644)
-        fs.write_file("/etc/shadow", b"root:!:0:::::\n", mode=0o600)
-        fs.write_file("/lib/libc.so.6", b"\x7fELF libc", mode=0o755)
-        fs.write_file("/lib/ld-linux.so.2", b"\x7fELF ld", mode=0o755)
-        for binary in ("/bin/sh", "/bin/true", "/sbin/init"):
-            fs.write_file(binary, b"\x7fELF bin", mode=0o755)
-        home = fs.resolve("/home/bench")
+            parent, _, name = directory.rpartition("/")
+            directories[directory] = fs.create_entry(
+                directories[parent], name, InodeType.DIRECTORY, 0o755, 0, 0
+            )
+        for path, data, mode in (
+            ("/etc/passwd", b"root:x:0:0::/root:/bin/sh\n", 0o644),
+            ("/etc/shadow", b"root:!:0:::::\n", 0o600),
+            ("/lib/libc.so.6", b"\x7fELF libc", 0o755),
+            ("/lib/ld-linux.so.2", b"\x7fELF ld", 0o755),
+            ("/bin/sh", b"\x7fELF bin", 0o755),
+            ("/bin/true", b"\x7fELF bin", 0o755),
+            ("/sbin/init", b"\x7fELF bin", 0o755),
+        ):
+            parent, _, name = path.rpartition("/")
+            inode = fs.create_entry(
+                directories[parent], name, InodeType.REGULAR, mode, 0, 0
+            )
+            inode.data = data
+            inode.size = len(data)
+            inode.bump_version()
+        home = directories["/home/bench"]
         home.uid, home.gid = BENCH_UID, BENCH_GID
         home.mode = 0o755
-        tmp = fs.resolve("/tmp")
-        tmp.mode = 0o777
+        directories["/tmp"].mode = 0o777
 
     def _make_process(
         self, ppid: int, creds: Credentials, exe: str, comm: str
@@ -149,20 +165,17 @@ class Machine:
     # -- event emission ---------------------------------------------------------
 
     def _subject(self, process: Process) -> SubjectInfo:
+        """The process snapshot, shared by every event with its identity."""
         creds = process.creds
-        return SubjectInfo(
-            pid=process.pid,
-            ppid=process.ppid,
-            exe=process.exe,
-            comm=process.comm,
-            task_id=process.task_id,
-            uid=creds.uid,
-            gid=creds.gid,
-            euid=creds.euid,
-            egid=creds.egid,
-            suid=creds.suid,
-            sgid=creds.sgid,
+        identity = (
+            process.pid, process.ppid, process.exe, process.comm,
+            process.task_id, creds.uid, creds.gid, creds.euid, creds.egid,
+            creds.suid, creds.sgid,
         )
+        subject = self._subjects.get(identity)
+        if subject is None:
+            subject = self._subjects[identity] = SubjectInfo(*identity)
+        return subject
 
     def file_object(
         self,
@@ -171,15 +184,7 @@ class Machine:
         role: str,
         fd: Optional[int] = None,
     ) -> ObjectInfo:
-        kind = {
-            InodeType.REGULAR: "file",
-            InodeType.DIRECTORY: "directory",
-            InodeType.SYMLINK: "link",
-            InodeType.FIFO: "fifo",
-            InodeType.CHARDEV: "chardev",
-            InodeType.BLOCKDEV: "blockdev",
-            InodeType.SOCKET: "socket",
-        }[inode.type]
+        kind = inode.type.value
         return ObjectInfo(
             kind=kind,
             role=role,
@@ -187,7 +192,7 @@ class Machine:
             path=path,
             fd=fd,
             version=inode.version,
-            mode=self.fs.mode_string(inode),
+            mode=mode_string(kind, inode.mode),
             uid=inode.uid,
             gid=inode.gid,
         )
@@ -241,7 +246,7 @@ class Machine:
             if hooks:
                 outcome.hooks = hooks
         subject_exit = self._subject(process)
-        self.last_objects = tuple(outcome.objects)
+        objects = self.last_objects = tuple(outcome.objects)
         audit_event = AuditEvent(
             seq=seq,
             time_ns=time_ns,
@@ -251,7 +256,7 @@ class Machine:
             success=success,
             errno=errno_name,
             subject=subject_exit,
-            objects=tuple(outcome.objects),
+            objects=objects,
         )
         if outcome.defer_audit:
             self._deferred_audit.append(audit_event)
@@ -267,7 +272,7 @@ class Machine:
                 success=success,
                 errno=errno_name,
                 subject=subject_exit,
-                objects=tuple(outcome.objects),
+                objects=objects,
             )
         )
         for hook_name, hook_objects, details in outcome.hooks:

@@ -413,6 +413,11 @@ class FileSyscalls:
                 raise denied.with_context([old_obj, parent_obj], hooks)
             hooks.append(("inode_permission", [parent_obj], {"mask": "w"}))
         existing_ino = new_parent.entries.get(new_name)
+        if existing_ino == moving.ino:
+            # Both names are links to one file (or the same name): rename(2)
+            # succeeds without doing anything, and returns before the
+            # inode_rename hook fires.
+            return SyscallOutcome(retval=0, objects=[old_obj], hooks=hooks)
         if existing_ino is not None:
             existing = self.fs.inode(existing_ino)
             # Overwriting a root-owned file as non-root fails on the sticky

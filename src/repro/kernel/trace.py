@@ -13,16 +13,20 @@ Each executed syscall produces up to three records, one per vantage point
 
 The capture systems consume these streams; they never inspect kernel
 state directly, which keeps the black-box property the paper relies on.
+
+The subject, object and event snapshots are immutable
+:class:`typing.NamedTuple` records: a syscall builds about ten of them,
+and a NamedTuple costs a third of a frozen dataclass to construct.
+Assigning a field raises :class:`AttributeError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class SubjectInfo:
+class SubjectInfo(NamedTuple):
     """Snapshot of the calling process at event time."""
 
     pid: int
@@ -50,8 +54,7 @@ class SubjectInfo:
         }
 
 
-@dataclass(frozen=True)
-class ObjectInfo:
+class ObjectInfo(NamedTuple):
     """Snapshot of one kernel object touched by a syscall."""
 
     kind: str  # "file" | "directory" | "link" | "fifo" | "pipe" | "process" | ...
@@ -68,8 +71,7 @@ class ObjectInfo:
     gid: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class AuditEvent:
+class AuditEvent(NamedTuple):
     seq: int
     time_ns: int
     syscall: str
@@ -81,8 +83,7 @@ class AuditEvent:
     objects: Tuple[ObjectInfo, ...]
 
 
-@dataclass(frozen=True)
-class LibcEvent:
+class LibcEvent(NamedTuple):
     seq: int
     time_ns: int
     function: str
@@ -94,8 +95,7 @@ class LibcEvent:
     objects: Tuple[ObjectInfo, ...]
 
 
-@dataclass(frozen=True)
-class LsmEvent:
+class LsmEvent(NamedTuple):
     seq: int
     time_ns: int
     hook: str

@@ -228,6 +228,23 @@ class TestSemanticValidation:
         with pytest.raises(ValidationError, match="declaration"):
             service.run(RunRequest(spec=spec, tool="spade", seed=3))
 
+    def test_rename_onto_itself_runs(self):
+        # rename(2) onto the same name succeeds and changes nothing
+        payload = make_payload(name="rename_self")
+        payload["program"]["ops"] = [
+            {"call": "creat", "args": ["a.txt", 420], "result": "fd"},
+            {"call": "rename", "args": ["a.txt", "a.txt"], "target": True},
+        ]
+        spec = BenchmarkSpec.from_payload(payload).validate()
+        service = BenchmarkService(registry=SUITE_REGISTRY.builtin_copy())
+        classes = {
+            tool: service.run(
+                RunRequest(spec=spec, tool=tool, seed=7)
+            ).result.classification.value
+            for tool in ("spade", "opus", "camflow")
+        }
+        assert classes == {"spade": "empty", "opus": "ok", "camflow": "empty"}
+
 
 class TestBuiltinRoundTrip:
     def test_every_builtin_round_trips_exactly(self):

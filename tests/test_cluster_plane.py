@@ -189,10 +189,15 @@ class TestCoordinator:
             finally:
                 client.close()  # no more heartbeats: the node goes dark
 
+            # the sweep requeues the job before it bumps the counter, so
+            # wait for the counter as well as the state
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 state = coord.queue.record(record["job_id"])["state"]
-                if state == "queued" and coord.node_count() == 0:
+                if (
+                    state == "queued" and coord.node_count() == 0
+                    and coord.counters["recovered_leases_total"]
+                ):
                     break
                 time.sleep(0.05)
             assert coord.queue.record(record["job_id"])["state"] == "queued"

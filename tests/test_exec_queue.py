@@ -279,6 +279,34 @@ def test_evict_finished_drops_oldest_and_counts_durably(tmp_path):
     assert JobQueue(tmp_path / "spool").evicted() == 3
 
 
+def test_evict_finished_holds_one_parsed_record_at_a_time(tmp_path):
+    """The pass keeps each record's stamp and id, not its result, so its
+    peak allocation stays near one parsed record however many finished
+    results are spooled."""
+    import tracemalloc
+
+    queue = JobQueue(tmp_path / "spool")
+    result = {"nodes": [{"id": f"n{i}", "label": "file"} for i in range(400)]}
+    for n in range(40):
+        job_id = submit(queue)["job_id"]
+        queue.claim(f"w{n}.g1")
+        queue.complete(job_id, result=result)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert queue.record(job_id)["result"] == result
+        one = tracemalloc.get_traced_memory()[1] - base
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert queue.evict_finished(cap=10) == 30
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * one, (peak, one)
+    assert len(queue.records()) == 10
+
+
 def test_terminal_states_match_api_job_states():
     from repro.api.types import JOB_STATES
 

@@ -208,6 +208,26 @@ class TestRename:
         kernel.sys_rename(proc, "old.txt", "new.txt")
         assert any(e.hook == "inode_rename" for e in kernel.trace.lsm)
 
+    def test_rename_onto_itself_does_nothing(self, kernel, proc):
+        inode = kernel.fs.write_file("/tmp/a.txt", b"data")
+        version = inode.version
+        assert kernel.sys_rename(proc, "a.txt", "a.txt") == 0
+        assert kernel.fs.resolve("/tmp/a.txt") is inode
+        assert (inode.version, inode.nlink) == (version, 1)
+        assert [o.role for o in last_audit(kernel).objects] == ["oldpath"]
+        assert not any(e.hook == "inode_rename" for e in kernel.trace.lsm)
+
+    def test_rename_between_links_to_one_file_keeps_both(self, kernel, proc):
+        # rename(2): if both names are links to the same file, do nothing
+        inode = kernel.fs.write_file("/tmp/a.txt")
+        assert kernel.sys_link(proc, "a.txt", "b.txt") == 0
+        version = inode.version
+        assert kernel.sys_rename(proc, "a.txt", "b.txt") == 0
+        assert kernel.fs.resolve("/tmp/a.txt") is inode
+        assert kernel.fs.resolve("/tmp/b.txt") is inode
+        assert (inode.version, inode.nlink) == (version, 2)
+        assert not any(e.hook == "inode_rename" for e in kernel.trace.lsm)
+
 
 class TestTruncateUnlink:
     def test_truncate_changes_size(self, kernel, proc):
