@@ -37,8 +37,11 @@ where the coordinator owns fleet-level state:
 
 Each connection is handled by one daemon thread (``ThreadingTCPServer``)
 looping frames until EOF; the queue's no-locks on-disk coordination
-makes concurrent dispatch safe, with one coordinator-side lock guarding
-only the node registry and counters.
+makes concurrent dispatch safe (claims serialize on the queue's claim
+index lock), with one coordinator-side lock guarding only the node
+registry and counters.  A completion is counted and announced only when
+``complete()`` reports it was the job's first, so a zombie's duplicate
+costs one record read and no event.
 """
 
 from __future__ import annotations
@@ -362,9 +365,8 @@ class ClusterCoordinator:
     def _op_complete(
         self, node: str, job_id: str, **outcome: object
     ) -> Dict[str, object]:
-        prior = self.queue.record(job_id)
         record = self.queue.complete(job_id, **outcome)
-        if prior is None or prior.get("state") != "done":
+        if self.queue.first_completion():
             with self._lock:
                 self.counters["completions_total"] += 1
             self.events.publish("complete", node_id=node, job_id=job_id)

@@ -30,6 +30,18 @@ across processes:
   cancel request: checked by workers at stage boundaries (one ``stat``
   per boundary) and listed once per claim.
 
+Each :class:`JobQueue` keeps an in-memory **claim index** over
+``pending/``: per token name, the parsed ``(rank, stamp, job_id)`` and,
+once read, the job's client, ``not_before`` and admitted rank.  A token
+name is minted once (its stamp is the mint time in microseconds) and a
+record's ``not_before`` only changes when a requeue mints a new name,
+so what the index read stays current for as long as the name is listed.
+A claim therefore lists ``pending/`` as plain names and reads a job
+record only the first time it sees a token, plus the winner's record
+once; draining N jobs reads O(N) records, not O(N²).  The directory
+stays the only shared state: an index is a per-process cache that
+starts empty and is rebuilt from the listing.
+
 Delivery is **at-least-once**: a worker that loses its lease to a stale
 heartbeat may still be running (the zombie case fault injection
 exercises via ``heartbeat_loss``), so two workers can run the same job.
@@ -37,12 +49,17 @@ Both coordinate results through the artifact store's atomic
 content-addressed writes; job-record updates are last-writer-wins with
 one guard — a terminal record is never downgraded back to a live state,
 so a completed job stays completed whatever a lagging writer thinks.
+Only the call that moves a record to ``queued`` mints its token, and a
+zombie's terminal write to a requeued record removes that token, so the
+token/lease invariant holds through the zombie case too.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
+import threading
 import time
 import uuid
 from pathlib import Path
@@ -96,6 +113,21 @@ def _parse_token(name: str) -> Optional[Tuple[Optional[int], float, str]]:
     return rank, stamp, job_id
 
 
+class _Token:
+    """One pending token as a claim index knows it: its name, parsed,
+    and ``facts`` — ``(client_id, not_before, admitted rank)`` from the
+    job record, or None until a claim or aging pass has read it."""
+
+    __slots__ = ("name", "rank", "stamp", "job_id", "facts")
+
+    def __init__(self, name: str, rank: int, stamp: float, job_id: str) -> None:
+        self.name = name
+        self.rank = rank
+        self.stamp = stamp
+        self.job_id = job_id
+        self.facts: Optional[Tuple[str, float, int]] = None
+
+
 class QueueError(Exception):
     """Raised for unusable spool directories or malformed records."""
 
@@ -145,6 +177,13 @@ class JobQueue:
         # aging agree fleet-wide.  Absent file = permissive defaults.
         self.sched = self._load_sched()
         self.ledger = self._make_ledger()
+        #: the claim index: listed pending token name -> what it knows.
+        #: The coordinator claims from one thread per agent connection,
+        #: so claims and aging passes hold the lock throughout.
+        self._index: Dict[str, _Token] = {}
+        self._index_lock = threading.Lock()
+        #: per thread: whether its last complete() was the job's first
+        self._completion = threading.local()
 
     def configure(self, config: SchedulerConfig) -> None:
         """Persist scheduler policy into the spool (read by every
@@ -152,6 +191,9 @@ class JobQueue:
         _write_json_atomic(self._sched_file, config.to_payload())
         self.sched = config
         self.ledger = self._make_ledger()
+        with self._index_lock:
+            # a pre-priority record's admitted class follows the policy
+            self._index = {}
 
     def _load_sched(self) -> SchedulerConfig:
         payload = _read_json(self._sched_file)
@@ -252,71 +294,133 @@ class JobQueue:
         incremented — the attempt counter counts claims, so a worker
         that dies before its first record write still gets charged by
         recovery.  ``now`` is injectable for deterministic tests.
+
+        What a claim reads: one listing of ``pending/`` and one of
+        ``cancel/``, the ledger usage of each runnable client in the
+        ranks it walks, and a job record only for a token this index has
+        not seen yet or whose job has a cancel marker — rank by rank, so
+        orphan and terminal tokens are cleaned up in the ranks walked —
+        plus the winner's record once.  A winner whose record turns out
+        missing or terminal gives its lease back and the next candidate
+        is tried.
         """
         now = _now() if now is None else now
-        if self.sched.aging_wait is not None:
-            self.promote_starved(now)
-        by_rank: Dict[int, List[Tuple[float, str, Path, str]]] = {}
-        for token in self._pending.iterdir():
-            parsed = _parse_token(token.name)
-            if parsed is None:
-                continue
-            rank, stamp, job_id = parsed
-            if rank is None:
-                rank = _LEGACY_RANK
-            by_rank.setdefault(rank, []).append(
-                (stamp, token.name, token, job_id)
-            )
-        # the cancel markers, listed once: a stat per candidate would
-        # cost nearly as much as reading its record
-        cancelled = set(os.listdir(self._cancel))
-        usages: Dict[str, float] = {}
-        for rank in sorted(by_rank):
-            runnable: List[Tuple[float, float, str, Path, str]] = []
-            for stamp, name, token, job_id in by_rank[rank]:
-                record = self.record(job_id)
-                if record is None:
-                    # orphan token (record unreadable/missing): drop it
-                    try:
-                        token.unlink()
-                    except OSError:
-                        pass
-                    continue
-                if record.get("state") in TERMINAL_STATES:
-                    try:
-                        token.unlink()
-                    except OSError:
-                        pass
-                    continue
-                if job_id in cancelled:
-                    try:
-                        token.unlink()
-                    except OSError:
-                        continue  # another worker got here first
-                    self._finalize(record, "cancelled")
-                    continue
-                if float(record.get("not_before") or 0.0) > now:
-                    continue
-                client = str(record.get("client_id") or "")
-                if client not in usages:
-                    usages[client] = self.ledger.usage(client, now)
-                runnable.append((usages[client], stamp, name, token, job_id))
-            runnable.sort()
-            for _usage, _stamp, _name, token, job_id in runnable:
-                lease = self._leases / job_id
-                try:
-                    os.rename(token, lease)
-                except OSError:
-                    continue  # lost the race
-                self.heartbeat(job_id, owner, "claimed")
-                def _claimed(rec: Dict[str, object]) -> None:
-                    rec["state"] = "running"
-                    rec["attempts"] = int(rec.get("attempts") or 0) + 1
-                    rec["owner"] = owner
-                    rec["started_at"] = rec.get("started_at") or _now()
-                    rec["stage"] = ""
-                return self._update(job_id, _claimed)
+        with self._index_lock:
+            self._refresh_index()
+            if self.sched.aging_wait is not None:
+                self._promote(now, self.sched.aging_wait)
+            by_rank: Dict[int, List[_Token]] = {}
+            for token in self._index.values():
+                by_rank.setdefault(token.rank, []).append(token)
+            # the cancel markers, listed once: a stat per candidate would
+            # cost nearly as much as reading its record
+            cancelled = set(os.listdir(self._cancel))
+            usages: Dict[str, float] = {}
+            for rank in sorted(by_rank):
+                runnable: List[Tuple[float, float, str, _Token]] = []
+                for token in by_rank[rank]:
+                    facts = token.facts
+                    if facts is None or token.job_id in cancelled:
+                        facts = self._sight(token, token.job_id in cancelled)
+                        if facts is None:
+                            continue
+                    client, not_before, _origin = facts
+                    if not_before > now:
+                        continue
+                    usage = usages.get(client)
+                    if usage is None:
+                        usage = usages[client] = self.ledger.usage(client, now)
+                    runnable.append((usage, token.stamp, token.name, token))
+                # a heap, not a sort: the first candidate nearly always wins
+                heapq.heapify(runnable)
+                while runnable:
+                    record = self._take(heapq.heappop(runnable)[3], owner)
+                    if record is not None:
+                        return record
         return None
+
+    def _refresh_index(self) -> None:
+        """Re-list ``pending/``: keep what the index knows of names still
+        listed, parse new names (their records are read later, by the
+        rank walk), and forget names no longer listed."""
+        known = self._index
+        index: Dict[str, _Token] = {}
+        for name in os.listdir(self._pending):
+            token = known.get(name)
+            if token is None:
+                parsed = _parse_token(name)
+                if parsed is None:
+                    continue
+                rank, stamp, job_id = parsed
+                token = _Token(
+                    name, _LEGACY_RANK if rank is None else rank, stamp, job_id
+                )
+            index[name] = token
+        self._index = index
+
+    def _sight(
+        self, token: _Token, cancelled: bool
+    ) -> Optional[Tuple[str, float, int]]:
+        """Read a token's job record and learn its facts, or drop the
+        token (orphan or terminal record; a cancelled job is finalized).
+        Returns the facts of a token that is still a claim candidate."""
+        token.facts = self._facts(self.record(token.job_id))
+        if token.facts is None:
+            self._drop_pending(token)
+        elif cancelled:
+            if self._drop_pending(token):
+                self._settle(token.job_id, self._cancelled)
+            return None
+        return token.facts
+
+    def _facts(
+        self, record: Optional[Dict[str, object]]
+    ) -> Optional[Tuple[str, float, int]]:
+        """What the claim index keeps of a live record: client,
+        ``not_before`` and admitted rank (None: missing or terminal)."""
+        if record is None or record.get("state") in TERMINAL_STATES:
+            return None
+        return (
+            str(record.get("client_id") or ""),
+            float(record.get("not_before") or 0.0),
+            self._rank_of_record(record),
+        )
+
+    def _drop_pending(self, token: _Token) -> bool:
+        """Unlink a listed token; False when a peer got to it first."""
+        self._index.pop(token.name, None)
+        try:
+            os.unlink(self._pending / token.name)
+        except OSError:
+            return False
+        return True
+
+    def _take(self, token: _Token, owner: str) -> Optional[Dict[str, object]]:
+        """Rename a token into ``owner``'s lease and mark the job
+        running, from one read of its record; None when the rename race
+        is lost or the record is gone or terminal."""
+        self._index.pop(token.name, None)
+        job_id = token.job_id
+        lease = self._leases / job_id
+        try:
+            os.rename(self._pending / token.name, lease)
+        except OSError:
+            return None  # lost the race
+        record = self.record(job_id)
+        if record is None or record.get("state") in TERMINAL_STATES:
+            try:
+                lease.unlink()
+            except OSError:
+                pass
+            return None
+        self.heartbeat(job_id, owner, "claimed")
+        record["state"] = "running"
+        record["attempts"] = int(record.get("attempts") or 0) + 1
+        record["owner"] = owner
+        record["started_at"] = record.get("started_at") or _now()
+        record["stage"] = ""
+        _write_json_atomic(self._record_path(job_id), record)
+        return record
 
     def promote_starved(self, now: Optional[float] = None) -> int:
         """Age starved pending tokens up a class; returns promotions made.
@@ -328,35 +432,48 @@ class JobQueue:
         token rename (same stamp, lower rank prefix): losing the rename
         race to a claim or a peer's promotion sweep is benign.  Each win
         drops an O_EXCL marker under ``promoted/``, the durable source
-        of the ``sched_promotions_total`` counter.
+        of the ``sched_promotions_total`` counter.  The admitted class
+        comes from the claim index, so only a token not seen before
+        costs a record read.
         """
         wait = self.sched.aging_wait
         if wait is None:
             return 0
         now = _now() if now is None else now
+        with self._index_lock:
+            self._refresh_index()
+            return self._promote(now, wait)
+
+    def _promote(self, now: float, wait: float) -> int:
         floor = class_rank(AGING_FLOOR)
         promoted = 0
-        for token in list(self._pending.iterdir()):
-            parsed = _parse_token(token.name)
-            if parsed is None:
+        for token in list(self._index.values()):
+            rank = token.rank
+            if rank <= floor:
                 continue
-            rank, stamp, job_id = parsed
-            if rank is None or rank <= floor:
-                continue
-            age = now - stamp
+            age = now - token.stamp
             if age < wait:
                 continue
-            record = self.record(job_id)
-            origin = self._rank_of_record(record) if record else rank
+            if token.facts is not None:
+                origin = token.facts[2]
+            else:
+                record = self.record(token.job_id)
+                token.facts = self._facts(record)
+                origin = self._rank_of_record(record) if record else rank
             new_rank = max(floor, origin - int(age // wait))
             if new_rank >= rank:
                 continue
-            new_name = f"p{new_rank}.{int(stamp * 1e6):020d}-{job_id}"
+            micros = int(token.stamp * 1e6)
+            new_name = f"p{new_rank}.{micros:020d}-{token.job_id}"
             try:
-                os.rename(token, self._pending / new_name)
+                os.rename(self._pending / token.name, self._pending / new_name)
             except OSError:
                 continue  # claimed, cancelled, or promoted by a peer
-            self._note_promotion(job_id, new_rank)
+            del self._index[token.name]
+            # what a parse of the new name gives, as a peer would see it
+            token.name, token.rank, token.stamp = new_name, new_rank, micros / 1e6
+            self._index[new_name] = token
+            self._note_promotion(token.job_id, new_rank)
             promoted += 1
         return promoted
 
@@ -391,8 +508,9 @@ class JobQueue:
         overwrite a recovery-written ``failed``/retrying state (the
         zombie-worker convergence case), never the other way around.
         The first completion also charges the job's wall-clock runtime
-        to its client in the fair-share ledger."""
-        prior = self.record(job_id)
+        to its client in the fair-share ledger; whether this call was
+        the first, decided inside its one read-modify-write, is what
+        :meth:`first_completion` reports to the calling thread."""
         def _done(rec: Dict[str, object]) -> None:
             rec["state"] = "done"
             rec["result"] = result
@@ -406,20 +524,22 @@ class JobQueue:
             rec["report"] = report
             rec["error"] = ""
             rec["finished_at"] = _now()
-        record = self._update(job_id, _done, allow_terminal=True)
-        self._release(job_id)
+        record, prior = self._settle(job_id, _done, allow_terminal=True)
+        first = self._completion.first = prior != "done"
         started = record.get("started_at")
         finished = record.get("finished_at")
-        if (
-            (prior is None or prior.get("state") != "done")
-            and started and finished and float(finished) > float(started)
-        ):
+        if first and started and finished and float(finished) > float(started):
             self.ledger.charge(
                 str(record.get("client_id") or ""),
                 float(finished) - float(started),
                 now=float(finished),
             )
         return record
+
+    def first_completion(self) -> bool:
+        """Whether the calling thread's last :meth:`complete` moved its
+        job to ``done`` (a zombie's duplicate completion does not)."""
+        return getattr(self._completion, "first", False)
 
     def fail(self, job_id: str, error: str) -> Dict[str, object]:
         """Record a permanent failure (root cause preserved)."""
@@ -432,16 +552,10 @@ class JobQueue:
             history.append(f"attempt {rec.get('attempts')}: {error}")
             rec["error_history"] = history
             rec["finished_at"] = _now()
-        record = self._update(job_id, _failed, allow_terminal=True)
-        self._release(job_id)
-        return record
+        return self._settle(job_id, _failed, allow_terminal=True)[0]
 
     def mark_cancelled(self, job_id: str) -> Dict[str, object]:
-        record = self._update(
-            job_id, lambda rec: self._finalize_fields(rec, "cancelled")
-        )
-        self._release(job_id)
-        return record
+        return self._settle(job_id, self._cancelled)[0]
 
     def retry_or_fail(
         self, job_id: str, error: str, policy: RetryPolicy
@@ -453,6 +567,9 @@ class JobQueue:
         the pending queue with ``not_before`` pushed out by the policy's
         capped, jittered exponential backoff; at the cap it fails with
         the full error history and the *last* root cause in ``error``.
+        A record some other call already requeued (lease recovery racing
+        a worker that is still running) keeps its token and
+        ``not_before``: only the error joins its history.
         """
         record = self.record(job_id)
         if record is None:
@@ -466,16 +583,18 @@ class JobQueue:
             )
         delay = policy.backoff(job_id, attempts)
         def _requeue(rec: Dict[str, object]) -> None:
-            if rec.get("state") in TERMINAL_STATES:
+            history = list(rec.get("error_history") or [])
+            history.append(f"attempt {attempts}: {error}")
+            rec["error_history"] = history
+            rec["error"] = error
+            if rec.get("state") == "queued":
                 return
             rec["state"] = "queued"
             rec["owner"] = None
             rec["not_before"] = _now() + delay
-            rec["error"] = error
-            history = list(rec.get("error_history") or [])
-            history.append(f"attempt {attempts}: {error}")
-            rec["error_history"] = history
-        record = self._update(job_id, _requeue)
+        record, prior = self._update(job_id, _requeue)
+        if prior == "queued":
+            return record  # its token, and any lease a claim is taking, stand
         self._release(job_id, keep_cancel=True)
         if record.get("state") == "queued":
             # re-token at the *admitted* class: an aging promotion does
@@ -676,8 +795,10 @@ class JobQueue:
         )
 
     def sched_stats(self, now: Optional[float] = None) -> Dict[str, object]:
-        """Per-class depth and queue-wait stats (parses every record —
-        this backs the ``/v1/metrics`` gauges, not the health hot path).
+        """Per-class depth and queue-wait stats (parses every record,
+        one at a time and in directory order, since nothing here depends
+        on order — this backs the ``/v1/metrics`` gauges, not the health
+        hot path).
 
         Waits count time from submit to first claim: finished and
         running jobs contribute their realized wait, still-queued jobs
@@ -685,7 +806,7 @@ class JobQueue:
         """
         now = _now() if now is None else now
         per: Dict[str, Dict[str, object]] = zeroed_class_stats()
-        for record in self.records():
+        for record in self._iter_records():
             cls = str(record.get("priority") or "")
             if cls not in per:
                 cls = self.sched.class_for_kind(str(record.get("kind") or ""))
@@ -755,8 +876,9 @@ class JobQueue:
         job_id: str,
         mutate: Callable[[Dict[str, object]], None],
         allow_terminal: bool = False,
-    ) -> Dict[str, object]:
-        """Read-modify-write one record (atomic publish, terminal guard).
+    ) -> Tuple[Dict[str, object], object]:
+        """Read-modify-write one record (atomic publish, terminal guard);
+        returns the record and the state it had before.
 
         Concurrent updates are last-writer-wins, but a record already in
         a terminal state is returned unchanged unless ``allow_terminal``
@@ -766,22 +888,36 @@ class JobQueue:
         record = self.record(job_id)
         if record is None:
             raise QueueError(f"unknown job {job_id!r}")
-        if record.get("state") in TERMINAL_STATES and not allow_terminal:
-            return record
+        prior = record.get("state")
+        if prior in TERMINAL_STATES and not allow_terminal:
+            return record, prior
         mutate(record)
         _write_json_atomic(self._record_path(job_id), record)
-        return record
+        return record, prior
 
-    def _finalize(self, record: Dict[str, object], state: str) -> None:
-        job_id = str(record["job_id"])
-        self._update(
-            job_id, lambda rec: self._finalize_fields(rec, state)
-        )
+    def _settle(
+        self,
+        job_id: str,
+        mutate: Callable[[Dict[str, object]], None],
+        allow_terminal: bool = False,
+    ) -> Tuple[Dict[str, object], object]:
+        """Finish a job in one read-modify-write, then drop what it
+        holds: its lease, its cancel marker and, when the record was
+        ``queued`` (a recovery requeued it under a worker that was
+        still running), the token that requeue minted."""
+        record, prior = self._update(job_id, mutate, allow_terminal)
+        token = self._token_for(job_id) if prior == "queued" else None
+        if token is not None:
+            try:
+                token.unlink()
+            except OSError:
+                pass  # claimed meanwhile: the claim finds the record terminal
         self._release(job_id)
+        return record, prior
 
     @staticmethod
-    def _finalize_fields(rec: Dict[str, object], state: str) -> None:
-        rec["state"] = state
+    def _cancelled(rec: Dict[str, object]) -> None:
+        rec["state"] = "cancelled"
         rec["finished_at"] = _now()
 
     def _release(self, job_id: str, keep_cancel: bool = False) -> None:

@@ -271,9 +271,11 @@ def register_service_gauges(registry: MetricsRegistry, service) -> None:
     sched_stats = getattr(service.jobs, "sched_stats", None)
     if callable(sched_stats):
         registry.gauge_fn("sched", sched_stats)
+        # the durable counter queue_stats() carries, not a second parse
+        # of every record through sched_stats()
         registry.gauge_fn(
             "sched_promotions_total",
-            lambda: sched_stats().get("promotions", 0),
+            lambda: service.jobs.queue_stats().get("promotions", 0),
         )
 
     cluster_stats = getattr(service.jobs, "cluster_stats", None)

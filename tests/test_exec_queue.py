@@ -1,5 +1,6 @@
 """The durable lease-based job queue and its retry policy."""
 
+import sys
 import threading
 import time
 
@@ -256,6 +257,105 @@ def test_heartbeat_after_lease_recovery_is_a_noop(queue):
                               backoff_jitter=0.0), dead_owners=["w0.g1"])
     queue.heartbeat(job_id, "w0.g1", "recording")  # the zombie beats on
     assert queue.depth()["leased"] == 0  # without resurrecting the lease
+
+
+ZERO_BACKOFF = RetryPolicy(lease_ttl=5.0, heartbeat_interval=1.0,
+                           backoff_base=0.0, backoff_cap=0.0,
+                           backoff_jitter=0.0)
+
+
+@pytest.mark.parametrize("trigger", ["lease_ttl", "dead_owner"])
+def test_zombie_retry_after_recovery_mints_no_second_token(queue, trigger):
+    # recovery requeued the job while its worker was still running; the
+    # worker's own failure report must not queue the job a second time
+    job_id = submit(queue)["job_id"]
+    queue.claim("w0.g1")
+    if trigger == "lease_ttl":
+        stale = time.time() + ZERO_BACKOFF.lease_ttl + 1
+        assert queue.recover(ZERO_BACKOFF, now=stale) == [job_id]
+    else:
+        assert queue.recover(ZERO_BACKOFF, dead_owners=["w0.g1"]) == [job_id]
+    not_before = queue.record(job_id)["not_before"]
+    record = queue.retry_or_fail(job_id, "zombie boom", ZERO_BACKOFF)
+    assert record["state"] == "queued"
+    assert record["not_before"] == not_before
+    assert queue.depth() == {"pending": 1, "leased": 0, "active": 1}
+    assert queue.claim("w1.g1")["attempts"] == 2
+    assert queue.claim("w2.g1") is None
+
+
+@pytest.mark.parametrize("report", ["complete", "fail", "mark_cancelled"])
+def test_zombie_terminal_report_after_recovery_drops_the_token(queue, report):
+    job_id = submit(queue)["job_id"]
+    queue.claim("w0.g1")
+    stale = time.time() + ZERO_BACKOFF.lease_ttl + 1
+    assert queue.recover(ZERO_BACKOFF, now=stale) == [job_id]
+    if report == "complete":
+        record = queue.complete(job_id, result={"ok": True})
+    elif report == "fail":
+        record = queue.fail(job_id, "zombie boom")
+    else:
+        record = queue.mark_cancelled(job_id)
+    assert record["state"] in TERMINAL_STATES
+    # the requeued token goes with the job, not at some later claim
+    assert queue.depth() == {"pending": 0, "leased": 0, "active": 0}
+    assert queue.claim("w1.g1") is None
+
+
+def test_threads_sharing_one_index_claim_every_job_once(tmp_path):
+    """Eight claiming threads and a submitter share one queue (and so
+    one claim index) with thread switches forced every microsecond."""
+    queue = JobQueue(tmp_path / "spool")
+    total, claimers = 300, 8
+    submitted, claimed, errors = [], [], []
+    done_submitting = threading.Event()
+
+    def guarded(body):
+        def run():
+            try:
+                body()
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+        return run
+
+    def submitter():
+        try:
+            for _ in range(total):
+                submitted.append(submit(queue)["job_id"])
+        finally:
+            done_submitting.set()
+
+    def claimer(slot):
+        def body():
+            while True:
+                record = queue.claim(f"w{slot}.g1")
+                if record is not None:
+                    claimed.append(record["job_id"])
+                elif done_submitting.is_set() and queue.depth()["pending"] == 0:
+                    return
+        return body
+
+    threads = [threading.Thread(target=guarded(submitter), daemon=True)] + [
+        threading.Thread(target=guarded(claimer(slot)), daemon=True)
+        for slot in range(claimers)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(submitted) == total
+    assert sorted(claimed) == sorted(submitted)  # each exactly once
+    assert queue.depth() == {"pending": 0, "leased": total, "active": total}
+    for job_id in submitted:
+        record = queue.record(job_id)
+        assert (record["state"], record["attempts"]) == ("running", 1)
 
 
 # -- eviction ---------------------------------------------------------------
