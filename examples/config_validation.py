@@ -17,7 +17,7 @@ benchmarked.
 
 from repro import PipelineConfig, ProvMark
 from repro.capture.spade import SpadeCapture, SpadeConfig
-from repro.graph.stats import connected_components, summarize
+from repro.graph.stats import summarize
 from repro.suite.program import Op, Program, create_file
 
 
@@ -36,8 +36,6 @@ def check_simplify_bug() -> None:
         config = SpadeConfig(simplify=False, simplify_bug_fixed=fixed)
         result = provmark_with(config).run_benchmark("setresgid")
         graph = result.target_graph
-        components = connected_components(graph)
-        labels = sorted(node.label for node in graph.nodes())
         state = "fixed SPADE" if fixed else "buggy SPADE"
         anchored = any(node.label == "Dummy" for node in graph.nodes())
         print(f"   {state}: {summarize(graph).describe()}")

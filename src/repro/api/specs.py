@@ -8,7 +8,7 @@ document, not Python code, travels over the same typed v1 API that runs
 it, and compiles into exactly the :class:`~repro.suite.program.Program`
 a hand-written registry row would have produced.
 
-Vocabulary (all frozen dataclasses):
+Vocabulary (all payload types, :func:`repro.codec.payload_type`):
 
 * :class:`OpSpec` — one syscall invocation (call, args, result binding,
   target flag, expected success);
@@ -22,9 +22,12 @@ Validation is layered, and every failure is a
 field path** (``BenchmarkSpec.program.ops[3].args[0]``, never a bare
 ``args``), rendered identically by the CLI and the HTTP envelope:
 
-1. **structural** (``from_payload``) — strict types, unknown-key
-   rejection, base64-tagged bytes; malformed documents never
-   half-decode;
+1. **structural** (``from_payload``) — the one payload codec
+   (:mod:`repro.codec`) derives it from the field declarations below:
+   strict types, unknown-key rejection, ``{"base64": ...}`` bytes, and
+   each message naming the path where the bad value was found;
+   malformed documents never half-decode.  ``__post_init__`` adds only
+   the value rules (non-empty names, the setup ``kind`` choice);
 2. **semantic** (:meth:`BenchmarkSpec.validate`) — op names and arg
    arity against the simulated kernel's syscall table
    (:func:`syscall_table`), ``$var`` dataflow resolution for *both*
@@ -47,15 +50,13 @@ fingerprint the compiled program, so cached results stay correct.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import inspect
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Container, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.api.errors import ValidationError
+from repro.codec import check_choice, check_names, payload_type
 from repro.kernel import Kernel
 from repro.storage.artifacts import ArtifactStore, canonical_key
 from repro.suite.program import Arg, Op, Program, SetupAction
@@ -85,101 +86,6 @@ _RESULT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 def _fail(path: str, message: str) -> None:
     raise ValidationError(f"{path}: {message}")
-
-
-# -- structural decoding helpers --------------------------------------------
-
-
-def _decode_mapping(
-    payload: object, path: str, keys: Tuple[str, ...]
-) -> Dict[str, object]:
-    """A strict JSON object: mapping type, no unknown keys."""
-    if not isinstance(payload, Mapping):
-        _fail(path, f"must be a JSON object, got {type(payload).__name__}")
-    unknown = sorted(set(payload) - set(keys))
-    if unknown:
-        _fail(path, f"unknown keys: {unknown}")
-    return dict(payload)
-
-
-def _decode_str(
-    value: object, path: str,
-    optional: bool = False, non_empty: bool = False,
-) -> Optional[str]:
-    if value is None and optional:
-        return None
-    if not isinstance(value, str):
-        _fail(path, f"must be a string, got {type(value).__name__}")
-    if non_empty and not value:
-        _fail(path, "must be non-empty")
-    return value
-
-
-def _decode_bool(value: object, path: str) -> bool:
-    if not isinstance(value, bool):
-        _fail(path, f"must be a bool, got {type(value).__name__}")
-    return value
-
-
-def _decode_int(value: object, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(path, f"must be an integer, got {type(value).__name__}")
-    return value
-
-
-def _decode_array(value: object, path: str) -> List[object]:
-    if not isinstance(value, (list, tuple)):
-        _fail(path, f"must be an array, got {type(value).__name__}")
-    return list(value)
-
-
-def _decode_bytes(value: object, path: str) -> bytes:
-    """Bytes travel through JSON as ``{"base64": "..."}`` objects."""
-    if isinstance(value, bytes):
-        return value
-    if isinstance(value, Mapping):
-        data = _decode_mapping(value, path, ("base64",))
-        encoded = _decode_str(data.get("base64"), f"{path}.base64")
-        try:
-            return base64.b64decode(encoded, validate=True)
-        except (binascii.Error, ValueError):
-            _fail(f"{path}.base64", "is not valid base64")
-    _fail(
-        path,
-        'must be bytes or a {"base64": "..."} object, '
-        f"got {type(value).__name__}",
-    )
-    raise AssertionError("unreachable")
-
-
-def _encode_bytes(value: bytes) -> Dict[str, str]:
-    return {"base64": base64.b64encode(value).decode("ascii")}
-
-
-def _decode_arg(value: object, path: str) -> Arg:
-    """One op argument: a string, an integer, or tagged base64 bytes."""
-    if isinstance(value, bool):
-        _fail(path, "must be a string, integer, or bytes, not a bool")
-    if isinstance(value, (str, int)):
-        return value
-    if isinstance(value, (bytes, Mapping)):
-        return _decode_bytes(value, path)
-    _fail(
-        path,
-        'must be a string, integer, or {"base64": "..."} object, '
-        f"got {type(value).__name__}",
-    )
-    raise AssertionError("unreachable")
-
-
-def _encode_arg(arg: Arg) -> object:
-    return _encode_bytes(arg) if isinstance(arg, bytes) else arg
-
-
-def _check_arg_value(value: object, path: str) -> None:
-    """Direct-construction twin of :func:`_decode_arg`."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, bytes)):
-        _fail(path, f"must be a str, int, or bytes, got {type(value).__name__}")
 
 
 # -- the kernel syscall table ------------------------------------------------
@@ -252,7 +158,7 @@ def syscall_params() -> Dict[str, Tuple[Tuple[str, Optional[type]], ...]]:
 # -- spec types ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@payload_type
 class OpSpec:
     """One operation of the benchmark program (one syscall invocation)."""
 
@@ -263,52 +169,10 @@ class OpSpec:
     expect_success: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        _decode_str(self.call, "OpSpec.call", non_empty=True)
-        for i, arg in enumerate(self.args):
-            _check_arg_value(arg, f"OpSpec.args[{i}]")
-        _decode_str(self.result, "OpSpec.result", optional=True,
-                    non_empty=True)
-        _decode_bool(self.target, "OpSpec.target")
-        _decode_bool(self.expect_success, "OpSpec.expect_success")
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "call": self.call,
-            "args": [_encode_arg(a) for a in self.args],
-            "result": self.result,
-            "target": self.target,
-            "expect_success": self.expect_success,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: object, path: str = "OpSpec") -> "OpSpec":
-        data = _decode_mapping(
-            payload, path,
-            ("call", "args", "result", "target", "expect_success"),
-        )
-        if "call" not in data:
-            _fail(path, "missing required key 'call'")
-        return cls(
-            call=_decode_str(data["call"], f"{path}.call", non_empty=True),
-            args=tuple(
-                _decode_arg(value, f"{path}.args[{i}]")
-                for i, value in enumerate(
-                    _decode_array(data.get("args", []), f"{path}.args")
-                )
-            ),
-            result=_decode_str(
-                data.get("result"), f"{path}.result", optional=True,
-                non_empty=True,
-            ),
-            target=_decode_bool(data.get("target", False), f"{path}.target"),
-            expect_success=_decode_bool(
-                data.get("expect_success", True), f"{path}.expect_success"
-            ),
-        )
+        check_names(self, "call", "result")
 
 
-@dataclass(frozen=True)
+@payload_type
 class SetupSpec:
     """One staging-directory preparation action (runs before recording)."""
 
@@ -319,53 +183,11 @@ class SetupSpec:
     link_target: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in SETUP_KINDS:
-            _fail("SetupSpec.kind",
-                  f"must be one of {list(SETUP_KINDS)}, got {self.kind!r}")
-        _decode_str(self.path, "SetupSpec.path", non_empty=True)
-        _decode_int(self.mode, "SetupSpec.mode")
-        if not isinstance(self.content, bytes):
-            _fail("SetupSpec.content",
-                  f"must be bytes, got {type(self.content).__name__}")
-        _decode_str(self.link_target, "SetupSpec.link_target")
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "path": self.path,
-            "mode": self.mode,
-            "content": _encode_bytes(self.content),
-            "link_target": self.link_target,
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: object, path: str = "SetupSpec"
-    ) -> "SetupSpec":
-        data = _decode_mapping(
-            payload, path, ("kind", "path", "mode", "content", "link_target")
-        )
-        for key in ("kind", "path"):
-            if key not in data:
-                _fail(path, f"missing required key {key!r}")
-        kind = _decode_str(data["kind"], f"{path}.kind")
-        if kind not in SETUP_KINDS:
-            _fail(f"{path}.kind",
-                  f"must be one of {list(SETUP_KINDS)}, got {kind!r}")
-        return cls(
-            kind=kind,
-            path=_decode_str(data["path"], f"{path}.path", non_empty=True),
-            mode=_decode_int(data.get("mode", 0o644), f"{path}.mode"),
-            content=_decode_bytes(
-                data.get("content", b"benchmark data\n"), f"{path}.content"
-            ),
-            link_target=_decode_str(
-                data.get("link_target", ""), f"{path}.link_target"
-            ),
-        )
+        check_choice(self, "kind", SETUP_KINDS)
+        check_names(self, "path")
 
 
-@dataclass(frozen=True)
+@payload_type
 class ProgramSpec:
     """The op sequence, staging setup, and credentials of one benchmark."""
 
@@ -374,58 +196,8 @@ class ProgramSpec:
     run_as_uid: int = 0
     run_as_gid: int = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ops", tuple(self.ops))
-        object.__setattr__(self, "setup", tuple(self.setup))
-        for i, op in enumerate(self.ops):
-            if not isinstance(op, OpSpec):
-                _fail(f"ProgramSpec.ops[{i}]",
-                      f"must be an OpSpec, got {type(op).__name__}")
-        for i, action in enumerate(self.setup):
-            if not isinstance(action, SetupSpec):
-                _fail(f"ProgramSpec.setup[{i}]",
-                      f"must be a SetupSpec, got {type(action).__name__}")
-        _decode_int(self.run_as_uid, "ProgramSpec.run_as_uid")
-        _decode_int(self.run_as_gid, "ProgramSpec.run_as_gid")
 
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "ops": [op.to_payload() for op in self.ops],
-            "setup": [action.to_payload() for action in self.setup],
-            "run_as_uid": self.run_as_uid,
-            "run_as_gid": self.run_as_gid,
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: object, path: str = "ProgramSpec"
-    ) -> "ProgramSpec":
-        data = _decode_mapping(
-            payload, path, ("ops", "setup", "run_as_uid", "run_as_gid")
-        )
-        return cls(
-            ops=tuple(
-                OpSpec.from_payload(value, f"{path}.ops[{i}]")
-                for i, value in enumerate(
-                    _decode_array(data.get("ops", []), f"{path}.ops")
-                )
-            ),
-            setup=tuple(
-                SetupSpec.from_payload(value, f"{path}.setup[{i}]")
-                for i, value in enumerate(
-                    _decode_array(data.get("setup", []), f"{path}.setup")
-                )
-            ),
-            run_as_uid=_decode_int(
-                data.get("run_as_uid", 0), f"{path}.run_as_uid"
-            ),
-            run_as_gid=_decode_int(
-                data.get("run_as_gid", 0), f"{path}.run_as_gid"
-            ),
-        )
-
-
-@dataclass(frozen=True)
+@payload_type
 class ExpectationSpec:
     """One per-tool expectation row (Table 2's ok/empty plus note)."""
 
@@ -434,37 +206,10 @@ class ExpectationSpec:
     note: str = ""
 
     def __post_init__(self) -> None:
-        _decode_str(self.tool, "ExpectationSpec.tool", non_empty=True)
-        _decode_str(self.classification, "ExpectationSpec.classification")
-        _decode_str(self.note, "ExpectationSpec.note")
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "tool": self.tool,
-            "classification": self.classification,
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: object, path: str = "ExpectationSpec"
-    ) -> "ExpectationSpec":
-        data = _decode_mapping(
-            payload, path, ("tool", "classification", "note")
-        )
-        for key in ("tool", "classification"):
-            if key not in data:
-                _fail(path, f"missing required key {key!r}")
-        return cls(
-            tool=_decode_str(data["tool"], f"{path}.tool", non_empty=True),
-            classification=_decode_str(
-                data["classification"], f"{path}.classification"
-            ),
-            note=_decode_str(data.get("note", ""), f"{path}.note"),
-        )
+        check_names(self, "tool")
 
 
-@dataclass(frozen=True)
+@payload_type
 class BenchmarkSpec:
     """A complete benchmark as a data object.
 
@@ -482,71 +227,7 @@ class BenchmarkSpec:
     expectations: Tuple[ExpectationSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tags", tuple(self.tags))
-        object.__setattr__(self, "expectations", tuple(self.expectations))
-        _decode_str(self.name, "BenchmarkSpec.name", non_empty=True)
-        if not isinstance(self.program, ProgramSpec):
-            _fail("BenchmarkSpec.program",
-                  f"must be a ProgramSpec, got {type(self.program).__name__}")
-        _decode_int(self.group, "BenchmarkSpec.group")
-        _decode_str(self.group_name, "BenchmarkSpec.group_name")
-        _decode_str(self.description, "BenchmarkSpec.description")
-        for i, tag in enumerate(self.tags):
-            _decode_str(tag, f"BenchmarkSpec.tags[{i}]", non_empty=True)
-        for i, expectation in enumerate(self.expectations):
-            if not isinstance(expectation, ExpectationSpec):
-                _fail(f"BenchmarkSpec.expectations[{i}]",
-                      "must be an ExpectationSpec, "
-                      f"got {type(expectation).__name__}")
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "group": self.group,
-            "group_name": self.group_name,
-            "description": self.description,
-            "tags": list(self.tags),
-            "expectations": [e.to_payload() for e in self.expectations],
-            "program": self.program.to_payload(),
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: object, path: str = "BenchmarkSpec"
-    ) -> "BenchmarkSpec":
-        data = _decode_mapping(
-            payload, path,
-            ("name", "group", "group_name", "description", "tags",
-             "expectations", "program"),
-        )
-        for key in ("name", "program"):
-            if key not in data:
-                _fail(path, f"missing required key {key!r}")
-        return cls(
-            name=_decode_str(data["name"], f"{path}.name", non_empty=True),
-            program=ProgramSpec.from_payload(
-                data["program"], f"{path}.program"
-            ),
-            group=_decode_int(data.get("group", 0), f"{path}.group"),
-            group_name=_decode_str(
-                data.get("group_name", "Custom"), f"{path}.group_name"
-            ),
-            description=_decode_str(
-                data.get("description", ""), f"{path}.description"
-            ),
-            tags=tuple(
-                _decode_str(value, f"{path}.tags[{i}]", non_empty=True)
-                for i, value in enumerate(
-                    _decode_array(data.get("tags", []), f"{path}.tags")
-                )
-            ),
-            expectations=tuple(
-                ExpectationSpec.from_payload(value, f"{path}.expectations[{i}]")
-                for i, value in enumerate(_decode_array(
-                    data.get("expectations", []), f"{path}.expectations"
-                ))
-            ),
-        )
+        check_names(self, "name", "tags")
 
     # -- semantics ----------------------------------------------------------
 
@@ -682,6 +363,11 @@ class BenchmarkSpec:
                       f"{op.call} argument {name!r} must be "
                       f"{expected_type.__name__}, "
                       f"got {type(arg).__name__}")
+            if (name == "mode" and isinstance(arg, int)
+                    and not 0 <= arg <= 0o7777):  # permission bits only
+                _fail(f"{path}.args[{j}]",
+                      f"{op.call} argument 'mode' must be in [0, 0o7777], "
+                      f"got {arg}")
         if op.result is not None:
             if not _RESULT_RE.match(op.result):
                 _fail(f"{path}.result",
@@ -846,19 +532,25 @@ def persist_spec(store: ArtifactStore, spec: BenchmarkSpec) -> str:
     spec.validate()
     payload = spec.to_payload()
     digest = spec_digest(spec)
-    # An artifact's filename stem IS its content digest (store.save
-    # names files by canonical_key of the same material), so same-name
-    # staleness only needs the payload's name field — no per-file spec
-    # decode or digest recompute.
-    for path, stored in list(store.iter_stage(SPEC_STAGE)):
-        if (path.stem != digest and isinstance(stored, Mapping)
-                and stored.get("name") == spec.name):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+    _remove_named(store, spec.name, keep=digest)
     store.save(SPEC_STAGE, {"spec": payload}, payload)
     return digest
+
+
+def _remove_named(store: ArtifactStore, name: str, keep: str = "") -> int:
+    """Delete every stored spec whose raw payload is named ``name``, but
+    the one whose digest (its filename stem) is ``keep``; returns the
+    count.  No spec decode: one that no longer decodes is removable."""
+    removed = 0
+    for path, stored in list(store.iter_stage(SPEC_STAGE)):
+        if (path.stem != keep and isinstance(stored, Mapping)
+                and stored.get("name") == name):
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+    return removed
 
 
 def iter_persisted_specs(
@@ -886,12 +578,4 @@ def load_persisted_specs(store: ArtifactStore) -> List[BenchmarkSpec]:
 
 def remove_persisted_spec(store: ArtifactStore, name: str) -> int:
     """Delete every persisted spec named ``name``; returns count removed."""
-    removed = 0
-    for path, spec in list(iter_persisted_specs(store)):
-        if spec.name == name:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-    return removed
+    return _remove_named(store, name)

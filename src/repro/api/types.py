@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.api.errors import ValidationError
 from repro.api.specs import BenchmarkSpec
-from repro.codec import payload_type
+from repro.codec import (
+    check_choice, check_names, check_range, fail, payload_type,
+)
 from repro.core.result import BenchmarkResult
 from repro.sched.policy import PRIORITY_CLASSES
 
@@ -47,46 +48,10 @@ JOB_KINDS = ("run", "batch", "synth")
 # -- value rules --------------------------------------------------------------
 
 
-def _fail(obj: object, field: str, message: str) -> None:
-    raise ValidationError(f"{type(obj).__name__}.{field}: {message}")
-
-
-def _check_names(obj: object, *fields: str) -> None:
-    """Each named field — a string, or a tuple of strings — holds only
-    non-empty names (None passes: optionality is the field's type)."""
-    for field in fields:
-        value = getattr(obj, field)
-        if value == "":
-            _fail(obj, field, "must be non-empty")
-        if isinstance(value, tuple) and "" in value:
-            _fail(obj, f"{field}[{value.index('')}]", "must be non-empty")
-
-
-def _check_range(
-    obj: object, *fields: str,
-    minimum: Optional[float] = None, maximum: Optional[float] = None,
-) -> None:
-    """Each named numeric field lies within the bounds (None passes)."""
-    for field in fields:
-        value = getattr(obj, field)
-        if value is None:
-            continue
-        if minimum is not None and value < minimum:
-            _fail(obj, field, f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            _fail(obj, field, f"must be <= {maximum}, got {value}")
-
-
-def _check_choice(obj: object, field: str, choices: Tuple[str, ...]) -> None:
-    value = getattr(obj, field)
-    if value not in choices:
-        _fail(obj, field, f"must be one of {list(choices)}, got {value!r}")
-
-
 def _check_api_version(obj: object) -> None:
     if obj.api_version != API_VERSION:
-        _fail(obj, "api_version",
-              f"must be {API_VERSION!r}, got {obj.api_version!r}")
+        fail(obj, "api_version",
+             f"must be {API_VERSION!r}, got {obj.api_version!r}")
 
 
 # -- requests ---------------------------------------------------------------
@@ -119,17 +84,17 @@ class PipelineFields:
     priority: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _check_names(self, "tool")
-        _check_range(self, "trials", minimum=1)
-        _check_choice(self, "engine", ENGINES)
-        _check_range(self, "truncation_rate", minimum=0.0, maximum=1.0)
-        _check_choice(self, "fg_pair_policy", PAIR_POLICIES)
-        _check_choice(self, "bg_pair_policy", PAIR_POLICIES)
+        check_names(self, "tool")
+        check_range(self, "trials", minimum=1)
+        check_choice(self, "engine", ENGINES)
+        check_range(self, "truncation_rate", minimum=0.0, maximum=1.0)
+        check_choice(self, "fg_pair_policy", PAIR_POLICIES)
+        check_choice(self, "bg_pair_policy", PAIR_POLICIES)
         if self.deadline is not None and self.deadline <= 0:
-            _fail(self, "deadline",
-                  f"must be > 0 seconds, got {self.deadline}")
+            fail(self, "deadline",
+                 f"must be > 0 seconds, got {self.deadline}")
         if self.priority is not None:
-            _check_choice(self, "priority", PRIORITY_CLASSES)
+            check_choice(self, "priority", PRIORITY_CLASSES)
 
 
 @payload_type
@@ -151,9 +116,9 @@ class RunRequest(PipelineFields):
 
     def __post_init__(self) -> None:
         if (self.benchmark is None) == (self.spec is None):
-            _fail(self, "benchmark",
-                  "exactly one of 'benchmark' or 'spec' must be set")
-        _check_names(self, "benchmark")
+            fail(self, "benchmark",
+                 "exactly one of 'benchmark' or 'spec' must be set")
+        check_names(self, "benchmark")
         super().__post_init__()
 
 
@@ -174,15 +139,15 @@ class BatchRequest(PipelineFields):
     max_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _check_names(self, "benchmarks", "tags")
+        check_names(self, "benchmarks", "tags")
         if self.tags is not None:
             if self.benchmarks is not None:
-                _fail(self, "tags",
-                      "cannot be combined with an explicit 'benchmarks' list")
+                fail(self, "tags",
+                     "cannot be combined with an explicit 'benchmarks' list")
             if not self.tags:
-                _fail(self, "tags",
-                      "must be a non-empty tuple of tag names or None")
-        _check_range(self, "max_workers", minimum=1)
+                fail(self, "tags",
+                     "must be a non-empty tuple of tag names or None")
+        check_range(self, "max_workers", minimum=1)
         super().__post_init__()
 
 
@@ -223,19 +188,19 @@ class SynthConfig:
     MAX_PROGRAM_OPS = 64
 
     def __post_init__(self) -> None:
-        _check_range(self, "count", minimum=1, maximum=self.MAX_COUNT)
+        check_range(self, "count", minimum=1, maximum=self.MAX_COUNT)
         if not self.tools:
-            _fail(self, "tools", "must name at least one tool")
-        _check_names(self, "tools", "tags", "name_prefix")
+            fail(self, "tools", "must name at least one tool")
+        check_names(self, "tools", "tags", "name_prefix")
         if len(set(self.tools)) != len(self.tools):
-            _fail(self, "tools", "must not repeat a tool")
-        _check_range(self, "max_ops", minimum=2,
-                     maximum=self.MAX_PROGRAM_OPS)
-        _check_range(self, "mutation_rate", minimum=0.0, maximum=1.0)
-        _check_range(self, "trials", "max_workers", minimum=1)
-        _check_choice(self, "engine", ENGINES)
+            fail(self, "tools", "must not repeat a tool")
+        check_range(self, "max_ops", minimum=2,
+                    maximum=self.MAX_PROGRAM_OPS)
+        check_range(self, "mutation_rate", minimum=0.0, maximum=1.0)
+        check_range(self, "trials", "max_workers", minimum=1)
+        check_choice(self, "engine", ENGINES)
         if self.priority is not None:
-            _check_choice(self, "priority", PRIORITY_CLASSES)
+            check_choice(self, "priority", PRIORITY_CLASSES)
 
 
 @payload_type
@@ -257,10 +222,10 @@ class SynthCoverage:
     new_syscalls: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_range(self, "syscalls_before", "syscalls_after",
-                     "arg_shapes_before", "arg_shapes_after",
-                     "motifs_before", "motifs_after", minimum=0)
-        _check_names(self, "new_syscalls")
+        check_range(self, "syscalls_before", "syscalls_after",
+                    "arg_shapes_before", "arg_shapes_after",
+                    "motifs_before", "motifs_after", minimum=0)
+        check_names(self, "new_syscalls")
 
 
 @payload_type
@@ -290,14 +255,14 @@ class SynthReport:
     api_version: str = API_VERSION
 
     def __post_init__(self) -> None:
-        _check_range(self, "requested", "generated", "mutated",
-                     "duplicates", "no_gain", "failed", "persisted",
-                     minimum=0)
-        _check_names(self, "kept", "digests", "tools")
+        check_range(self, "requested", "generated", "mutated",
+                    "duplicates", "no_gain", "failed", "persisted",
+                    minimum=0)
+        check_names(self, "kept", "digests", "tools")
         if len(self.kept) != len(self.digests):
-            _fail(self, "digests", "must align one-to-one with 'kept'")
+            fail(self, "digests", "must align one-to-one with 'kept'")
         if self.specs and len(self.specs) != len(self.kept):
-            _fail(self, "specs", "must align one-to-one with 'kept'")
+            fail(self, "specs", "must align one-to-one with 'kept'")
         _check_api_version(self)
 
 
@@ -312,7 +277,7 @@ class ToolQuery:
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _check_names(self, "name")
+        check_names(self, "name")
 
 
 # -- responses --------------------------------------------------------------
@@ -329,8 +294,8 @@ class ToolInfo:
     description: str = ""
 
     def __post_init__(self) -> None:
-        _check_names(self, "name", "output_format")
-        _check_range(self, "trials", minimum=1)
+        check_names(self, "name", "output_format")
+        check_range(self, "trials", minimum=1)
 
 
 @payload_type
@@ -345,8 +310,8 @@ class BenchmarkInfo:
     builtin: bool = True
 
     def __post_init__(self) -> None:
-        _check_names(self, "name", "tags")
-        _check_range(self, "group", minimum=0)
+        check_names(self, "name", "tags")
+        check_range(self, "group", minimum=0)
 
 
 @payload_type
@@ -407,14 +372,14 @@ class JobStatus:
     api_version: str = API_VERSION
 
     def __post_init__(self) -> None:
-        _check_names(self, "job_id")
-        _check_choice(self, "state", JOB_STATES)
-        _check_choice(self, "kind", JOB_KINDS)
-        _check_range(self, "submitted_at", "started_at", "finished_at",
-                     "total", "completed", "attempts", "queue_wait",
-                     minimum=0)
+        check_names(self, "job_id")
+        check_choice(self, "state", JOB_STATES)
+        check_choice(self, "kind", JOB_KINDS)
+        check_range(self, "submitted_at", "started_at", "finished_at",
+                    "total", "completed", "attempts", "queue_wait",
+                    minimum=0)
         if self.priority:
-            _check_choice(self, "priority", PRIORITY_CLASSES)
+            check_choice(self, "priority", PRIORITY_CLASSES)
         _check_api_version(self)
 
     @property
@@ -433,8 +398,8 @@ class ClusterNodeInfo:
     last_seen_age: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_names(self, "node_id")
-        _check_range(self, "workers", "claims", "last_seen_age", minimum=0)
+        check_names(self, "node_id")
+        check_range(self, "workers", "claims", "last_seen_age", minimum=0)
 
 
 @payload_type
@@ -458,7 +423,7 @@ class ClusterStatus:
     api_version: str = API_VERSION
 
     def __post_init__(self) -> None:
-        _check_range(self, "remote_workers", "local_workers",
-                     "claims_total", "completions_total", "events_seq",
-                     minimum=0)
+        check_range(self, "remote_workers", "local_workers",
+                    "claims_total", "completions_total", "events_seq",
+                    minimum=0)
         _check_api_version(self)

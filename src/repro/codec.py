@@ -6,27 +6,36 @@ exactly its fields.  :func:`payload_type` derives its codec from the
 field declarations, so adding a payload field is one declaration plus
 its value rule:
 
-* ``to_payload()`` encodes every field: tuples become lists and nested
-  payload values go through their own ``to_payload()``;
-* ``from_payload(payload)`` is strict: a non-object, an unknown key or a
-  missing required key is rejected.  JSON arrays become tuples, JSON
-  numbers become floats in ``float`` fields, and nested fields decode
-  through their own ``from_payload`` (given the field path when that
-  decoder takes a ``path``);
+* ``to_payload()`` encodes every field: tuples become lists, ``bytes``
+  become ``{"base64": "..."}`` objects and nested payload values go
+  through their own ``to_payload()``;
+* ``from_payload(payload, path=None)`` is strict: a non-object, an
+  unknown key or a missing required key is rejected.  JSON arrays become
+  tuples, JSON numbers become floats in ``float`` fields, a base64
+  object with exactly the ``base64`` key becomes ``bytes``, and nested
+  fields decode through their own ``from_payload`` (given the field path
+  when that decoder takes a ``path``);
 * construction checks every field against its annotation — ``str``,
   ``int`` (bool rejected), ``float`` (int accepted, bool rejected),
-  ``bool``, ``Optional[...]``, ``Tuple[X, ...]`` and nested payload
+  ``bool``, ``bytes``, a ``Union`` of those (bool rejected unless a
+  member), ``Optional[...]``, ``Tuple[X, ...]`` and nested payload
   types — and then runs the class's own ``__post_init__``, which holds
-  only value rules (ranges, choices, non-empty, cross-field rules).
+  only value rules (ranges, choices, non-empty, cross-field rules),
+  written with :func:`fail`, :func:`check_names`, :func:`check_range`
+  and :func:`check_choice`.
 
 Every failure raises the type's error class with a message shaped
 ``"<Type>.<field>: must be ..."``:
 :class:`~repro.api.errors.ValidationError` unless the decorator names
-another.
+another.  A payload decoded at ``path`` (a nested field, say
+``BenchmarkSpec.program.ops[3]``) names that path instead of its type,
+in decoding errors and construction errors alike.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import dataclasses
 import functools
 import inspect
@@ -41,12 +50,14 @@ Check = Callable[[object, str], None]
 #: turns one decoded-JSON value into a field value: (value, where) -> value
 Decode = Callable[[object, str], object]
 
-#: scalar annotation -> (noun for messages, accepted types, refused subtypes)
-_SCALARS: Dict[type, Tuple[str, tuple, tuple]] = {
-    str: ("a string", (str,), ()),
-    bool: ("a bool", (bool,), ()),
-    int: ("an int", (int,), (bool,)),
-    float: ("a number", (int, float), (bool,)),
+#: scalar annotation -> (noun for messages, accepted types); a bool is
+#: refused wherever ``bool`` is not itself the annotation or a member
+_SCALARS: Dict[type, Tuple[str, tuple]] = {
+    str: ("a string", (str,)),
+    bool: ("a bool", (bool,)),
+    int: ("an int", (int,)),
+    float: ("a number", (int, float)),
+    bytes: ('bytes ({"base64": ...} in JSON)', (bytes,)),
 }
 
 #: values ``to_payload`` emits as they are
@@ -147,14 +158,59 @@ def payload_object(
     return payload
 
 
-def _from_payload(cls, payload: object):
-    fields = cls._payload_fields
-    payload_object(cls.__name__, payload, fields, cls._payload_required,
-                   cls._payload_error)
-    return cls(**{
-        key: fields[key].decode(value, fields[key].where)
-        for key, value in payload.items()
-    })
+def _from_payload(cls, payload: object, path: Optional[str] = None):
+    fields, error = cls._payload_fields, cls._payload_error
+    where = path or cls.__name__
+    payload_object(where, payload, fields, cls._payload_required, error)
+    decoded = {key: fields[key].decode(value, f"{where}.{key}")
+               for key, value in payload.items()}
+    try:
+        return cls(**decoded)
+    except error as exc:  # "<Type>.<field>: ..." from a check or value rule
+        message = str(exc)
+        if path is None or not message.startswith(f"{cls.__name__}."):
+            raise
+        raise type(exc)(path + message[len(cls.__name__):]) from None
+
+
+# -- value rules, for a payload type's __post_init__ -------------------------
+
+
+def fail(obj: object, field: str, message: str) -> None:
+    """Raise ``obj``'s payload error as ``"<Type>.<field>: <message>"``."""
+    raise type(obj)._payload_error(f"{type(obj).__name__}.{field}: {message}")
+
+
+def check_names(obj: object, *fields: str) -> None:
+    """Each named field — a string, or a tuple of strings — holds only
+    non-empty names (None passes: optionality is the field's type)."""
+    for field in fields:
+        value = getattr(obj, field)
+        if value == "":
+            fail(obj, field, "must be non-empty")
+        if isinstance(value, tuple) and "" in value:
+            fail(obj, f"{field}[{value.index('')}]", "must be non-empty")
+
+
+def check_range(
+    obj: object, *fields: str,
+    minimum: Optional[float] = None, maximum: Optional[float] = None,
+) -> None:
+    """Each named numeric field lies within the bounds (None passes)."""
+    for field in fields:
+        value = getattr(obj, field)
+        if value is None:
+            continue
+        if minimum is not None and value < minimum:
+            fail(obj, field, f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            fail(obj, field, f"must be <= {maximum}, got {value}")
+
+
+def check_choice(obj: object, field: str, choices: Tuple[str, ...]) -> None:
+    value = getattr(obj, field)
+    if value not in choices:
+        fail(obj, field, f"must be one of {list(choices)}, got {value!r}")
 
 
 def _encode(value: object) -> object:
@@ -162,6 +218,8 @@ def _encode(value: object) -> object:
         return value
     if isinstance(value, tuple):
         return [_encode(item) for item in value]
+    if isinstance(value, bytes):
+        return {"base64": base64.b64encode(value).decode("ascii")}
     encode = getattr(value, "to_payload", None)
     return value if encode is None else encode()
 
@@ -188,9 +246,19 @@ def _compile(
                 decode_item(item, f"{where}[{index}]")
                 for index, item in enumerate(value)
             )
-    elif hint in _SCALARS:
-        noun, accepted, refused = _SCALARS[hint]
-        decode = _decode_float if hint is float else _decode_as_is
+    elif hint in _SCALARS or (
+        origin is typing.Union and all(arg in _SCALARS for arg in args)
+    ):  # a scalar, or a union of scalars
+        members = args or (hint,)
+        nouns = [_SCALARS[member][0] for member in members]
+        noun = (nouns[0] if len(nouns) == 1
+                else f"{', '.join(nouns[:-1])} or {nouns[-1]}")
+        accepted = tuple(t for member in members for t in _SCALARS[member][1])
+        refused = () if bool in members else (bool,)
+        if bytes in members:
+            decode = functools.partial(_decode_bytes, error=error)
+        else:
+            decode = _decode_float if hint is float else _decode_as_is
     elif isinstance(hint, type) and hasattr(hint, "from_payload"):
         noun, accepted, refused = f"a {hint.__name__}", (hint,), ()
         decode = _nested_decoder(hint, error)
@@ -215,6 +283,18 @@ def _decode_as_is(value: object, where: str) -> object:
 
 def _decode_float(value: object, where: str) -> object:
     return float(value) if type(value) is int else value
+
+
+def _decode_bytes(
+    value: object, where: str, error: Type[Exception]
+) -> object:
+    if not isinstance(value, Mapping):
+        return value  # the construction check names the mismatch
+    payload_object(where, value, ("base64",), ("base64",), error)
+    try:
+        return base64.b64decode(value["base64"], validate=True)
+    except (binascii.Error, TypeError, ValueError):
+        raise error(f"{where}.base64: is not valid base64") from None
 
 
 def _nested_decoder(hint: type, error: Type[Exception]) -> Decode:

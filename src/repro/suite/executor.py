@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.kernel import BENCH_GID, BENCH_UID, Credentials, Kernel, Process
+from repro.kernel import (
+    BENCH_GID, BENCH_UID, Credentials, Kernel, KernelError, Process,
+)
 from repro.kernel.fs import InodeType
 from repro.kernel.trace import Trace
 from repro.suite.program import Arg, Op, Program
@@ -79,21 +81,27 @@ class ProgramExecutor:
         if not fs.exists(STAGING_DIR):
             staging = fs.mkdir(STAGING_DIR, mode=0o755)
             staging.uid, staging.gid = BENCH_UID, BENCH_GID
-        for action in self.program.setup:
+        for index, action in enumerate(self.program.setup):
             path = self._staged_path(action.path)
-            if action.kind == "file":
-                inode = fs.write_file(path, action.content, mode=action.mode)
-            elif action.kind == "dir":
-                inode = fs.mkdir(path, mode=action.mode)
-            elif action.kind == "fifo":
-                parent, name = fs.lookup_parent(path)
-                inode = fs.create_entry(parent, name, InodeType.FIFO, 0o644, 0, 0)
-            elif action.kind == "symlink":
-                parent, name = fs.lookup_parent(path)
-                inode = fs.create_entry(parent, name, InodeType.SYMLINK, 0o777, 0, 0)
-                inode.symlink_target = self._staged_path(action.link_target)
-            else:
-                raise ExecutionError(f"unknown setup action {action.kind!r}")
+            try:
+                if action.kind == "file":
+                    inode = fs.write_file(path, action.content, mode=action.mode)
+                elif action.kind == "dir":
+                    inode = fs.mkdir(path, mode=action.mode)
+                elif action.kind == "fifo":
+                    parent, name = fs.lookup_parent(path)
+                    inode = fs.create_entry(parent, name, InodeType.FIFO, 0o644, 0, 0)
+                elif action.kind == "symlink":
+                    parent, name = fs.lookup_parent(path)
+                    inode = fs.create_entry(parent, name, InodeType.SYMLINK, 0o777, 0, 0)
+                    inode.symlink_target = self._staged_path(action.link_target)
+                else:
+                    raise ExecutionError(f"unknown setup action {action.kind!r}")
+            except KernelError as exc:  # e.g. a missing parent, or staged twice
+                raise ExecutionError(
+                    f"{self.program.name}: setup[{index}] ({action.kind} "
+                    f"{action.path!r}) cannot be staged: {exc.errno.name}"
+                ) from exc
             inode.uid = self.program.run_as_uid
             inode.gid = self.program.run_as_gid
 

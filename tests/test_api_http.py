@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from repro.api import BenchmarkService, RunRequest
+from repro.api.errors import ValidationError
 from repro.api.http import make_server
+from repro.api.specs import BenchmarkSpec
 from repro.api.types import API_VERSION, JobStatus, RunResponse
 from repro.suite.registry import SUITE_REGISTRY
 
@@ -230,6 +232,52 @@ class TestBenchmarkAuthoring:
         assert code == 400
         assert ("BenchmarkSpec.program.ops[0].call"
                 in payload["error"]["message"])
+
+
+class TestBenchmarkDefects:
+    """A spec that passes its checks and still cannot run is the
+    client's error (400), never the service's (500)."""
+
+    def test_unstageable_setup_is_400_naming_the_action(self, server):
+        body = {"spec": custom_spec_payload("bad_setup"), "wait": True,
+                "seed": 3}
+        body["spec"]["program"]["setup"] = [{"kind": "file", "path": "a/b"}]
+        code, payload = http_error(
+            lambda: http_post(server, "/v1/runs", body)
+        )
+        assert code == 400
+        message = payload["error"]["message"]
+        assert "failed its own declaration" in message
+        assert "setup[0] (file 'a/b')" in message
+
+    @pytest.mark.parametrize("call,args", [
+        ("creat", ["made.txt", -1]),
+        ("creat", ["made.txt", 0o10000]),
+        ("open", ["made.txt", "O_CREAT", 2 ** 40]),
+        ("mkdir", ["made", 2 ** 40]),
+        ("chmod", ["made.txt", -1]),
+    ])
+    def test_out_of_range_mode_fails_validate(self, call, args):
+        payload = custom_spec_payload("bad_mode")
+        payload["program"]["ops"] = [
+            {"call": call, "args": args, "target": True}
+        ]
+        spec = BenchmarkSpec.from_payload(payload)
+        with pytest.raises(ValidationError,
+                           match=r"^BenchmarkSpec\.program\.ops\[0\]"
+                                 r"\.args\[\d\]: .*'mode' must be in "
+                                 r"\[0, 0o7777\]"):
+            spec.validate()
+
+    def test_out_of_range_mode_is_400_at_registration(self, server):
+        payload = custom_spec_payload("bad_mode")
+        payload["program"]["ops"][0]["args"][1] = -1
+        code, body = http_error(
+            lambda: http_post(server, "/v1/benchmarks", payload)
+        )
+        assert code == 400
+        assert ("BenchmarkSpec.program.ops[0].args[1]"
+                in body["error"]["message"])
 
 
 class TestRuns:

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.api.specs import BenchmarkSpec, load_persisted_specs, persist_spec
 from repro.cli import build_parser, main
+from repro.storage.artifacts import ArtifactStore
 from repro.suite.registry import SUITE_REGISTRY
 
 
@@ -291,6 +293,23 @@ class TestBenchCommands:
                          "--store", str(store)]) == 2
         finally:
             self._cleanup("cli_cycle")
+
+    def test_rm_removes_a_spec_that_no_longer_decodes(self, tmp_path,
+                                                       capsys):
+        store = ArtifactStore(tmp_path / "store")
+        spec = BenchmarkSpec.from_payload(
+            json.loads(write_spec(tmp_path, "mine").read_text())
+        )
+        persist_spec(store, spec)
+        (artifact,) = (tmp_path / "store" / "spec").glob("*.json")
+        wrapper = json.loads(artifact.read_text())
+        wrapper["payload"]["program"]["ops"][0]["flavour"] = "spicy"
+        artifact.write_text(json.dumps(wrapper))
+        assert load_persisted_specs(store) == []  # counted invalid
+        assert main(["bench", "rm", "--benchmark", "mine", "--store",
+                     str(tmp_path / "store")]) == 0
+        assert "removed 1" in capsys.readouterr().out
+        assert not artifact.exists()
 
     def test_add_refuses_builtin_name(self, tmp_path, capsys):
         store = tmp_path / "store"

@@ -12,12 +12,19 @@ from __future__ import annotations
 import dataclasses
 import json
 import typing
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple, Union
 
 import pytest
 
 from repro.api.errors import ValidationError
-from repro.api.specs import spec_from_program
+from repro.api.specs import (
+    BenchmarkSpec,
+    ExpectationSpec,
+    OpSpec,
+    ProgramSpec,
+    SetupSpec,
+    spec_from_program,
+)
 from repro.api.types import (
     BatchRequest,
     BenchmarkInfo,
@@ -34,7 +41,7 @@ from repro.api.types import (
 )
 from repro.cluster.events import ClusterEvent
 from repro.cluster.protocol import ProtocolError
-from repro.codec import payload_type
+from repro.codec import check_names, payload_type
 from repro.core.result import BenchmarkResult, Classification, StageTimings
 from repro.exec.policy import RetryPolicy
 from repro.faults import FaultError, FaultSpec
@@ -61,6 +68,22 @@ RESPONSE = RunResponse(result=BenchmarkResult(
 SPEC = spec_from_program(get_benchmark("open"))
 COVERAGE = SynthCoverage(syscalls_before=3, syscalls_after=4,
                          new_syscalls=("creat",))
+OP = OpSpec(call="write", args=("$fd", b"\x00hello\n"), result="n",
+            target=True, expect_success=False)
+SETUP = SetupSpec(kind="file", path="data.bin", mode=0o600,
+                  content=b"\xff\xfe payload")
+PROGRAM = ProgramSpec(
+    ops=(OpSpec(call="creat", args=("data.bin", 0o644), result="fd"), OP),
+    setup=(SETUP,), run_as_uid=1000, run_as_gid=1000,
+)
+EXPECTATION = ExpectationSpec(tool="camflow", classification="empty",
+                              note="NR")
+BENCHMARK = BenchmarkSpec(
+    name="write_bytes", program=PROGRAM, group=2, group_name="Custom",
+    description="bytes through the codec", tags=("custom", "bytes"),
+    expectations=(EXPECTATION,
+                  ExpectationSpec(tool="spade", classification="ok")),
+)
 REPORT = SynthReport(
     seed=5, requested=2, generated=2, mutated=0, kept=("open",),
     digests=("d1",), duplicates=0, no_gain=1, failed=0, tools=("spade",),
@@ -145,6 +168,15 @@ ADOPTERS = [
      ValidationError,
      ["backlog_per_worker", "idle_grace", "max_workers", "min_workers",
       "scale_down_cooldown", "scale_up_cooldown"]),
+    (OP, ValidationError,
+     ["args", "call", "expect_success", "result", "target"]),
+    (SETUP, ValidationError,
+     ["content", "kind", "link_target", "mode", "path"]),
+    (PROGRAM, ValidationError, ["ops", "run_as_gid", "run_as_uid", "setup"]),
+    (EXPECTATION, ValidationError, ["classification", "note", "tool"]),
+    (BENCHMARK, ValidationError,
+     ["description", "expectations", "group", "group_name", "name",
+      "program", "tags"]),
 ]
 
 adopters = pytest.mark.parametrize(
@@ -253,3 +285,73 @@ def test_declared_type_gets_the_whole_codec():
                                                          "label": None}
     with pytest.raises(ValidationError, match=r"Point\.x: must be an int"):
         Point(x="1")
+
+
+# -- bytes, scalar unions and decode paths -----------------------------------
+
+
+@payload_type
+class Blob:
+    data: bytes
+    args: Tuple[Union[str, int, bytes], ...] = ()
+    label: str = "blob"
+
+    def __post_init__(self) -> None:
+        check_names(self, "label")
+
+
+@payload_type
+class Holder:
+    blobs: Tuple[Blob, ...] = ()
+
+
+def test_bytes_travel_as_base64_objects():
+    blob = Blob(data=b"\x00\xffhi", args=("a", 1, b"\x01"))
+    assert wire(blob) == {"data": {"base64": "AP9oaQ=="},
+                          "args": ["a", 1, {"base64": "AQ=="}],
+                          "label": "blob"}
+    assert Blob.from_payload(wire(blob)) == blob
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"base64": "!!"}, r"^Holder\.blobs\[1\]\.data\.base64: is not valid base64$"),
+    ({"base64": 7}, r"^Holder\.blobs\[1\]\.data\.base64: is not valid base64$"),
+    ({"base64": "aGk=", "extra": 1},
+     r"^Holder\.blobs\[1\]\.data payload has unknown keys: \['extra'\]$"),
+    ({}, r"^Holder\.blobs\[1\]\.data payload is missing required keys"),
+    ("aGk=", r"^Holder\.blobs\[1\]\.data: must be bytes"),
+])
+def test_bad_base64_objects_name_the_full_path(data, message):
+    payload = {"blobs": [{"data": {"base64": "aGk="}}, {"data": data}]}
+    with pytest.raises(ValidationError, match=message):
+        Holder.from_payload(payload)
+
+
+def test_a_scalar_union_refuses_bool_unless_a_member():
+    with pytest.raises(ValidationError,
+                       match=r"^Blob\.args\[1\]: must be a string, an int "
+                             r"or bytes .*got bool$"):
+        Blob(data=b"", args=("a", True))
+    for bad in ([1], 1.5, None, {"x": 1}):
+        with pytest.raises(ValidationError, match=r"Blob\.args\[0\]"):
+            Blob.from_payload({"data": {"base64": ""}, "args": [bad]})
+
+    @payload_type
+    class Flag:
+        value: Union[bool, int]
+
+    assert Flag.from_payload({"value": True}).value is True
+    assert Flag.from_payload({"value": 3}).value == 3
+
+
+@pytest.mark.parametrize("blob,message", [
+    ({"data": {"base64": ""}, "args": [False]},
+     r"^Holder\.blobs\[0\]\.args\[0\]: must be a string"),
+    ({"data": {"base64": ""}, "label": ""},
+     r"^Holder\.blobs\[0\]\.label: must be non-empty$"),
+])
+def test_nested_construction_errors_name_the_decode_path(blob, message):
+    with pytest.raises(ValidationError, match=message):
+        Holder.from_payload({"blobs": [blob]})
+    with pytest.raises(ValidationError, match=r"^Blob\."):
+        Blob.from_payload(blob)  # a top-level decode names the type

@@ -24,6 +24,7 @@ from repro.api import BenchmarkService, RunRequest
 from repro.api.errors import BackpressureError, DeadlineError, ValidationError
 from repro.api.http import make_server
 from repro.api.jobs import JobManager
+from repro.api.specs import BenchmarkSpec
 from repro.api.types import BatchRequest
 from repro.exec import FleetJobManager, RetryPolicy
 from repro.faults import FaultPlan, FaultSpec
@@ -276,6 +277,22 @@ def test_fleet_does_not_retry_deadline_misses(tmp_path):
         done = wait_terminal(service.jobs, status.job_id)
         assert done.state == "failed"
         assert done.error.startswith("DeadlineError: "), done.error
+
+
+def test_fleet_does_not_retry_unstageable_specs(tmp_path):
+    spec = BenchmarkSpec.from_payload({"name": "bad_setup", "program": {
+        "setup": [{"kind": "file", "path": "a/b"}],  # no parent "a"
+        "ops": [{"call": "getpid", "target": True}],
+    }})
+    with FleetJobManager(tmp_path, workers=1,
+                         policy=RetryPolicy(**FAST)) as manager:
+        status = BenchmarkService(jobs=manager).submit(
+            RunRequest(spec=spec, tool="spade", seed=3))
+        done = wait_terminal(manager, status.job_id)
+    assert done.state == "failed"
+    assert done.attempts == 1  # a benchmark defect: no retries
+    assert done.error.startswith("ValidationError: "), done.error
+    assert "setup[0] (file 'a/b')" in done.error
 
 
 def test_deadline_must_be_positive():

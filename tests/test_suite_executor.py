@@ -3,7 +3,14 @@
 import pytest
 
 from repro.suite.executor import STAGING_DIR, ExecutionError, run_trial
-from repro.suite.program import Op, Program, create_file
+from repro.suite.program import (
+    Op,
+    Program,
+    create_dir,
+    create_fifo,
+    create_file,
+    create_symlink,
+)
 from repro.suite.registry import get_benchmark
 
 
@@ -95,6 +102,31 @@ class TestExpectations:
         )
         with pytest.raises(ExecutionError):
             run_trial(program, True, seed=1)
+
+    @pytest.mark.parametrize("setup,index,errno", [
+        ((create_file("a/b"),), 0, "ENOENT"),  # missing parent
+        ((create_file("a"), create_file("a/b")), 1, "ENOTDIR"),
+        ((create_dir("d"), create_dir("d")), 1, "EEXIST"),
+        ((create_fifo("f"), create_fifo("f")), 1, "EEXIST"),
+        ((create_file("x"), create_dir("x")), 1, "EEXIST"),
+    ])
+    def test_unstageable_setup_raises_naming_the_action(
+        self, setup, index, errno
+    ):
+        program = Program(name="badsetup", setup=setup,
+                          ops=(Op("getpid", (), target=True),))
+        with pytest.raises(ExecutionError,
+                           match=rf"badsetup: setup\[{index}\] .*{errno}"):
+            run_trial(program, True, seed=1)
+
+    def test_file_under_a_symlinked_dir_stages(self):
+        program = Program(
+            name="linked",
+            setup=(create_dir("real"), create_symlink("alias", "real"),
+                   create_file("alias/f.txt")),
+            ops=(Op("open", ("real/f.txt", "O_RDONLY"), target=True),),
+        )
+        assert run_trial(program, True, seed=1).exit_code == 0
 
 
 class TestProcessOps:
