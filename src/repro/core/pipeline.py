@@ -43,7 +43,7 @@ from repro.core.stages import (
     default_pipeline,
 )
 from repro.graph.model import PropertyGraph
-from repro.storage.artifacts import ArtifactError, ArtifactStore
+from repro.storage.artifacts import PAYLOAD_ERRORS, ArtifactStore
 from repro.suite.program import Program
 from repro.suite.registry import get_benchmark
 
@@ -284,19 +284,15 @@ class ProvMark:
         are rewritten to this run's view — every stage was served from
         the store, none recomputed.
         """
-        payload = store.load(RESULT_STAGE, self._result_material(ctx))
+        material = self._result_material(ctx)
+        payload = store.load(RESULT_STAGE, material)
         if payload is None:
             return None
         try:
             result = BenchmarkResult.from_payload(payload)
-        except (
-            ArtifactError, AttributeError, IndexError,
-            KeyError, TypeError, ValueError,
-        ):
-            # A result payload from an incompatible format: recompute
-            # (the fresh run overwrites the bad artifact).
-            store.stats.hits -= 1  # load() counted it
-            store.stats.invalid += 1
+        except PAYLOAD_ERRORS:
+            # A result payload from an incompatible format: recompute.
+            store.reject(RESULT_STAGE, material)
             return None
         result.timings.store_hits = len(self.pipeline.stages)
         result.timings.store_misses = 0

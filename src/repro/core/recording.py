@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.capture.base import CaptureSystem, RawOutput
 from repro.storage.artifacts import raw_from_payload, raw_to_payload
@@ -64,28 +64,12 @@ class RecordingSession:
         )
 
     def to_payload(self) -> Dict[str, object]:
-        """Serialize every trial (the artifact store's recording stage)."""
+        """Serialize every trial, foreground first."""
         return {
             "tool": self.tool,
             "foreground": [t.to_payload() for t in self.foreground_trials],
             "background": [t.to_payload() for t in self.background_trials],
         }
-
-    @classmethod
-    def from_payload(
-        cls, payload: Mapping[str, object], program: Program
-    ) -> "RecordingSession":
-        """Rebuild a session around the (non-serialized) program object."""
-        return cls(
-            program=program,
-            tool=str(payload["tool"]),
-            foreground_trials=[
-                RecordedTrial.from_payload(t) for t in payload["foreground"]
-            ],
-            background_trials=[
-                RecordedTrial.from_payload(t) for t in payload["background"]
-            ],
-        )
 
 
 class Recorder:
@@ -108,30 +92,52 @@ class Recorder:
         self.capture = capture
         self.trials = trials
         self.truncation_rate = truncation_rate
-        self._rng = random.Random(seed)
+        rng = random.Random(seed)
+        #: per variant (True: foreground), each trial's seed and whether an
+        #: early stop truncates it, drawn up front in recording order
+        #: (background first), so that one variant recorded alone gets
+        #: byte-identical trials
+        self.plan: Dict[bool, Tuple[Tuple[int, bool], ...]] = {
+            foreground: tuple(self._draw(rng) for _ in range(trials))
+            for foreground in (False, True)
+        }
+
+    def _draw(self, rng: random.Random) -> Tuple[int, bool]:
+        trial_seed = rng.randrange(2**31)
+        truncated = bool(self.truncation_rate) and (
+            rng.random() < self.truncation_rate
+        )
+        return trial_seed, truncated
 
     def record(self, program: Program) -> RecordingSession:
-        session = RecordingSession(program=program, tool=self.capture.name)
-        for foreground in (False, True):
-            bucket = (
-                session.foreground_trials
-                if foreground
-                else session.background_trials
-            )
-            for _ in range(self.trials):
-                bucket.append(self._one_trial(program, foreground))
-        return session
+        background = self.record_variant(program, foreground=False)
+        return RecordingSession(
+            program=program,
+            tool=self.capture.name,
+            foreground_trials=self.record_variant(program, foreground=True),
+            background_trials=background,
+        )
 
-    def _one_trial(self, program: Program, foreground: bool) -> RecordedTrial:
-        trial_seed = self._rng.randrange(2**31)
+    def record_variant(
+        self, program: Program, foreground: bool
+    ) -> List[RecordedTrial]:
+        """Every trial of one variant, exactly as :meth:`record` runs it."""
+        return [
+            self._one_trial(program, foreground, trial_seed, truncated)
+            for trial_seed, truncated in self.plan[foreground]
+        ]
+
+    def _one_trial(
+        self, program: Program, foreground: bool, trial_seed: int,
+        truncated: bool,
+    ) -> RecordedTrial:
         executor = ProgramExecutor(program, seed=trial_seed)
         execution = executor.run(foreground)
         trace = execution.trace
-        if self.truncation_rate and self._rng.random() < self.truncation_rate:
+        if truncated and len(trace.audit) > 2:
             # An early stop loses the tail of the audit log (the final
             # flush): drop the last two records, garbling this trial.
-            if len(trace.audit) > 2:
-                trace = trace.window(0, trace.audit[-3].seq)
+            trace = trace.window(0, trace.audit[-3].seq)
         tool_rng = random.Random(trial_seed ^ 0x5EED)
         raw = self.capture.record(trace, tool_rng)
         cost = self.capture.recording_cost(tool_rng)

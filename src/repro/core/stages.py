@@ -6,9 +6,18 @@ inputs and outputs, operating on a shared :class:`RunContext`.  A
 :class:`Pipeline` wires them together, owns per-stage wall-clock timing,
 and transparently checks each stage against the persistent
 :class:`~repro.storage.artifacts.ArtifactStore` when one is configured:
-a stage whose key (benchmark, tool, resolved config, seed, stage) has a
-stored artifact is *restored* instead of recomputed, with hit/miss
-counters recorded in :class:`~repro.core.result.StageTimings`.
+a stage whose key has a stored artifact is *restored* instead of
+recomputed, with hit/miss counters recorded in
+:class:`~repro.core.result.StageTimings`.
+
+Recording, transformation and generalization handle the foreground and
+the background program separately (paper §3.2–3.4), so each variant has
+its own artifact, keyed by (variant, tool, resolved config, seed,
+stage): what that variant's trials execute, not the benchmark's name.
+Benchmarks that share a background — the 44 Table 2 benchmarks have
+five — record, transform and generalize it once per store.  Comparison
+and the final result are keyed by (benchmark, tool, resolved config,
+seed, stage).
 
 Restored stages are exact replays: graph payloads preserve element
 insertion order, and each solver-using stage stores the solver-counter
@@ -37,12 +46,13 @@ from repro.core.generalize import (
     GeneralizationOutcome,
     generalize_trials,
 )
-from repro.core.recording import Recorder, RecordingSession
+from repro.core.recording import RecordedTrial, Recorder, RecordingSession
 from repro.core.result import StageTimings
 from repro.core.transform import transform
 from repro.graph.model import PropertyGraph
 from repro.solver.native import SolverStats, solver_stats
 from repro.storage.artifacts import (
+    PAYLOAD_ERRORS,
     ArtifactError,
     ArtifactStore,
     graph_from_payload,
@@ -53,6 +63,21 @@ from repro.suite.program import Program
 #: stage name under which the driver stores assembled BenchmarkResults
 #: (consulted by ``provmark batch --resume``)
 RESULT_STAGE = "result"
+
+#: the program variants, named as per-variant payloads key them
+FOREGROUND, BACKGROUND = "fg", "bg"
+
+#: The per-variant stages by name, each with the order it handles the
+#: variants in: recording runs the background first (the order its
+#: trial seeds are drawn in), the later stages the foreground first.
+#: The pipeline recognises these stages by name alone, so a wrapper
+#: that copies a stage's name and forwards ``run``/``restore`` takes
+#: the same path.
+VARIANT_ORDER: Dict[str, Tuple[str, ...]] = {
+    "recording": (BACKGROUND, FOREGROUND),
+    "transformation": (FOREGROUND, BACKGROUND),
+    "generalization": (FOREGROUND, BACKGROUND),
+}
 
 
 class PipelineDefinitionError(Exception):
@@ -133,6 +158,9 @@ class RunContext:
     #: :class:`DeadlineExceeded`.  Excluded from :meth:`key_material` —
     #: a deadline bounds wall clock, it cannot change results.
     deadline_at: Optional[float] = None
+    #: the variants a per-variant stage's ``run`` computes, in the
+    #: stage's order; the pipeline sets it before each call
+    variants: Tuple[str, ...] = ()
     # -- stage products ----------------------------------------------------
     session: Optional[RecordingSession] = None
     fg_graphs: Optional[List[PropertyGraph]] = None
@@ -142,31 +170,36 @@ class RunContext:
     comparison: Optional[ComparisonOutcome] = None
     #: set by Pipeline.run when a stage raised StageFailure
     failure: Optional[str] = None
-    #: memoized key_material() result (invariant for the whole run)
-    _key_material: Optional[Dict[str, object]] = field(
-        default=None, repr=False
+    #: memoized key_material() results, by variant (invariant for the run)
+    _key_material: Dict[Optional[str], Dict[str, object]] = field(
+        default_factory=dict, repr=False
     )
 
-    def key_material(self) -> Dict[str, object]:
-        """The run's stable identity: what the artifact key hashes over.
+    def key_material(
+        self, variant: Optional[str] = None
+    ) -> Dict[str, object]:
+        """What an artifact key hashes over: the run's or one variant's.
 
-        Covers the benchmark program (by content, not just name — a
-        custom ``Program`` with the same name keys differently), the
-        capture backend (class + config repr + output format), and every
-        resolved pipeline knob that can change any stage's output.
-        Parallelism and store settings are deliberately excluded: they
-        cannot change results.  The keys rely on seeded determinism —
-        drivers must not offer the store to a run without a seed.
+        Both cover the capture backend (class + config repr + output
+        format) and every resolved pipeline knob that can change a
+        stage's output.  The run's identity (``variant=None``, keying
+        comparison and the final result) adds the benchmark program by
+        content as well as name — a custom ``Program`` with the same
+        name keys differently — and both pair policies.  A variant's
+        identity (``"fg"``/``"bg"``, keying recording, transformation
+        and generalization) adds only :meth:`Program.variant`, which is
+        everything that variant's trials execute, and that variant's
+        pair policy, so benchmarks that share a background share its
+        artifacts.  Parallelism and store settings are deliberately
+        excluded: they cannot change results.  The keys rely on seeded
+        determinism — drivers must not offer the store to a run without
+        a seed.
         """
-        if self._key_material is not None:
-            return self._key_material
+        material = self._key_material.get(variant)
+        if material is not None:
+            return material
         capture_cls = type(self.capture)
-        self._key_material = {
-            "program": {
-                "name": self.program.name,
-                # frozen dataclass repr: deterministic, content-based
-                "fingerprint": repr(self.program),
-            },
+        material = {
             "tool": self.tool,
             "capture": {
                 "class": f"{capture_cls.__module__}.{capture_cls.__qualname__}",
@@ -178,10 +211,23 @@ class RunContext:
             "engine": self.engine,
             "seed": self.seed,
             "truncation_rate": self.truncation_rate,
-            "fg_pair_policy": self.fg_pair_policy,
-            "bg_pair_policy": self.bg_pair_policy,
         }
-        return self._key_material
+        if variant is None:
+            material["program"] = {
+                "name": self.program.name,
+                # frozen dataclass repr: deterministic, content-based
+                "fingerprint": repr(self.program),
+            }
+            material["fg_pair_policy"] = self.fg_pair_policy
+            material["bg_pair_policy"] = self.bg_pair_policy
+        else:
+            foreground = variant == FOREGROUND
+            material["variant"] = repr(self.program.variant(foreground))
+            material["pair_policy"] = (
+                self.fg_pair_policy if foreground else self.bg_pair_policy
+            )
+        self._key_material[variant] = material
+        return material
 
 
 def _solver_delta_payload(before: SolverStats) -> Dict[str, int]:
@@ -220,6 +266,15 @@ class Stage(abc.ABC):
     are produced by an earlier stage.  ``timing_field`` names the
     :class:`StageTimings` attribute that accumulates this stage's wall
     clock (whether computed or restored).
+
+    A stage named in :data:`VARIANT_ORDER` is *per-variant*: its
+    payloads map variant names (``"fg"``/``"bg"``) to that variant's
+    own payload, and the pipeline stores each under the variant's key.
+    ``run`` computes just the variants in ``ctx.variants``, in order,
+    and returns their payloads; a :class:`StageFailure` it raises
+    carries the payloads of the variants computed before it plus the
+    failed one's.  ``restore`` receives one variant's payload, as
+    ``{variant: payload}``.
     """
 
     name: str = "stage"
@@ -241,7 +296,9 @@ class Stage(abc.ABC):
         """Rebuild this stage's outputs on ``ctx`` from a stored payload.
 
         Raises :class:`StageFailure` when the payload records a cached
-        failure.
+        failure, and one of
+        :data:`~repro.storage.artifacts.PAYLOAD_ERRORS` when it cannot
+        be decoded; it decodes fully before touching ``ctx``.
         """
 
     def __repr__(self) -> str:
@@ -249,7 +306,12 @@ class Stage(abc.ABC):
 
 
 class RecordingStage(Stage):
-    """Stage 1 — run fg/bg trials under the capture tool (paper §3.2)."""
+    """Stage 1 — run fg/bg trials under the capture tool (paper §3.2).
+
+    A variant's payload is its trials.  The trial seeds are drawn up
+    front, so a variant recorded alone gets the trials a recording of
+    both would.
+    """
 
     name = "recording"
     outputs = ("session",)
@@ -262,12 +324,40 @@ class RecordingStage(Stage):
             seed=ctx.seed,
             truncation_rate=ctx.truncation_rate,
         )
-        ctx.session = recorder.record(ctx.program)
-        ctx.timings.virtual_recording = ctx.session.virtual_seconds
-        return ctx.session.to_payload()
+        payloads = {}
+        for variant in ctx.variants:
+            trials = recorder.record_variant(
+                ctx.program, foreground=variant == FOREGROUND
+            )
+            self._set_trials(ctx, variant, trials)
+            payloads[variant] = [trial.to_payload() for trial in trials]
+        return payloads
 
     def restore(self, ctx: RunContext, payload: Mapping[str, object]) -> None:
-        ctx.session = RecordingSession.from_payload(payload, ctx.program)
+        [(variant, stored)] = payload.items()
+        trials = [RecordedTrial.from_payload(t) for t in stored]
+        foreground = variant == FOREGROUND
+        # a short recording would fail generalization, and that failure
+        # would be stored: reject it instead
+        if len(trials) != ctx.trials or any(
+            trial.foreground is not foreground for trial in trials
+        ):
+            raise ArtifactError(
+                f"stored {variant} recording does not hold "
+                f"{ctx.trials} {variant} trials"
+            )
+        self._set_trials(ctx, variant, trials)
+
+    @staticmethod
+    def _set_trials(
+        ctx: RunContext, variant: str, trials: List[RecordedTrial]
+    ) -> None:
+        if ctx.session is None:
+            ctx.session = RecordingSession(ctx.program, ctx.capture.name)
+        if variant == FOREGROUND:
+            ctx.session.foreground_trials = trials
+        else:
+            ctx.session.background_trials = trials
         ctx.timings.virtual_recording = ctx.session.virtual_seconds
 
 
@@ -280,35 +370,42 @@ class TransformationStage(Stage):
     timing_field = "transformation"
 
     def run(self, ctx: RunContext) -> Dict[str, object]:
-        ctx.fg_graphs = self._transform_trials(ctx, foreground=True)
-        ctx.bg_graphs = self._transform_trials(ctx, foreground=False)
-        return {
-            "fg": [graph_to_payload(g) for g in ctx.fg_graphs],
-            "bg": [graph_to_payload(g) for g in ctx.bg_graphs],
-        }
-
-    @staticmethod
-    def _transform_trials(
-        ctx: RunContext, foreground: bool
-    ) -> List[PropertyGraph]:
-        session = ctx.session
-        trials = (
-            session.foreground_trials if foreground
-            else session.background_trials
-        )
-        prefix = "fg" if foreground else "bg"
-        return [
-            transform(trial.raw, ctx.capture.output_format, gid=f"{prefix}{i}")
-            for i, trial in enumerate(trials)
-        ]
+        payloads = {}
+        for variant in ctx.variants:
+            trials = (
+                ctx.session.foreground_trials if variant == FOREGROUND
+                else ctx.session.background_trials
+            )
+            graphs = [
+                transform(
+                    trial.raw, ctx.capture.output_format, gid=f"{variant}{i}"
+                )
+                for i, trial in enumerate(trials)
+            ]
+            setattr(ctx, f"{variant}_graphs", graphs)
+            payloads[variant] = [graph_to_payload(g) for g in graphs]
+        return payloads
 
     def restore(self, ctx: RunContext, payload: Mapping[str, object]) -> None:
-        ctx.fg_graphs = [graph_from_payload(p) for p in payload["fg"]]
-        ctx.bg_graphs = [graph_from_payload(p) for p in payload["bg"]]
+        [(variant, stored)] = payload.items()
+        graphs = [graph_from_payload(p) for p in stored]
+        # one graph per trial, each named for its variant and trial
+        if [g.gid for g in graphs] != [
+            f"{variant}{i}" for i in range(ctx.trials)
+        ]:
+            raise ArtifactError(
+                f"stored {variant} graphs do not match "
+                f"{ctx.trials} {variant} trials"
+            )
+        setattr(ctx, f"{variant}_graphs", graphs)
 
 
 class GeneralizationStage(Stage):
-    """Stage 3 — similarity classes to one graph per variant (paper §3.4)."""
+    """Stage 3 — similarity classes to one graph per variant (paper §3.4).
+
+    Each variant's payload carries the solver-counter delta of its own
+    generalization, so a run's counters add up to a full computation's.
+    """
 
     name = "generalization"
     inputs = ("fg_graphs", "bg_graphs")
@@ -316,41 +413,52 @@ class GeneralizationStage(Stage):
     timing_field = "generalization"
 
     def run(self, ctx: RunContext) -> Dict[str, object]:
-        before = solver_stats().snapshot()
-        try:
-            fg_outcome = generalize_trials(
-                ctx.fg_graphs, filtergraphs=ctx.filtergraphs,
-                engine=ctx.engine, pair_policy=ctx.fg_pair_policy,
-            )
-            bg_outcome = generalize_trials(
-                ctx.bg_graphs, filtergraphs=ctx.filtergraphs,
-                engine=ctx.engine, pair_policy=ctx.bg_pair_policy,
-            )
-        except GeneralizationError as error:
+        payloads: Dict[str, object] = {}
+        for variant in ctx.variants:
+            before = solver_stats().snapshot()
+            try:
+                outcome = generalize_trials(
+                    getattr(ctx, f"{variant}_graphs"),
+                    filtergraphs=ctx.filtergraphs,
+                    engine=ctx.engine,
+                    pair_policy=(
+                        ctx.fg_pair_policy if variant == FOREGROUND
+                        else ctx.bg_pair_policy
+                    ),
+                )
+            except GeneralizationError as error:
+                counters = _solver_delta_payload(before)
+                _apply_solver_counters(ctx.timings, counters)
+                payloads[variant] = {"failed": str(error), "solver": counters}
+                raise self._failed(ctx, str(error), payloads) from error
             counters = _solver_delta_payload(before)
             _apply_solver_counters(ctx.timings, counters)
-            raise StageFailure(
-                str(error), payload={"failed": str(error), "solver": counters}
-            ) from error
-        counters = _solver_delta_payload(before)
-        _apply_solver_counters(ctx.timings, counters)
-        ctx.fg_outcome, ctx.bg_outcome = fg_outcome, bg_outcome
-        return {
-            "fg": fg_outcome.to_payload(),
-            "bg": bg_outcome.to_payload(),
-            "solver": counters,
-        }
+            setattr(ctx, f"{variant}_outcome", outcome)
+            payloads[variant] = {
+                "outcome": outcome.to_payload(), "solver": counters,
+            }
+        return payloads
 
     def restore(self, ctx: RunContext, payload: Mapping[str, object]) -> None:
+        [(variant, stored)] = payload.items()
         # Decode fully before touching ctx, so a rejected payload leaves
         # the timings/counters untouched for the recompute fallback.
-        if "failed" in payload:
-            _apply_solver_counters(ctx.timings, payload.get("solver", {}))
-            raise StageFailure(str(payload["failed"]))
-        fg_outcome = GeneralizationOutcome.from_payload(payload["fg"])
-        bg_outcome = GeneralizationOutcome.from_payload(payload["bg"])
-        _apply_solver_counters(ctx.timings, payload.get("solver", {}))
-        ctx.fg_outcome, ctx.bg_outcome = fg_outcome, bg_outcome
+        if "failed" in stored:
+            _apply_solver_counters(ctx.timings, stored.get("solver", {}))
+            raise self._failed(ctx, str(stored["failed"]))
+        outcome = GeneralizationOutcome.from_payload(stored["outcome"])
+        _apply_solver_counters(ctx.timings, stored.get("solver", {}))
+        setattr(ctx, f"{variant}_outcome", outcome)
+
+    @staticmethod
+    def _failed(
+        ctx: RunContext, message: str,
+        payload: Optional[Dict[str, object]] = None,
+    ) -> StageFailure:
+        # A failed stage leaves neither outcome behind, whichever variant
+        # failed: a FAILED result carries no generalized graph.
+        ctx.fg_outcome = ctx.bg_outcome = None
+        return StageFailure(message, payload)
 
 
 class ComparisonStage(Stage):
@@ -452,45 +560,84 @@ class Pipeline:
         setattr(ctx.timings, stage.timing_field, current + elapsed)
         return elapsed
 
+    @classmethod
+    def _run_stage(cls, stage: Stage, ctx: RunContext) -> None:
+        """Restore or compute one stage, unit by unit.
+
+        The units of a per-variant stage are its variants, in
+        :data:`VARIANT_ORDER`; any other stage is one unit, the run.
+        Each unit is restored from its own artifact when the store holds
+        one its ``restore`` accepts; the units missing before it are
+        computed first, together in one ``run`` call.  A stored failure
+        thus surfaces only once every earlier unit is restored or
+        computed, as in a full computation.  The stage counts one store
+        hit when every unit was restored, one miss otherwise.
+        """
+        variants = VARIANT_ORDER.get(stage.name)
+        units: Tuple[Optional[str], ...] = variants or (None,)
+        store = ctx.store
+        materials: Dict[Optional[str], Dict[str, object]] = {}
+        if store is not None:
+            for unit in units:
+                materials[unit] = dict(ctx.key_material(unit), stage=stage.name)
+        pending: List[Optional[str]] = []
+        missed = False
+        try:
+            for unit in units:
+                payload = None
+                if store is not None and ctx.use_cache:
+                    payload = store.load(stage.name, materials[unit])
+                if payload is None:
+                    pending.append(unit)
+                    continue
+                if pending:
+                    missed = True
+                    cls._compute(stage, ctx, pending, materials)
+                    pending = []
+                try:
+                    stage.restore(
+                        ctx, payload if unit is None else {unit: payload}
+                    )
+                except PAYLOAD_ERRORS:
+                    store.reject(stage.name, materials[unit])
+                    pending.append(unit)
+            if pending:
+                missed = True
+                cls._compute(stage, ctx, pending, materials)
+        finally:
+            if store is not None:
+                if missed:
+                    ctx.timings.store_misses += 1
+                else:
+                    ctx.timings.store_hits += 1
+
     @staticmethod
-    def _run_stage(stage: Stage, ctx: RunContext) -> None:
-        material: Optional[Dict[str, object]] = None
-        if ctx.store is not None:
-            material = dict(ctx.key_material())
-            material["stage"] = stage.name
-            if ctx.use_cache:
-                payload = ctx.store.load(stage.name, material)
-                if payload is not None:
-                    try:
-                        stage.restore(ctx, payload)
-                        ctx.timings.store_hits += 1
-                        return
-                    except StageFailure:
-                        # a cached deterministic failure replays as a hit
-                        ctx.timings.store_hits += 1
-                        raise
-                    except (
-                        ArtifactError, AttributeError, IndexError,
-                        KeyError, TypeError, ValueError,
-                    ):
-                        # Valid JSON wrapping a payload the codecs reject
-                        # (e.g. written by a different code version):
-                        # discard it and recompute, like any corruption.
-                        ctx.store.stats.hits -= 1  # load() counted it
-                        ctx.store.stats.invalid += 1
-                        try:
-                            ctx.store.path_for(stage.name, material).unlink()
-                        except OSError:
-                            pass
-            ctx.timings.store_misses += 1
+    def _compute(
+        stage: Stage,
+        ctx: RunContext,
+        units: List[Optional[str]],
+        materials: Dict[Optional[str], Dict[str, object]],
+    ) -> None:
+        """Run ``stage`` for ``units``; store what it computed, failures
+        included, each under its unit's key."""
+        per_variant = units[0] is not None
+        if per_variant:
+            ctx.variants = tuple(units)
+
+        def save(payload: Optional[Dict[str, object]]) -> None:
+            if not materials or payload is None:
+                return
+            for unit, stored in (
+                payload.items() if per_variant else [(None, payload)]
+            ):
+                ctx.store.save(stage.name, materials[unit], stored)
+
         try:
             payload = stage.run(ctx)
         except StageFailure as failure:
-            if material is not None and failure.payload is not None:
-                ctx.store.save(stage.name, material, failure.payload)
+            save(failure.payload)
             raise
-        if material is not None and payload is not None:
-            ctx.store.save(stage.name, material, payload)
+        save(payload)
 
 
 def default_pipeline() -> Pipeline:

@@ -22,6 +22,7 @@ class Errno(enum.IntEnum):
     EISDIR = 21
     EINVAL = 22
     EMFILE = 24
+    EFBIG = 27
     ESPIPE = 29
     ELOOP = 40
     ENOTEMPTY = 39

@@ -22,6 +22,12 @@ _WANT_READ = 4
 _WANT_WRITE = 2
 _WANT_EXEC = 1
 
+#: every process's RLIMIT_FSIZE: a truncate or write that would make a
+#: file larger fails with EFBIG, so no program can make the kernel
+#: allocate without bound.  Far above the largest file any builtin
+#: (64 B) or synthesized (256 B) benchmark writes.
+FILE_SIZE_LIMIT = 1 << 20
+
 
 def _flags_want(flags: str) -> int:
     want = 0
@@ -223,6 +229,8 @@ class FileSyscalls:
         if write:
             payload = data or b"x" * length
             offset = 0 if positional else description.offset
+            if offset + len(payload) > FILE_SIZE_LIMIT:
+                raise KernelError(Errno.EFBIG).with_context([obj], hooks)
             buffer = inode.data[:offset].ljust(offset, b"\0") + payload
             inode.data = buffer + inode.data[offset + len(payload):]
             inode.size = len(inode.data)
@@ -453,8 +461,11 @@ class FileSyscalls:
     # -- truncate -----------------------------------------------------------------
 
     def _truncate_inode(
-        self: Machine, inode: Inode, length: int
+        self: Machine, inode: Inode, length: int, obj: ObjectInfo,
+        hooks: List[Tuple[str, List[ObjectInfo], Dict[str, str]]],
     ) -> None:
+        if length > FILE_SIZE_LIMIT:
+            raise KernelError(Errno.EFBIG).with_context([obj], hooks)
         inode.data = inode.data[:length].ljust(length, b"\0")
         inode.size = length
         inode.bump_version()
@@ -462,6 +473,8 @@ class FileSyscalls:
 
     def sys_truncate(self: Machine, process: Process, path: str, length: int = 0) -> int:
         def run() -> SyscallOutcome:
+            if length < 0:
+                raise KernelError(Errno.EINVAL)
             creds = process.creds
             full = self.fs.normalize(path, process.cwd)
             hooks: List[Tuple[str, List[ObjectInfo], Dict[str, str]]] = []
@@ -472,20 +485,22 @@ class FileSyscalls:
             except KernelError as denied:
                 hooks.append(("inode_permission", [obj], {"mask": "w"}))
                 raise denied.with_context([obj], hooks)
-            self._truncate_inode(inode, length)
             hooks.append(("inode_permission", [obj], {"mask": "w"}))
+            self._truncate_inode(inode, length, obj, hooks)
             hooks.append(("path_truncate", [obj], {"length": str(length)}))
             return SyscallOutcome(retval=0, objects=[obj], hooks=hooks)
         return self.syscall(process, "truncate", (path, length), run)
 
     def sys_ftruncate(self: Machine, process: Process, fd: int, length: int = 0) -> int:
         def run() -> SyscallOutcome:
+            if length < 0:
+                raise KernelError(Errno.EINVAL)
             description = process.get_fd(fd)
             inode = self.fs.inode(description.ino)
             obj = self.file_object(inode, description.path, "fd", fd=fd)
             if not _flags_want(description.flags) & _WANT_WRITE:
                 raise KernelError(Errno.EBADF).with_context([obj], [])
-            self._truncate_inode(inode, length)
+            self._truncate_inode(inode, length, obj, [])
             hooks = [("path_truncate", [obj], {"length": str(length)})]
             return SyscallOutcome(retval=0, objects=[obj], hooks=hooks)
         return self.syscall(process, "ftruncate", (fd, length), run)

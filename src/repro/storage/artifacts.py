@@ -3,9 +3,13 @@
 Every pipeline stage output — trial recordings, transformed property
 graphs, generalized graphs, comparison targets, final benchmark results —
 can be serialized to a JSON payload and persisted here, addressed by a
-stable key over (benchmark, tool, resolved config, seed, stage).  Later
-runs with the same key reuse the stored artifact instead of recomputing
-the stage, which makes repeated sweeps near-free and ``provmark batch``
+stable key over the stage and what produced it: one program variant
+(its binary, tool, resolved config and seed) for recording,
+transformation and generalization, the whole run (benchmark, tool,
+resolved config, seed) for comparison and the final result.  Later runs
+with the same key reuse the stored artifact instead of recomputing the
+stage, which makes repeated sweeps near-free, lets benchmarks that share
+a background share its artifacts, and makes ``provmark batch``
 resumable.
 
 Design points:
@@ -19,7 +23,10 @@ Design points:
   artifact under the final name.
 * **Corruption tolerance.** A truncated, unparsable, or mismatched
   artifact is treated as a miss: it is counted, best-effort deleted, and
-  the stage recomputes.  The store never raises on bad cache contents.
+  the stage recomputes.  The store never raises on bad cache contents,
+  and a payload that parses but that its reader rejects (one raising
+  :data:`PAYLOAD_ERRORS`) goes the same way through
+  :meth:`ArtifactStore.reject`.
 
 The payload codecs for the graph/raw-output value types live here too, so
 every stage serializes through one vocabulary.
@@ -53,6 +60,13 @@ DEFAULT_FAULT_GATE = None
 
 class ArtifactError(Exception):
     """Raised for unusable store roots or malformed payload values."""
+
+
+#: what a payload reader raises for a stored payload it cannot decode
+#: (e.g. one written by another code version, or cut short)
+PAYLOAD_ERRORS = (
+    ArtifactError, AttributeError, IndexError, KeyError, TypeError, ValueError,
+)
 
 
 def canonical_key(material: Mapping[str, object]) -> str:
@@ -176,15 +190,28 @@ class ArtifactStore:
         except (ValueError, KeyError):
             # Truncated write, garbage, or a format from another life:
             # drop it and recompute.
-            self.stats.invalid += 1
-            self.stats.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            self._discard(path)
             return None
         self.stats.hits += 1
         return payload
+
+    def reject(self, stage: str, material: Mapping[str, object]) -> None:
+        """Discard a loaded payload that its reader could not decode.
+
+        :meth:`load` counted it a hit.  It is counted invalid and a miss
+        instead, and deleted, like any other corrupt artifact, so the
+        caller recomputes it.
+        """
+        self.stats.hits -= 1
+        self._discard(self.path_for(stage, material))
+
+    def _discard(self, path: Path) -> None:
+        self.stats.invalid += 1
+        self.stats.misses += 1
+        try:
+            path.unlink()
+        except OSError:
+            pass
 
     def save(
         self, stage: str, material: Mapping[str, object], payload: object

@@ -21,7 +21,7 @@ from repro.kernel import (
 )
 from repro.kernel.fs import InodeType
 from repro.kernel.trace import Trace
-from repro.suite.program import Arg, Op, Program
+from repro.suite.program import Arg, Op, Program, Variant
 
 STAGING_DIR = "/home/bench/staging"
 
@@ -48,16 +48,18 @@ class ProgramExecutor:
         self.seed = seed
 
     def run(self, foreground: bool) -> ExecutionResult:
+        """One trial of the program's foreground or background variant.
+
+        Reads nothing of the program but :meth:`Program.variant` (and
+        its name, for error messages), so the variant is a complete key
+        for what the trial records.
+        """
+        variant = self.program.variant(foreground)
         kernel = Kernel(seed=self.seed)
-        self._prepare_staging(kernel)
-        ops = (
-            self.program.foreground_ops()
-            if foreground
-            else self.program.background_ops()
-        )
+        self._prepare_staging(kernel, variant)
         start_seq = kernel.seq + 1
-        process = self._start_benchmark_process(kernel, foreground)
-        variables = self._run_ops(kernel, process, ops)
+        process = self._start_benchmark_process(kernel, variant)
+        variables = self._run_ops(kernel, process, variant.ops)
         if process.alive:
             kernel.sys_exit(process, 0)
         # Reap any children the program spawned (implicit exit at end of
@@ -76,12 +78,12 @@ class ProgramExecutor:
 
     # -- stages ------------------------------------------------------------
 
-    def _prepare_staging(self, kernel: Kernel) -> None:
+    def _prepare_staging(self, kernel: Kernel, variant: Variant) -> None:
         fs = kernel.fs
         if not fs.exists(STAGING_DIR):
             staging = fs.mkdir(STAGING_DIR, mode=0o755)
             staging.uid, staging.gid = BENCH_UID, BENCH_GID
-        for index, action in enumerate(self.program.setup):
+        for index, action in enumerate(variant.setup):
             path = self._staged_path(action.path)
             try:
                 if action.kind == "file":
@@ -102,16 +104,18 @@ class ProgramExecutor:
                     f"{self.program.name}: setup[{index}] ({action.kind} "
                     f"{action.path!r}) cannot be staged: {exc.errno.name}"
                 ) from exc
-            inode.uid = self.program.run_as_uid
-            inode.gid = self.program.run_as_gid
+            inode.uid = variant.run_as_uid
+            inode.gid = variant.run_as_gid
 
-    def _start_benchmark_process(self, kernel: Kernel, foreground: bool) -> Process:
+    def _start_benchmark_process(
+        self, kernel: Kernel, variant: Variant
+    ) -> Process:
         """Shell forks, child execs the benchmark binary, loader maps libc."""
-        binary = f"{STAGING_DIR}/bench_{'fg' if foreground else 'bg'}"
+        binary = f"{STAGING_DIR}/bench_{'fg' if variant.foreground else 'bg'}"
         kernel.fs.write_file(binary, b"\x7fELF bench", mode=0o755)
         shell = kernel.shell
         shell.creds = Credentials.for_user(
-            self.program.run_as_uid, self.program.run_as_gid
+            variant.run_as_uid, variant.run_as_gid
         )
         shell.cwd = STAGING_DIR
         child_pid = kernel.sys_fork(shell)

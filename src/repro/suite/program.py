@@ -66,6 +66,24 @@ def create_symlink(path: str, target: str) -> SetupAction:
 
 
 @dataclass(frozen=True)
+class Variant:
+    """One compiled binary of a program: everything a trial executes.
+
+    :meth:`ProgramExecutor.run <repro.suite.executor.ProgramExecutor.run>`
+    reads nothing of its program but this value, and the pipeline keys
+    each variant's stage artifacts by it.  The program's name and
+    documentation fields are left out, so benchmarks that share a
+    background share its artifacts.
+    """
+
+    foreground: bool
+    ops: Tuple[Op, ...]
+    setup: Tuple[SetupAction, ...]
+    run_as_uid: int
+    run_as_gid: int
+
+
+@dataclass(frozen=True)
 class Program:
     """A complete benchmark: staging setup plus the op sequence."""
 
@@ -96,6 +114,16 @@ class Program:
 
     def target_ops(self) -> Tuple[Op, ...]:
         return tuple(op for op in self.ops if op.target)
+
+    def variant(self, foreground: bool) -> Variant:
+        """The foreground or background binary, as a trial runs it."""
+        return Variant(
+            foreground=foreground,
+            ops=self.foreground_ops() if foreground else self.background_ops(),
+            setup=self.setup,
+            run_as_uid=self.run_as_uid,
+            run_as_gid=self.run_as_gid,
+        )
 
     def expectation(self, tool: str) -> Optional[Tuple[str, str]]:
         """(classification, note) expected for a tool, if declared."""

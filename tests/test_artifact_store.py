@@ -279,8 +279,36 @@ class TestWarmRuns:
         warm = ProvMark(config=spade_config(tmp_path))
         warm.run_benchmark("open")
         stats = warm.artifact_store().stats
-        assert stats.invalid == 1
-        assert stats.hits == 3  # the genuinely served stages only
+        assert stats.invalid == 2  # both variants' transformation artifacts
+        # the genuinely served artifacts only: recording and
+        # generalization per variant, and comparison
+        assert stats.hits == 5
+
+    def test_short_recording_recomputed_not_cached_as_failure(self, tmp_path):
+        """A stored recording with too few trials must read as a miss:
+        restored, it would fail generalization ("need at least two trial
+        graphs") and that failure would be stored for every later run."""
+        cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        for path in (tmp_path / "recording").glob("*.json"):
+            wrapper = json.loads(path.read_text())
+            if wrapper["payload"][0]["foreground"]:
+                wrapper["payload"] = wrapper["payload"][:1]
+                path.write_text(json.dumps(wrapper))
+        for stage in ("transformation", "generalization", "comparison",
+                      "result"):
+            for path in (tmp_path / stage).glob("*.json"):
+                path.unlink()
+        provmark = ProvMark(config=spade_config(tmp_path))
+        warm = provmark.run_benchmark("open")
+        assert results_identical(cold, warm)
+        assert provmark.artifact_store().stats.invalid == 1
+        resumed = ProvMark(
+            config=spade_config(tmp_path, resume=True)
+        ).run_benchmark("open")
+        assert resumed.classification is Classification.OK
+        again = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        assert results_identical(cold, again)
+        assert again.timings.store_hits == 4
 
     def test_malformed_result_artifact_under_resume(self, tmp_path):
         cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.kernel import BENCH_GID, BENCH_UID, Credentials, Kernel
+from repro.kernel.syscalls_fs import FILE_SIZE_LIMIT
 
 
 @pytest.fixture
@@ -247,6 +248,56 @@ class TestTruncateUnlink:
 
     def test_unlink_missing(self, kernel, proc):
         assert kernel.sys_unlink(proc, "ghost.txt") == -1
+
+
+class TestFileSizeLimit:
+    """RLIMIT_FSIZE: no call grows a file past ``FILE_SIZE_LIMIT``."""
+
+    def test_truncate_past_limit_fails_efbig(self, kernel, proc):
+        inode = kernel.fs.write_file("/tmp/t.txt", b"abc")
+        assert kernel.sys_truncate(proc, "t.txt", FILE_SIZE_LIMIT + 1) == -1
+        assert last_audit(kernel).errno == "EFBIG"
+        assert inode.data == b"abc"
+        assert kernel.sys_truncate(proc, "t.txt", FILE_SIZE_LIMIT) == 0
+        assert inode.size == FILE_SIZE_LIMIT
+
+    def test_ftruncate_past_limit_fails_efbig(self, kernel, proc):
+        inode = kernel.fs.write_file("/tmp/t.txt", b"abc")
+        fd = kernel.sys_open(proc, "t.txt", "O_RDWR")
+        assert kernel.sys_ftruncate(proc, fd, 2**33) == -1
+        assert last_audit(kernel).errno == "EFBIG"
+        assert inode.data == b"abc"
+
+    def test_write_past_limit_fails_efbig(self, kernel, proc):
+        inode = kernel.fs.write_file("/tmp/w.txt", b"")
+        fd = kernel.sys_open(proc, "w.txt", "O_RDWR")
+        offset = FILE_SIZE_LIMIT - 2
+        assert kernel.sys_lseek(proc, fd, offset) == offset
+        assert kernel.sys_write(proc, fd, b"xyz") == -1
+        assert last_audit(kernel).errno == "EFBIG"
+        assert inode.size == 0 and proc.fds[fd].offset == offset
+        assert kernel.sys_write(proc, fd, b"xy") == 2  # ends at the limit
+        assert inode.size == FILE_SIZE_LIMIT
+
+    def test_pwrite_past_limit_fails_efbig(self, kernel, proc):
+        inode = kernel.fs.write_file("/tmp/w.txt", b"")
+        fd = kernel.sys_open(proc, "w.txt", "O_RDWR")
+        data = b"x" * (FILE_SIZE_LIMIT + 1)
+        assert kernel.sys_pwrite(proc, fd, data, 0) == -1
+        assert last_audit(kernel).errno == "EFBIG"
+        assert inode.size == 0
+
+    def test_truncate_negative_length_fails_einval(self, kernel, proc):
+        kernel.fs.write_file("/tmp/t.txt", b"abc")
+        assert kernel.sys_truncate(proc, "t.txt", -5) == -1
+        assert last_audit(kernel).errno == "EINVAL"
+
+    def test_ftruncate_negative_length_fails_einval(self, kernel, proc):
+        inode = kernel.fs.write_file("/tmp/t.txt", b"abc")
+        fd = kernel.sys_open(proc, "t.txt", "O_RDWR")
+        assert kernel.sys_ftruncate(proc, fd, -5) == -1
+        assert last_audit(kernel).errno == "EINVAL"
+        assert inode.data == b"abc"
 
 
 class TestPipesAndTee:

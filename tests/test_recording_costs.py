@@ -12,7 +12,10 @@ runner without a wall clock:
 * ``FileSystem.resolve`` during boot: the fixed tree is built on parent
   inodes, with no path walks;
 * ``json.encoder._make_iterencode``: CamFlow's PROV-JSON goes through
-  json's C encoder, not the pure-Python one.
+  json's C encoder, not the pure-Python one;
+* ``ProgramExecutor.run`` per store-backed Table 2 sweep: a background
+  shared by many benchmarks is recorded once per store, not once per
+  benchmark.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import stat
 import pytest
 
 from repro.capture.camflow import CamFlowCapture
+from repro.core.pipeline import ProvMark
 from repro.kernel import BENCH_UID, Kernel, machine
 from repro.kernel.fs import FileSystem
 from repro.kernel.trace import (
@@ -34,7 +38,7 @@ from repro.kernel.trace import (
     SubjectInfo,
 )
 from repro.suite.executor import ProgramExecutor
-from repro.suite.registry import get_benchmark
+from repro.suite.registry import TABLE2_ORDER, get_benchmark
 
 SEED = 5
 
@@ -82,6 +86,18 @@ class TestCaptureCeilings:
         document = CamFlowCapture().record(trace, random.Random(SEED))
         assert json.loads(document)["activity"]
         assert len(calls) == 0  # was 1: the pure-Python encoder
+
+
+class TestStoreCeilings:
+    def test_a_sweep_records_each_background_once(self, monkeypatch, tmp_path):
+        calls = count_calls(monkeypatch, ProgramExecutor, "run")
+        provmark = ProvMark(tool="spade", seed=SEED, store_path=str(tmp_path))
+        for name in TABLE2_ORDER:
+            provmark.run_benchmark(name)
+        # 44 foregrounds and 5 distinct backgrounds, 2 trials each; was
+        # 176, every benchmark recording its own background
+        assert len(TABLE2_ORDER) == 44
+        assert len(calls) == (44 + 5) * 2
 
 
 class TestSnapshotsAreImmutable:
