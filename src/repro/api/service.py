@@ -535,10 +535,9 @@ class BenchmarkService:
 
         Rebuilding the capture system and re-opening the artifact store
         per call would dominate warm runs; pooling keeps façade dispatch
-        within the <5% overhead budget
-        (``benchmarks/bench_api_overhead.py``) — including for the HTTP
-        server, whose per-connection handler threads all draw from this
-        one pool.  A leased driver is exclusive to its call, so pooled
+        cheap (``perfbench/``'s ``api.run_overhead_ms``) — including for
+        the HTTP server, whose per-connection handler threads all draw
+        from this one pool.  A leased driver is exclusive to its call, so pooled
         captures/stores are never driven by two runs at once.
         """
         key = (

@@ -27,8 +27,8 @@ class RecordingCost:
 
     The simulator runs in microseconds; these figures report what the real
     systems cost per trial (SPADE ≈ 20 s, OPUS ≈ 28 s, CamFlow ≈ 10 s,
-    dominated by start/stop/flush waits) so the recording-overhead bench
-    can reproduce the paper's numbers as metadata.
+    dominated by start/stop/flush waits) as
+    :attr:`~repro.core.result.StageTimings.virtual_recording`.
     """
 
     seconds: float

@@ -17,7 +17,8 @@ OPUS intercepts C-library calls and builds a Provenance Versioning Model
   image's startup activity is missed and the execve graph stays small
   (§4.2);
 * everything lands in :class:`~repro.storage.neo4jsim.Neo4jSim`, whose
-  startup/query costs dominate ProvMark's OPUS timings (Figures 6 and 9).
+  JVM and database start-up dominates ProvMark's OPUS timings (Figures 6
+  and 9) on the virtual processing clock.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ Examples::
     provmark synth --seed 7 --count 20 --store .provmark-store
     provmark serve --port 8321
     provmark table2
+    provmark figures
     provmark list --tags synth --store .provmark-store
 """
 
@@ -27,6 +28,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.analysis.figures import generate_figures
 from repro.analysis.table2 import generate_table2
 from repro.analysis.table3 import generate_table3
 from repro.analysis.loc import generate_table4
@@ -441,6 +443,12 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     return 0 if not mismatches else 1
 
 
+def _cmd_figures(args: argparse.Namespace) -> int:
+    figures = generate_figures()
+    print(figures.render())
+    return 0 if all(holds for _, holds in figures.claims()) else 1
+
+
 def _cmd_table3(args: argparse.Namespace) -> int:
     print(generate_table3().render())
     return 0
@@ -792,6 +800,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     table4 = sub.add_parser("table4", help="regenerate paper Table 4")
     table4.set_defaults(func=_cmd_table4)
+
+    figures = sub.add_parser(
+        "figures", help="regenerate paper Figures 5-10 and check their shape"
+    )
+    figures.set_defaults(func=_cmd_figures)
 
     listing = sub.add_parser("list", help="list available benchmarks")
     listing.add_argument(

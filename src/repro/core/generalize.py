@@ -78,7 +78,7 @@ def generalize_trials(
     variants misbehaves: a larger background may not embed into a smaller
     foreground, and the opposite mix leaves extra structure in the
     difference.  The pipeline exposes the policy so that remark can be
-    reproduced (``bench_ablation_pair_choice.py``).
+    reproduced (``tests/test_ablations.py``).
 
     With ``matching_cache`` (the default) the isomorphism found while
     classing the chosen pair warm-starts the minimizing search instead of

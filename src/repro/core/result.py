@@ -24,7 +24,13 @@ class Classification(enum.Enum):
 
 @dataclass
 class StageTimings:
-    """Wall-clock seconds per ProvMark subsystem (Figures 5-10).
+    """Seconds per ProvMark subsystem, wall-clock and virtual.
+
+    The ``virtual_*`` fields are what the paper's tools would have spent
+    (§5.1): recording from each tool's per-trial waits, and processing
+    (Figures 5-10) from counts each stage already has, priced by the
+    cost table in :mod:`repro.core.stages`.  Unlike the wall clocks they
+    are deterministic, and equal whether a stage ran or was restored.
 
     The ``solver_*`` and cache counters aggregate the native engine's
     per-thread :class:`~repro.solver.native.SolverStats` deltas over the
@@ -41,6 +47,10 @@ class StageTimings:
     comparison: float = 0.0
     #: virtual recording seconds the real tools would have taken (§5.1)
     virtual_recording: float = 0.0
+    #: virtual processing seconds, per stage (§5.1, Figures 5-10)
+    virtual_transformation: float = 0.0
+    virtual_generalization: float = 0.0
+    virtual_comparison: float = 0.0
     #: backtracking steps spent in the matching engine
     solver_steps: int = 0
     #: number of matching searches launched
@@ -61,6 +71,14 @@ class StageTimings:
     @property
     def processing(self) -> float:
         return self.transformation + self.generalization + self.comparison
+
+    @property
+    def virtual_processing(self) -> float:
+        return (
+            self.virtual_transformation
+            + self.virtual_generalization
+            + self.virtual_comparison
+        )
 
     def as_row(self) -> Dict[str, float]:
         return {

@@ -4,7 +4,8 @@ Maps each tool's native output — Graphviz DOT (SPADE), a Neo4j store
 (OPUS), PROV-JSON (CamFlow) — into the uniform Datalog property-graph
 representation.  For OPUS this includes starting the database session and
 querying every node and relationship out of it, which is why the paper's
-OPUS transformation times dwarf the others (Figure 6).
+OPUS transformation times dwarf the others (Figure 6); the virtual
+processing clock in :mod:`repro.core.stages` prices that start-up.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def transform_provjson(raw: RawOutput, gid: str) -> PropertyGraph:
 def transform_neo4j(raw: RawOutput, gid: str) -> PropertyGraph:
     if not isinstance(raw, Neo4jSim):
         raise TransformError("Neo4j transformer expects a Neo4jSim store")
-    raw.start()  # database/JVM warm-up — the dominant OPUS cost
+    raw.start()
     graph = PropertyGraph(gid)
     try:
         # Batched session: the compiled rows come back in replay order as

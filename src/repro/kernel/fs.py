@@ -19,6 +19,12 @@ from repro.kernel.errors import Errno, KernelError
 
 MAX_SYMLINK_DEPTH = 8
 
+#: the permission bits open, creat and chmod keep of a caller's mode
+#: (Linux's ``S_IALLUGO``); mkdir also drops setuid and setgid
+#: (``S_IRWXUGO | S_ISVTX``)
+S_IALLUGO = 0o7777
+MKDIR_MODE_MASK = 0o1777
+
 
 class InodeType(enum.Enum):
     REGULAR = "file"

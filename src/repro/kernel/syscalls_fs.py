@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.errors import Errno, KernelError
-from repro.kernel.fs import Inode, InodeType
+from repro.kernel.fs import S_IALLUGO, Inode, InodeType
 from repro.kernel.machine import Machine, SyscallOutcome
 from repro.kernel.process import OpenFileDescription, Process
 from repro.kernel.trace import ObjectInfo
@@ -71,6 +71,7 @@ class FileSyscalls:
         syscall_name: str,
     ) -> SyscallOutcome:
         creds = process.creds
+        mode &= S_IALLUGO
         full = self.fs.normalize(path, process.cwd)
         hooks: List[Tuple[str, List[ObjectInfo], Dict[str, str]]] = []
         created = False

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.kernel.errors import Errno, KernelError
-from repro.kernel.fs import InodeType
+from repro.kernel.fs import MKDIR_MODE_MASK, InodeType
 from repro.kernel.machine import Machine, SyscallOutcome
 from repro.kernel.process import Process
 from repro.kernel.trace import ObjectInfo
@@ -36,11 +36,12 @@ class MiscSyscalls:
             except KernelError as denied:
                 hooks.append(("inode_permission", [parent_obj], {"mask": "w"}))
                 raise denied.with_context([parent_obj], hooks)
+            stored = mode & MKDIR_MODE_MASK
             inode = self.fs.create_entry(
-                parent, name, InodeType.DIRECTORY, mode, creds.euid, creds.egid
+                parent, name, InodeType.DIRECTORY, stored, creds.euid, creds.egid
             )
             new_obj = self.file_object(inode, full, "path")
-            hooks.append(("inode_mkdir", [parent_obj, new_obj], {"mode": oct(mode)}))
+            hooks.append(("inode_mkdir", [parent_obj, new_obj], {"mode": oct(stored)}))
             return SyscallOutcome(retval=0, objects=[new_obj], hooks=hooks)
         return self.syscall(process, "mkdir", (path, oct(mode)), run)
 

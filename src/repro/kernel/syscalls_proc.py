@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.errors import Errno, KernelError
-from repro.kernel.fs import InodeType
+from repro.kernel.fs import S_IALLUGO, InodeType
 from repro.kernel.machine import Machine, SyscallOutcome
 from repro.kernel.process import Credentials, Process
 from repro.kernel.trace import ObjectInfo
@@ -146,6 +146,7 @@ class ProcessSyscalls:
         mode: int, fd: Optional[int],
     ) -> SyscallOutcome:
         creds = process.creds
+        mode &= S_IALLUGO
         obj = self.file_object(inode, path, "fd" if fd is not None else "path", fd=fd)
         hooks: List[Tuple[str, List[ObjectInfo], Dict[str, str]]] = []
         if creds.euid != 0 and creds.euid != inode.uid:

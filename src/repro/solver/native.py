@@ -41,9 +41,10 @@ Performance architecture (see ROADMAP.md):
   every capture tool (see the "decomposed exact matching" section below).
 
 All of the above can be disabled with :func:`solver_optimizations` (and
-the decomposition alone with :func:`solver_decomposition`) to measure
-the speedup (``bench_solver_optimizations.py``); per-thread counters are
-exposed through :func:`solver_stats`.
+the decomposition alone with :func:`solver_decomposition`), which the
+tests use as references (``tests/test_solver_costs.py`` compares their
+step counts); per-thread counters are exposed through
+:func:`solver_stats`.
 """
 
 from __future__ import annotations

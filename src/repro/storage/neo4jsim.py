@@ -6,18 +6,13 @@ relationship, and convert the rows (paper §5.1 attributes OPUS's large
 transformation times to exactly this: JVM warm-up, database initialization,
 and query execution over larger graphs).
 
-This store reproduces the *shape* of that cost at laptop scale.  Records
+This store reproduces the database's interface, not its cost.  Records
 are persisted as serialized JSON rows; opening a session **compiles** the
-log — one parsing pass into typed row objects — and then pays a calibrated
-warm-up cost model standing in for JVM + page-cache warm-up: a constant
-component (:attr:`Neo4jSim.WARMUP_PASSES` fixed-size checksum passes,
-modelling JVM/database init) plus a linear component
-(:attr:`Neo4jSim.REPLAY_SWEEPS` per-row checksum sweeps, modelling page
-cache fills).  The warm-up is real, measurable work — not a ``sleep`` —
-so the paper's Figure-6 cost shape survives (OPUS transformation still
-dominates its pipeline and dwarfs SPADE's and CamFlow's), but the old
-O(passes x log) JSON re-parsing is gone: each row is decoded exactly once
-per session.
+log — one parsing pass into typed row objects — and nothing else.  The
+JVM and database start-up is priced on the virtual processing clock
+instead (:data:`repro.core.stages.STARTUP_SECONDS`), which charges every
+trial graph built from a ``neo4j`` output, so Figure 6's shape holds
+exactly and costs no CPU.
 
 Queries serve the typed rows directly.  Label- and rel-type-filtered
 matches go through lazy inverted indexes built on first use, and the
@@ -28,7 +23,6 @@ transformation stage can build its property graph without per-row copies.
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -83,23 +77,6 @@ class Neo4jSession:
 class Neo4jSim:
     """A tiny log-structured node/relationship store with a query layer."""
 
-    #: How many passes of fixed-size work the startup pays, modelling the
-    #: size-independent share of startup — JVM boot and database
-    #: initialization — which is what flattens OPUS's scalability curve
-    #: (Figure 9): the constant dominates until the log grows very large.
-    WARMUP_PASSES = 100
-
-    #: Bytes checksummed per warm-up pass (the fixed component above).
-    STARTUP_FIXED_BYTES = 64 * 1024
-
-    #: How many times the replay sweeps the encoded rows (one checksum per
-    #: row per sweep), modelling page-cache/index warm-up growing linearly
-    #: with log size.  Together the two components are calibrated so that,
-    #: as in the paper's Figure 6, the OPUS transformation stage dominates
-    #: its pipeline and OPUS stage times dwarf SPADE's and CamFlow's —
-    #: while the log itself is *parsed* exactly once per session.
-    REPLAY_SWEEPS = 25
-
     def __init__(self) -> None:
         self._log: List[str] = []
         self._open = False
@@ -114,9 +91,6 @@ class Neo4jSim:
         self._label_index: Optional[Dict[str, List[int]]] = None
         #: lazy mirror of ``_label_index`` for rel-type-filtered queries
         self._rel_type_index: Optional[Dict[str, List[int]]] = None
-        #: warm-up sweep checksum — kept so the warm-up work is observable
-        #: (and cannot be optimized away)
-        self._warmup_checksum = 0
 
     # -- write path (used by the OPUS capture system) -------------------------
 
@@ -152,15 +126,8 @@ class Neo4jSim:
     # -- session lifecycle ------------------------------------------------------
 
     def start(self) -> None:
-        """Compile the log and pay the warm-up cost model.
-
-        One parsing pass builds the typed row objects and id indexes; the
-        JVM/page-cache warm-up that used to be modelled as repeated JSON
-        re-parsing is now :attr:`WARMUP_PASSES` fixed-size checksum passes
-        (constant init cost) plus :attr:`REPLAY_SWEEPS` per-row checksum
-        sweeps (linear replay cost) — still real, measurable work, ~an
-        order of magnitude cheaper overall.
-        """
+        """Compile the log: one parsing pass builds the typed row objects
+        and id indexes."""
         node_rows: List[NodeRow] = []
         rel_rows: List[RelRow] = []
         node_index: Dict[int, NodeRow] = {}
@@ -181,22 +148,6 @@ class Neo4jSim:
                 )
                 rel_rows.append(rel)
                 rel_index[rel.rel_id] = rel
-        # Warm-up cost model: each pass touches every record once (a
-        # checksum per row, standing in for page-cache/index warm-up).
-        # Linear in log size like the old reparse loop, so the Figure-6
-        # shape — OPUS transformation dwarfing SPADE's and CamFlow's and
-        # dominating its own pipeline — survives at ~an order of magnitude
-        # less absolute cost.
-        encoded = [line.encode("utf-8") for line in self._log]
-        fixed = b"\xa5" * self.STARTUP_FIXED_BYTES
-        checksum = 0
-        crc32 = zlib.crc32
-        for _ in range(self.WARMUP_PASSES):
-            checksum = crc32(fixed, checksum)
-        for _ in range(self.REPLAY_SWEEPS):
-            for row in encoded:
-                checksum = crc32(row, checksum)
-        self._warmup_checksum = checksum
         self._node_rows = tuple(node_rows)
         self._rel_rows = tuple(rel_rows)
         self._node_index = node_index

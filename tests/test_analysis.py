@@ -1,4 +1,4 @@
-"""Analysis-layer tests: tables, coverage, module sizes."""
+"""Analysis-layer tests: tables, figures, coverage, module sizes."""
 
 import pytest
 
@@ -8,6 +8,7 @@ from repro.analysis.coverage import (
     group_coverage,
     render_group_coverage,
 )
+from repro.analysis.figures import generate_figures
 from repro.analysis.loc import count_loc, generate_table4
 from repro.analysis.table2 import NOTE_MEANINGS, generate_table2
 from repro.analysis.table3 import generate_table3
@@ -56,6 +57,56 @@ class TestTable3:
         table = generate_table3(syscalls=("open",), tools=("spade",))
         assert "--- spade ---" in table.render()
 
+    def test_empty_cells_match_paper(self):
+        paper_empty = {
+            ("spade", "dup"), ("camflow", "dup"),
+            ("opus", "read"), ("opus", "write"), ("opus", "setresuid"),
+        }
+        table = generate_table3()
+        assert set(table.cells) == {"spade", "opus", "camflow"}
+        for tool, cells in table.cells.items():
+            for syscall, cell in cells.items():
+                empty = cell.summary.nodes == 0
+                assert empty == ((tool, syscall) in paper_empty), (tool, syscall)
+
+
+class TestFigures:
+    """§5.1's claims about Figures 5-10, on the virtual processing clock."""
+
+    @pytest.fixture(scope="class")
+    def figures(self):
+        return generate_figures()
+
+    def test_opus_processing_dwarfs_the_others(self, figures):
+        opus = figures.processing("opus")
+        assert opus > 3 * figures.processing("spade")
+        assert opus > 3 * figures.processing("camflow")
+
+    def test_opus_transformation_is_most_of_its_processing(self, figures):
+        transformation = sum(
+            r.timings.virtual_transformation
+            for r in figures.stages["opus"].values()
+        )
+        assert transformation > figures.processing("opus") / 2
+
+    def test_processing_grows_with_target_size(self, figures):
+        for column in figures.scales.values():
+            assert all(r.is_ok for r in column.values())
+            assert (
+                column["scale8"].timings.virtual_processing
+                > column["scale1"].timings.virtual_processing
+            )
+
+    def test_scale_ratios(self, figures):
+        ratios = {tool: figures.scale_ratio(tool) for tool in figures.scales}
+        # Figure 9: Neo4j's start-up flattens OPUS's curve the most
+        assert ratios["opus"] == min(ratios.values())
+        assert ratios["camflow"] > 1.5
+        assert ratios["spade"] > 1.2
+
+    def test_every_claim_holds(self, figures):
+        assert [text for text, holds in figures.claims() if not holds] == []
+
 
 class TestCoverage:
     @pytest.fixture(scope="class")
@@ -94,6 +145,14 @@ class TestTable4:
         for tool in ("spade", "opus", "camflow"):
             assert table.recording[tool] > 50
             assert table.transformation[tool] > 30
+
+    def test_sizes_near_the_papers(self):
+        """The paper's modules: 118-192 lines of recording, 74-128 of
+        transformation; the simulated recorders land within ~3x."""
+        table = generate_table4()
+        for tool in ("spade", "opus", "camflow"):
+            assert 100 <= table.recording[tool] <= 600
+            assert 40 <= table.transformation[tool] <= 300
 
     def test_recording_modules_bigger_than_transformers(self):
         table = generate_table4()

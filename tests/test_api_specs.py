@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api import BenchmarkService, RunRequest
+from repro.api import BatchRequest, BenchmarkService, RunRequest
 from repro.api.errors import ValidationError
 from repro.api.specs import (
     BenchmarkSpec,
@@ -335,6 +335,41 @@ class TestPersistence:
         ))
         assert response.result.benchmark == "touch_close"
         assert response.result.classification.value == "ok"
+
+    def test_tag_batch_over_stored_specs_replays_warm(self, tmp_path):
+        """Specs persisted to a store run by tag from fresh services: the
+        warm sweep repeats the cold one from the store's artifacts."""
+        store = ArtifactStore(tmp_path)
+        names = [f"gen_spec_{i}" for i in range(4)]
+        for i, name in enumerate(names):
+            persist_spec(store, BenchmarkSpec.from_payload(make_payload(
+                name=name, tags=["custom", "genbench"],
+                program={"ops": [
+                    {"call": "creat", "args": [f"gen_{i}.txt", 420],
+                     "result": "fd", "target": True},
+                    {"call": "close", "args": ["$fd"], "target": True},
+                ]},
+            )))
+        request = BatchRequest(
+            tags=("genbench",), tool="spade", seed=2019,
+            store_path=str(tmp_path),
+        )
+        cold, warm = (
+            BenchmarkService(
+                registry=SUITE_REGISTRY.builtin_copy()
+            ).run_batch(request)
+            for _ in range(2)
+        )
+        assert {r.result.benchmark for r in cold} == set(names)
+        assert [r.result.benchmark for r in warm] == [
+            r.result.benchmark for r in cold
+        ]
+        for cold_response, warm_response in zip(cold, warm):
+            assert cold_response.result.target_graph == (
+                warm_response.result.target_graph
+            )
+            assert cold_response.result.timings.store_hits == 0
+            assert warm_response.result.timings.store_misses == 0
 
     def test_persisted_spec_loadable_again_after_unregister(self, tmp_path):
         """Unregistering must not tombstone the on-disk spec: a later

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api.specs import BenchmarkSpec, load_persisted_specs, persist_spec
 from repro.cli import build_parser, main
+from repro.core.stages import STARTUP_SECONDS
 from repro.storage.artifacts import ArtifactStore
 from repro.suite.registry import SUITE_REGISTRY
 
@@ -193,6 +194,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "--- spade ---" in out
         assert "setresuid" in out
+
+    def test_figures_are_byte_identical(self, capsys):
+        assert main(["figures"]) == 0
+        out = capsys.readouterr().out
+        for number in range(5, 11):
+            assert f"Figure {number} (" in out
+        assert "FAILS" not in out
+        assert main(["figures"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_figures_exit_1_when_a_claim_fails(self, capsys, monkeypatch):
+        # without Neo4j's start-up OPUS no longer dwarfs CamFlow
+        monkeypatch.setitem(STARTUP_SECONDS, "neo4j", 0.0)
+        assert main(["figures"]) == 1
+        assert "FAILS  opus processing" in capsys.readouterr().out
 
 
 class TestUniformErrors:

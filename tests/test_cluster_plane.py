@@ -132,6 +132,41 @@ class TestCoordinator:
         assert claimed[1] == interactive["job_id"]
         assert claimed[2:] == [r["job_id"] for r in background]
 
+    def test_agents_drain_the_spool_each_job_once(self, tmp_path):
+        jobs, agents = 24, 3
+        with ClusterCoordinator(tmp_path / "spool") as coord:
+            submitted = {
+                submit(coord.queue, client_id=f"client-{i % 4}")["job_id"]
+                for i in range(jobs)
+            }
+            claimed = [[] for _ in range(agents)]
+
+            def drain(index):
+                client = make_client(coord, node_id=f"node-{index}")
+                try:
+                    client.register(workers=1)
+                    while True:
+                        record = client.claim(f"node-{index}:w0.g1")
+                        if record is None:
+                            return
+                        claimed[index].append(record["job_id"])
+                        client.complete(record["job_id"], result={"ok": True})
+                finally:
+                    client.close()
+
+            threads = [
+                threading.Thread(target=drain, args=(index,), daemon=True)
+                for index in range(agents)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert coord.counters["completions_total"] == jobs
+        every_claim = [job_id for ids in claimed for job_id in ids]
+        assert sorted(every_claim) == sorted(submitted)
+
     def test_complete_is_idempotent_over_the_wire(self, tmp_path):
         with ClusterCoordinator(tmp_path / "spool") as coord:
             record = submit(coord.queue, client_id="ci")

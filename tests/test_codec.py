@@ -217,7 +217,9 @@ def test_stage_timings_encoder_keeps_its_key_set():
         "comparison", "component_steps_max", "cost_cache_hits",
         "decomposed_components", "generalization", "matching_cache_hits",
         "recording", "solver_searches", "solver_steps", "store_hits",
-        "store_misses", "transformation", "virtual_recording",
+        "store_misses", "transformation", "virtual_comparison",
+        "virtual_generalization", "virtual_recording",
+        "virtual_transformation",
     ]
     assert StageTimings.from_payload(wire(TIMINGS)) == TIMINGS
 

@@ -59,6 +59,21 @@ class TestRunBenchmark:
         result = ProvMark(tool="spade", seed=5).run_benchmark(program)
         assert result.classification is Classification.OK
 
+    @pytest.mark.parametrize("tool", ["spade", "opus", "camflow"])
+    def test_out_of_range_mode_in_a_python_program(self, tool):
+        """No spec validation sees a Python-built program: the kernel
+        masks the mode (as Linux does) and the stat that renders it runs."""
+        program = Program(
+            name="chmod_all_bits",
+            ops=(
+                Op("creat", ("f.txt", 0o644), result="fd"),
+                Op("chmod", ("f.txt", -1), target=True),
+                Op("stat", ("f.txt",), target=True),
+            ),
+        )
+        result = ProvMark(tool=tool, seed=5).run_benchmark(program)
+        assert result.classification is Classification.OK
+
     def test_run_many(self):
         results = ProvMark(tool="spade", seed=5).run_many(["open", "dup"])
         assert [r.classification.value for r in results] == ["ok", "empty"]

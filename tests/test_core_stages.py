@@ -3,6 +3,7 @@
 
 import pytest
 
+from repro.capture import make_capture
 from repro.capture.camflow import CamFlowCapture
 from repro.capture.opus import OpusCapture
 from repro.capture.spade import SpadeCapture
@@ -41,6 +42,19 @@ class TestRecording:
         session = recorder.record(get_benchmark("open"))
         # 4 trials at ~20s each (±10% jitter)
         assert 70 < session.virtual_seconds < 90
+
+    def test_virtual_recording_matches_paper_per_tool(self):
+        """§5.1: ~20 s per trial for SPADE, ~28 s for OPUS, ~10 s for
+        CamFlow, so OPUS is the slowest and CamFlow the fastest."""
+        paper = {"spade": 20.0, "opus": 28.0, "camflow": 10.0}
+        per_trial = {}
+        for tool in paper:
+            session = Recorder(make_capture(tool), trials=2, seed=3).record(
+                get_benchmark("open")
+            )
+            per_trial[tool] = session.virtual_seconds / 4
+            assert 0.85 <= per_trial[tool] / paper[tool] <= 1.15, tool
+        assert per_trial["opus"] > per_trial["spade"] > per_trial["camflow"]
 
     def test_truncation_garbles_trial_graphs(self):
         clean = Recorder(SpadeCapture(), trials=6, seed=9).record(

@@ -48,7 +48,7 @@ def test_scalability_suite_all_ok(tool):
     sizes = []
     for name in SCALABILITY_BENCHMARKS:
         if "slow" in SUITE_REGISTRY.tags(name):
-            continue  # scale128/scale512 run in the slow-marked benchmarks
+            continue  # scale128/scale512: tests/test_solver_decomposition.py
         result = provmark.run_benchmark(name)
         assert result.classification.value == "ok", name
         sizes.append(result.target_graph.size)

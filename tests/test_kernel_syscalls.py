@@ -300,6 +300,59 @@ class TestFileSizeLimit:
         assert inode.data == b"abc"
 
 
+class TestModeMasking:
+    """The kernel stores a mode's permission bits only, as Linux does: the
+    LSM hooks report the stored mode, audit the mode the caller passed."""
+
+    @staticmethod
+    def hook_mode(kernel, hook):
+        [event] = [e for e in kernel.trace.lsm if e.hook == hook and e.success]
+        return dict(event.details)["mode"]
+
+    def test_open_masks_mode(self, kernel, proc):
+        kernel.sys_open(proc, "o.txt", "O_CREAT|O_RDWR", 0o170644)
+        assert kernel.fs.resolve("/tmp/o.txt").mode == 0o644
+        assert self.hook_mode(kernel, "inode_create") == "0o644"
+
+    def test_openat_masks_mode(self, kernel, proc):
+        kernel.sys_openat(proc, "o.txt", "O_CREAT|O_RDWR", -1)
+        assert kernel.fs.resolve("/tmp/o.txt").mode == 0o7777
+        assert self.hook_mode(kernel, "inode_create") == "0o7777"
+
+    def test_creat_masks_mode(self, kernel, proc):
+        kernel.sys_creat(proc, "c.txt", 0o10600)
+        assert kernel.fs.resolve("/tmp/c.txt").mode == 0o600
+        assert self.hook_mode(kernel, "inode_create") == "0o600"
+        assert last_audit(kernel).args[-1] == "0o10600"
+
+    def test_chmod_masks_mode(self, kernel, proc):
+        inode = kernel.fs.write_file("/tmp/f.txt")
+        assert kernel.sys_chmod(proc, "f.txt", 0o20644) == 0
+        assert inode.mode == 0o644
+        assert self.hook_mode(kernel, "inode_setattr") == "0o644"
+        assert last_audit(kernel).args[-1] == "0o20644"
+
+    def test_fchmod_masks_mode(self, kernel, proc):
+        inode = kernel.fs.write_file("/tmp/f.txt")
+        fd = kernel.sys_open(proc, "f.txt", "O_RDWR")
+        assert kernel.sys_fchmod(proc, fd, -1) == 0
+        assert inode.mode == 0o7777
+        assert self.hook_mode(kernel, "inode_setattr") == "0o7777"
+        assert last_audit(kernel).args[-1] == "-0o1"
+
+    def test_fchmodat_masks_mode(self, kernel, proc):
+        inode = kernel.fs.write_file("/tmp/f.txt")
+        assert kernel.sys_fchmodat(proc, "f.txt", 0o100755) == 0
+        assert inode.mode == 0o755
+        assert self.hook_mode(kernel, "inode_setattr") == "0o755"
+
+    def test_mkdir_drops_setuid_and_setgid(self, kernel, proc):
+        assert kernel.sys_mkdir(proc, "d", 0o47777) == 0
+        assert kernel.fs.resolve("/tmp/d").mode == 0o1777
+        assert self.hook_mode(kernel, "inode_mkdir") == "0o1777"
+        assert last_audit(kernel).args[-1] == "0o47777"
+
+
 class TestPipesAndTee:
     def test_pipe_allocates_two_fds(self, kernel, proc):
         assert kernel.sys_pipe(proc) == 0

@@ -3,9 +3,13 @@
 * Figure 4 / Listing 2 — the two sample graphs and their Datalog facts;
 * Listing 1 — the generic fact format;
 * the close.c benchmark program of §3;
-* Listing 3/4 behaviour on the Figure 4 graphs.
+* Listing 3/4 behaviour on the Figure 4 graphs;
+* Figure 1 — one rename, three structurally different graphs.
 """
 
+import pytest
+
+from repro import ProvMark
 from repro.graph.datalog import graph_to_datalog
 from repro.graph.model import PropertyGraph
 from repro.solver.asp.bridge import asp_are_similar, asp_embed_subgraph
@@ -88,3 +92,23 @@ class TestCloseBenchmarkProgram:
         program = get_benchmark("close")
         assert [op.call for op in program.background_ops()] == ["open"]
         assert [op.call for op in program.foreground_ops()] == ["open", "close"]
+
+
+class TestFigure1:
+    @pytest.fixture(scope="class")
+    def results(self):
+        return {
+            tool: ProvMark(tool=tool, seed=1).run_benchmark("rename")
+            for tool in ("spade", "opus", "camflow")
+        }
+
+    def test_rename_recorded_by_every_tool(self, results):
+        assert all(result.is_ok for result in results.values())
+
+    def test_three_tools_three_structures(self, results):
+        signatures = {
+            result.target_graph.structural_signature()
+            for result in results.values()
+        }
+        assert len(signatures) == 3
+

@@ -183,7 +183,7 @@ class TestBatchedSession:
 
         monkeypatch.setattr(mod.json, "loads", counting_loads)
         store.start()
-        assert calls["n"] == 3  # 2 nodes + 1 rel, despite WARMUP_PASSES=100
+        assert calls["n"] == 3  # 2 nodes + 1 rel
         calls["n"] = 0
         list(store.match_nodes())
         list(store.match_relationships(rel_type="READS"))

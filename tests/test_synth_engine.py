@@ -58,6 +58,13 @@ class TestEngine:
                 assert outcome.gain > 0
                 assert outcome.fingerprint
 
+    def test_a_larger_run_keeps_candidates(self):
+        run = run_synthesis(
+            seed=2019, count=24, tools=("spade",),
+            registry=SUITE_REGISTRY.builtin_copy(),
+        )
+        assert run.survivors
+
     def test_coverage_grows_monotonically(self):
         run = run_synthesis(registry=SUITE_REGISTRY.builtin_copy(), **SMALL)
         assert run.final.syscalls >= run.baseline.syscalls

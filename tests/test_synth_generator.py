@@ -13,6 +13,7 @@ from repro.api.specs import BenchmarkSpec, compile_spec, spec_digest
 from repro.kernel.introspect import ArgKind, syscall_signatures
 from repro.suite.registry import SUITE_REGISTRY
 from repro.synth.coverage import CoverageModel, motif_keys, spec_keys
+from repro.synth import generator as generator_module
 from repro.synth.generator import SpecGenerator, dry_run
 from repro.synth.mutate import MUTATION_OPERATORS, mutate_spec
 from repro.synth.templates import TEMPLATE_CALLS, TEMPLATES
@@ -53,6 +54,27 @@ class TestGenerator:
             program = compile_spec(spec)
             assert program.target_ops(), spec.name
             assert dry_run(spec)
+
+    def test_few_dry_runs_per_valid_spec(self, monkeypatch):
+        """Generation stays cheap next to evaluation: each valid spec
+        costs at most two attempts, each at most one dry run."""
+        calls = {"attempt": 0, "dry_run": 0}
+        real_attempt = SpecGenerator._attempt
+        real_dry_run = generator_module.dry_run
+
+        def attempt(self):
+            calls["attempt"] += 1
+            return real_attempt(self)
+
+        def counted_dry_run(spec):
+            calls["dry_run"] += 1
+            return real_dry_run(spec)
+
+        monkeypatch.setattr(SpecGenerator, "_attempt", attempt)
+        monkeypatch.setattr(generator_module, "dry_run", counted_dry_run)
+        SpecGenerator(seed=2019).generate_many(60)
+        assert calls["attempt"] <= 120
+        assert calls["dry_run"] <= calls["attempt"]
 
     def test_names_are_sequential_and_deterministic(self):
         generator = SpecGenerator(seed=3, name_prefix="gen")

@@ -30,13 +30,17 @@ TOOLS = ("spade", "opus", "camflow")
 
 def deterministic_view(result: BenchmarkResult) -> str:
     """The result payload without wall-clock fields, plus the counters a
-    replay must reproduce (solver row, virtual recording time)."""
+    replay must reproduce (solver row, virtual stage times)."""
     payload = result.to_payload()
     del payload["timings"]
+    timings = result.timings
     return json.dumps({
         "result": payload,
-        "solver": result.timings.solver_row(),
-        "virtual_recording": result.timings.virtual_recording,
+        "solver": timings.solver_row(),
+        "virtual_recording": timings.virtual_recording,
+        "virtual_transformation": timings.virtual_transformation,
+        "virtual_generalization": timings.virtual_generalization,
+        "virtual_comparison": timings.virtual_comparison,
     }, sort_keys=True)
 
 
