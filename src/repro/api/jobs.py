@@ -2,11 +2,10 @@
 
 Jobs run on a shared :class:`~concurrent.futures.ThreadPoolExecutor`;
 each job thread drives the same façade entry points a synchronous caller
-would (``service.run`` / ``service.run_batch``), so results are
-byte-identical either way.  A batch job with ``max_workers > 1`` fans
-its benchmarks over ``run_many``'s process-pool workers — at the cost of
-per-stage progress and mid-sweep cancellation, which need the serial
-in-process path (stage events cannot cross process boundaries).
+would (``service.run`` / ``service.run_batch`` / ``service.synthesize``),
+so results are byte-identical either way.  A batch runs its benchmarks
+serially in the job's thread; parallel sweeps belong on the fleet
+(:class:`~repro.exec.FleetJobManager`), whose workers share one store.
 
 Progress flows the other way through the :class:`Pipeline`'s
 stage-boundary hook: every :class:`~repro.core.stages.ProgressEvent` a
@@ -377,7 +376,6 @@ class JobManager:
             with self._lock:
                 job.completed += 1
 
-        workers = getattr(request, "max_workers", None)
         try:
             if job.kind == "run":
                 response = service.run(request, progress=progress)
@@ -393,18 +391,6 @@ class JobManager:
                 with self._lock:
                     job.report = report
                     job.completed = job.total
-                    job.state = "done"
-            elif workers is not None and workers > 1:
-                # Honor the process-pool fan-out.  Stage boundaries are
-                # not observable across worker processes, so progress
-                # stays coarse and cancellation only applies before the
-                # sweep starts.
-                if job.cancel_requested.is_set():
-                    raise JobCancelled(job.job_id)
-                responses = service.run_batch(request)
-                with self._lock:
-                    job.results = responses
-                    job.completed = len(responses)
                     job.state = "done"
             else:
                 responses = service.run_batch(

@@ -306,12 +306,10 @@ class BenchmarkService:
         progress: Optional[ProgressCallback] = None,
         on_response: Optional[object] = None,
     ) -> Tuple[RunResponse, ...]:
-        """Run a batch, optionally across ``run_many`` worker processes.
+        """Run a batch serially, in input order, on one leased driver.
 
-        With a ``progress``/``on_response`` observer the batch runs
-        serially in-process so stage boundaries are observable (and
-        cancellable); unobserved batches keep the process-pool fan-out
-        and its identical-to-serial result order.
+        ``progress`` observes (and can cancel at) every stage boundary;
+        ``on_response`` sees each response as its benchmark finishes.
         """
         if not isinstance(request, BatchRequest):
             raise ValidationError(
@@ -319,17 +317,7 @@ class BenchmarkService:
                 f"{type(request).__name__}"
             )
         programs = self._batch_programs(request)
-        observed = progress is not None or on_response is not None
-        workers = request.max_workers
         with self._leased_driver(request, progress) as driver:
-            if not observed and workers is not None and workers > 1:
-                try:
-                    results = driver.run_many(programs, max_workers=workers)
-                except ExecutionError as exc:
-                    raise ValidationError(self._execution_message(exc)) from exc
-                except DeadlineExceeded as exc:
-                    raise DeadlineError(str(exc)) from exc
-                return tuple(RunResponse(result=r) for r in results)
             responses = []
             for program in programs:
                 response = RunResponse(result=self._execute(driver, program))
@@ -389,7 +377,6 @@ class BenchmarkService:
             trials=config.trials,
             engine=config.engine,
             store_path=config.store_path,
-            max_workers=config.max_workers,
             registry=self._registry,
             progress=progress,
         )

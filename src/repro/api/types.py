@@ -129,14 +129,13 @@ class BatchRequest(PipelineFields):
     ``benchmarks`` names the runs explicitly; ``tags`` instead selects
     every registered benchmark carrying *all* the given tags (an open
     registry may match user-defined benchmarks too).  With neither set
-    the batch is the full Table 2 suite.  ``max_workers`` fans
-    independent benchmarks over a process pool exactly like
-    ``provmark batch --max-workers``.
+    the batch is the full Table 2 suite.  The benchmarks run serially,
+    in order, on one driver; a parallel sweep submits its runs to a
+    worker fleet (``provmark serve --workers N``) instead.
     """
 
     benchmarks: Optional[Tuple[str, ...]] = None
     tags: Optional[Tuple[str, ...]] = None
-    max_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         check_names(self, "benchmarks", "tags")
@@ -147,7 +146,6 @@ class BatchRequest(PipelineFields):
             if not self.tags:
                 fail(self, "tags",
                      "must be a non-empty tuple of tag names or None")
-        check_range(self, "max_workers", minimum=1)
         super().__post_init__()
 
 
@@ -179,7 +177,6 @@ class SynthConfig:
     engine: str = "native"
     register: bool = True
     store_path: Optional[str] = None
-    max_workers: Optional[int] = None
     #: requested scheduling class (None = the synth default, background)
     priority: Optional[str] = None
 
@@ -197,7 +194,7 @@ class SynthConfig:
         check_range(self, "max_ops", minimum=2,
                     maximum=self.MAX_PROGRAM_OPS)
         check_range(self, "mutation_rate", minimum=0.0, maximum=1.0)
-        check_range(self, "trials", "max_workers", minimum=1)
+        check_range(self, "trials", minimum=1)
         check_choice(self, "engine", ENGINES)
         if self.priority is not None:
             check_choice(self, "priority", PRIORITY_CLASSES)

@@ -168,7 +168,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     request = BatchRequest(
         benchmarks=tuple(args.benchmarks) if args.benchmarks else None,
         tags=tuple(args.tags) if args.tags else None,
-        max_workers=args.max_workers,
         **_request_kwargs(args),
     )
     with BenchmarkService() as service:
@@ -519,7 +518,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         engine=args.engine,
         register=not args.no_register,
         store_path=args.artifact_store,
-        max_workers=args.max_workers,
     )
     with BenchmarkService() as service:
         report = service.synthesize(config)
@@ -655,11 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tags", nargs="*", default=None,
         help="select every registered benchmark carrying all these tags "
         "(instead of --benchmarks)",
-    )
-    batch.add_argument(
-        "--max-workers", type=int, default=None,
-        help="run benchmarks concurrently across this many worker "
-        "processes (default: serial)",
     )
     batch.add_argument(
         "--result-type", choices=("rb", "rh"), default="rb",
@@ -867,10 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument(
         "--engine", choices=("native", "asp"), default="native",
         help="graph matching engine for candidate evaluation",
-    )
-    synth.add_argument(
-        "--max-workers", type=int, default=None,
-        help="evaluate candidates across this many worker processes",
     )
     synth.add_argument(
         "--store", dest="artifact_store", default=None, metavar="DIR",

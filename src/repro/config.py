@@ -59,10 +59,8 @@ class ToolProfile:
         return backend.make()
 
     def make_provmark(self, seed: Optional[int] = None, engine: str = "native") -> ProvMark:
-        # Pass the (picklable) factory rather than a built capture so
-        # run_many can rebuild the capture in worker processes.
         return ProvMark(
-            capture_factory=self.make_capture,
+            capture=self.make_capture(),
             config=PipelineConfig(
                 tool=self.stage1tool,
                 trials=self.trials,

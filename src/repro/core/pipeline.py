@@ -20,20 +20,11 @@ The public entry point is :class:`ProvMark`.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.capture import CaptureSystem, make_capture
-from repro.capture.registry import (
-    Backend,
-    UnknownToolError,
-    get_backend,
-    register_tool,
-    registered_tools,
-    tool_profile,
-)
+from repro.capture.registry import tool_profile
 from repro.core.result import BenchmarkResult, Classification, StageTimings
 from repro.core.stages import (
     RESULT_STAGE,
@@ -58,8 +49,6 @@ class PipelineConfig:
     engine: str = "native"  # "native" | "asp"
     seed: Optional[int] = None
     truncation_rate: float = 0.0
-    #: worker processes for :meth:`ProvMark.run_many` (None/1 = serial)
-    max_workers: Optional[int] = None
     #: similarity-class choice per program variant (paper §3.4):
     #: "smallest"/"largest"; setting them differently reproduces the
     #: paper's remark about mismatched choices.
@@ -108,7 +97,6 @@ class ProvMark:
         tool: str = "spade",
         capture: Optional[CaptureSystem] = None,
         config: Optional[PipelineConfig] = None,
-        capture_factory: Optional[Callable[[], CaptureSystem]] = None,
         progress: Optional[ProgressCallback] = None,
         **config_kwargs: object,
     ) -> None:
@@ -118,14 +106,6 @@ class ProvMark:
         #: stage-boundary observer handed to every RunContext this
         #: driver builds (the job manager's progress/cancellation hook)
         self.progress = progress
-        #: picklable factory (e.g. ``ToolProfile.make_capture``) letting
-        #: worker processes rebuild the capture for parallel run_many
-        self._capture_factory = capture_factory
-        if capture is None and capture_factory is not None:
-            capture = capture_factory()
-        #: a hand-injected capture without a factory cannot be rebuilt in
-        #: worker processes, so run_many stays serial for it
-        self._custom_capture = capture is not None and capture_factory is None
         self.capture = capture or make_capture(config.tool)
         self.pipeline: Pipeline = default_pipeline()
         self._store: Optional[ArtifactStore] = None
@@ -168,78 +148,6 @@ class ProvMark:
                 RESULT_STAGE, self._result_material(ctx), result.to_payload()
             )
         return result
-
-    def run_many(
-        self,
-        names: List[Union[str, Program]],
-        max_workers: Optional[int] = None,
-    ) -> List[BenchmarkResult]:
-        """Run many benchmarks, optionally across worker processes.
-
-        Entries are registry names or :class:`Program` values directly
-        (how the service dispatches spec-defined benchmarks, which
-        worker processes' registries would not know by name; frozen
-        programs pickle cleanly).
-
-        ``max_workers`` (or ``config.max_workers``) > 1 fans the runs out
-        over a process pool — each benchmark is fully independent (fresh
-        kernel, fresh capture), so full-suite sweeps scale across cores.
-        Results are always returned in input order, identical to a serial
-        run.  Falls back to serial execution for a hand-injected capture
-        object (which cannot be rebuilt in a worker process) and where
-        process pools are unavailable or break mid-run.
-
-        With ``config.store_path`` set, every worker shares the same
-        on-disk artifact store (writes are atomic), so a killed sweep
-        resumes with ``config.resume`` re-running only what is missing.
-        """
-        workers = (
-            max_workers if max_workers is not None else self.config.max_workers
-        )
-        if workers is None or workers <= 1 or len(names) <= 1:
-            return [self.run_benchmark(name) for name in names]
-        if self._custom_capture:
-            # A hand-injected capture cannot be rebuilt per worker, and
-            # sharing one (possibly stateful) instance concurrently would
-            # break the identical-to-serial guarantee.
-            return [self.run_benchmark(name) for name in names]
-        try:
-            pool = ProcessPoolExecutor(max_workers=workers)
-        except (OSError, ValueError, ImportError):
-            # No usable multiprocessing primitives (e.g. a sandboxed
-            # environment): run serially.
-            return [self.run_benchmark(name) for name in names]
-        # Plugin backends registered in this process are unknown to
-        # freshly spawned workers (only builtins self-register on
-        # import), so ship the backend along for re-registration.
-        try:
-            backend: Optional[Backend] = get_backend(self.config.tool)
-        except UnknownToolError:
-            backend = None
-        try:
-            with pool:
-                if self._capture_factory is not None:
-                    futures = [
-                        pool.submit(
-                            _run_benchmark_factory_task,
-                            self._capture_factory, self.config, name,
-                            backend,
-                        )
-                        for name in names
-                    ]
-                else:
-                    futures = [
-                        pool.submit(
-                            _run_benchmark_task, self.config, name, backend,
-                        )
-                        for name in names
-                    ]
-                # Task exceptions (bad config, execution errors) propagate
-                # exactly as in a serial run; only a broken pool — workers
-                # that could not spawn or died — triggers the fallback.
-                return [future.result() for future in futures]
-        except BrokenProcessPool:
-            return [self.run_benchmark(name) for name in names]
 
     # -- context / result assembly -----------------------------------------
 
@@ -330,30 +238,3 @@ class ProvMark:
             trials=ctx.trials,
             error=ctx.failure or "",
         )
-
-
-def _ensure_registered(backend: Optional[Backend]) -> None:
-    """Re-register a plugin backend inside a worker process if absent."""
-    if backend is not None and backend.name not in registered_tools():
-        register_tool(backend.name, backend.cls, backend.profile)
-
-
-def _run_benchmark_task(
-    config: PipelineConfig,
-    name: Union[str, Program],
-    backend: Optional[Backend] = None,
-) -> BenchmarkResult:
-    """Process-pool worker: rebuild the pipeline from config and run."""
-    _ensure_registered(backend)
-    return ProvMark(config=config).run_benchmark(name)
-
-
-def _run_benchmark_factory_task(
-    factory: Callable[[], CaptureSystem],
-    config: PipelineConfig,
-    name: Union[str, Program],
-    backend: Optional[Backend] = None,
-) -> BenchmarkResult:
-    """Process-pool worker for profile-built captures: rebuild and run."""
-    _ensure_registered(backend)
-    return ProvMark(config=config, capture_factory=factory).run_benchmark(name)

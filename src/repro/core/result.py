@@ -80,13 +80,6 @@ class StageTimings:
             + self.virtual_comparison
         )
 
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "transformation": self.transformation,
-            "generalization": self.generalization,
-            "comparison": self.comparison,
-        }
-
     def solver_row(self) -> Dict[str, int]:
         return {
             "solver_steps": self.solver_steps,

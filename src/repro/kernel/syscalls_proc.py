@@ -250,10 +250,6 @@ class ProcessSyscalls:
         )
         return outcome
 
-    @staticmethod
-    def _may_set_id(creds_euid: int, requested: int, allowed: Tuple[int, ...]) -> bool:
-        return creds_euid == 0 or requested in allowed
-
     def sys_setuid(self: Machine, process: Process, uid: int) -> int:
         def run() -> SyscallOutcome:
             creds = process.creds

@@ -18,9 +18,9 @@ Design points:
   keys, no whitespace), never Python ``hash()`` — identical across
   processes, interpreter restarts, and ``PYTHONHASHSEED`` values.
 * **Atomic writes.** Payloads are written to a unique temporary file and
-  ``os.replace``d into place, so concurrent writers (the process-pool
-  suite runner) and killed runs can never publish a half-written
-  artifact under the final name.
+  ``os.replace``d into place, so concurrent writers (a fleet's worker
+  processes) and killed runs can never publish a half-written artifact
+  under the final name.
 * **Corruption tolerance.** A truncated, unparsable, or mismatched
   artifact is treated as a miss: it is counted, best-effort deleted, and
   the stage recomputes.  The store never raises on bad cache contents,

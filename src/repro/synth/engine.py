@@ -12,10 +12,9 @@ arguments (notably ``seed``):
    + dry run) fall back to fresh generation, so exactly ``count``
    candidates always emerge.
 2. **Evaluation.** Every candidate runs through the staged pipeline
-   under every requested tool — ``run_many``'s process pool when
-   ``max_workers`` allows (results in input order, identical to
-   serial), and artifact-store-backed when a store is configured, so
-   re-running a sweep is warm.
+   under every requested tool, serially and in candidate order, and
+   artifact-store-backed when a store is configured, so re-running a
+   sweep is warm.
 3. **Curation.** In candidate order: a candidate whose run FAILED under
    any tool is dropped; one whose per-tool target-graph fingerprints
    (:func:`repro.graph.stats.graph_fingerprint`) match an earlier
@@ -169,28 +168,17 @@ def _evaluate(
     programs: Sequence,
     tools: Sequence[str],
     driver_factory: DriverFactory,
-    max_workers: Optional[int],
     progress: Optional[ProgressCallback],
 ) -> Dict[str, List[BenchmarkResult]]:
     results: Dict[str, List[BenchmarkResult]] = {}
     for tool in tools:
         driver = driver_factory(tool)
-        if progress is not None:
-            # stage-boundary observation (and job cancellation) needs
-            # the serial in-process path, like BenchmarkService.run_batch
-            driver.progress = progress
-            results[tool] = [
-                driver.run_benchmark(program) for program in programs
-            ]
-            driver.progress = None
-        elif max_workers is not None and max_workers > 1:
-            results[tool] = driver.run_many(
-                list(programs), max_workers=max_workers
-            )
-        else:
-            results[tool] = [
-                driver.run_benchmark(program) for program in programs
-            ]
+        # stage-boundary observation (and job cancellation), as in
+        # BenchmarkService.run_batch
+        driver.progress = progress
+        results[tool] = [
+            driver.run_benchmark(program) for program in programs
+        ]
     return results
 
 
@@ -206,7 +194,6 @@ def run_synthesis(
     trials: Optional[int] = None,
     engine: str = "native",
     store_path: Optional[str] = None,
-    max_workers: Optional[int] = None,
     registry: Optional[SuiteRegistry] = None,
     driver_factory: Optional[DriverFactory] = None,
     progress: Optional[ProgressCallback] = None,
@@ -225,7 +212,7 @@ def run_synthesis(
         generator, count, mutation_rate, list(baseline_pool), tags
     )
     programs = [compile_spec(spec) for spec, _ in candidates]
-    results = _evaluate(programs, tools, driver_factory, max_workers, progress)
+    results = _evaluate(programs, tools, driver_factory, progress)
 
     model = CoverageModel.from_specs(baseline_pool)
     baseline = CoverageCounts(model.syscalls, model.arg_shapes, model.motifs)

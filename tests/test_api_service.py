@@ -86,7 +86,8 @@ class TestRunParity:
         responses = service.run_batch(
             BatchRequest(benchmarks=names, tool="spade", seed=7)
         )
-        direct = ProvMark(tool="spade", seed=7).run_many(list(names))
+        driver = ProvMark(tool="spade", seed=7)
+        direct = [driver.run_benchmark(name) for name in names]
         assert [r.result.benchmark for r in responses] == list(names)
         for response, expected in zip(responses, direct):
             assert identical(response.result, expected)
@@ -248,18 +249,6 @@ class TestJobs:
         finally:
             BenchmarkService._driver = staticmethod(orig)
         assert seen == []  # no rebuild: pooled driver was leased
-
-    def test_batch_job_honors_max_workers(self):
-        with BenchmarkService() as service:
-            job = service.submit(BatchRequest(
-                benchmarks=("open", "dup"), tool="spade", seed=7,
-                max_workers=2,
-            ))
-            status = wait_for(service, job.job_id)
-            assert status.state == "done"
-            assert status.completed == 2
-            names = [r.result.benchmark for r in status.results]
-            assert names == ["open", "dup"]
 
     def test_close_keeps_jobs_pollable_and_refuses_new_work(self):
         service = BenchmarkService()

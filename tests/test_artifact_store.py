@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -340,7 +341,8 @@ class TestResume:
         # "killed" sweep: only the first benchmark completed
         first = ProvMark(config=config).run_benchmark("open")
         resumed_config = spade_config(tmp_path, resume=True)
-        results = ProvMark(config=resumed_config).run_many(["open", "rename"])
+        provmark = ProvMark(config=resumed_config)
+        results = [provmark.run_benchmark(name) for name in ("open", "rename")]
         assert [r.benchmark for r in results] == ["open", "rename"]
         assert results[0].timings.recording == first.timings.recording  # replayed
         assert results[0].timings.store_hits == 4
@@ -366,11 +368,31 @@ class TestResume:
         assert resumed.timings.store_hits == 4  # stage artifacts still good
 
     def test_parallel_batch_shares_store(self, tmp_path):
+        """A two-worker fleet fills the plane store; a warm serial run
+        over that store is served from it, stage for stage."""
+        from repro.api import BenchmarkService, RunRequest
+        from repro.exec import FleetJobManager
+
         names = ["open", "rename", "creat"]
-        config = spade_config(tmp_path, max_workers=2)
-        cold = ProvMark(config=config).run_many(names)
-        warm = ProvMark(config=config).run_many(names)
-        for a, b in zip(cold, warm):
+        with FleetJobManager(tmp_path / "plane", workers=2) as manager:
+            service = BenchmarkService(jobs=manager)
+            jobs = [
+                service.submit(RunRequest(benchmark=name, tool="spade", seed=5))
+                for name in names
+            ]
+            deadline = time.monotonic() + 120
+            while any(
+                manager.poll(job.job_id).state in ("queued", "running")
+                for job in jobs
+            ):
+                assert time.monotonic() < deadline, "fleet jobs still running"
+                time.sleep(0.05)
+            statuses = [manager.poll(job.job_id) for job in jobs]
+        assert [status.state for status in statuses] == ["done"] * 3
+        cold = [status.result.result for status in statuses]
+        warm = ProvMark(config=spade_config(Path(manager.store_path)))
+        for name, a in zip(names, cold):
+            b = warm.run_benchmark(name)
             assert results_identical(a, b)
             assert b.timings.store_hits == 4
 

@@ -84,14 +84,6 @@ class TestPluginEndToEnd:
         assert result.classification is Classification.OK
         assert result.tool == "echo"
 
-    def test_plugin_tool_runs_in_worker_pool(self, echo_tool):
-        # Workers re-register the shipped backend, so plugins work even
-        # where process spawning starts from a fresh interpreter.
-        config = PipelineConfig(tool="echo", seed=5, max_workers=2)
-        results = ProvMark(config=config).run_many(["open", "creat"])
-        assert [r.tool for r in results] == ["echo", "echo"]
-        assert all(r.classification is Classification.OK for r in results)
-
     def test_spade_camflow_hybrid_runs_via_registry(self):
         result = ProvMark(tool="spade-camflow", seed=5).run_benchmark("open")
         assert result.classification is Classification.OK

@@ -39,6 +39,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--tool", "magic", "--benchmark", "open"])
 
+    @pytest.mark.parametrize("command", ["batch", "synth"])
+    def test_max_workers_is_not_an_option(self, command):
+        # batches and synthesis run serially; a parallel sweep goes to
+        # a worker fleet (serve --workers N)
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--max-workers", "2"])
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_run_ok(self, capsys):

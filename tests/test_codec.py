@@ -100,17 +100,16 @@ ADOPTERS = [
       "engine", "fg_pair_policy", "filtergraphs", "priority", "profile",
       "resume", "seed", "spec", "store_path", "tool", "trials",
       "truncation_rate"]),
-    (BatchRequest(benchmarks=("open", "close"), max_workers=2, seed=1),
+    (BatchRequest(benchmarks=("open", "close"), seed=1),
      ValidationError,
      ["benchmarks", "bg_pair_policy", "cache", "config_path", "deadline",
-      "engine", "fg_pair_policy", "filtergraphs", "max_workers", "priority",
-      "profile", "resume", "seed", "store_path", "tags", "tool", "trials",
+      "engine", "fg_pair_policy", "filtergraphs", "priority", "profile",
+      "resume", "seed", "store_path", "tags", "tool", "trials",
       "truncation_rate"]),
     (SynthConfig(seed=3, count=4, tools=("spade", "opus"), tags=("x",),
                  priority="background"),
      ValidationError,
-     ["count", "engine", "max_ops", "max_workers", "mutation_rate",
-      "name_prefix", "priority", "register", "seed", "store_path", "tags",
+     ["count", "engine", "max_ops", "mutation_rate", "name_prefix", "priority", "register", "seed", "store_path", "tags",
       "tools", "trials"]),
     (COVERAGE, ValidationError,
      ["arg_shapes_after", "arg_shapes_before", "motifs_after",

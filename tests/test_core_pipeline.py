@@ -75,7 +75,8 @@ class TestRunBenchmark:
         assert result.classification is Classification.OK
 
     def test_run_many(self):
-        results = ProvMark(tool="spade", seed=5).run_many(["open", "dup"])
+        provmark = ProvMark(tool="spade", seed=5)
+        results = [provmark.run_benchmark(name) for name in ("open", "dup")]
         assert [r.classification.value for r in results] == ["ok", "empty"]
 
 

@@ -43,7 +43,7 @@ class TinyRunService:
 
 
 class StubRequest:
-    max_workers = None
+    """A request the stub service never reads."""
 
 
 def test_concurrent_submit_poll_cancel_churn():

@@ -198,17 +198,25 @@ class TestPersistence:
         assert clone.node_count() == 2
         assert clone.relationship_count() == 1
 
-    def test_startup_cost_scales_with_size(self):
-        import time
+    def test_startup_cost_scales_with_size(self, monkeypatch):
+        """Start-up replays the whole log: one parse per record, so a
+        2000-node log costs 200x the parses of a 10-node one."""
+        import repro.storage.neo4jsim as mod
+
         small, large = Neo4jSim(), Neo4jSim()
         for i in range(10):
             small.create_node(i, "N", {"k": "v"})
         for i in range(2000):
             large.create_node(i, "N", {"k": "v"})
-        t0 = time.perf_counter()
+        calls = {"n": 0}
+        real_loads = mod.json.loads
+
+        def counting_loads(s, *a, **kw):
+            calls["n"] += 1
+            return real_loads(s, *a, **kw)
+
+        monkeypatch.setattr(mod.json, "loads", counting_loads)
         small.start()
-        small_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
+        small_parses, calls["n"] = calls["n"], 0
         large.start()
-        large_time = time.perf_counter() - t0
-        assert large_time > small_time
+        assert (small_parses, calls["n"]) == (10, 2000)

@@ -284,3 +284,12 @@ class TestSynthHTTP:
         )
         assert status == 400
         assert "unknown keys" in body["error"]["message"]
+
+    def test_max_workers_is_an_unknown_key(self, server):
+        # synthesis evaluates serially; there is no worker-count knob
+        status, body = self._post(
+            server, "/v1/synth", {"seed": 1, "count": 2, "max_workers": 2},
+        )
+        assert status == 400
+        message = body["error"]["message"]
+        assert "unknown keys" in message and "max_workers" in message
