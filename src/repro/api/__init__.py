@@ -11,9 +11,10 @@ The single supported way in, for programs and remote clients alike:
   store;
 * :mod:`repro.api.service` — :class:`BenchmarkService`, the façade over
   the staged pipeline, capture registry, suite registry, and artifact
-  store;
-* :mod:`repro.api.jobs` — the async :class:`JobManager` behind
-  ``submit()``/``poll()``/``cancel()``;
+  store; its ``submit()``/``poll()``/``cancel()`` hand jobs to the one
+  job manager, :class:`repro.exec.FleetJobManager`, which the service
+  builds in memory on the first job (importing ``repro.api`` and running
+  synchronously never loads :mod:`repro.exec`);
 * :mod:`repro.api.http` — the embedded stdlib HTTP JSON service
   (``provmark serve``);
 * :mod:`repro.api.errors` — the error vocabulary the CLI and HTTP
@@ -38,6 +39,7 @@ from repro.api.errors import (
     ConflictError,
     DeadlineError,
     ForbiddenError,
+    JobCancelled,
     MethodNotAllowedError,
     NotFoundError,
     RateLimitError,
@@ -48,7 +50,6 @@ from repro.api.errors import (
     render_error,
 )
 from repro.api.http import ApiHTTPServer, DEFAULT_PORT, make_server
-from repro.api.jobs import JobCancelled, JobManager
 from repro.api.service import BenchmarkService
 from repro.api.specs import (
     SPEC_STAGE,
@@ -96,7 +97,6 @@ __all__ = [
     "ExpectationSpec",
     "ForbiddenError",
     "JobCancelled",
-    "JobManager",
     "JobStatus",
     "load_persisted_specs",
     "make_server",

@@ -132,6 +132,12 @@ class DeadlineError(ApiError):
     exit_code = 3
 
 
+class JobCancelled(Exception):
+    """Raised inside a job's pipeline, at a stage boundary, when its
+    cancellation was requested (not an :class:`ApiError`: the job ends
+    ``cancelled``, it does not fail)."""
+
+
 def render_error(error: BaseException) -> str:
     """One-line, traceback-free rendering shared by CLI and HTTP."""
     message = str(error).strip() or type(error).__name__

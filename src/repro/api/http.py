@@ -322,18 +322,11 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
             "sched": self.service.jobs.sched_stats(),
             # always-shaped fleet block: {"enabled": False, ...} on a
             # single-host plane, node/worker counts when clustered
-            "cluster": self._cluster_summary(),
+            "cluster": self.service.jobs.cluster_summary(),
         })
 
-    def _cluster_summary(self) -> Dict[str, object]:
-        summary = getattr(self.service.jobs, "cluster_summary", None)
-        if callable(summary):
-            return summary()
-        return {"enabled": False, "nodes": 0, "remote_workers": 0}
-
     def _get_cluster(self, ctx: RequestContext, arg: Optional[str]) -> Response:
-        stats_fn = getattr(self.service.jobs, "cluster_stats", None)
-        stats = stats_fn() if callable(stats_fn) else None
+        stats = self.service.jobs.cluster_stats()
         if stats is None:
             # single-host plane: same schema, everything zero
             payload = ClusterStatus(enabled=False).to_payload()

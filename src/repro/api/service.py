@@ -16,11 +16,12 @@ build one directly.
 
 Synchronous calls (:meth:`BenchmarkService.run`,
 :meth:`BenchmarkService.run_batch`) block; :meth:`submit` /
-:meth:`poll` / :meth:`cancel` hand the same requests to the
-:class:`~repro.api.jobs.JobManager`, whose jobs report per-stage
-progress through the pipeline's :class:`~repro.core.stages.ProgressEvent`
-hook.  All lookup failures surface as
-:class:`~repro.api.errors.NotFoundError` /
+:meth:`poll` / :meth:`cancel` hand the same requests to the job manager,
+a :class:`~repro.exec.FleetJobManager` (by default an in-memory one with
+thread slots, built on the first job, that runs each job back through
+this service), whose jobs report per-stage progress through the
+pipeline's :class:`~repro.core.stages.ProgressEvent` hook.  All lookup
+failures surface as :class:`~repro.api.errors.NotFoundError` /
 :class:`~repro.api.errors.ValidationError`, which the CLI and the HTTP
 service render identically.
 """
@@ -30,10 +31,9 @@ from __future__ import annotations
 import contextlib
 import threading
 import warnings
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.api.errors import DeadlineError, NotFoundError, ValidationError
-from repro.api.jobs import JobManager
 from repro.api.specs import (
     BenchmarkSpec,
     compile_spec,
@@ -72,6 +72,9 @@ from repro.suite.registry import (
     TABLE2_ORDER,
 )
 
+if TYPE_CHECKING:
+    from repro.exec.manager import FleetJobManager
+
 Request = Union[RunRequest, BatchRequest, SynthConfig]
 
 
@@ -86,16 +89,23 @@ class BenchmarkService:
     #: spec-store handles retained (oldest evicted beyond this)
     _SPEC_STORE_CACHE_SIZE = 8
 
+    #: thread slots of the in-memory job manager a service builds on its
+    #: first job (plain ``provmark serve`` builds the same)
+    JOB_SLOTS = 4
+
     def __init__(
         self,
-        jobs: Optional[JobManager] = None,
+        jobs: Optional["FleetJobManager"] = None,
         registry: Optional[SuiteRegistry] = None,
     ) -> None:
-        # Created eagerly (the manager itself spins its thread pool up
-        # lazily): a lazily-created manager would race under the
-        # threaded HTTP server, orphaning jobs in a lost instance.
-        self._jobs = jobs if jobs is not None else JobManager()
+        # Without an injected manager one is built on first use, under a
+        # lock (a racing build under the threaded HTTP server would
+        # orphan jobs in a lost instance): a service that only runs
+        # synchronously never loads the execution plane.
+        self._jobs = jobs
+        self._jobs_lock = threading.Lock()
         self._owns_jobs = jobs is None
+        self._closed = False
         #: the open suite registry this service reads and extends
         #: (shared default unless a private one is injected)
         self._registry = registry if registry is not None else SUITE_REGISTRY
@@ -432,8 +442,16 @@ class BenchmarkService:
     # -- async jobs ---------------------------------------------------------
 
     @property
-    def jobs(self) -> JobManager:
-        return self._jobs
+    def jobs(self) -> "FleetJobManager":
+        """The job manager (see :attr:`JOB_SLOTS` for the default)."""
+        with self._jobs_lock:
+            if self._jobs is None:
+                from repro.exec import FleetJobManager
+
+                self._jobs = FleetJobManager(None, workers=self.JOB_SLOTS)
+                if self._closed:
+                    self._jobs.shutdown(wait=False)
+            return self._jobs
 
     def submit(
         self,
@@ -503,8 +521,11 @@ class BenchmarkService:
         ``cancel=True`` cancels in-flight jobs instead of waiting for
         them (the ``provmark serve`` shutdown path).
         """
-        if self._jobs is not None and self._owns_jobs:
-            self._jobs.shutdown(wait=True, cancel=cancel)
+        with self._jobs_lock:
+            self._closed = True
+            jobs = self._jobs
+        if jobs is not None and self._owns_jobs:
+            jobs.shutdown(wait=True, cancel=cancel)
 
     def __enter__(self) -> "BenchmarkService":
         return self

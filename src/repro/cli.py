@@ -254,12 +254,15 @@ def _load_fault_plan(path: str):
 def _make_serve_jobs(args: argparse.Namespace):
     """The job manager behind ``provmark serve``: a process fleet over a
     durable queue with ``--workers`` (and, with ``--cluster``, a TCP
-    coordinator arbitrating that queue for remote agents), else the
-    in-process thread pool."""
+    coordinator arbitrating that queue for remote agents), else
+    in-memory thread slots."""
+    from repro.exec import FleetJobManager
+
     cluster_port = getattr(args, "cluster", None)
+    fleet = args.workers > 0 or cluster_port is not None
     faults = None
     if getattr(args, "faults", None):
-        if args.workers <= 0 and cluster_port is None:
+        if not fleet:
             raise ValidationError(
                 "--faults requires --workers or --cluster (fault plans "
                 "are installed into the supervised worker processes and "
@@ -267,29 +270,24 @@ def _make_serve_jobs(args: argparse.Namespace):
             )
         faults = _load_fault_plan(args.faults)
     scheduler = _make_serve_scheduler(args)
-    if args.workers > 0 or cluster_port is not None:
-        if not args.queue:
-            raise ValidationError(
-                "--workers/--cluster require --queue DIR (the "
-                "execution-plane root holding the shared store and the "
-                "durable spool)"
-            )
-        from repro.exec import FleetJobManager
-
-        return FleetJobManager(
-            args.queue, workers=args.workers, capacity=args.capacity,
-            faults=faults, scheduler=scheduler,
-            cluster_port=cluster_port,
-            cluster_host=getattr(args, "cluster_host", "127.0.0.1"),
-            cluster_token=getattr(args, "cluster_token", "") or "",
+    if fleet and not args.queue:
+        raise ValidationError(
+            "--workers/--cluster require --queue DIR (the "
+            "execution-plane root holding the shared store and the "
+            "durable spool)"
         )
-    if args.queue:
-        # the in-process thread pool keeps nothing on disk: a --queue
-        # that only it would see would silently not be durable
+    if args.queue and not fleet:
+        # in-memory slots keep nothing on disk: a --queue that only they
+        # would see would silently not be durable
         raise ValidationError("--queue requires --workers or --cluster")
-    from repro.api.jobs import JobManager
-
-    return JobManager(capacity=args.capacity, scheduler=scheduler)
+    return FleetJobManager(
+        args.queue or None,
+        workers=args.workers if fleet else BenchmarkService.JOB_SLOTS,
+        capacity=args.capacity, faults=faults, scheduler=scheduler,
+        cluster_port=cluster_port,
+        cluster_host=getattr(args, "cluster_host", "127.0.0.1"),
+        cluster_token=getattr(args, "cluster_token", "") or "",
+    )
 
 
 def _make_serve_chain(args: argparse.Namespace):
@@ -362,7 +360,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "(Ctrl-C to stop)",
         flush=True,
     )
-    coordinator = getattr(manager, "coordinator", None)
+    coordinator = manager.coordinator
     if coordinator is not None:
         print(
             f"cluster coordinator on {coordinator.address} "
@@ -383,14 +381,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server.server_close()
     serving.join(timeout=5.0)
 
-    drained = True
-    if getattr(manager, "drain", None) is not None:
-        print(
-            f"draining: letting in-flight jobs finish "
-            f"(up to {args.drain_timeout:g}s)...",
-            flush=True,
-        )
-        drained = manager.drain(args.drain_timeout)
+    print(
+        f"draining: letting in-flight jobs finish "
+        f"(up to {args.drain_timeout:g}s)...",
+        flush=True,
+    )
+    drained = manager.drain(args.drain_timeout)
     if drained and len(signals_seen) <= 1:
         manager.shutdown(wait=False)
         print("drained cleanly; all in-flight jobs finished", flush=True)
@@ -674,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=0, metavar="N",
         help="run jobs on N supervised worker processes over a durable "
-        "queue (0: in-process thread pool; default: 0)",
+        "queue (0: four in-process thread slots; default: 0)",
     )
     serve.add_argument(
         "--queue", default=None, metavar="DIR",

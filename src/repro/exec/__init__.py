@@ -8,16 +8,19 @@ The package splits the HTTP front end from a fleet of worker
 * :class:`~repro.exec.queue.JobQueue` — a durable, lease-based job
   queue spooled on disk next to the shared artifact store, safe for
   concurrent workers (atomic-rename claims, heartbeat leases,
-  crash-recovery requeue);
-* :mod:`~repro.exec.worker` — the worker process entry point: claim,
+  crash-recovery requeue); :class:`~repro.exec.queue.MemoryQueue` is
+  its in-memory twin for in-process jobs;
+* :mod:`~repro.exec.worker` — the claim loop every slot runs (claim,
   heartbeat, run through :class:`~repro.api.service.BenchmarkService`,
-  persist results;
+  persist results) and the worker process entry point;
 * :class:`~repro.exec.supervisor.Supervisor` — spawns and restarts
-  workers, recovers expired/orphaned leases, drains gracefully;
-* :class:`~repro.exec.manager.FleetJobManager` — the
-  :class:`~repro.api.jobs.JobManager`-shaped façade
-  ``provmark serve --workers N`` plugs into
-  :class:`~repro.api.service.BenchmarkService`.
+  worker processes or threads, recovers expired/orphaned leases,
+  drains gracefully;
+* :class:`~repro.exec.manager.FleetJobManager` — the one job manager
+  :class:`~repro.api.service.BenchmarkService` hands jobs to: worker
+  processes over the spool with a plane root (``provmark serve
+  --workers N``), thread slots over a
+  :class:`~repro.exec.queue.MemoryQueue` without one.
 
 The queue speaks the :mod:`repro.sched` surface natively: pending
 tokens carry a priority-class prefix claimed strict-priority with

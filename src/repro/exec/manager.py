@@ -1,13 +1,20 @@
-"""FleetJobManager: the execution plane behind ``provmark serve --workers``.
+"""FleetJobManager: the one job manager behind ``BenchmarkService.submit``.
 
-Duck-types :class:`~repro.api.jobs.JobManager` — ``submit`` / ``poll`` /
-``cancel`` / ``jobs`` / ``queue_stats`` / ``drain`` / ``shutdown`` — so
-:class:`~repro.api.service.BenchmarkService` and the HTTP layer plug
-into it unchanged.  Where the thread-pool manager keeps mutable records
-in memory, this one persists every job into a durable
-:class:`~repro.exec.queue.JobQueue` spooled next to the plane's shared
-artifact store, and a :class:`~repro.exec.supervisor.Supervisor` runs
-the fleet of worker processes that serve it.
+``submit`` / ``poll`` / ``cancel`` / ``jobs`` / ``queue_stats`` /
+``drain`` / ``shutdown`` are what :class:`~repro.api.service.BenchmarkService`
+and the HTTP layer call.  A :class:`~repro.exec.supervisor.Supervisor`
+runs the slots that serve the queue, and the plane root picks both:
+
+* with a plane root (``provmark serve --workers``/``--cluster``), every
+  job persists into a durable :class:`~repro.exec.queue.JobQueue`
+  spooled next to the plane's shared artifact store, and the slots are
+  worker processes (plus, with a coordinator, remote agents);
+* without one (``plane_root=None``: the manager a service builds on its
+  first ``submit``, and plain ``provmark serve``), jobs queue in a
+  :class:`~repro.exec.queue.MemoryQueue` and the slots are threads that
+  run each job through the service that submitted it.  In-process jobs
+  touch no disk, have no fair share, no aging and no durability, and
+  start as soon as they are queued.
 
 The plane root directory holds both halves::
 
@@ -49,7 +56,7 @@ from repro.api.types import (
     SynthReport,
 )
 from repro.exec.policy import RetryPolicy
-from repro.exec.queue import JobQueue, TERMINAL_STATES
+from repro.exec.queue import JobQueue, MemoryQueue, TERMINAL_STATES
 from repro.exec.supervisor import Supervisor
 from repro.faults import FaultPlan
 from repro.sched.admission import AdmissionController
@@ -69,9 +76,13 @@ class FleetJobManager:
     #: this, counted in ``queue_stats()["evicted"]``)
     MAX_FINISHED_JOBS = 256
 
+    #: recently finished jobs whose median duration is the Retry-After
+    #: hint of a refused submit
+    RETRY_AFTER_WINDOW = 32
+
     def __init__(
         self,
-        plane_root: Union[str, Path],
+        plane_root: Optional[Union[str, Path]],
         workers: int = 2,
         policy: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
@@ -86,19 +97,30 @@ class FleetJobManager:
         :class:`~repro.cluster.ClusterCoordinator` over this plane's
         spool: remote agents then claim from the same queue local
         workers do.  ``workers`` may be 0 when a coordinator runs — a
-        pure arbiter node whose execution capacity is all remote."""
-        plane = Path(plane_root)
-        self.store_path = str(plane / STORE_DIR)
-        self.spool_root = str(plane / SPOOL_DIR)
-        # creating the store up front also validates the plane root
-        self._store = ArtifactStore(self.store_path)
+        pure arbiter node whose execution capacity is all remote.
+        ``plane_root=None`` keeps jobs in memory on thread slots, which
+        fault plans and a coordinator cannot reach."""
         self.policy = policy if policy is not None else RetryPolicy()
         self.capacity = capacity
         self.scheduler = (
             scheduler if scheduler is not None else SchedulerConfig()
         )
         self.admission = AdmissionController(self.scheduler)
-        self.queue = JobQueue(self.spool_root)
+        if plane_root is None:
+            if faults is not None or cluster_port is not None:
+                raise ValidationError(
+                    "fault plans and a cluster coordinator need a plane "
+                    "root (in-memory jobs have no spool to share)"
+                )
+            self.store_path = self.spool_root = None
+            self.queue = MemoryQueue(self.MAX_FINISHED_JOBS)
+        else:
+            plane = Path(plane_root)
+            self.store_path = str(plane / STORE_DIR)
+            self.spool_root = str(plane / SPOOL_DIR)
+            # creating the store up front also validates the plane root
+            self._store = ArtifactStore(self.store_path)
+            self.queue = JobQueue(self.spool_root)
         # persist scheduler policy into the spool *before* the
         # supervisor and workers open their own JobQueue over it, so
         # claim-side fairness/aging agree fleet-wide (remote claimants
@@ -130,6 +152,7 @@ class FleetJobManager:
             faults=faults,
             poll_interval=poll_interval,
             finished_cap=self.MAX_FINISHED_JOBS,
+            queue=self.queue if plane_root is None else None,
         )
         if autoscale is not None and initial > 0:
             coordinator = self.coordinator
@@ -153,7 +176,7 @@ class FleetJobManager:
             self.coordinator.start()
         self.supervisor.start()
 
-    # -- JobManager surface --------------------------------------------------
+    # -- the manager surface -------------------------------------------------
 
     def submit(
         self,
@@ -165,16 +188,17 @@ class FleetJobManager:
         request_id: str = "",
         role: str = "",
     ) -> JobStatus:
-        """Persist a validated request as a durable job.
+        """Queue a validated request as a job.
 
         The service already validated names against *its* registry;
         here the submit passes admission (priority class resolution
         against ``role``, per-client/per-role quotas — 429 with a
         distinct ``QuotaExceededError`` type), then whole-queue
-        capacity, and the request is made portable to worker processes
-        (custom specs persisted into the plane store, tag selections
-        pinned to names) before the record is written and a pending
-        token makes it claimable.
+        capacity.  An in-memory job then queues with the request object
+        and the submitting ``service``, which runs it.  A spooled one is
+        made portable to worker processes first (custom specs persisted
+        into the plane store, tag selections pinned to names) before the
+        record is written and a pending token makes it claimable.
         """
         with self._lock:
             if self._closed:
@@ -194,19 +218,28 @@ class FleetJobManager:
                         f"{self.capacity} active jobs); retry later",
                         retry_after=self._retry_after_estimate(),
                     )
-            request = self._make_portable(service, request, kind)
-            record = self.queue.submit(
-                kind, request.to_payload(), total, self.policy.max_attempts,
-                client_id=client_id, request_id=request_id,
-                priority=priority,
-            )
+            if isinstance(self.queue, MemoryQueue):
+                record = self.queue.submit(
+                    kind, request, total, self.policy.max_attempts,
+                    client_id=client_id, request_id=request_id,
+                    priority=priority, service=service,
+                )
+            else:
+                request = self._make_portable(service, request, kind)
+                record = self.queue.submit(
+                    kind, request.to_payload(), total,
+                    self.policy.max_attempts, client_id=client_id,
+                    request_id=request_id, priority=priority,
+                )
         return self._status(record)
 
     def poll(self, job_id: str) -> JobStatus:
         """Full status snapshot, result payloads decoded when done."""
         record = self.queue.record(job_id)
         if record is None:
-            # same non-enumerating 404 contract as the in-process manager
+            # Deliberately does not list known ids: job ids are the only
+            # access control on /v1/jobs, so enumerating them in a 404
+            # body would let any client find and cancel others' jobs.
             raise NotFoundError(f"unknown job {job_id!r}")
         return self._status(record, decode_results=True)
 
@@ -312,16 +345,18 @@ class FleetJobManager:
     # -- internals -----------------------------------------------------------
 
     def _active_jobs(self) -> Iterator[Tuple[str, str]]:
-        """``(client_id, state)`` of every spooled job.  A generator, so
-        the spool is read only if admission walks it (bounded quotas)."""
-        for rec in self.queue.records():
+        """``(client_id, state)`` of every live job.  A generator, so
+        the records are read only if admission walks them (bounded
+        quotas), and only the live ones."""
+        for rec in self.queue.live_records():
             yield str(rec.get("client_id") or ""), str(rec.get("state") or "")
 
     def _retry_after_estimate(self) -> float:
-        """Suggested client wait when saturated: recently finished jobs'
-        median duration, bounded to [1, 60] seconds."""
+        """Suggested client wait when saturated: the median duration of
+        the last ``RETRY_AFTER_WINDOW`` finished jobs, bounded to
+        [1, 60] seconds."""
         durations = []
-        for record in self.queue.records():
+        for record in self.queue.finished_records(self.RETRY_AFTER_WINDOW):
             started = record.get("started_at")
             finished = record.get("finished_at")
             if started and finished and finished > started:
@@ -383,17 +418,16 @@ class FleetJobManager:
     def _status(
         self, record: Dict[str, object], decode_results: bool = False
     ) -> JobStatus:
-        """A :class:`JobStatus` view of one queue record."""
+        """A :class:`JobStatus` view of one queue record (a spooled
+        record holds result payloads, an in-memory one the objects)."""
         result = results = report = None
         if decode_results and record.get("state") == "done":
-            if record.get("result") is not None:
-                result = RunResponse.from_payload(record["result"])
+            result = _decoded(RunResponse, record.get("result"))
             if record.get("results") is not None:
                 results = tuple(
-                    RunResponse.from_payload(r) for r in record["results"]
+                    _decoded(RunResponse, r) for r in record["results"]
                 )
-            if record.get("report") is not None:
-                report = SynthReport.from_payload(record["report"])
+            report = _decoded(SynthReport, record.get("report"))
         submitted = float(record.get("submitted_at") or 0.0)
         started = record.get("started_at")
         queue_wait = (
@@ -433,3 +467,8 @@ class FleetJobManager:
                 self.supervisor.stop(grace=0.1)
         except Exception:  # noqa: BLE001 — interpreter teardown
             pass
+
+
+def _decoded(cls, value):
+    """A result as the API returns it: payloads decode, objects pass."""
+    return cls.from_payload(value) if isinstance(value, dict) else value

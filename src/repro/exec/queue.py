@@ -52,18 +52,28 @@ so a completed job stays completed whatever a lagging writer thinks.
 Only the call that moves a record to ``queued`` mints its token, and a
 zombie's terminal write to a requeued record removes that token, so the
 token/lease invariant holds through the zombie case too.
+
+:class:`MemoryQueue` is the same worker-facing surface over records
+held in memory, for in-process jobs: the same record builder and the
+same state rules (:class:`_QueueRules`), claimed strict-priority then
+FIFO, with no fair share, no aging and no durability.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
+import itertools
 import json
 import os
 import threading
 import time
 import uuid
+from collections import deque
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.api.errors import ValidationError
 from repro.exec.policy import RetryPolicy
@@ -153,10 +163,384 @@ def _read_json(path: Path) -> Optional[Dict[str, object]]:
     return payload if isinstance(payload, dict) else None
 
 
-class JobQueue:
+def _new_record(
+    sched: SchedulerConfig,
+    kind: str,
+    request: object,
+    total: int,
+    max_attempts: int,
+    client_id: str,
+    request_id: str,
+    priority: str,
+) -> Dict[str, object]:
+    """A fresh ``queued`` job record, the one both queues build.
+
+    ``priority`` is the admitted class name ("" = the kind's default
+    from scheduler config).  Job ids reuse the API scheme: an
+    unguessable uuid4 suffix is the only access control on job records
+    over ``/v1/jobs``.
+    """
+    now = _now()
+    cls = priority or sched.class_for_kind(kind)
+    class_rank(cls)  # rejects unknown class names
+    return {
+        "version": QUEUE_VERSION,
+        "job_id": f"job-{int(now * 1e3) % 10000:04d}-{uuid.uuid4().hex}",
+        "kind": kind,
+        "request": request,
+        "state": "queued",
+        "total": total,
+        "completed": 0,
+        "stage": "",
+        "attempts": 0,
+        "max_attempts": max_attempts,
+        "not_before": 0.0,
+        "submitted_at": now,
+        "started_at": None,
+        "finished_at": None,
+        "owner": None,
+        "error": "",
+        "error_history": [],
+        "result": None,
+        "results": None,
+        "report": None,
+        # middleware correlation: the submitting client and the HTTP
+        # request id its access-log line carries ("" outside HTTP)
+        "client_id": client_id,
+        "request_id": request_id,
+        # the admitted priority class (the token prefix's source of
+        # truth: retries and recovery re-token at this class)
+        "priority": cls,
+    }
+
+
+def _claimed(record: Dict[str, object], owner: str) -> None:
+    """A won claim: ``running`` under ``owner``, one more attempt (the
+    attempt counter counts claims, so a worker that dies before its
+    first record write still gets charged by recovery)."""
+    record["state"] = "running"
+    record["attempts"] = int(record.get("attempts") or 0) + 1
+    record["owner"] = owner
+    record["started_at"] = record.get("started_at") or _now()
+    record["stage"] = ""
+
+
+class _QueueRules:
+    """What each verb does to a job record, shared by both queues.
+
+    A subclass holds the records, pending tokens, leases and cancel
+    markers: :meth:`record` and :meth:`_store` read and publish one
+    record, :meth:`_make_token` / :meth:`_drop_token` mint and remove a
+    job's pending token, :meth:`_mark_cancel` / :meth:`_release` set and
+    drop its cancel marker and lease, :meth:`_lease_stamps` lists the
+    leases with their heartbeat stamps and :meth:`_drop_lease` takes one
+    away.
+    """
+
+    sched: SchedulerConfig
+
+    #: held across one record's read-modify-write and the releases that
+    #: settle it (the spool's files need no lock: writes are atomic)
+    _guard = contextlib.nullcontext()
+
+    def __init__(self) -> None:
+        #: per thread: whether its last complete() was the job's first
+        self._completion = threading.local()
+
+    # -- worker side ---------------------------------------------------------
+
+    def update_progress(
+        self, job_id: str, completed: int, stage: str = ""
+    ) -> None:
+        def _progress(rec: Dict[str, object]) -> None:
+            if rec.get("state") in TERMINAL_STATES:
+                return
+            rec["completed"] = completed
+            if stage:
+                rec["stage"] = stage
+        self._update(job_id, _progress)
+
+    def complete(
+        self,
+        job_id: str,
+        result: Optional[Dict[str, object]] = None,
+        results: Optional[Sequence[Dict[str, object]]] = None,
+        report: Optional[Dict[str, object]] = None,
+    ) -> Dict[str, object]:
+        """Record success.  A real result always wins: ``done`` may
+        overwrite a recovery-written ``failed``/retrying state (the
+        zombie-worker convergence case), never the other way around.
+        The first completion also charges the job's wall-clock runtime
+        to its client in the fair-share ledger; whether this call was
+        the first, decided inside its one read-modify-write, is what
+        :meth:`first_completion` reports to the calling thread."""
+        def _done(rec: Dict[str, object]) -> None:
+            rec["state"] = "done"
+            rec["result"] = result
+            if results is not None:
+                rec["results"] = list(results)
+                rec["completed"] = len(results)
+            elif result is not None:
+                rec["completed"] = 1
+            else:
+                rec["completed"] = rec.get("total", 0)
+            rec["report"] = report
+            rec["error"] = ""
+            rec["finished_at"] = _now()
+        record, prior = self._settle(job_id, _done, allow_terminal=True)
+        first = self._completion.first = prior != "done"
+        started = record.get("started_at")
+        finished = record.get("finished_at")
+        if first and started and finished and float(finished) > float(started):
+            self._charge(
+                str(record.get("client_id") or ""),
+                float(finished) - float(started),
+                float(finished),
+            )
+        return record
+
+    def first_completion(self) -> bool:
+        """Whether the calling thread's last :meth:`complete` moved its
+        job to ``done`` (a zombie's duplicate completion does not)."""
+        return getattr(self._completion, "first", False)
+
+    def fail(self, job_id: str, error: str) -> Dict[str, object]:
+        """Record a permanent failure (root cause preserved)."""
+        def _failed(rec: Dict[str, object]) -> None:
+            if rec.get("state") == "done":
+                return  # a completed result is never demoted
+            rec["state"] = "failed"
+            rec["error"] = error
+            history = list(rec.get("error_history") or [])
+            history.append(f"attempt {rec.get('attempts')}: {error}")
+            rec["error_history"] = history
+            rec["finished_at"] = _now()
+        return self._settle(job_id, _failed, allow_terminal=True)[0]
+
+    def mark_cancelled(self, job_id: str) -> Dict[str, object]:
+        return self._settle(job_id, self._cancelled)[0]
+
+    def retry_or_fail(
+        self, job_id: str, error: str, policy: RetryPolicy
+    ) -> Dict[str, object]:
+        """A failed attempt: requeue under backoff, or fail permanently.
+
+        The attempt that just failed is ``record["attempts"]`` (claims
+        are counted up front).  Under ``max_attempts`` the job re-enters
+        the pending queue with ``not_before`` pushed out by the policy's
+        capped, jittered exponential backoff; at the cap it fails with
+        the full error history and the *last* root cause in ``error``.
+        A record some other call already requeued (lease recovery racing
+        a worker that is still running) keeps its token and
+        ``not_before``: only the error joins its history.
+        """
+        record = self.record(job_id)
+        if record is None:
+            raise QueueError(f"unknown job {job_id!r}")
+        attempts = int(record.get("attempts") or 0)
+        max_attempts = int(record.get("max_attempts") or 1)
+        if attempts >= max_attempts:
+            return self.fail(
+                job_id, f"{error} (failed permanently after {attempts} "
+                f"attempt(s))"
+            )
+        delay = policy.backoff(job_id, attempts)
+        def _requeue(rec: Dict[str, object]) -> None:
+            history = list(rec.get("error_history") or [])
+            history.append(f"attempt {attempts}: {error}")
+            rec["error_history"] = history
+            rec["error"] = error
+            if rec.get("state") == "queued":
+                return
+            rec["state"] = "queued"
+            rec["owner"] = None
+            rec["not_before"] = _now() + delay
+        record, prior = self._update(job_id, _requeue)
+        if prior == "queued":
+            return record  # its token, and any lease a claim is taking, stand
+        self._release(job_id, keep_cancel=True)
+        if record.get("state") == "queued":
+            # re-token at the *admitted* class: an aging promotion does
+            # not survive a failed attempt (the job re-earns it)
+            self._make_token(job_id, _now(), self._rank_of_record(record))
+        return record
+
+    # -- control side --------------------------------------------------------
+
+    def cancel(self, job_id: str) -> Dict[str, object]:
+        """Request cancellation: queued jobs stop now, running ones at
+        their next stage boundary (workers poll the marker).
+
+        The marker is the only record of the request: a claimed job's
+        record is left untouched, so this never races the claimer's
+        read-modify-write of it.
+        """
+        record = self.record(job_id)
+        if record is None:
+            raise QueueError(f"unknown job {job_id!r}")
+        if record.get("state") in TERMINAL_STATES:
+            return record
+        self._mark_cancel(job_id)
+        if self._drop_token(job_id):
+            return self.mark_cancelled(job_id)
+        return self.record(job_id) or record  # claimed in the meantime
+
+    def lease_owners(self) -> Dict[str, str]:
+        """Current lease holders: ``{job_id: owner}``.
+
+        The cluster coordinator recovers a dead *node* by matching
+        owners on the node's ``<node_id>:`` prefix — the fleet-level
+        analogue of the supervisor naming its reaped workers' uids.
+        """
+        return {
+            job_id: owner
+            for job_id, owner, _stamp in self._lease_stamps() if owner
+        }
+
+    def recover(
+        self,
+        policy: RetryPolicy,
+        dead_owners: Sequence[str] = (),
+        now: Optional[float] = None,
+    ) -> List[str]:
+        """Requeue (or permanently fail) jobs whose lease is lost.
+
+        A lease is lost when its heartbeat timestamp is older than
+        ``lease_ttl``, or when its owner is known-dead (the supervisor
+        passes the worker ids of slots it just reaped, which makes
+        crash recovery immediate instead of waiting out the TTL).
+        """
+        now = _now() if now is None else now
+        recovered: List[str] = []
+        dead = set(dead_owners)
+        for job_id, owner, stamp in self._lease_stamps():
+            lost = owner in dead or (now - stamp) > policy.lease_ttl
+            if not lost:
+                continue
+            if not self._drop_lease(job_id):
+                continue  # the worker finished in the window; nothing to do
+            record = self.record(job_id)
+            if record is None or record.get("state") in TERMINAL_STATES:
+                continue
+            self.retry_or_fail(
+                job_id,
+                f"worker {owner or 'unknown'} lost its lease "
+                f"(crash or missed heartbeats)",
+                policy,
+            )
+            recovered.append(job_id)
+        return recovered
+
+    # -- introspection -------------------------------------------------------
+
+    def records(self) -> List[Dict[str, object]]:
+        """Every readable record, oldest submission first."""
+        out = list(self._iter_records())
+        out.sort(key=lambda rec: float(rec.get("submitted_at") or 0.0))
+        return out
+
+    def sched_stats(self, now: Optional[float] = None) -> Dict[str, object]:
+        """Per-class depth and queue-wait stats (parses every record,
+        one at a time and in directory order, since nothing here depends
+        on order — this backs the ``/v1/metrics`` gauges, not the health
+        hot path).
+
+        Waits count time from submit to first claim: finished and
+        running jobs contribute their realized wait, still-queued jobs
+        their live wait so starvation is visible while it happens.
+        """
+        now = _now() if now is None else now
+        per: Dict[str, Dict[str, object]] = zeroed_class_stats()
+        for record in self._iter_records():
+            cls = str(record.get("priority") or "")
+            if cls not in per:
+                cls = self.sched.class_for_kind(str(record.get("kind") or ""))
+            if cls not in per:
+                cls = "batch"
+            row = per[cls]
+            state = record.get("state")
+            submitted = float(record.get("submitted_at") or 0.0)
+            started = record.get("started_at")
+            if state == "queued":
+                row["pending"] += 1
+                row["waits"].append(max(0.0, now - submitted))
+            elif state == "running":
+                row["running"] += 1
+            if started:
+                row["waits"].append(max(0.0, float(started) - submitted))
+        return {
+            "classes": summarize_class_stats(per),
+            "promotions": self.promotions(),
+        }
+
+    # -- internals -----------------------------------------------------------
+
+    def _rank_of_record(self, record: Dict[str, object]) -> int:
+        """The claim rank of a record's admitted class (tolerant of
+        records from pre-priority spools, which fall back to the kind's
+        default class)."""
+        try:
+            return class_rank(str(record.get("priority") or ""))
+        except ValidationError:
+            return class_rank(
+                self.sched.class_for_kind(str(record.get("kind") or ""))
+            )
+
+    def _update(
+        self,
+        job_id: str,
+        mutate: Callable[[Dict[str, object]], None],
+        allow_terminal: bool = False,
+    ) -> Tuple[Dict[str, object], object]:
+        """Read-modify-write one record (atomic publish, terminal guard);
+        returns the record and the state it had before.
+
+        Concurrent updates are last-writer-wins, but a record already in
+        a terminal state is returned unchanged unless ``allow_terminal``
+        (complete/fail pass it; their mutators enforce the finer rule
+        that ``done`` is never demoted).
+        """
+        with self._guard:
+            record = self.record(job_id)
+            if record is None:
+                raise QueueError(f"unknown job {job_id!r}")
+            prior = record.get("state")
+            if prior in TERMINAL_STATES and not allow_terminal:
+                return record, prior
+            mutate(record)
+            self._store(job_id, record)
+        return record, prior
+
+    def _settle(
+        self,
+        job_id: str,
+        mutate: Callable[[Dict[str, object]], None],
+        allow_terminal: bool = False,
+    ) -> Tuple[Dict[str, object], object]:
+        """Finish a job in one read-modify-write, then drop what it
+        holds: its lease, its cancel marker and, when the record was
+        ``queued`` (a recovery requeued it under a worker that was
+        still running), the token that requeue minted."""
+        with self._guard:
+            record, prior = self._update(job_id, mutate, allow_terminal)
+            if prior == "queued":
+                # a claim that took the token meanwhile finds the record
+                # terminal and gives its lease back
+                self._drop_token(job_id)
+            self._release(job_id)
+        return record, prior
+
+    @staticmethod
+    def _cancelled(rec: Dict[str, object]) -> None:
+        rec["state"] = "cancelled"
+        rec["finished_at"] = _now()
+
+
+class JobQueue(_QueueRules):
     """One spool directory's worth of durable jobs."""
 
     def __init__(self, root: Union[str, Path]) -> None:
+        super().__init__()
         self.root = Path(root)
         try:
             for sub in ("jobs", "pending", "leases", "cancel", "promoted"):
@@ -182,8 +566,6 @@ class JobQueue:
         #: so claims and aging passes hold the lock throughout.
         self._index: Dict[str, _Token] = {}
         self._index_lock = threading.Lock()
-        #: per thread: whether its last complete() was the job's first
-        self._completion = threading.local()
 
     def configure(self, config: SchedulerConfig) -> None:
         """Persist scheduler policy into the spool (read by every
@@ -230,45 +612,17 @@ class JobQueue:
         ``priority`` is the admitted class name ("" = the kind's default
         from scheduler config); it is stamped into the record *and*
         encoded into the token name, which is what makes claim order
-        priority-aware.  Job ids reuse the API scheme — an unguessable
-        uuid4 suffix is the only access control on job records, exactly
-        like the in-process manager's ids over ``/v1/jobs``.
+        priority-aware.
         """
-        now = _now()
-        cls = priority or self.sched.class_for_kind(kind)
-        rank = class_rank(cls)  # rejects unknown class names
-        job_id = f"job-{int(now * 1e3) % 10000:04d}-{uuid.uuid4().hex}"
-        record: Dict[str, object] = {
-            "version": QUEUE_VERSION,
-            "job_id": job_id,
-            "kind": kind,
-            "request": request_payload,
-            "state": "queued",
-            "total": total,
-            "completed": 0,
-            "stage": "",
-            "attempts": 0,
-            "max_attempts": max_attempts,
-            "not_before": 0.0,
-            "submitted_at": now,
-            "started_at": None,
-            "finished_at": None,
-            "owner": None,
-            "error": "",
-            "error_history": [],
-            "result": None,
-            "results": None,
-            "report": None,
-            # middleware correlation: the submitting client and the HTTP
-            # request id its access-log line carries ("" outside HTTP)
-            "client_id": client_id,
-            "request_id": request_id,
-            # the admitted priority class (the token prefix's source of
-            # truth: retries and recovery re-token at this class)
-            "priority": cls,
-        }
+        record = _new_record(
+            self.sched, kind, request_payload, total, max_attempts,
+            client_id, request_id, priority,
+        )
+        job_id = str(record["job_id"])
         _write_json_atomic(self._record_path(job_id), record)
-        self._make_token(job_id, now, rank)
+        self._make_token(
+            job_id, float(record["submitted_at"]), self._rank_of_record(record)
+        )
         return record
 
     # -- worker side ---------------------------------------------------------
@@ -414,11 +768,7 @@ class JobQueue:
                 pass
             return None
         self.heartbeat(job_id, owner, "claimed")
-        record["state"] = "running"
-        record["attempts"] = int(record.get("attempts") or 0) + 1
-        record["owner"] = owner
-        record["started_at"] = record.get("started_at") or _now()
-        record["stage"] = ""
+        _claimed(record, owner)
         _write_json_atomic(self._record_path(job_id), record)
         return record
 
@@ -486,213 +836,10 @@ class JobQueue:
             lease, {"owner": owner, "stage": stage, "ts": _now()}
         )
 
-    def update_progress(
-        self, job_id: str, completed: int, stage: str = ""
-    ) -> None:
-        def _progress(rec: Dict[str, object]) -> None:
-            if rec.get("state") in TERMINAL_STATES:
-                return
-            rec["completed"] = completed
-            if stage:
-                rec["stage"] = stage
-        self._update(job_id, _progress)
-
-    def complete(
-        self,
-        job_id: str,
-        result: Optional[Dict[str, object]] = None,
-        results: Optional[Sequence[Dict[str, object]]] = None,
-        report: Optional[Dict[str, object]] = None,
-    ) -> Dict[str, object]:
-        """Record success.  A real result always wins: ``done`` may
-        overwrite a recovery-written ``failed``/retrying state (the
-        zombie-worker convergence case), never the other way around.
-        The first completion also charges the job's wall-clock runtime
-        to its client in the fair-share ledger; whether this call was
-        the first, decided inside its one read-modify-write, is what
-        :meth:`first_completion` reports to the calling thread."""
-        def _done(rec: Dict[str, object]) -> None:
-            rec["state"] = "done"
-            rec["result"] = result
-            if results is not None:
-                rec["results"] = list(results)
-                rec["completed"] = len(results)
-            elif result is not None:
-                rec["completed"] = 1
-            else:
-                rec["completed"] = rec.get("total", 0)
-            rec["report"] = report
-            rec["error"] = ""
-            rec["finished_at"] = _now()
-        record, prior = self._settle(job_id, _done, allow_terminal=True)
-        first = self._completion.first = prior != "done"
-        started = record.get("started_at")
-        finished = record.get("finished_at")
-        if first and started and finished and float(finished) > float(started):
-            self.ledger.charge(
-                str(record.get("client_id") or ""),
-                float(finished) - float(started),
-                now=float(finished),
-            )
-        return record
-
-    def first_completion(self) -> bool:
-        """Whether the calling thread's last :meth:`complete` moved its
-        job to ``done`` (a zombie's duplicate completion does not)."""
-        return getattr(self._completion, "first", False)
-
-    def fail(self, job_id: str, error: str) -> Dict[str, object]:
-        """Record a permanent failure (root cause preserved)."""
-        def _failed(rec: Dict[str, object]) -> None:
-            if rec.get("state") == "done":
-                return  # a completed result is never demoted
-            rec["state"] = "failed"
-            rec["error"] = error
-            history = list(rec.get("error_history") or [])
-            history.append(f"attempt {rec.get('attempts')}: {error}")
-            rec["error_history"] = history
-            rec["finished_at"] = _now()
-        return self._settle(job_id, _failed, allow_terminal=True)[0]
-
-    def mark_cancelled(self, job_id: str) -> Dict[str, object]:
-        return self._settle(job_id, self._cancelled)[0]
-
-    def retry_or_fail(
-        self, job_id: str, error: str, policy: RetryPolicy
-    ) -> Dict[str, object]:
-        """A failed attempt: requeue under backoff, or fail permanently.
-
-        The attempt that just failed is ``record["attempts"]`` (claims
-        are counted up front).  Under ``max_attempts`` the job re-enters
-        the pending queue with ``not_before`` pushed out by the policy's
-        capped, jittered exponential backoff; at the cap it fails with
-        the full error history and the *last* root cause in ``error``.
-        A record some other call already requeued (lease recovery racing
-        a worker that is still running) keeps its token and
-        ``not_before``: only the error joins its history.
-        """
-        record = self.record(job_id)
-        if record is None:
-            raise QueueError(f"unknown job {job_id!r}")
-        attempts = int(record.get("attempts") or 0)
-        max_attempts = int(record.get("max_attempts") or 1)
-        if attempts >= max_attempts:
-            return self.fail(
-                job_id, f"{error} (failed permanently after {attempts} "
-                f"attempt(s))"
-            )
-        delay = policy.backoff(job_id, attempts)
-        def _requeue(rec: Dict[str, object]) -> None:
-            history = list(rec.get("error_history") or [])
-            history.append(f"attempt {attempts}: {error}")
-            rec["error_history"] = history
-            rec["error"] = error
-            if rec.get("state") == "queued":
-                return
-            rec["state"] = "queued"
-            rec["owner"] = None
-            rec["not_before"] = _now() + delay
-        record, prior = self._update(job_id, _requeue)
-        if prior == "queued":
-            return record  # its token, and any lease a claim is taking, stand
-        self._release(job_id, keep_cancel=True)
-        if record.get("state") == "queued":
-            # re-token at the *admitted* class: an aging promotion does
-            # not survive a failed attempt (the job re-earns it)
-            self._make_token(job_id, _now(), self._rank_of_record(record))
-        return record
-
     # -- control side --------------------------------------------------------
-
-    def cancel(self, job_id: str) -> Dict[str, object]:
-        """Request cancellation: queued jobs stop now, running ones at
-        their next stage boundary (workers poll the marker file).
-
-        The marker is the only record of the request: a claimed job's
-        record is left untouched, so this never races the claimer's
-        read-modify-write of it.
-        """
-        record = self.record(job_id)
-        if record is None:
-            raise QueueError(f"unknown job {job_id!r}")
-        if record.get("state") in TERMINAL_STATES:
-            return record
-        marker = self._cancel / job_id
-        try:
-            marker.touch()
-        except OSError:
-            pass
-        token = self._token_for(job_id)
-        if token is not None:
-            try:
-                token.unlink()
-            except OSError:
-                token = None  # claimed in the meantime
-        if token is not None:
-            return self.mark_cancelled(job_id)
-        return self.record(job_id) or record
 
     def cancel_requested(self, job_id: str) -> bool:
         return (self._cancel / job_id).exists()
-
-    def lease_owners(self) -> Dict[str, str]:
-        """Current lease holders: ``{job_id: owner}``.
-
-        The cluster coordinator recovers a dead *node* by matching
-        owners on the node's ``<node_id>:`` prefix — the fleet-level
-        analogue of the supervisor naming its reaped workers' uids.
-        """
-        owners: Dict[str, str] = {}
-        for lease in sorted(self._leases.iterdir()):
-            beat = _read_json(lease) or {}
-            owner = str(beat.get("owner") or "")
-            if owner:
-                owners[lease.name] = owner
-        return owners
-
-    def recover(
-        self,
-        policy: RetryPolicy,
-        dead_owners: Sequence[str] = (),
-        now: Optional[float] = None,
-    ) -> List[str]:
-        """Requeue (or permanently fail) jobs whose lease is lost.
-
-        A lease is lost when its heartbeat timestamp is older than
-        ``lease_ttl``, or when its owner is known-dead (the supervisor
-        passes the worker ids of processes it just reaped, which makes
-        crash recovery immediate instead of waiting out the TTL).
-        """
-        now = _now() if now is None else now
-        recovered: List[str] = []
-        dead = set(dead_owners)
-        for lease in sorted(self._leases.iterdir()):
-            job_id = lease.name
-            beat = _read_json(lease) or {}
-            owner = str(beat.get("owner") or "")
-            ts = beat.get("ts")
-            try:
-                stamp = float(ts) if ts is not None else lease.stat().st_mtime
-            except (OSError, TypeError, ValueError):
-                stamp = 0.0
-            lost = owner in dead or (now - stamp) > policy.lease_ttl
-            if not lost:
-                continue
-            try:
-                lease.unlink()
-            except OSError:
-                continue  # the worker finished in the window; nothing to do
-            record = self.record(job_id)
-            if record is None or record.get("state") in TERMINAL_STATES:
-                continue
-            self.retry_or_fail(
-                job_id,
-                f"worker {owner or 'unknown'} lost its lease "
-                f"(crash or missed heartbeats)",
-                policy,
-            )
-            recovered.append(job_id)
-        return recovered
 
     def evict_finished(self, cap: int) -> int:
         """Drop the oldest terminal records past ``cap``; returns total
@@ -750,18 +897,53 @@ class JobQueue:
             return None
         return record
 
-    def records(self) -> List[Dict[str, object]]:
-        """Every readable record, oldest submission first."""
-        out = list(self._iter_records())
-        out.sort(key=lambda rec: float(rec.get("submitted_at") or 0.0))
-        return out
-
     def _iter_records(self) -> Iterator[Dict[str, object]]:
         """Every readable record, in directory order, one at a time."""
         for path in self._jobs.glob("*.json"):
             record = _read_json(path)
             if record is not None and record.get("version") == QUEUE_VERSION:
                 yield record
+
+    def live_records(self) -> Iterator[Dict[str, object]]:
+        """The records of jobs holding a pending token or a lease, read
+        one at a time: what admission counts, without parsing a single
+        finished record."""
+        for job_id in self._live_ids():
+            record = self.record(job_id)
+            if record is not None:
+                yield record
+
+    def finished_records(self, limit: int) -> List[Dict[str, object]]:
+        """Up to ``limit`` finished records, the last written first.
+
+        The names in ``pending/`` and ``leases/`` rule out the live
+        jobs and the job directory's mtimes pick the newest of the rest,
+        so at most ``limit`` records are parsed."""
+        live = self._live_ids()
+        stamped = []
+        for entry in os.scandir(self._jobs):
+            job_id, dot, ext = entry.name.rpartition(".")
+            if ext != "json" or not dot or job_id in live:
+                continue  # an atomic write's temp file, or a live job
+            try:
+                stamped.append((entry.stat().st_mtime, job_id))
+            except OSError:
+                continue
+        out = []
+        for _mtime, job_id in heapq.nlargest(limit, stamped):
+            record = self.record(job_id)
+            if record is not None and record.get("state") in TERMINAL_STATES:
+                out.append(record)
+        return out
+
+    def _live_ids(self) -> Set[str]:
+        """Job ids holding a pending token or a lease (names only)."""
+        live = set(os.listdir(self._leases))
+        for name in os.listdir(self._pending):
+            parsed = _parse_token(name)
+            if parsed is not None:
+                live.add(parsed[2])
+        return live
 
     def depth(self) -> Dict[str, int]:
         """Active-job counts from the token/lease invariant (no record
@@ -794,40 +976,6 @@ class JobQueue:
             1 for _ in self._promoted.iterdir()
         )
 
-    def sched_stats(self, now: Optional[float] = None) -> Dict[str, object]:
-        """Per-class depth and queue-wait stats (parses every record,
-        one at a time and in directory order, since nothing here depends
-        on order — this backs the ``/v1/metrics`` gauges, not the health
-        hot path).
-
-        Waits count time from submit to first claim: finished and
-        running jobs contribute their realized wait, still-queued jobs
-        their live wait so starvation is visible while it happens.
-        """
-        now = _now() if now is None else now
-        per: Dict[str, Dict[str, object]] = zeroed_class_stats()
-        for record in self._iter_records():
-            cls = str(record.get("priority") or "")
-            if cls not in per:
-                cls = self.sched.class_for_kind(str(record.get("kind") or ""))
-            if cls not in per:
-                cls = "batch"
-            row = per[cls]
-            state = record.get("state")
-            submitted = float(record.get("submitted_at") or 0.0)
-            started = record.get("started_at")
-            if state == "queued":
-                row["pending"] += 1
-                row["waits"].append(max(0.0, now - submitted))
-            elif state == "running":
-                row["running"] += 1
-            if started:
-                row["waits"].append(max(0.0, float(started) - submitted))
-        return {
-            "classes": summarize_class_stats(per),
-            "promotions": self.promotions(),
-        }
-
     # -- internals -----------------------------------------------------------
 
     def _record_path(self, job_id: str) -> Path:
@@ -836,17 +984,6 @@ class JobQueue:
     def _make_token(self, job_id: str, stamp: float, rank: int) -> None:
         token = self._pending / f"p{rank}.{int(stamp * 1e6):020d}-{job_id}"
         token.touch()
-
-    def _rank_of_record(self, record: Dict[str, object]) -> int:
-        """The claim rank of a record's admitted class (tolerant of
-        records from pre-priority spools, which fall back to the kind's
-        default class)."""
-        try:
-            return class_rank(str(record.get("priority") or ""))
-        except ValidationError:
-            return class_rank(
-                self.sched.class_for_kind(str(record.get("kind") or ""))
-            )
 
     def _note_promotion(self, job_id: str, rank: int) -> None:
         """Drop the O_EXCL promotion marker (idempotent per job+rank:
@@ -866,59 +1003,27 @@ class JobQueue:
         except (TypeError, ValueError):
             return 0
 
-    def _token_for(self, job_id: str) -> Optional[Path]:
-        for token in self._pending.glob(f"*-{job_id}"):
-            return token
-        return None
+    # -- storage -------------------------------------------------------------
 
-    def _update(
-        self,
-        job_id: str,
-        mutate: Callable[[Dict[str, object]], None],
-        allow_terminal: bool = False,
-    ) -> Tuple[Dict[str, object], object]:
-        """Read-modify-write one record (atomic publish, terminal guard);
-        returns the record and the state it had before.
-
-        Concurrent updates are last-writer-wins, but a record already in
-        a terminal state is returned unchanged unless ``allow_terminal``
-        (complete/fail pass it; their mutators enforce the finer rule
-        that ``done`` is never demoted).
-        """
-        record = self.record(job_id)
-        if record is None:
-            raise QueueError(f"unknown job {job_id!r}")
-        prior = record.get("state")
-        if prior in TERMINAL_STATES and not allow_terminal:
-            return record, prior
-        mutate(record)
+    def _store(self, job_id: str, record: Dict[str, object]) -> None:
         _write_json_atomic(self._record_path(job_id), record)
-        return record, prior
 
-    def _settle(
-        self,
-        job_id: str,
-        mutate: Callable[[Dict[str, object]], None],
-        allow_terminal: bool = False,
-    ) -> Tuple[Dict[str, object], object]:
-        """Finish a job in one read-modify-write, then drop what it
-        holds: its lease, its cancel marker and, when the record was
-        ``queued`` (a recovery requeued it under a worker that was
-        still running), the token that requeue minted."""
-        record, prior = self._update(job_id, mutate, allow_terminal)
-        token = self._token_for(job_id) if prior == "queued" else None
-        if token is not None:
+    def _drop_token(self, job_id: str) -> bool:
+        """Unlink the job's pending token; False when there was none or
+        a claim or peer got to it first."""
+        for token in self._pending.glob(f"*-{job_id}"):
             try:
                 token.unlink()
             except OSError:
-                pass  # claimed meanwhile: the claim finds the record terminal
-        self._release(job_id)
-        return record, prior
+                return False
+            return True
+        return False
 
-    @staticmethod
-    def _cancelled(rec: Dict[str, object]) -> None:
-        rec["state"] = "cancelled"
-        rec["finished_at"] = _now()
+    def _mark_cancel(self, job_id: str) -> None:
+        try:
+            (self._cancel / job_id).touch()
+        except OSError:
+            pass
 
     def _release(self, job_id: str, keep_cancel: bool = False) -> None:
         """Drop the lease (and, for terminal jobs, the cancel marker)."""
@@ -928,3 +1033,239 @@ class JobQueue:
                 path.unlink()
             except OSError:
                 pass
+
+    def _lease_stamps(self) -> Iterator[Tuple[str, str, float]]:
+        """``(job_id, owner, heartbeat stamp)`` per lease file, in name
+        order; a lease without a readable stamp falls back to its mtime."""
+        for lease in sorted(self._leases.iterdir()):
+            beat = _read_json(lease) or {}
+            ts = beat.get("ts")
+            try:
+                stamp = float(ts) if ts is not None else lease.stat().st_mtime
+            except (OSError, TypeError, ValueError):
+                stamp = 0.0
+            yield lease.name, str(beat.get("owner") or ""), stamp
+
+    def _drop_lease(self, job_id: str) -> bool:
+        try:
+            (self._leases / job_id).unlink()
+        except OSError:
+            return False
+        return True
+
+    def _charge(self, client_id: str, seconds: float, now: float) -> None:
+        self.ledger.charge(client_id, seconds, now=now)
+
+
+class MemoryQueue(_QueueRules):
+    """:class:`JobQueue`'s worker-facing surface over records in memory.
+
+    The queue of in-process jobs: thread slots claim from it, and the
+    job runs through the service that submitted it, so a record keeps
+    the request object as submitted and whatever the run returned (no
+    payload codec), and a claimed record carries that ``service``.
+    Claims are strict priority, then FIFO by mint order; there is no
+    fair share, no aging and no durability.  One lock serialises every
+    verb, :meth:`wait` parks an idle slot until a token is minted, and a
+    job's record is evicted as it finishes once more than
+    ``finished_cap`` finished records are held, oldest first.
+    """
+
+    def __init__(self, finished_cap: int = 256) -> None:
+        super().__init__()
+        self.sched = SchedulerConfig()
+        self.finished_cap = finished_cap
+        self._lock = self._guard = threading.RLock()
+        self._minted = threading.Condition(self._lock)
+        self._records: Dict[str, Dict[str, object]] = {}
+        #: each live job's submitting service (dropped when it finishes)
+        self._services: Dict[str, object] = {}
+        #: pending tokens: a heap of (rank, mint number, job_id) and each
+        #: job's live entry; a popped entry that is not live is skipped
+        self._heap: List[Tuple[int, int, str]] = []
+        self._tokens: Dict[str, Tuple[int, int, str]] = {}
+        self._mints = itertools.count()
+        #: job_id -> (owner, heartbeat stamp)
+        self._leases: Dict[str, Tuple[str, float]] = {}
+        self._cancel: Set[str] = set()
+        self._finished: Deque[str] = deque()
+        self._evicted = 0
+
+    def configure(self, config: SchedulerConfig) -> None:
+        self.sched = config
+
+    def submit(
+        self,
+        kind: str,
+        request: object,
+        total: int,
+        max_attempts: int,
+        client_id: str = "",
+        request_id: str = "",
+        priority: str = "",
+        service: object = None,
+    ) -> Dict[str, object]:
+        record = _new_record(
+            self.sched, kind, request, total, max_attempts,
+            client_id, request_id, priority,
+        )
+        job_id = str(record["job_id"])
+        with self._lock:
+            self._records[job_id] = record
+            self._services[job_id] = service
+            self._make_token(job_id, 0.0, self._rank_of_record(record))
+            return dict(record)
+
+    def claim(
+        self, owner: str, now: Optional[float] = None
+    ) -> Optional[Dict[str, object]]:
+        """Claim the best runnable job: strict priority, then FIFO.
+
+        Tokens inside their retry backoff stay queued, and a job with a
+        cancel request finalizes here instead of running.  A token only
+        ever names a live record: every verb that finishes a job drops
+        its token under the same lock.
+        """
+        now = _now() if now is None else now
+        waiting = []
+        with self._lock:
+            try:
+                while self._heap:
+                    entry = heapq.heappop(self._heap)
+                    job_id = entry[2]
+                    if self._tokens.get(job_id) is not entry:
+                        continue  # dropped or minted again
+                    record = self._records[job_id]
+                    if job_id in self._cancel:
+                        del self._tokens[job_id]
+                        self._settle(job_id, self._cancelled)
+                    elif float(record["not_before"]) > now:
+                        waiting.append(entry)
+                    else:
+                        del self._tokens[job_id]
+                        self._leases[job_id] = (owner, _now())
+                        _claimed(record, owner)
+                        claimed = dict(record)
+                        claimed["service"] = self._services.get(job_id)
+                        return claimed
+            finally:
+                for entry in waiting:
+                    heapq.heappush(self._heap, entry)
+        return None
+
+    def wait(self, timeout: float) -> None:
+        """Park an idle slot until a token is minted or ``timeout`` ends."""
+        with self._lock:
+            self._minted.wait(timeout)
+
+    def heartbeat(self, job_id: str, owner: str, stage: str = "") -> None:
+        with self._lock:
+            if job_id in self._leases:
+                self._leases[job_id] = (owner, _now())
+
+    def cancel_requested(self, job_id: str) -> bool:
+        return job_id in self._cancel
+
+    def evict_finished(self, cap: int) -> int:
+        """Drop the oldest finished records past ``cap``; returns total
+        evictions."""
+        with self._lock:
+            while len(self._finished) > cap:
+                job_id = self._finished.popleft()
+                del self._records[job_id]
+                self._cancel.discard(job_id)
+                self._evicted += 1
+            return self._evicted
+
+    def evicted(self) -> int:
+        return self._evicted
+
+    def record(self, job_id: str) -> Optional[Dict[str, object]]:
+        with self._lock:
+            record = self._records.get(job_id)
+            return dict(record) if record is not None else None
+
+    def _iter_records(self) -> Iterator[Dict[str, object]]:
+        with self._lock:
+            return iter([dict(record) for record in self._records.values()])
+
+    def live_records(self) -> List[Dict[str, object]]:
+        """The records of jobs holding a pending token or a lease."""
+        with self._lock:
+            return [
+                dict(self._records[job_id])
+                for job_id in itertools.chain(self._tokens, self._leases)
+            ]
+
+    def finished_records(self, limit: int) -> List[Dict[str, object]]:
+        """Up to ``limit`` finished records, the last to finish first."""
+        with self._lock:
+            return [
+                dict(self._records[job_id])
+                for job_id in itertools.islice(reversed(self._finished), limit)
+            ]
+
+    def depth(self) -> Dict[str, int]:
+        with self._lock:
+            pending, leased = len(self._tokens), len(self._leases)
+        return {"pending": pending, "leased": leased, "active": pending + leased}
+
+    def pending_by_class(self) -> Dict[str, int]:
+        counts = {name: 0 for name in PRIORITY_CLASSES}
+        with self._lock:
+            for rank, _mint, _job_id in self._tokens.values():
+                counts[class_of_rank(rank)] += 1
+        return counts
+
+    def promotions(self) -> int:
+        return 0  # no aging
+
+    # -- storage -------------------------------------------------------------
+
+    def _store(self, job_id: str, record: Dict[str, object]) -> None:
+        """Publish a copy (the caller keeps its own); a job that just
+        finished lets go of its service and joins the retention queue."""
+        finished = (
+            record["state"] in TERMINAL_STATES
+            and self._records[job_id]["state"] not in TERMINAL_STATES
+        )
+        self._records[job_id] = dict(record)
+        if finished:
+            self._services.pop(job_id, None)
+            self._finished.append(job_id)
+            self.evict_finished(self.finished_cap)
+
+    def _make_token(self, job_id: str, stamp: float, rank: int) -> None:
+        with self._lock:
+            entry = (rank, next(self._mints), job_id)
+            self._tokens[job_id] = entry
+            heapq.heappush(self._heap, entry)
+            self._minted.notify()
+
+    def _drop_token(self, job_id: str) -> bool:
+        with self._lock:
+            return self._tokens.pop(job_id, None) is not None
+
+    def _mark_cancel(self, job_id: str) -> None:
+        with self._lock:
+            self._cancel.add(job_id)
+
+    def _release(self, job_id: str, keep_cancel: bool = False) -> None:
+        with self._lock:
+            self._leases.pop(job_id, None)
+            if not keep_cancel:
+                self._cancel.discard(job_id)
+
+    def _lease_stamps(self) -> List[Tuple[str, str, float]]:
+        with self._lock:
+            return sorted(
+                (job_id, owner, stamp)
+                for job_id, (owner, stamp) in self._leases.items()
+            )
+
+    def _drop_lease(self, job_id: str) -> bool:
+        with self._lock:
+            return self._leases.pop(job_id, None) is not None
+
+    def _charge(self, client_id: str, seconds: float, now: float) -> None:
+        pass  # no fair share

@@ -1,8 +1,10 @@
-"""Supervisor: spawn worker processes, restart the dead, recover leases.
+"""Supervisor: spawn worker slots, restart the dead, recover leases.
 
 The supervisor owns N worker *slots*.  Each slot runs one
-:func:`~repro.exec.worker.worker_main` process; when a process dies —
-injected kill, OOM, segfault, anything — the slot respawns with a fresh
+:func:`~repro.exec.worker.worker_main` process — or, over an in-memory
+:class:`~repro.exec.queue.MemoryQueue`, one thread running the same
+claim loop (:func:`~repro.exec.worker.serve_slot`).  When a slot dies —
+injected kill, OOM, segfault, anything — it respawns with a fresh
 *generation* (owner id ``w<slot>.g<gen>``), and the dead incarnation's
 leases are recovered immediately by owner, without waiting out the lease
 TTL.  A monitor thread ticks continuously, also sweeping leases whose
@@ -17,6 +19,10 @@ Shutdown comes in two shapes:
   timeout, SIGKILL stragglers and recover their leases.  Pending jobs
   stay durable in the spool for the next fleet.
 * :meth:`stop` — immediate: SIGTERM, a short grace, SIGKILL, recover.
+
+A thread slot takes the same signals as flags: SIGTERM sets its drain
+event, and SIGKILL abandons it (a thread cannot be killed: it finishes
+its job unowned, and its lease is recovered like a dead process's).
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ import time
 from typing import List, Mapping, Optional
 
 from repro.exec.policy import RetryPolicy
-from repro.exec.queue import JobQueue
-from repro.exec.worker import worker_main
+from repro.exec.queue import JobQueue, MemoryQueue
+from repro.exec.worker import serve_slot, worker_main
 from repro.faults import FaultPlan
 
 
@@ -42,8 +48,52 @@ def _fork_context():
         return multiprocessing.get_context()
 
 
+class _ThreadSlot:
+    """A slot's thread over a :class:`MemoryQueue`, shaped like the
+    ``Process`` a worker slot holds (start, is_alive, terminate, kill,
+    join)."""
+
+    def __init__(
+        self,
+        queue: MemoryQueue,
+        policy: RetryPolicy,
+        uid: str,
+        poll_interval: float,
+    ) -> None:
+        self._draining = threading.Event()
+        self._abandoned = False
+        self._thread = threading.Thread(
+            target=serve_slot,
+            args=(
+                queue, None, policy, None, uid, None, self._draining,
+                lambda: queue.wait(poll_interval),
+            ),
+            name=f"provmark-{uid}",
+            daemon=True,
+        )
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def is_alive(self) -> bool:
+        return self._thread.is_alive() and not self._abandoned
+
+    def terminate(self) -> None:
+        self._draining.set()
+
+    def kill(self) -> None:
+        self._draining.set()
+        self._abandoned = True
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        # a slot can be asked to join itself: the job it just finished
+        # held the last reference to a manager, whose teardown stops it
+        if not self._abandoned and self._thread is not threading.current_thread():
+            self._thread.join(timeout)
+
+
 class Supervisor:
-    """N supervised worker processes over one spool directory."""
+    """N supervised worker slots over one queue."""
 
     #: seconds between monitor ticks (restart + lease recovery latency)
     TICK_INTERVAL = 0.1
@@ -54,8 +104,8 @@ class Supervisor:
 
     def __init__(
         self,
-        spool_root: str,
-        store_path: str,
+        spool_root: Optional[str],
+        store_path: Optional[str],
         workers: int = 2,
         policy: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
@@ -63,21 +113,26 @@ class Supervisor:
         finished_cap: int = 256,
         owner_prefix: str = "",
         remote: Optional[Mapping[str, object]] = None,
+        queue: Optional[MemoryQueue] = None,
     ) -> None:
         """``owner_prefix`` namespaces worker owner ids (a cluster agent
         passes ``"<node_id>:"`` so the coordinator can recover a dead
         node's leases by prefix).  ``remote`` is a
         ``RemoteQueue.to_payload()`` mapping: when set, this supervisor's
         queue — and every worker it spawns — speaks to a coordinator
-        instead of a local spool.  ``workers`` may be 0 for a
+        instead of a local spool.  ``queue`` is an in-memory queue to
+        serve with thread slots instead (``spool_root`` and
+        ``store_path`` are then None).  ``workers`` may be 0 for a
         coordinator-only plane (the monitor still sweeps leases)."""
-        self.spool_root = str(spool_root)
-        self.store_path = str(store_path)
+        self.spool_root = spool_root
+        self.store_path = store_path
         self.workers = max(0, int(workers))
         self.policy = policy if policy is not None else RetryPolicy()
         self.owner_prefix = owner_prefix
         self._remote = dict(remote) if remote is not None else None
-        if self._remote is not None:
+        if queue is not None:
+            self.queue = queue
+        elif self._remote is not None:
             from repro.cluster.remote import RemoteQueue
 
             self.queue = RemoteQueue.from_payload(self._remote)
@@ -248,6 +303,14 @@ class Supervisor:
         """Start a fresh incarnation in ``slot`` (called under _lock)."""
         self._generations[slot] += 1
         uid = f"{self.owner_prefix}w{slot}.g{self._generations[slot]}"
+        if isinstance(self.queue, MemoryQueue):
+            thread = _ThreadSlot(
+                self.queue, self.policy, uid, self.poll_interval
+            )
+            thread.start()
+            self._procs[slot] = thread
+            self._uids[slot] = uid
+            return
         proc = self._ctx.Process(
             target=worker_main,
             args=(

@@ -1,14 +1,18 @@
-"""Worker process entry point: claim, heartbeat, run, persist.
+"""Job slots: claim, heartbeat, run, persist.
 
-One worker is a loop over :meth:`~repro.exec.queue.JobQueue.claim`:
-decode the claimed record's request, run it through a private
-:class:`~repro.api.service.BenchmarkService`, and write the outcome back
-into the record — ``done`` with result payloads, ``cancelled``,
+A slot is one loop over :meth:`~repro.exec.queue.JobQueue.claim`
+(:func:`serve_slot`): decode the claimed record's request, run it
+through a :class:`~repro.api.service.BenchmarkService`, and write the
+outcome back into the record — ``done`` with result payloads, ``cancelled``,
 permanently ``failed`` (API errors: validation, unknown names, deadline
 overruns — retrying cannot fix those), or handed to
 :meth:`~repro.exec.queue.JobQueue.retry_or_fail` for everything else
 (crashes of the infrastructure around the run, injected faults, torn
-store writes).
+store writes).  The loop runs in a worker process
+(:func:`worker_main`, over the spool or a cluster coordinator, through
+the process's own service) or on a supervisor's thread over a
+:class:`~repro.exec.queue.MemoryQueue` (in-process jobs, through the
+service that submitted them).
 
 While a job runs, a daemon thread refreshes the worker's lease every
 ``heartbeat_interval`` — unless a ``heartbeat_loss`` fault suppressed it,
@@ -18,11 +22,12 @@ fault plan's occurrence counters (kills and latency fire here), polls the
 queue's cancel marker (one ``stat`` per boundary), and publishes
 stage/progress into the job record.
 
-Requests are rewritten before running: ``store_path`` defaults to the
-plane's shared artifact store and ``resume`` is forced on, so a retried
-job replays every stage its dead predecessor completed from the
+Spooled requests are rewritten before running: ``store_path`` defaults
+to the plane's shared artifact store and ``resume`` is forced on, so a
+retried job replays every stage its dead predecessor completed from the
 content-addressed cache — the mechanism behind byte-identical retry
-results for seeded requests.
+results for seeded requests.  An in-process job runs its request object
+as submitted and keeps what the run returned: no store, no codec.
 """
 
 from __future__ import annotations
@@ -32,10 +37,9 @@ import signal
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional
 
-from repro.api.errors import ApiError, render_error
-from repro.api.jobs import JobCancelled
+from repro.api.errors import ApiError, JobCancelled, render_error
 from repro.api.service import BenchmarkService
 from repro.api.types import BatchRequest, RunRequest, SynthConfig
 from repro.core.stages import ProgressEvent
@@ -99,14 +103,10 @@ def worker_main(
         queue = JobQueue(spool_root)
     service = BenchmarkService()
     try:
-        while not draining.is_set():
-            record = queue.claim(uid)
-            if record is None:
-                time.sleep(poll_interval)
-                continue
-            _run_claimed(
-                queue, service, policy, plan, uid, store_path, record
-            )
+        serve_slot(
+            queue, service, policy, plan, uid, store_path, draining,
+            lambda: time.sleep(poll_interval),
+        )
     finally:
         install_store_gate(None)
         close = getattr(queue, "close", None)
@@ -115,16 +115,40 @@ def worker_main(
         service.close()
 
 
-def _run_claimed(
+def serve_slot(
     queue: JobQueue,
-    service: BenchmarkService,
+    service: Optional[BenchmarkService],
     policy: RetryPolicy,
     plan: Optional[FaultPlan],
     uid: str,
-    store_path: str,
+    store_path: Optional[str],
+    draining: threading.Event,
+    idle: Callable[[], None],
+) -> None:
+    """Claim and run jobs until ``draining`` is set; ``idle`` waits
+    between empty claims.  Every slot, process or thread, is this loop."""
+    while not draining.is_set():
+        record = queue.claim(uid)
+        if record is None:
+            idle()
+            continue
+        _run_claimed(queue, service, policy, plan, uid, store_path, record)
+
+
+def _run_claimed(
+    queue: JobQueue,
+    service: Optional[BenchmarkService],
+    policy: RetryPolicy,
+    plan: Optional[FaultPlan],
+    uid: str,
+    store_path: Optional[str],
     record: Dict[str, object],
 ) -> None:
-    """One claimed job, end to end: heartbeat, run, record the outcome."""
+    """One claimed job, end to end: heartbeat, run, record the outcome.
+
+    ``store_path`` None marks an in-process job: the record carries the
+    submitting ``service`` and the request object, and keeps the
+    response objects the run returns."""
     job_id = str(record["job_id"])
     kind = str(record["kind"])
     if plan is not None:
@@ -157,10 +181,15 @@ def _run_claimed(
         queue.update_progress(job_id, state["completed"], state["stage"])
 
     try:
-        request = _decode_request(kind, record["request"], store_path)
+        if store_path is None:
+            service, request = record["service"], record["request"]
+            keep = _as_is
+        else:
+            request = _decode_request(kind, record["request"], store_path)
+            keep = _payload
         if kind == "run":
             response = service.run(request, progress=progress)
-            queue.complete(job_id, result=response.to_payload())
+            queue.complete(job_id, result=keep(response))
         elif kind == "batch":
             # serial in-process: fleet-level parallelism comes from many
             # workers, and only the serial path has observable (and
@@ -168,12 +197,10 @@ def _run_claimed(
             responses = service.run_batch(
                 request, progress=progress, on_response=advance
             )
-            queue.complete(
-                job_id, results=[r.to_payload() for r in responses]
-            )
+            queue.complete(job_id, results=[keep(r) for r in responses])
         else:
             report = service.synthesize(request, progress=progress)
-            queue.complete(job_id, report=report.to_payload())
+            queue.complete(job_id, report=keep(report))
     except JobCancelled:
         queue.mark_cancelled(job_id)
     except ApiError as exc:
@@ -187,6 +214,14 @@ def _run_claimed(
     finally:
         stop_beat.set()
         beat.join(timeout=policy.heartbeat_interval * 2)
+
+
+def _as_is(value):
+    return value
+
+
+def _payload(value):
+    return value.to_payload()
 
 
 def _decode_request(kind: str, payload: object, store_path: str):

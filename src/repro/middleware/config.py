@@ -29,16 +29,18 @@ are still counted), then access log, auth (resolving ``client_id``),
 rate limiting (keyed on that identity), and idempotency innermost (a
 cache hit still flows through everything above it).  Sections are
 independent: omit one and that layer is simply absent.  ``metrics``
-defaults to on; everything else to off.  Unknown top-level keys are
-rejected — a typoed section silently disabling auth would be a security
-hole, not a convenience.
+defaults to on; everything else to off.  Unknown keys are rejected at
+every level, naming the key path — a typoed section silently disabling
+auth would be a security hole, and a typoed key inside one (an
+unbounded ``max_entires`` cache, a ``client`` table that drops every
+per-client limit) a silent fallback to defaults.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Mapping, Optional, Union
+from typing import Iterable, List, Mapping, Optional, Union
 
 from repro.api.errors import ValidationError
 from repro.middleware.auth import AuthMiddleware
@@ -95,6 +97,7 @@ def build_chain(
 
     access = config.get("access_log", False)
     if access:
+        _known_keys(access, ("path",), "access_log")
         if isinstance(access, Mapping) and access.get("path"):
             middlewares.append(
                 AccessLogMiddleware(path=_resolve(root, str(access["path"])))
@@ -106,11 +109,18 @@ def build_chain(
     if auth is not None:
         if not isinstance(auth, Mapping):
             raise ValidationError("middleware config: 'auth' must be an object")
+        _known_keys(auth, ("tokens", "allow_anonymous"), "auth")
         tokens = auth.get("tokens")
         if not isinstance(tokens, Mapping) or not tokens:
             raise ValidationError(
                 "middleware config: 'auth.tokens' must be a non-empty "
                 "object mapping tokens to {client, role}"
+            )
+        for entry in tokens.values():
+            # named by client: the token itself is a secret
+            client = entry.get("client") if isinstance(entry, Mapping) else ""
+            _known_keys(
+                entry, ("client", "role"), f"auth.tokens[client={client!r}]"
             )
         allow_anonymous = auth.get("allow_anonymous")
         middlewares.append(
@@ -123,6 +133,16 @@ def build_chain(
             raise ValidationError(
                 "middleware config: 'ratelimit' must be an object"
             )
+        _known_keys(ratelimit, ("rate", "burst", "clients", "roles"), "ratelimit")
+        for table in ("clients", "roles"):
+            entries = ratelimit.get(table) or {}
+            if not isinstance(entries, Mapping):
+                raise ValidationError(
+                    f"middleware config: 'ratelimit.{table}' must be an "
+                    f"object mapping names to {{rate, burst}}"
+                )
+            for name, entry in entries.items():
+                _known_keys(entry, ("rate", "burst"), f"ratelimit.{table}.{name}")
         middlewares.append(
             RateLimitMiddleware(
                 rate=_number(ratelimit, "rate", 10.0, "ratelimit.rate"),
@@ -138,6 +158,7 @@ def build_chain(
             raise ValidationError(
                 "middleware config: 'idempotency' needs a 'store' directory"
             )
+        _known_keys(idempotency, ("store", "max_entries"), "idempotency")
         max_entries = idempotency.get("max_entries")
         if max_entries is not None and (
             not isinstance(max_entries, int) or isinstance(max_entries, bool)
@@ -154,6 +175,19 @@ def build_chain(
         )
 
     return MiddlewareChain(middlewares)
+
+
+def _known_keys(section: object, known: Iterable[str], where: str) -> None:
+    """Refuse a key ``section`` does not read (non-objects are left to
+    the section's own checks)."""
+    if not isinstance(section, Mapping):
+        return
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ValidationError(
+            f"middleware config: '{where}' has unknown key(s) {unknown}; "
+            f"expected a subset of {sorted(known)}"
+        )
 
 
 def _number(

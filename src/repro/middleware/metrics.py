@@ -242,15 +242,16 @@ class MetricsMiddleware(Middleware):
 
 
 def register_service_gauges(registry: MetricsRegistry, service) -> None:
-    """Wire the live-state ``jobs``/``sched`` gauges ``/v1/metrics``
-    reports.
+    """Wire the live-state ``jobs``/``sched``/``cluster`` gauges
+    ``/v1/metrics`` reports.
 
     Samples the job manager's ``queue_stats()`` (depth, capacity,
     evicted, per-class pending, autoscale counters — the execution
-    plane's health surface) plus job counts by state, and — when the
-    manager speaks the scheduler surface — a ``sched`` gauge of
-    per-class pending/running/queue-wait quantiles with the monotonic
-    aging-promotion count doubled as ``sched_promotions_total``.
+    plane's health surface) plus job counts by state, a ``sched`` gauge
+    of per-class pending/running/queue-wait quantiles with the monotonic
+    aging-promotion count doubled as ``sched_promotions_total``, and the
+    fleet (``{"enabled": False, ...}`` without a coordinator).  Every
+    gauge reads ``service.jobs`` when sampled, not when registered.
     Registered by ``make_server`` so the endpoint is live with or
     without any middleware configured.
     """
@@ -267,43 +268,37 @@ def register_service_gauges(registry: MetricsRegistry, service) -> None:
         }
 
     registry.gauge_fn("jobs", jobs_gauge)
+    registry.gauge_fn("sched", lambda: service.jobs.sched_stats())
+    # the durable counter queue_stats() carries, not a second parse of
+    # every record through sched_stats()
+    registry.gauge_fn(
+        "sched_promotions_total",
+        lambda: service.jobs.queue_stats().get("promotions", 0),
+    )
 
-    sched_stats = getattr(service.jobs, "sched_stats", None)
-    if callable(sched_stats):
-        registry.gauge_fn("sched", sched_stats)
-        # the durable counter queue_stats() carries, not a second parse
-        # of every record through sched_stats()
-        registry.gauge_fn(
-            "sched_promotions_total",
-            lambda: service.jobs.queue_stats().get("promotions", 0),
-        )
+    def cluster_gauge() -> Dict[str, object]:
+        """Full fleet payload, per-node rows included."""
+        stats = service.jobs.cluster_stats()
+        if stats is None:
+            return {"enabled": False, "nodes": []}
+        return {
+            "enabled": True,
+            "address": stats.get("address"),
+            "draining": stats.get("draining"),
+            "remote_workers": stats.get("remote_workers"),
+            "counters": stats.get("counters"),
+            "nodes": stats.get("nodes"),
+        }
 
-    cluster_stats = getattr(service.jobs, "cluster_stats", None)
-    cluster_summary = getattr(service.jobs, "cluster_summary", None)
-    if callable(cluster_stats) and callable(cluster_summary):
-        def cluster_gauge() -> Dict[str, object]:
-            """Full fleet payload, per-node rows included."""
-            stats = cluster_stats()
-            if stats is None:
-                return {"enabled": False, "nodes": []}
-            return {
-                "enabled": True,
-                "address": stats.get("address"),
-                "draining": stats.get("draining"),
-                "remote_workers": stats.get("remote_workers"),
-                "counters": stats.get("counters"),
-                "nodes": stats.get("nodes"),
-            }
-
-        registry.gauge_fn("cluster", cluster_gauge)
-        registry.gauge_fn(
-            "cluster_nodes",
-            lambda: cluster_summary().get("nodes", 0),
-        )
-        registry.gauge_fn(
-            "cluster_claims_total",
-            lambda: (
-                ((cluster_stats() or {}).get("counters") or {})
-                .get("claims_total", 0)
-            ),
-        )
+    registry.gauge_fn("cluster", cluster_gauge)
+    registry.gauge_fn(
+        "cluster_nodes",
+        lambda: service.jobs.cluster_summary().get("nodes", 0),
+    )
+    registry.gauge_fn(
+        "cluster_claims_total",
+        lambda: (
+            ((service.jobs.cluster_stats() or {}).get("counters") or {})
+            .get("claims_total", 0)
+        ),
+    )

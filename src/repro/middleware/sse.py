@@ -6,10 +6,11 @@ long-lived response.  The stream is built by *snapshot polling* on the
 server: :func:`job_event_stream` repeatedly calls ``service.poll(id)``
 and emits an event whenever the observable surface (state, completed
 count, current stage) changes.  Polling the façade rather than hooking
-the executor means the stream works identically over the in-process
-``JobManager`` and the spool-backed ``FleetJobManager`` — both already
-expose consistent snapshots, and a worker crash/retry simply shows up
-as the next snapshot diff.
+the executor means the stream works identically whichever slots serve
+the job — the in-memory thread slots, spooled worker processes or
+remote agents of the one ``FleetJobManager`` — since every poll is a
+consistent snapshot, and a worker crash/retry simply shows up as the
+next snapshot diff.
 
 Wire format (https://html.spec.whatwg.org/multipage/server-sent-events):
 

@@ -7,8 +7,8 @@ middleware chain) and the durable :class:`~repro.exec.queue.JobQueue`:
   (``urgent < interactive < batch < background``), per-client/per-role
   :class:`QuotaPolicy` limits, the weighted fair-share ledger, and the
   JSON-loadable :class:`SchedulerConfig` that ties them together.
-* :mod:`repro.sched.admission` — the :class:`AdmissionController` both
-  job managers consult at submit: request + role → priority class,
+* :mod:`repro.sched.admission` — the :class:`AdmissionController` the
+  job manager consults at submit: request + role → priority class,
   quota enforcement (:class:`~repro.api.errors.QuotaExceededError`).
 * :mod:`repro.sched.autoscale` — the :class:`QueueAutoscaler` the
   supervisor ticks to grow/shrink worker slots from queue pressure.

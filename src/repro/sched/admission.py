@@ -1,7 +1,7 @@
 """AdmissionController: request + role → priority class, under quota.
 
-Both job managers — the in-process thread pool and the durable fleet —
-consult one controller at ``submit``.  It does two things:
+The job manager consults one controller at ``submit``, whether its
+jobs queue in memory or in the durable spool.  It does two things:
 
 * **Class resolution.**  A request carrying an explicit ``priority``
   gets it (validated; ``urgent`` needs the ``admin`` role whenever a
@@ -34,7 +34,7 @@ _RUNNING = ("running",)
 
 
 class AdmissionController:
-    """Stateless policy gate in front of both job managers."""
+    """Stateless policy gate in front of the job manager."""
 
     def __init__(self, config: SchedulerConfig) -> None:
         self.config = config

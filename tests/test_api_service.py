@@ -1,8 +1,12 @@
 """BenchmarkService façade: parity with the ProvMark driver, catalogs,
 async jobs, progress events, and a warning-free construction path."""
 
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -209,9 +213,12 @@ class TestJobs:
             assert status.completed < len(TABLE2_ORDER)
 
     def test_finished_jobs_evicted_past_retention_cap(self):
-        from repro.api.jobs import JobManager
-        manager = JobManager()
-        manager.MAX_FINISHED_JOBS = 3
+        from repro.exec import FleetJobManager
+
+        class SmallManager(FleetJobManager):
+            MAX_FINISHED_JOBS = 3
+
+        manager = SmallManager(None, workers=4)
         with BenchmarkService(jobs=manager) as service:
             request = RunRequest(benchmark="open", tool="spade", seed=7)
             ids = []
@@ -296,6 +303,57 @@ class TestJobs:
             status = wait_for(service, jobs[-1].job_id)
             assert status.state in ("cancelled", "done")
             wait_for(service, first.job_id)
+
+
+class TestInProcessJobs:
+    """The manager a service builds on its first job: in memory, on
+    thread slots, and absent until then."""
+
+    def test_an_in_process_drain_touches_no_disk(self, monkeypatch):
+        from repro.exec import queue as queue_module
+        from repro.sched import policy as policy_module
+        from repro.storage import artifacts
+
+        def refuse(path, text):
+            raise AssertionError(f"an in-process job wrote {path}")
+
+        # the spool's records, the fair-share ledger and the store
+        for module in (queue_module, policy_module, artifacts):
+            monkeypatch.setattr(module, "write_text_atomic", refuse)
+        with BenchmarkService() as service:
+            jobs = [
+                service.submit(RunRequest(
+                    benchmark="open", tool="spade", seed=100 + i))
+                for i in range(20)
+            ]
+            states = [wait_for(service, job.job_id).state for job in jobs]
+        assert states == ["done"] * 20
+
+    def test_the_synchronous_path_loads_no_execution_plane(self):
+        # the lazily built manager must cost suite_cold and scale_tail
+        # nothing: no repro.exec module, no multiprocessing
+        code = (
+            "import sys\n"
+            "from repro.api import BenchmarkService, RunRequest\n"
+            "BenchmarkService().run(RunRequest(\n"
+            "    benchmark='open', tool='spade', seed=5))\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.split('.')[0] == 'multiprocessing'\n"
+            "             or name.startswith('repro.exec')))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_a_closed_service_refuses_jobs_it_never_started(self):
+        service = BenchmarkService()
+        service.close()
+        with pytest.raises(ValidationError, match="shut down"):
+            service.submit(RunRequest(benchmark="open", seed=7))
 
 
 class TestProgressEvents:

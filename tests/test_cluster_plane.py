@@ -489,9 +489,7 @@ class TestZeroedSchedStats:
             assert stats["promotions"] == 0
 
     def test_thread_manager_matches_the_schema(self):
-        from repro.api.jobs import JobManager
-
-        manager = JobManager(max_workers=1)
+        manager = FleetJobManager(None, workers=1)
         try:
             stats = manager.sched_stats()
             assert set(stats["classes"]) == set(PRIORITY_CLASSES)

@@ -4,7 +4,8 @@ Covers the acceptance contract of the exec subsystem: a supervised
 multi-process fleet serving durable jobs; chaos (worker kill + torn
 store write) producing results byte-identical to a fault-free run;
 bounded-queue backpressure as 429 + Retry-After; deadlines failing
-permanently; and graceful drain on shutdown/SIGTERM.
+permanently; graceful drain on shutdown/SIGTERM; and the same supervision
+(drain, crash respawn, lease recovery) over in-memory thread slots.
 """
 
 import json
@@ -23,7 +24,6 @@ import pytest
 from repro.api import BenchmarkService, RunRequest
 from repro.api.errors import BackpressureError, DeadlineError, ValidationError
 from repro.api.http import make_server
-from repro.api.jobs import JobManager
 from repro.api.specs import BenchmarkSpec
 from repro.api.types import BatchRequest
 from repro.exec import FleetJobManager, RetryPolicy
@@ -196,7 +196,7 @@ def test_fleet_backpressure_raises_429(tmp_path):
 
 def test_saturated_queue_answers_429_with_retry_after_over_http():
     server = make_server(
-        BenchmarkService(jobs=JobManager(capacity=0),
+        BenchmarkService(jobs=FleetJobManager(None, capacity=0),
                          registry=SUITE_REGISTRY.builtin_copy()),
         port=0,
     )
@@ -225,7 +225,7 @@ def test_saturated_queue_answers_429_with_retry_after_over_http():
 
 def test_health_exposes_queue_depth_and_eviction_counter():
     server = make_server(
-        BenchmarkService(jobs=JobManager(),
+        BenchmarkService(jobs=FleetJobManager(None),
                          registry=SUITE_REGISTRY.builtin_copy()),
         port=0,
     )
@@ -362,3 +362,58 @@ def test_serve_sigterm_drains_the_fleet(tmp_path):
 
         record = JobQueue(plane / "spool").record(job_id)
         assert record["state"] == "done", workers
+
+
+# -- in-memory thread slots -------------------------------------------------
+
+
+class GatedService:
+    """A duck-typed service whose runs wait for a gate; ``die`` makes
+    the first run end its thread the way a crash ends a process."""
+
+    def __init__(self, die=False):
+        self.gate = threading.Event()
+        self.started = threading.Event()
+        self.die = die
+
+    def run(self, request, progress=None):
+        self.started.set()
+        if self.die:
+            self.die = False
+            raise SystemExit  # not an Exception: the slot's thread ends
+        self.gate.wait(30)
+        return None
+
+
+def test_thread_slot_drain_finishes_inflight_and_keeps_queued():
+    manager = FleetJobManager(None, workers=1, policy=RetryPolicy(**FAST))
+    service = GatedService()
+    first = manager.submit(service, object(), "run", 1).job_id
+    assert service.started.wait(10)
+    second = manager.submit(service, object(), "run", 1).job_id
+    drained = []
+    drainer = threading.Thread(target=lambda: drained.append(manager.drain(30)))
+    drainer.start()
+    time.sleep(0.2)  # the slot is draining with its job still in flight
+    service.gate.set()
+    drainer.join(timeout=30)
+    assert drained == [True]
+    assert manager.poll(first).state == "done"
+    assert manager.poll(second).state == "queued"  # no durability to keep it
+    assert manager.supervisor.alive_workers() == 0
+    manager.shutdown(wait=False)
+
+
+# the slot's thread ends on purpose: its exit is the crash under test
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_dead_thread_slot_respawns_and_its_job_retries():
+    with FleetJobManager(None, workers=1,
+                         policy=RetryPolicy(**FAST)) as manager:
+        service = GatedService(die=True)
+        service.gate.set()
+        job_id = manager.submit(service, object(), "run", 1).job_id
+        status = wait_terminal(manager, job_id)
+        assert status.state == "done"
+        assert status.attempts == 2
+        assert manager.queue_stats()["restarts"] == 1
+        assert manager.supervisor.alive_workers() == 1

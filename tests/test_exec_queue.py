@@ -1,4 +1,10 @@
-"""The durable lease-based job queue and its retry policy."""
+"""The durable lease-based job queue, its in-memory twin, and the retry
+policy.
+
+Every case that does not look at the spool's files runs twice: against a
+:class:`JobQueue` (module level) and, in :class:`TestMemoryQueue`,
+against a :class:`MemoryQueue`, which shares its record builder and
+state rules."""
 
 import sys
 import threading
@@ -7,7 +13,7 @@ import time
 import pytest
 
 from repro.exec import JobQueue, QueueError, RetryPolicy
-from repro.exec.queue import TERMINAL_STATES
+from repro.exec.queue import TERMINAL_STATES, MemoryQueue
 
 
 @pytest.fixture()
@@ -183,10 +189,17 @@ def test_cancel_of_leased_job_leaves_record_file_untouched(queue):
 
 
 def test_cancel_racing_claim_never_erases_the_claim(tmp_path):
+    race_cancel_against_claim(
+        lambda trial: JobQueue(tmp_path / f"spool{trial}"),
+        lambda queue, job_id: (queue.root / "leases" / job_id).exists(),
+    )
+
+
+def race_cancel_against_claim(make_queue, lease_held):
     """A claim and a cancel released together: whoever wins, a held
     lease always comes with the claim's ``running`` record."""
     for trial in range(200):
-        queue = JobQueue(tmp_path / f"spool{trial}")
+        queue = make_queue(trial)
         job_id = submit(queue)["job_id"]
         barrier = threading.Barrier(2, timeout=10)
 
@@ -203,7 +216,7 @@ def test_cancel_racing_claim_never_erases_the_claim(tmp_path):
         for thread in threads:
             thread.join(timeout=10)
             assert not thread.is_alive(), trial
-        if (queue.root / "leases" / job_id).exists():
+        if lease_held(queue, job_id):
             record = queue.record(job_id)
             assert record["state"] == "running", trial
             assert record["owner"] == "w0", trial
@@ -305,7 +318,10 @@ def test_zombie_terminal_report_after_recovery_drops_the_token(queue, report):
 def test_threads_sharing_one_index_claim_every_job_once(tmp_path):
     """Eight claiming threads and a submitter share one queue (and so
     one claim index) with thread switches forced every microsecond."""
-    queue = JobQueue(tmp_path / "spool")
+    claim_each_once_across_threads(JobQueue(tmp_path / "spool"))
+
+
+def claim_each_once_across_threads(queue):
     total, claimers = 300, 8
     submitted, claimed, errors = [], [], []
     done_submitting = threading.Event()
@@ -411,3 +427,101 @@ def test_terminal_states_match_api_job_states():
     from repro.api.types import JOB_STATES
 
     assert set(TERMINAL_STATES) <= set(JOB_STATES)
+
+
+# -- the in-memory queue ----------------------------------------------------
+
+
+class TestMemoryQueue:
+    """The backend-agnostic cases above, over a :class:`MemoryQueue`."""
+
+    @pytest.fixture()
+    def queue(self):
+        return MemoryQueue()
+
+    test_submit_creates_record_and_pending_token = staticmethod(
+        test_submit_creates_record_and_pending_token)
+    test_claim_is_fifo_and_flips_to_running = staticmethod(
+        test_claim_is_fifo_and_flips_to_running)
+    test_claim_skips_jobs_inside_their_backoff_window = staticmethod(
+        test_claim_skips_jobs_inside_their_backoff_window)
+    test_unknown_ids_raise_queue_error = staticmethod(
+        test_unknown_ids_raise_queue_error)
+    test_retry_requeues_with_history_then_fails_permanently = staticmethod(
+        test_retry_requeues_with_history_then_fails_permanently)
+    test_done_is_never_demoted = staticmethod(test_done_is_never_demoted)
+    test_complete_wins_over_recovery_written_retry = staticmethod(
+        test_complete_wins_over_recovery_written_retry)
+    test_cancel_unclaimed_job_finalizes_immediately = staticmethod(
+        test_cancel_unclaimed_job_finalizes_immediately)
+    test_cancel_running_job_sets_marker_for_stage_boundaries = staticmethod(
+        test_cancel_running_job_sets_marker_for_stage_boundaries)
+    test_cancel_requested_queued_job_finalizes_at_claim_time = staticmethod(
+        test_cancel_requested_queued_job_finalizes_at_claim_time)
+    test_recover_requeues_dead_owners_immediately = staticmethod(
+        test_recover_requeues_dead_owners_immediately)
+    test_recover_sweeps_stale_heartbeats_but_not_fresh_ones = staticmethod(
+        test_recover_sweeps_stale_heartbeats_but_not_fresh_ones)
+    test_recovery_past_max_attempts_fails_permanently = staticmethod(
+        test_recovery_past_max_attempts_fails_permanently)
+    test_heartbeat_after_lease_recovery_is_a_noop = staticmethod(
+        test_heartbeat_after_lease_recovery_is_a_noop)
+    test_zombie_retry_after_recovery_mints_no_second_token = staticmethod(
+        test_zombie_retry_after_recovery_mints_no_second_token)
+    test_zombie_terminal_report_after_recovery_drops_the_token = staticmethod(
+        test_zombie_terminal_report_after_recovery_drops_the_token)
+
+    def test_cancel_racing_claim_never_erases_the_claim(self):
+        race_cancel_against_claim(
+            lambda trial: MemoryQueue(),
+            lambda queue, job_id: job_id in queue.lease_owners(),
+        )
+
+    def test_threads_sharing_one_queue_claim_every_job_once(self):
+        claim_each_once_across_threads(MemoryQueue())
+
+    def test_claim_is_strict_priority_then_fifo(self, queue):
+        ids = [
+            queue.submit("run", {}, 1, 3, priority=cls)["job_id"]
+            for cls in ("background", "batch", "interactive", "batch")
+        ]
+        order = [queue.claim("w0.g1")["job_id"] for _ in ids]
+        assert order == [ids[2], ids[1], ids[3], ids[0]]
+        assert queue.pending_by_class() == {
+            "urgent": 0, "interactive": 0, "batch": 0, "background": 0}
+
+    def test_a_claim_carries_the_submitting_service(self, queue):
+        service, request = object(), object()
+        job_id = queue.submit("run", request, 1, 3, service=service)["job_id"]
+        claimed = queue.claim("w0.g1")
+        assert claimed["service"] is service
+        assert claimed["request"] is request
+        assert "service" not in queue.record(job_id)
+        queue.complete(job_id, result=request)  # objects, not payloads
+        assert queue.record(job_id)["result"] is request
+        assert queue._services == {}  # a finished job lets go of it
+
+    def test_finished_records_are_evicted_as_they_finish(self):
+        queue = MemoryQueue(finished_cap=2)
+        ids = [submit(queue)["job_id"] for _ in range(5)]
+        for job_id in ids[:4]:
+            queue.claim("w0.g1")
+            queue.complete(job_id, result={"ok": True})
+        assert queue.evicted() == 2
+        assert [r["job_id"] for r in queue.records()] == ids[2:]
+        assert [r["job_id"] for r in queue.finished_records(8)] == [
+            ids[3], ids[2]]
+        assert [r["job_id"] for r in queue.live_records()] == [ids[4]]
+        with pytest.raises(QueueError):
+            queue.complete(ids[0], result={"ok": True})  # gone for good
+
+    def test_wait_returns_when_a_token_is_minted(self, queue):
+        # a 60 s wait that ends within 10 s was woken by a mint (one
+        # submit per 50 ms, in case the first lands before the wait)
+        thread = threading.Thread(target=queue.wait, args=(60.0,))
+        thread.start()
+        deadline = time.monotonic() + 10
+        while thread.is_alive() and time.monotonic() < deadline:
+            submit(queue)
+            thread.join(timeout=0.05)
+        assert not thread.is_alive()

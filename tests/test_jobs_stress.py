@@ -1,4 +1,5 @@
-"""JobManager under churn: many threads submitting, polling, cancelling.
+"""The in-memory job manager under churn: many threads submitting,
+polling, cancelling.
 
 Invariants the stress run enforces:
 
@@ -18,7 +19,7 @@ import threading
 import time
 
 from repro.api.errors import NotFoundError
-from repro.api.jobs import JobManager
+from repro.exec import FleetJobManager
 from repro.core.stages import ProgressEvent
 
 TERMINAL = ("done", "failed", "cancelled")
@@ -47,7 +48,7 @@ class StubRequest:
 
 
 def test_concurrent_submit_poll_cancel_churn():
-    manager = JobManager(max_workers=8)
+    manager = FleetJobManager(None, workers=8)
     service = TinyRunService()
     jobs_per_submitter, submitters = 75, 8  # 600 jobs >> the 256 cap
     submitted = []
@@ -123,7 +124,7 @@ def test_concurrent_submit_poll_cancel_churn():
         job for job in manager.jobs()
         if job.state in TERMINAL and job.job_id != final.job_id
     ]
-    assert len(finished) <= JobManager.MAX_FINISHED_JOBS
+    assert len(finished) <= FleetJobManager.MAX_FINISHED_JOBS
 
     deadline = time.monotonic() + 10
     while time.monotonic() < deadline:

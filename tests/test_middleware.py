@@ -731,6 +731,55 @@ class TestBuildChain:
         with pytest.raises(ValidationError):
             build_chain({"ratelimit": {"rate": -1}})
 
+    def test_unknown_access_log_key_rejected(self):
+        with pytest.raises(ValidationError,
+                           match=r"'access_log' has unknown key\(s\) \['pth'\]"):
+            build_chain({"access_log": {"pth": "access.log"}})
+
+    def test_unknown_auth_keys_rejected(self):
+        tokens = {"t": {"client": "c", "role": "read"}}
+        with pytest.raises(ValidationError,
+                           match=r"'auth' has unknown key\(s\) \['allow_anonymos'\]"):
+            build_chain({"auth": {"tokens": tokens, "allow_anonymos": "read"}})
+        with pytest.raises(ValidationError) as excinfo:
+            build_chain({"auth": {"tokens": {
+                "s3cret": {"client": "c", "role": "read", "rol": "admin"}}}})
+        message = str(excinfo.value)
+        assert "auth.tokens[client='c']" in message and "'rol'" in message
+        assert "s3cret" not in message  # a token is a secret
+
+    def test_unknown_ratelimit_keys_rejected(self):
+        cases = [
+            ({"client": {"ci": {"rate": 50}}}, "ratelimit", "client"),
+            ({"burts": 30}, "ratelimit", "burts"),
+            ({"clients": {"ci": {"rte": 50}}}, "ratelimit.clients.ci", "rte"),
+            ({"roles": {"read": {"rte": 5}}}, "ratelimit.roles.read", "rte"),
+        ]
+        for section, where, key in cases:
+            with pytest.raises(ValidationError) as excinfo:
+                build_chain({"ratelimit": section})
+            assert f"'{where}' has unknown key(s) ['{key}']" in str(
+                excinfo.value)
+        with pytest.raises(ValidationError, match="ratelimit.clients"):
+            build_chain({"ratelimit": {"clients": ["ci"]}})
+
+    def test_unknown_idempotency_key_rejected(self, tmp_path):
+        with pytest.raises(
+            ValidationError,
+            match=r"'idempotency' has unknown key\(s\) \['max_entires'\]",
+        ):
+            build_chain({"idempotency": {"store": str(tmp_path / "cache"),
+                                         "max_entires": 5}})
+
+    def test_serve_exits_2_on_a_typo_inside_a_section(self, tmp_path, capsys):
+        from repro.cli import main
+
+        config = tmp_path / "middleware.json"
+        config.write_text(json.dumps(
+            {"ratelimit": {"rate": 5, "clients": {"ci": {"rte": 50}}}}))
+        assert main(["serve", "--port", "0", "--middleware", str(config)]) == 2
+        assert "ratelimit.clients.ci" in capsys.readouterr().err
+
     def test_relative_store_resolves_against_base_dir(self, tmp_path):
         chain = build_chain(
             {"metrics": False, "idempotency": {"store": "cache"}},

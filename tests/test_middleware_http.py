@@ -20,7 +20,7 @@ import pytest
 
 from repro.api import BenchmarkService
 from repro.api.http import make_server
-from repro.api.jobs import JobManager
+from repro.exec import FleetJobManager
 from repro.middleware import build_chain
 from repro.suite.registry import SUITE_REGISTRY
 
@@ -47,7 +47,7 @@ def server(tmp_path):
         "idempotency": {"store": str(tmp_path / "response-cache")},
     })
     service = BenchmarkService(
-        jobs=JobManager(max_workers=1),
+        jobs=FleetJobManager(None, workers=1),
         registry=SUITE_REGISTRY.builtin_copy(),
     )
     server = make_server(service, port=0, chain=chain)

@@ -15,18 +15,25 @@ runner without a wall clock:
   token the claim index has already seen (a scan read one per aged
   token, per claim);
 * one ``/v1/metrics`` render over a fleet spool of N finished jobs
-  parses 2N records (the ``jobs`` and ``sched`` gauges), not 3N.
+  parses 2N records (the ``jobs`` and ``sched`` gauges), not 3N;
+* a quota-bounded submit over a spool of N finished jobs parses no
+  finished record (admission reads the jobs named in ``pending/`` and
+  ``leases/``), and a refused one parses at most the 32 most recently
+  finished for its Retry-After (both parsed all N).
 """
 
 from __future__ import annotations
 
-from repro.api import BenchmarkService
+import pytest
+
+from repro.api import BenchmarkService, RunRequest
+from repro.api.errors import QuotaExceededError
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.remote import RemoteQueue
 from repro.exec import FleetJobManager, JobQueue
 from repro.exec import queue as queue_module
 from repro.middleware.metrics import MetricsRegistry, register_service_gauges
-from repro.sched.policy import SchedulerConfig
+from repro.sched.policy import QuotaPolicy, QuotaTable, SchedulerConfig
 
 
 def count_record_reads(monkeypatch):
@@ -131,3 +138,28 @@ def test_metrics_render_parses_each_record_twice(tmp_path, monkeypatch):
         assert reference.render() == rendered
         assert len(reads) == 3 * finished
         assert rendered["gauges"]["sched_promotions_total"] == finished
+
+
+def test_quota_admission_parses_no_finished_record(tmp_path, monkeypatch):
+    finished = 100
+    bounded = SchedulerConfig(quotas=QuotaTable(
+        default=QuotaPolicy(max_queued=2)))
+    with FleetJobManager(tmp_path, workers=0, scheduler=bounded) as manager:
+        queue = manager.queue
+        for _ in range(finished):
+            job_id = submit(queue, client_id="ci")
+            queue.claim("w0.g1")
+            queue.complete(job_id, result={"ok": True})
+        service = BenchmarkService(jobs=manager)
+        request = RunRequest(benchmark="open", seed=5)
+        reads = count_record_reads(monkeypatch)
+        first = service.submit(request, client_id="ci").job_id
+        assert reads == []  # was all 100 finished records
+        second = service.submit(request, client_id="ci").job_id
+        assert reads == [first]  # the one live job
+        reads.clear()
+        with pytest.raises(QuotaExceededError) as refused:
+            service.submit(request, client_id="ci")
+        assert sorted(reads[:2]) == sorted([first, second])
+        assert len(reads) - 2 <= manager.RETRY_AFTER_WINDOW  # was 2 x 102
+        assert refused.value.retry_after >= 1.0

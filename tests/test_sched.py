@@ -231,8 +231,8 @@ def test_fleet_submit_reads_no_records_under_unlimited_quotas(
 
     def submit_runs(manager, count):
         calls = []
-        records = manager.queue.records
-        monkeypatch.setattr(manager.queue, "records",
+        records = manager.queue.live_records
+        monkeypatch.setattr(manager.queue, "live_records",
                             lambda: calls.append(1) or records())
         service = BenchmarkService(jobs=manager)
         for _ in range(count):
