@@ -13,8 +13,12 @@ runs the slots that serve the queue, and the plane root picks both:
   first ``submit``, and plain ``provmark serve``), jobs queue in a
   :class:`~repro.exec.queue.MemoryQueue` and the slots are threads that
   run each job through the service that submitted it.  In-process jobs
-  touch no disk, have no fair share, no aging and no durability, and
-  start as soon as they are queued.
+  touch no disk, have no fair share, no aging and no durability, start
+  as soon as they are queued, and get one attempt unless a policy says
+  otherwise (retries recover from crashed processes and torn store
+  writes, which an in-memory job cannot meet).  Nothing outlives the
+  slots, so a drain runs the queue dry and cancels what its deadline
+  leaves.
 
 The plane root directory holds both halves::
 
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -99,7 +104,8 @@ class FleetJobManager:
         workers do.  ``workers`` may be 0 when a coordinator runs — a
         pure arbiter node whose execution capacity is all remote.
         ``plane_root=None`` keeps jobs in memory on thread slots, which
-        fault plans and a coordinator cannot reach."""
+        fault plans, a coordinator and the scheduler's autoscale section
+        cannot reach."""
         self.policy = policy if policy is not None else RetryPolicy()
         self.capacity = capacity
         self.scheduler = (
@@ -114,6 +120,13 @@ class FleetJobManager:
                 )
             self.store_path = self.spool_root = None
             self.queue = MemoryQueue(self.MAX_FINISHED_JOBS)
+            if policy is None:
+                # an in-memory job has no process to crash and no store
+                # write to tear: a retry would only repeat its failure
+                self.policy = RetryPolicy(max_attempts=1)
+            # autoscaling resizes a fleet of worker processes; thread
+            # slots stay at ``workers``
+            autoscale = None
         else:
             plane = Path(plane_root)
             self.store_path = str(plane / STORE_DIR)
@@ -121,10 +134,11 @@ class FleetJobManager:
             # creating the store up front also validates the plane root
             self._store = ArtifactStore(self.store_path)
             self.queue = JobQueue(self.spool_root)
-        # persist scheduler policy into the spool *before* the
-        # supervisor and workers open their own JobQueue over it, so
-        # claim-side fairness/aging agree fleet-wide (remote claimants
-        # inherit it too: the coordinator arbitrates over this spool)
+            autoscale = self.scheduler.autoscale
+        # persist scheduler policy into the spool *before* worker
+        # processes open their own JobQueue over it, so claim-side
+        # fairness/aging agree fleet-wide (remote claimants inherit it
+        # too: the coordinator arbitrates over this spool)
         self.queue.configure(self.scheduler)
         self.coordinator = None
         if cluster_port is not None:
@@ -138,7 +152,6 @@ class FleetJobManager:
                 policy=self.policy,
                 faults=faults,
             )
-        autoscale = self.scheduler.autoscale
         initial = workers
         if autoscale is not None and workers > 0:
             initial = min(
@@ -152,12 +165,12 @@ class FleetJobManager:
             faults=faults,
             poll_interval=poll_interval,
             finished_cap=self.MAX_FINISHED_JOBS,
-            queue=self.queue if plane_root is None else None,
+            queue=self.queue,
         )
         if autoscale is not None and initial > 0:
             coordinator = self.coordinator
             self.supervisor.autoscaler = QueueAutoscaler(
-                self.supervisor.queue,
+                self.queue,
                 autoscale,
                 fleet_workers=(
                     coordinator.remote_workers
@@ -294,55 +307,74 @@ class FleetJobManager:
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Graceful drain: refuse new jobs, let workers finish in-flight
-        leases, stop the fleet.  True when every worker exited in time.
+        leases, stop the fleet.  True when everything finished in time.
 
-        With a coordinator, remote claims stop first (agents idle while
-        keeping their in-flight jobs), then local workers drain, then
-        the coordinator goes down — fleet-wide SIGTERM order."""
+        Pending spooled jobs wait for the next fleet.  An in-memory
+        queue does not outlive its slots: they run it dry first, and
+        when the deadline passes with jobs left, those are cancelled,
+        never left queued.  With a coordinator, remote claims stop first
+        (agents idle while keeping their in-flight jobs), then local
+        workers drain, then the coordinator goes down — fleet-wide
+        SIGTERM order."""
+        deadline = time.monotonic() + max(0.0, timeout)
         with self._lock:
             self._closed = True
         if self.coordinator is not None:
             self.coordinator.set_draining(True)
-        clean = self.supervisor.drain(timeout)
+        if self.queue.run_dry(timeout):
+            clean = self.supervisor.drain(deadline - time.monotonic())
+        else:
+            self._cancel_all()
+            clean = False
         if self.coordinator is not None:
             self.coordinator.stop()
         return clean
 
     def shutdown(self, wait: bool = True, cancel: bool = False) -> None:
         """Stop the fleet.  ``cancel=True`` marks every active job
-        cancelled; otherwise ``wait=True`` drains gracefully first.
-        Records stay durable (and pollable) after shutdown."""
+        cancelled; otherwise ``wait=True`` drains gracefully first, and
+        ``wait=False`` stops at once (cancelling any in-memory job left,
+        which no slot would run).  Records stay pollable after
+        shutdown."""
         with self._lock:
-            if self._closed and self.supervisor.alive_workers() == 0:
-                if self.coordinator is not None:
-                    self.coordinator.stop()
-                    self.coordinator = None
-                return
-            self._closed = True
-        if self.coordinator is not None:
-            self.coordinator.set_draining(True)
-        if cancel:
-            for record in self.queue.records():
-                if record.get("state") not in TERMINAL_STATES:
-                    try:
-                        self.queue.cancel(str(record["job_id"]))
-                    except Exception:  # noqa: BLE001 — best-effort sweep
-                        pass
-            self.supervisor.stop()
-            # workers are gone; finalize whatever cancellation the fleet
-            # did not get to observe
-            for record in self.queue.records():
-                if record.get("state") not in TERMINAL_STATES:
-                    self.queue.mark_cancelled(str(record["job_id"]))
-        elif wait:
-            self.supervisor.drain()
+            stopped = self._closed and self.supervisor.alive_workers() == 0
+        if stopped:
+            self._stop_coordinator()
+            return
+        if wait and not cancel:
+            self.drain()
         else:
-            self.supervisor.stop()
+            with self._lock:
+                self._closed = True
+            if self.coordinator is not None:
+                self.coordinator.set_draining(True)
+            if cancel or not self.queue.run_dry(0.0):
+                self._cancel_all()
+            else:
+                self.supervisor.stop()
+        self._stop_coordinator()
+
+    # -- internals -----------------------------------------------------------
+
+    def _cancel_all(self) -> None:
+        """Cancel every active job (queued ones now, running ones at
+        their next stage boundary), stop the fleet, then finalize any
+        cancellation the slots did not get to observe."""
+        for record in self.queue.records():
+            if record.get("state") not in TERMINAL_STATES:
+                try:
+                    self.queue.cancel(str(record["job_id"]))
+                except Exception:  # noqa: BLE001 — best-effort sweep
+                    pass
+        self.supervisor.stop()
+        for record in self.queue.records():
+            if record.get("state") not in TERMINAL_STATES:
+                self.queue.mark_cancelled(str(record["job_id"]))
+
+    def _stop_coordinator(self) -> None:
         if self.coordinator is not None:
             self.coordinator.stop()
             self.coordinator = None
-
-    # -- internals -----------------------------------------------------------
 
     def _active_jobs(self) -> Iterator[Tuple[str, str]]:
         """``(client_id, state)`` of every live job.  A generator, so

@@ -332,7 +332,8 @@ class _QueueRules:
         the full error history and the *last* root cause in ``error``.
         A record some other call already requeued (lease recovery racing
         a worker that is still running) keeps its token and
-        ``not_before``: only the error joins its history.
+        ``not_before``: only the error joins its history.  A job allowed
+        one attempt fails with the error as given.
         """
         record = self.record(job_id)
         if record is None:
@@ -340,10 +341,12 @@ class _QueueRules:
         attempts = int(record.get("attempts") or 0)
         max_attempts = int(record.get("max_attempts") or 1)
         if attempts >= max_attempts:
-            return self.fail(
-                job_id, f"{error} (failed permanently after {attempts} "
-                f"attempt(s))"
-            )
+            if max_attempts > 1:
+                error = (
+                    f"{error} (failed permanently after {attempts} "
+                    f"attempt(s))"
+                )
+            return self.fail(job_id, error)
         delay = policy.backoff(job_id, attempts)
         def _requeue(rec: Dict[str, object]) -> None:
             history = list(rec.get("error_history") or [])
@@ -882,6 +885,11 @@ class JobQueue(_QueueRules):
             _write_json_atomic(self._promotions_file, {"promoted": base})
         return evicted
 
+    def run_dry(self, timeout: float) -> bool:
+        """True at once: a spool outlives the fleet serving it, so a
+        drain leaves its pending jobs for the next fleet."""
+        return True
+
     def evicted(self) -> int:
         payload = _read_json(self._evicted_file) or {}
         try:
@@ -1066,8 +1074,9 @@ class MemoryQueue(_QueueRules):
     payload codec), and a claimed record carries that ``service``.
     Claims are strict priority, then FIFO by mint order; there is no
     fair share, no aging and no durability.  One lock serialises every
-    verb, :meth:`wait` parks an idle slot until a token is minted, and a
-    job's record is evicted as it finishes once more than
+    verb, :meth:`wait` parks an idle slot until a token is minted after
+    its last claim, :meth:`run_dry` holds a drain until no job is left,
+    and a job's record is evicted as it finishes once more than
     ``finished_cap`` finished records are held, oldest first.
     """
 
@@ -1076,7 +1085,13 @@ class MemoryQueue(_QueueRules):
         self.sched = SchedulerConfig()
         self.finished_cap = finished_cap
         self._lock = self._guard = threading.RLock()
+        #: tokens minted so far, and per slot thread the count its last
+        #: claim saw: a wait after a mint the claim missed returns at once
+        self._mint_no = 0
+        self._seen = threading.local()
         self._minted = threading.Condition(self._lock)
+        #: notified when the last token or lease goes (run_dry waits)
+        self._dry = threading.Condition(self._lock)
         self._records: Dict[str, Dict[str, object]] = {}
         #: each live job's submitting service (dropped when it finishes)
         self._services: Dict[str, object] = {}
@@ -1129,6 +1144,7 @@ class MemoryQueue(_QueueRules):
         now = _now() if now is None else now
         waiting = []
         with self._lock:
+            self._seen.mint_no = self._mint_no
             try:
                 while self._heap:
                     entry = heapq.heappop(self._heap)
@@ -1154,9 +1170,20 @@ class MemoryQueue(_QueueRules):
         return None
 
     def wait(self, timeout: float) -> None:
-        """Park an idle slot until a token is minted or ``timeout`` ends."""
+        """Park an idle slot until a token is minted after the calling
+        thread's last :meth:`claim`, or ``timeout`` ends."""
         with self._lock:
-            self._minted.wait(timeout)
+            seen = getattr(self._seen, "mint_no", -1)
+            self._minted.wait_for(lambda: self._mint_no != seen, timeout)
+
+    def run_dry(self, timeout: float) -> bool:
+        """Wait until no job holds a token or a lease: nothing outlives
+        the slots serving this queue, so a drain lets them finish every
+        job first.  False when ``timeout`` ends with jobs left."""
+        with self._lock:
+            return self._dry.wait_for(
+                lambda: not self._tokens and not self._leases, timeout
+            )
 
     def heartbeat(self, job_id: str, owner: str, stage: str = "") -> None:
         with self._lock:
@@ -1240,11 +1267,14 @@ class MemoryQueue(_QueueRules):
             entry = (rank, next(self._mints), job_id)
             self._tokens[job_id] = entry
             heapq.heappush(self._heap, entry)
+            self._mint_no += 1
             self._minted.notify()
 
     def _drop_token(self, job_id: str) -> bool:
         with self._lock:
-            return self._tokens.pop(job_id, None) is not None
+            dropped = self._tokens.pop(job_id, None) is not None
+            self._note_dry()
+            return dropped
 
     def _mark_cancel(self, job_id: str) -> None:
         with self._lock:
@@ -1255,6 +1285,7 @@ class MemoryQueue(_QueueRules):
             self._leases.pop(job_id, None)
             if not keep_cancel:
                 self._cancel.discard(job_id)
+            self._note_dry()
 
     def _lease_stamps(self) -> List[Tuple[str, str, float]]:
         with self._lock:
@@ -1265,7 +1296,13 @@ class MemoryQueue(_QueueRules):
 
     def _drop_lease(self, job_id: str) -> bool:
         with self._lock:
-            return self._leases.pop(job_id, None) is not None
+            dropped = self._leases.pop(job_id, None) is not None
+            self._note_dry()
+            return dropped
+
+    def _note_dry(self) -> None:
+        if not self._tokens and not self._leases:
+            self._dry.notify_all()
 
     def _charge(self, client_id: str, seconds: float, now: float) -> None:
         pass  # no fair share

@@ -1,8 +1,9 @@
 """Supervisor: spawn worker slots, restart the dead, recover leases.
 
 The supervisor owns N worker *slots*.  Each slot runs one
-:func:`~repro.exec.worker.worker_main` process — or, over an in-memory
-:class:`~repro.exec.queue.MemoryQueue`, one thread running the same
+:func:`~repro.exec.worker.worker_main` process — or, when there is no
+spool a process could open (an in-memory
+:class:`~repro.exec.queue.MemoryQueue`), one thread running the same
 claim loop (:func:`~repro.exec.worker.serve_slot`).  When a slot dies —
 injected kill, OOM, segfault, anything — it respawns with a fresh
 *generation* (owner id ``w<slot>.g<gen>``), and the dead incarnation's
@@ -17,7 +18,8 @@ Shutdown comes in two shapes:
 * :meth:`drain` — graceful: stop respawning, SIGTERM every worker
   (workers finish their in-flight job, then exit), wait up to the
   timeout, SIGKILL stragglers and recover their leases.  Pending jobs
-  stay durable in the spool for the next fleet.
+  stay durable in the spool for the next fleet (an in-memory queue's
+  manager runs the queue dry before it drains the slots).
 * :meth:`stop` — immediate: SIGTERM, a short grace, SIGKILL, recover.
 
 A thread slot takes the same signals as flags: SIGTERM sets its drain
@@ -33,7 +35,7 @@ import time
 from typing import List, Mapping, Optional
 
 from repro.exec.policy import RetryPolicy
-from repro.exec.queue import JobQueue, MemoryQueue
+from repro.exec.queue import MemoryQueue
 from repro.exec.worker import serve_slot, worker_main
 from repro.faults import FaultPlan
 
@@ -113,31 +115,29 @@ class Supervisor:
         finished_cap: int = 256,
         owner_prefix: str = "",
         remote: Optional[Mapping[str, object]] = None,
-        queue: Optional[MemoryQueue] = None,
+        queue: Optional[object] = None,
     ) -> None:
         """``owner_prefix`` namespaces worker owner ids (a cluster agent
         passes ``"<node_id>:"`` so the coordinator can recover a dead
         node's leases by prefix).  ``remote`` is a
-        ``RemoteQueue.to_payload()`` mapping: when set, this supervisor's
-        queue — and every worker it spawns — speaks to a coordinator
-        instead of a local spool.  ``queue`` is an in-memory queue to
-        serve with thread slots instead (``spool_root`` and
-        ``store_path`` are then None).  ``workers`` may be 0 for a
-        coordinator-only plane (the monitor still sweeps leases)."""
+        ``RemoteQueue.to_payload()`` mapping: when set, every worker this
+        supervisor spawns speaks to a coordinator instead of a local
+        spool.  ``queue`` is the queue the monitor recovers and evicts
+        over: a manager passes its own, and a cluster agent passes none,
+        so one is opened over ``remote``.  With no ``spool_root`` the
+        slots are threads claiming from ``queue``.  ``workers`` may be 0
+        for a coordinator-only plane (the monitor still sweeps leases)."""
         self.spool_root = spool_root
         self.store_path = store_path
         self.workers = max(0, int(workers))
         self.policy = policy if policy is not None else RetryPolicy()
         self.owner_prefix = owner_prefix
         self._remote = dict(remote) if remote is not None else None
-        if queue is not None:
-            self.queue = queue
-        elif self._remote is not None:
+        if queue is None:
             from repro.cluster.remote import RemoteQueue
 
-            self.queue = RemoteQueue.from_payload(self._remote)
-        else:
-            self.queue = JobQueue(spool_root)
+            queue = RemoteQueue.from_payload(self._remote)
+        self.queue = queue
         self.poll_interval = poll_interval
         self.finished_cap = finished_cap
         self._fault_payload = (
@@ -303,7 +303,7 @@ class Supervisor:
         """Start a fresh incarnation in ``slot`` (called under _lock)."""
         self._generations[slot] += 1
         uid = f"{self.owner_prefix}w{slot}.g{self._generations[slot]}"
-        if isinstance(self.queue, MemoryQueue):
+        if self.spool_root is None:
             thread = _ThreadSlot(
                 self.queue, self.policy, uid, self.poll_interval
             )

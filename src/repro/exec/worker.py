@@ -146,9 +146,10 @@ def _run_claimed(
 ) -> None:
     """One claimed job, end to end: heartbeat, run, record the outcome.
 
-    ``store_path`` None marks an in-process job: the record carries the
-    submitting ``service`` and the request object, and keeps the
-    response objects the run returns."""
+    A claimed record that carries a ``service`` (only a
+    :class:`~repro.exec.queue.MemoryQueue` puts one there) is an
+    in-process job: it runs its request object through that service and
+    keeps the response objects the run returns."""
     job_id = str(record["job_id"])
     kind = str(record["kind"])
     if plan is not None:
@@ -181,7 +182,7 @@ def _run_claimed(
         queue.update_progress(job_id, state["completed"], state["stage"])
 
     try:
-        if store_path is None:
+        if "service" in record:
             service, request = record["service"], record["request"]
             keep = _as_is
         else:

@@ -329,6 +329,18 @@ class TestInProcessJobs:
             states = [wait_for(service, job.job_id).state for job in jobs]
         assert states == ["done"] * 20
 
+    def test_leaving_the_service_runs_every_queued_job(self):
+        # the block ends with more jobs queued than there are slots; the
+        # exit drains the in-memory queue dry instead of stranding them
+        with BenchmarkService() as service:
+            jobs = [
+                service.submit(RunRequest(
+                    benchmark="open", tool="spade", seed=200 + i))
+                for i in range(3 * BenchmarkService.JOB_SLOTS)
+            ]
+        states = [service.poll(job.job_id).state for job in jobs]
+        assert states == ["done"] * len(jobs)
+
     def test_the_synchronous_path_loads_no_execution_plane(self):
         # the lazily built manager must cost suite_cold and scale_tail
         # nothing: no repro.exec module, no multiprocessing

@@ -26,8 +26,10 @@ from repro.api.errors import BackpressureError, DeadlineError, ValidationError
 from repro.api.http import make_server
 from repro.api.specs import BenchmarkSpec
 from repro.api.types import BatchRequest
+from repro.core.stages import ProgressEvent
 from repro.exec import FleetJobManager, RetryPolicy
 from repro.faults import FaultPlan, FaultSpec
+from repro.sched.policy import AutoscalePolicy, SchedulerConfig
 from repro.suite import TABLE2_ORDER
 from repro.suite.registry import SUITE_REGISTRY
 
@@ -385,7 +387,7 @@ class GatedService:
         return None
 
 
-def test_thread_slot_drain_finishes_inflight_and_keeps_queued():
+def test_thread_slot_drain_runs_the_queue_dry():
     manager = FleetJobManager(None, workers=1, policy=RetryPolicy(**FAST))
     service = GatedService()
     first = manager.submit(service, object(), "run", 1).job_id
@@ -395,13 +397,87 @@ def test_thread_slot_drain_finishes_inflight_and_keeps_queued():
     drainer = threading.Thread(target=lambda: drained.append(manager.drain(30)))
     drainer.start()
     time.sleep(0.2)  # the slot is draining with its job still in flight
+    with pytest.raises(ValidationError, match="shut down"):
+        manager.submit(service, object(), "run", 1)
     service.gate.set()
     drainer.join(timeout=30)
     assert drained == [True]
+    # no spool keeps a queued job for a next fleet: the slot ran it
     assert manager.poll(first).state == "done"
-    assert manager.poll(second).state == "queued"  # no durability to keep it
+    assert manager.poll(second).state == "done"
     assert manager.supervisor.alive_workers() == 0
     manager.shutdown(wait=False)
+
+
+class BeatingService:
+    """A duck-typed service whose runs pass stage boundaries until a
+    gate opens, so a cancel request stops them."""
+
+    def __init__(self):
+        self.gate = threading.Event()
+        self.started = threading.Event()
+
+    def run(self, request, progress=None):
+        self.started.set()
+        while not self.gate.wait(0.01):
+            progress(ProgressEvent(
+                benchmark="stub", stage="stage", status="finished"))
+        return None
+
+
+def test_thread_slot_drain_past_its_deadline_cancels_what_is_left():
+    manager = FleetJobManager(None, workers=1)
+    service = BeatingService()
+    first = manager.submit(service, object(), "run", 1).job_id
+    assert service.started.wait(10)
+    second = manager.submit(service, object(), "run", 1).job_id
+    try:
+        assert manager.drain(0.2) is False
+        assert manager.poll(second).state == "cancelled"
+        assert manager.poll(first).state == "cancelled"
+        assert manager.queue_stats()["active"] == 0
+        assert manager.supervisor.alive_workers() == 0
+    finally:
+        service.gate.set()
+
+
+def test_stopping_thread_slots_without_waiting_cancels_queued_jobs():
+    manager = FleetJobManager(None, workers=1)
+    service = BeatingService()
+    first = manager.submit(service, object(), "run", 1).job_id
+    assert service.started.wait(10)
+    second = manager.submit(service, object(), "run", 1).job_id
+    try:
+        manager.shutdown(wait=False)
+        assert manager.poll(first).state == "cancelled"
+        assert manager.poll(second).state == "cancelled"
+    finally:
+        service.gate.set()
+
+
+class BrokenService:
+    def run(self, request, progress=None):
+        raise RuntimeError("the tool  crashed")
+
+
+def test_a_raising_in_process_job_fails_on_its_first_attempt():
+    with FleetJobManager(None, workers=1) as manager:
+        job_id = manager.submit(BrokenService(), object(), "run", 1).job_id
+        status = wait_terminal(manager, job_id)
+    assert status.state == "failed"
+    assert status.attempts == 1
+    assert status.error == "RuntimeError: the tool crashed"
+
+
+def test_thread_slots_ignore_the_autoscale_section():
+    # autoscaling resizes a worker-process fleet; in-memory thread
+    # slots stay at the count asked for, as the thread pool's did
+    scheduler = SchedulerConfig(
+        autoscale=AutoscalePolicy(min_workers=1, max_workers=8))
+    with FleetJobManager(None, workers=4, scheduler=scheduler) as manager:
+        assert manager.supervisor.autoscaler is None
+        assert manager.supervisor.target == 4
+        assert "autoscale" not in manager.queue_stats()
 
 
 # the slot's thread ends on purpose: its exit is the crash under test

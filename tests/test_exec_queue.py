@@ -516,12 +516,34 @@ class TestMemoryQueue:
             queue.complete(ids[0], result={"ok": True})  # gone for good
 
     def test_wait_returns_when_a_token_is_minted(self, queue):
-        # a 60 s wait that ends within 10 s was woken by a mint (one
-        # submit per 50 ms, in case the first lands before the wait)
-        thread = threading.Thread(target=queue.wait, args=(60.0,))
+        # a slot's 60 s wait that ends within 10 s was woken by a mint
+        # (one submit per 50 ms, in case the first lands before the claim)
+        def slot():
+            queue.claim("w0.g1")
+            queue.wait(60.0)
+
+        thread = threading.Thread(target=slot)
         thread.start()
         deadline = time.monotonic() + 10
         while thread.is_alive() and time.monotonic() < deadline:
             submit(queue)
             thread.join(timeout=0.05)
         assert not thread.is_alive()
+
+    def test_wait_sees_a_mint_that_landed_after_the_claim(self, queue):
+        assert queue.claim("w0.g1") is None
+        submit(queue)  # between the idle claim and the wait
+        started = time.monotonic()
+        queue.wait(30.0)
+        assert time.monotonic() - started < 5.0
+
+    def test_run_dry_waits_for_the_last_lease(self, queue):
+        job_id = submit(queue)["job_id"]
+        assert queue.run_dry(0.0) is False  # a token is left
+        queue.claim("w0.g1")
+        assert queue.run_dry(0.0) is False  # a lease is left
+        finisher = threading.Timer(
+            0.1, queue.complete, args=(job_id,), kwargs={"result": {}})
+        finisher.start()
+        assert queue.run_dry(30.0) is True
+        finisher.join()
