@@ -305,21 +305,20 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
     # -- GET routes ---------------------------------------------------------
 
     def _get_health(self, ctx: RequestContext, arg: Optional[str]) -> Response:
-        states = {state: 0 for state in JOB_STATES}
-        jobs = self.service.jobs.jobs()
-        for job in jobs:
-            states[job.state] += 1
+        # one pass over the records counts the states and the sched stats
+        counts, sched = self.service.jobs.census()
+        states = {state: counts.get(state, 0) for state in JOB_STATES}
         return Response(payload={
             "status": "ok",
             "api_version": API_VERSION,
-            "jobs": {"total": len(jobs), **states},
+            "jobs": {"total": sum(counts.values()), **states},
             # queue depth, capacity, and the evicted counter that
             # explains why an old job id 404s (finished records are
             # retained only up to a cap)
             "queue": self.service.jobs.queue_stats(),
             # per-priority-class pending/running counts and queue-wait
             # quantiles, plus the monotonic aging-promotion count
-            "sched": self.service.jobs.sched_stats(),
+            "sched": sched,
             # always-shaped fleet block: {"enabled": False, ...} on a
             # single-host plane, node/worker counts when clustered
             "cluster": self.service.jobs.cluster_summary(),

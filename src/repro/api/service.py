@@ -61,6 +61,7 @@ from repro.capture.registry import (
 )
 from repro.config import ProfileError, get_profile
 from repro.core.pipeline import PipelineConfig, ProvMark
+from repro.core.recording import TraceMemo
 from repro.core.stages import DeadlineExceeded, ProgressCallback
 from repro.storage.artifacts import ArtifactError, ArtifactStore
 from repro.suite.executor import ExecutionError
@@ -130,6 +131,10 @@ class BenchmarkService:
         self._pool_lock = threading.Lock()
         self._driver_pool: Dict[tuple, List[ProvMark]] = {}
         self._pooled_count = 0
+        # Kernel traces every driver built here shares: a benchmark run
+        # by several tools in turn executes each (variant, trial seed)
+        # once, whichever tool asked first.
+        self._traces = TraceMemo()
 
     # -- catalog ------------------------------------------------------------
 
@@ -562,6 +567,7 @@ class BenchmarkService:
                 self._pooled_count -= 1
         if driver is None:
             driver = self._driver(request)
+            driver.traces = self._traces
         # the observer is per call, not part of the pooled configuration
         driver.progress = progress
         try:

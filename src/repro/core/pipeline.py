@@ -25,6 +25,7 @@ from typing import Dict, Optional, Union
 
 from repro.capture import CaptureSystem, make_capture
 from repro.capture.registry import tool_profile
+from repro.core.recording import TraceMemo
 from repro.core.result import BenchmarkResult, Classification, StageTimings
 from repro.core.stages import (
     RESULT_STAGE,
@@ -106,6 +107,9 @@ class ProvMark:
         #: stage-boundary observer handed to every RunContext this
         #: driver builds (the job manager's progress/cancellation hook)
         self.progress = progress
+        #: kernel traces this driver's recordings share with other
+        #: drivers' (a ``BenchmarkService`` hands one to each it builds)
+        self.traces: Optional[TraceMemo] = None
         self.capture = capture or make_capture(config.tool)
         self.pipeline: Pipeline = default_pipeline()
         self._store: Optional[ArtifactStore] = None
@@ -175,6 +179,7 @@ class ProvMark:
             use_cache=config.cache,
             progress=self.progress,
             deadline_at=deadline_at,
+            traces=self.traces,
         )
 
     def _result_material(self, ctx: RunContext) -> Dict[str, object]:

@@ -48,7 +48,9 @@ from repro.core.generalize import (
     GeneralizationOutcome,
     generalize_trials,
 )
-from repro.core.recording import RecordedTrial, Recorder, RecordingSession
+from repro.core.recording import (
+    RecordedTrial, Recorder, RecordingSession, TraceMemo,
+)
 from repro.core.result import StageTimings
 from repro.core.transform import transform
 from repro.graph.model import PropertyGraph
@@ -176,6 +178,10 @@ class RunContext:
     #: :class:`DeadlineExceeded`.  Excluded from :meth:`key_material` —
     #: a deadline bounds wall clock, it cannot change results.
     deadline_at: Optional[float] = None
+    #: kernel traces shared with other runs (by every driver of one
+    #: ``BenchmarkService``); like the deadline, excluded from
+    #: :meth:`key_material`: a replayed trace equals a fresh one
+    traces: Optional[TraceMemo] = None
     #: the variants a per-variant stage's ``run`` computes, in the
     #: stage's order; the pipeline sets it before each call
     variants: Tuple[str, ...] = ()
@@ -346,6 +352,7 @@ class RecordingStage(Stage):
             trials=ctx.trials,
             seed=ctx.seed,
             truncation_rate=ctx.truncation_rate,
+            traces=ctx.traces,
         )
         payloads = {}
         for variant in ctx.variants:

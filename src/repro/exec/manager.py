@@ -288,6 +288,11 @@ class FleetJobManager:
         """Per-class depth/wait stats + promotion total, for metrics."""
         return self.queue.sched_stats()
 
+    def census(self) -> Tuple[Dict[str, int], Dict[str, object]]:
+        """Jobs per state and :meth:`sched_stats`, from one pass over the
+        records (a health poll needs both)."""
+        return self.queue.census()
+
     def cluster_stats(self) -> Optional[Dict[str, object]]:
         """The coordinator's full fleet snapshot (None when single-host)."""
         if self.coordinator is None:

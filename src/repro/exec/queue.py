@@ -445,14 +445,21 @@ class _QueueRules:
     def sched_stats(self, now: Optional[float] = None) -> Dict[str, object]:
         """Per-class depth and queue-wait stats (parses every record,
         one at a time and in directory order, since nothing here depends
-        on order — this backs the ``/v1/metrics`` gauges, not the health
-        hot path).
+        on order).
 
         Waits count time from submit to first claim: finished and
         running jobs contribute their realized wait, still-queued jobs
         their live wait so starvation is visible while it happens.
         """
+        return self.census(now)[1]
+
+    def census(
+        self, now: Optional[float] = None
+    ) -> Tuple[Dict[str, int], Dict[str, object]]:
+        """One pass over every record: how many jobs are in each state,
+        and :meth:`sched_stats` (``/v1/health`` reports both)."""
         now = _now() if now is None else now
+        states: Dict[str, int] = {}
         per: Dict[str, Dict[str, object]] = zeroed_class_stats()
         for record in self._iter_records():
             cls = str(record.get("priority") or "")
@@ -462,6 +469,7 @@ class _QueueRules:
                 cls = "batch"
             row = per[cls]
             state = record.get("state")
+            states[state] = states.get(state, 0) + 1
             submitted = float(record.get("submitted_at") or 0.0)
             started = record.get("started_at")
             if state == "queued":
@@ -471,7 +479,7 @@ class _QueueRules:
                 row["running"] += 1
             if started:
                 row["waits"].append(max(0.0, float(started) - submitted))
-        return {
+        return states, {
             "classes": summarize_class_stats(per),
             "promotions": self.promotions(),
         }
@@ -1169,12 +1177,24 @@ class MemoryQueue(_QueueRules):
                     heapq.heappush(self._heap, entry)
         return None
 
-    def wait(self, timeout: float) -> None:
+    def wait(
+        self, timeout: float, stop: Optional[threading.Event] = None
+    ) -> None:
         """Park an idle slot until a token is minted after the calling
-        thread's last :meth:`claim`, or ``timeout`` ends."""
+        thread's last :meth:`claim`, ``stop`` is set (see :meth:`wake`),
+        or ``timeout`` ends."""
         with self._lock:
             seen = getattr(self._seen, "mint_no", -1)
-            self._minted.wait_for(lambda: self._mint_no != seen, timeout)
+            self._minted.wait_for(
+                lambda: self._mint_no != seen
+                or (stop is not None and stop.is_set()),
+                timeout,
+            )
+
+    def wake(self) -> None:
+        """Rouse every parked slot, so each rereads its ``stop`` event."""
+        with self._lock:
+            self._minted.notify_all()
 
     def run_dry(self, timeout: float) -> bool:
         """Wait until no job holds a token or a lease: nothing outlives

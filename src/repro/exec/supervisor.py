@@ -62,13 +62,14 @@ class _ThreadSlot:
         uid: str,
         poll_interval: float,
     ) -> None:
+        self._queue = queue
         self._draining = threading.Event()
         self._abandoned = False
         self._thread = threading.Thread(
             target=serve_slot,
             args=(
                 queue, None, policy, None, uid, None, self._draining,
-                lambda: queue.wait(poll_interval),
+                lambda: queue.wait(poll_interval, self._draining),
             ),
             name=f"provmark-{uid}",
             daemon=True,
@@ -81,10 +82,13 @@ class _ThreadSlot:
         return self._thread.is_alive() and not self._abandoned
 
     def terminate(self) -> None:
+        """Stop claiming; an idle slot parked in the queue's wait
+        leaves it at once, a busy one after its job."""
         self._draining.set()
+        self._queue.wake()
 
     def kill(self) -> None:
-        self._draining.set()
+        self.terminate()
         self._abandoned = True
 
     def join(self, timeout: Optional[float] = None) -> None:

@@ -12,7 +12,7 @@ import enum
 import functools
 import stat
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.kernel.clock import IdAllocator, VirtualClock
 from repro.kernel.errors import Errno, KernelError
@@ -77,6 +77,73 @@ class Inode:
         self.version += 1
 
 
+class TreeTemplate:
+    """A fixed directory tree under a root, worked out once.
+
+    ``entries`` are ``(path, type, mode, uid, gid, contents)`` in creation
+    order, each under the root or an earlier directory entry.  Creating
+    them one at a time derives the same links, link counts and versions on
+    every boot; the template derives them once, and :meth:`stamp` draws
+    only what differs between boots, in the order that one-at-a-time
+    creation draws it: the root's ctime and inode number, then per entry
+    its ctime, its inode number and its parent's new mtime.  A regular
+    file's contents count as one write (version 1).
+    """
+
+    def __init__(
+        self, entries: Sequence[Tuple[str, InodeType, int, int, int, bytes]]
+    ) -> None:
+        index = {"": 0}
+        # per inode, the root first: its parent, (type, mode, uid, gid,
+        # contents), link count, version and named children
+        parents = [0]
+        kinds = [(InodeType.DIRECTORY, 0o755, 0, 0, b"")]
+        nlinks, versions = [2], [0]
+        children: List[List[Tuple[str, int]]] = [[(".", 0), ("..", 0)]]
+        for path, itype, mode, uid, gid, data in entries:
+            head, _, name = path.rpartition("/")
+            parent = index[head]
+            node = index[path] = len(parents)
+            directory = itype is InodeType.DIRECTORY
+            parents.append(parent)
+            kinds.append((itype, mode, uid, gid, data))
+            nlinks.append(2 if directory else 1)
+            versions.append(1 if itype is InodeType.REGULAR else 0)
+            children.append([(".", node), ("..", parent)] if directory else [])
+            children[parent].append((name, node))
+            versions[parent] += 1
+            if directory:
+                nlinks[parent] += 1
+        self.parents = tuple(parents)
+        self.nodes = tuple(zip(kinds, nlinks, versions, map(tuple, children)))
+
+    def stamp(
+        self, ids: IdAllocator, clock: VirtualClock
+    ) -> Tuple[int, Dict[int, Inode]]:
+        """A fresh copy of the tree: (root inode number, inode table)."""
+        tick, new_ino = clock.tick, ids.ino
+        ctimes = [tick()]
+        inos = [new_ino()]
+        mtimes = ctimes[:]
+        for parent in self.parents[1:]:
+            now = tick()
+            ctimes.append(now)
+            mtimes.append(now)
+            inos.append(new_ino())
+            mtimes[parent] = tick()
+        inodes: Dict[int, Inode] = {}
+        for node, (
+            (itype, mode, uid, gid, data), nlink, version, children,
+        ) in enumerate(self.nodes):
+            ino = inos[node]
+            inodes[ino] = Inode(
+                ino, itype, mode, uid, gid, nlink, len(data), version,
+                ctimes[node], mtimes[node], data,
+                entries={name: inos[child] for name, child in children},
+            )
+        return inos[0], inodes
+
+
 class FileSystem:
     """Path namespace over an inode table.
 
@@ -86,15 +153,13 @@ class FileSystem:
     reports on.
     """
 
-    def __init__(self, ids: IdAllocator, clock: VirtualClock) -> None:
+    def __init__(
+        self, ids: IdAllocator, clock: VirtualClock, tree: TreeTemplate
+    ) -> None:
+        """A fresh copy of ``tree``."""
         self.ids = ids
         self.clock = clock
-        self.inodes: Dict[int, Inode] = {}
-        self.root_ino = self._new_inode(InodeType.DIRECTORY, 0o755, 0, 0).ino
-        root = self.inodes[self.root_ino]
-        root.entries["."] = self.root_ino
-        root.entries[".."] = self.root_ino
-        root.nlink = 2
+        self.root_ino, self.inodes = tree.stamp(ids, clock)
 
     # -- inode management ---------------------------------------------------
 
@@ -171,6 +236,78 @@ class FileSystem:
                 parts.append(piece)
         return "/" + "/".join(parts)
 
+    def walk(
+        self,
+        path: str,
+        euid: int = 0,
+        egid: int = 0,
+        search: bool = True,
+        follow: bool = True,
+        _depth: int = 0,
+    ) -> Tuple[Inode, str, Optional[Inode]]:
+        """One pass down an absolute path: ``(directory, name, inode)``.
+
+        ``name`` is the path's last component, ``directory`` the one
+        holding it, and ``inode`` what it names, or None when the
+        directory has no such entry.  Every directory before the last
+        needs search permission (the LSM ``inode_permission`` checks),
+        and a symlink before the last component is followed.  The last
+        directory needs search permission too when ``search`` is set,
+        and a symlink as the last component is followed when ``follow``
+        is (it must resolve).  The root names itself: ``(root, "",
+        root)``.
+        """
+        if _depth > MAX_SYMLINK_DEPTH:
+            raise KernelError(Errno.ELOOP)
+        path = self.normalize(path)
+        current = self.inode(self.root_ino)
+        if path == "/":
+            return current, "", current
+        parts = path[1:].split("/")
+        last = len(parts) - 1
+        # root may search any directory (``may_access``'s rule), so its
+        # walks skip the call per directory
+        for index in range(last):
+            if current.type is not InodeType.DIRECTORY:
+                raise KernelError(Errno.ENOTDIR, path)
+            if euid and not self.may_access(current, euid, egid, 1):
+                raise KernelError(Errno.EACCES)
+            child_ino = current.entries.get(parts[index])
+            if child_ino is None:
+                raise KernelError(Errno.ENOENT, path)
+            child = self.inode(child_ino)
+            if child.type is InodeType.SYMLINK:
+                return self.walk(
+                    self._through(parts, index, child), euid, egid,
+                    search, follow, _depth + 1,
+                )
+            current = child
+        if current.type is not InodeType.DIRECTORY:
+            raise KernelError(Errno.ENOTDIR, path)
+        if search and euid and not self.may_access(current, euid, egid, 1):
+            raise KernelError(Errno.EACCES)
+        name = parts[last]
+        child_ino = current.entries.get(name)
+        if child_ino is None:
+            return current, name, None
+        child = self.inode(child_ino)
+        if follow and child.type is InodeType.SYMLINK:
+            child = self.resolve(
+                self._through(parts, last, child), euid, egid, True,
+                _depth + 1,
+            )
+        return current, name, child
+
+    @staticmethod
+    def _through(parts: List[str], index: int, link: Inode) -> str:
+        """The path ``parts`` spell with the symlink at ``index``
+        replaced by its target."""
+        target = link.symlink_target
+        if not target.startswith("/"):
+            target = "/" + "/".join(parts[:index]) + "/" + target
+        rest = "/".join(parts[index + 1:])
+        return target + ("/" + rest if rest else "")
+
     def resolve(
         self,
         path: str,
@@ -179,49 +316,24 @@ class FileSystem:
         follow: bool = True,
         _depth: int = 0,
     ) -> Inode:
-        """Resolve an absolute path to its inode.
+        """Resolve an absolute path to its inode (ENOENT when missing).
 
         Directory traversal requires execute permission on every directory
         on the way (the LSM ``inode_permission`` checks).
         """
-        if _depth > MAX_SYMLINK_DEPTH:
-            raise KernelError(Errno.ELOOP)
-        path = self.normalize(path)
-        current = self.inode(self.root_ino)
-        if path == "/":
-            return current
-        parts = path.strip("/").split("/")
-        for index, part in enumerate(parts):
-            if current.type is not InodeType.DIRECTORY:
-                raise KernelError(Errno.ENOTDIR, path)
-            self.check_access(current, euid, egid, 1)
-            child_ino = current.entries.get(part)
-            if child_ino is None:
-                raise KernelError(Errno.ENOENT, path)
-            child = self.inode(child_ino)
-            is_last = index == len(parts) - 1
-            if child.type is InodeType.SYMLINK and (follow or not is_last):
-                prefix = "/" + "/".join(parts[:index])
-                target = child.symlink_target
-                if not target.startswith("/"):
-                    target = prefix + "/" + target
-                rest = "/".join(parts[index + 1:])
-                full = target + ("/" + rest if rest else "")
-                return self.resolve(full, euid, egid, follow, _depth + 1)
-            current = child
-        return current
+        _, _, inode = self.walk(path, euid, egid, True, follow, _depth)
+        if inode is None:
+            raise KernelError(Errno.ENOENT, path)
+        return inode
 
     def lookup_parent(
         self, path: str, euid: int = 0, egid: int = 0
     ) -> Tuple[Inode, str]:
         """Resolve the parent directory of ``path``; returns (dir, name)."""
-        dirname, basename = self.split(self.normalize(path))
-        if not basename:
+        parent, name, _ = self.walk(path, euid, egid, False, False)
+        if not name:
             raise KernelError(Errno.EINVAL, path)
-        parent = self.resolve(dirname, euid, egid)
-        if parent.type is not InodeType.DIRECTORY:
-            raise KernelError(Errno.ENOTDIR, dirname)
-        return parent, basename
+        return parent, name
 
     def exists(self, path: str) -> bool:
         try:

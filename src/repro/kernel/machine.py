@@ -17,7 +17,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.kernel.clock import IdAllocator, VirtualClock, make_rng
 from repro.kernel.errors import Errno, KernelError
-from repro.kernel.fs import FileSystem, Inode, InodeType, mode_string
+from repro.kernel.fs import (
+    FileSystem, Inode, InodeType, TreeTemplate, mode_string,
+)
 from repro.kernel.process import Credentials, OpenFileDescription, Process
 from repro.kernel.trace import (
     AuditEvent,
@@ -31,6 +33,35 @@ from repro.kernel.trace import (
 #: Default uid/gid of the unprivileged benchmark user.
 BENCH_UID = 1000
 BENCH_GID = 1000
+
+
+_DIR, _FILE = InodeType.DIRECTORY, InodeType.REGULAR
+
+#: The filesystem every boot starts from, in creation order: (path, type,
+#: mode, uid, gid, contents).
+BOOT_TREE = TreeTemplate((
+    ("/bin", _DIR, 0o755, 0, 0, b""),
+    ("/sbin", _DIR, 0o755, 0, 0, b""),
+    ("/etc", _DIR, 0o755, 0, 0, b""),
+    ("/lib", _DIR, 0o755, 0, 0, b""),
+    ("/tmp", _DIR, 0o777, 0, 0, b""),
+    ("/usr", _DIR, 0o755, 0, 0, b""),
+    ("/usr/bin", _DIR, 0o755, 0, 0, b""),
+    ("/usr/local", _DIR, 0o755, 0, 0, b""),
+    ("/usr/local/bin", _DIR, 0o755, 0, 0, b""),
+    ("/home", _DIR, 0o755, 0, 0, b""),
+    ("/home/bench", _DIR, 0o755, BENCH_UID, BENCH_GID, b""),
+    ("/dev", _DIR, 0o755, 0, 0, b""),
+    ("/var", _DIR, 0o755, 0, 0, b""),
+    ("/var/log", _DIR, 0o755, 0, 0, b""),
+    ("/etc/passwd", _FILE, 0o644, 0, 0, b"root:x:0:0::/root:/bin/sh\n"),
+    ("/etc/shadow", _FILE, 0o600, 0, 0, b"root:!:0:::::\n"),
+    ("/lib/libc.so.6", _FILE, 0o755, 0, 0, b"\x7fELF libc"),
+    ("/lib/ld-linux.so.2", _FILE, 0o755, 0, 0, b"\x7fELF ld"),
+    ("/bin/sh", _FILE, 0o755, 0, 0, b"\x7fELF bin"),
+    ("/bin/true", _FILE, 0o755, 0, 0, b"\x7fELF bin"),
+    ("/sbin/init", _FILE, 0o755, 0, 0, b"\x7fELF bin"),
+))
 
 
 @dataclass
@@ -87,7 +118,7 @@ class Machine:
         self.rng = make_rng(seed)
         self.clock = VirtualClock(self.rng)
         self.ids = IdAllocator(self.rng)
-        self.fs = FileSystem(self.ids, self.clock)
+        self.fs = FileSystem(self.ids, self.clock, BOOT_TREE)
         self.processes: Dict[int, Process] = {}
         self.pipes: Dict[int, Pipe] = {}
         self.sockets: Dict[int, SocketPair] = {}
@@ -99,7 +130,6 @@ class Machine:
         self._deferred_audit: List[AuditEvent] = []
         #: one interned snapshot per process identity (see ``_subject``)
         self._subjects: Dict[Tuple[object, ...], SubjectInfo] = {}
-        self._populate_filesystem()
         self.init_process = self._make_process(
             ppid=0, creds=Credentials.for_user(0, 0), exe="/sbin/init", comm="init"
         )
@@ -112,40 +142,6 @@ class Machine:
         self.shell.cwd = "/home/bench"
 
     # -- boot-time state -----------------------------------------------------
-
-    def _populate_filesystem(self) -> None:
-        """Build the fixed boot tree on parent inodes, with no path walks."""
-        fs = self.fs
-        directories = {"": fs.inode(fs.root_ino)}
-        for directory in (
-            "/bin", "/sbin", "/etc", "/lib", "/tmp", "/usr", "/usr/bin",
-            "/usr/local", "/usr/local/bin", "/home", "/home/bench", "/dev",
-            "/var", "/var/log",
-        ):
-            parent, _, name = directory.rpartition("/")
-            directories[directory] = fs.create_entry(
-                directories[parent], name, InodeType.DIRECTORY, 0o755, 0, 0
-            )
-        for path, data, mode in (
-            ("/etc/passwd", b"root:x:0:0::/root:/bin/sh\n", 0o644),
-            ("/etc/shadow", b"root:!:0:::::\n", 0o600),
-            ("/lib/libc.so.6", b"\x7fELF libc", 0o755),
-            ("/lib/ld-linux.so.2", b"\x7fELF ld", 0o755),
-            ("/bin/sh", b"\x7fELF bin", 0o755),
-            ("/bin/true", b"\x7fELF bin", 0o755),
-            ("/sbin/init", b"\x7fELF bin", 0o755),
-        ):
-            parent, _, name = path.rpartition("/")
-            inode = fs.create_entry(
-                directories[parent], name, InodeType.REGULAR, mode, 0, 0
-            )
-            inode.data = data
-            inode.size = len(data)
-            inode.bump_version()
-        home = directories["/home/bench"]
-        home.uid, home.gid = BENCH_UID, BENCH_GID
-        home.mode = 0o755
-        directories["/tmp"].mode = 0o777
 
     def _make_process(
         self, ppid: int, creds: Credentials, exe: str, comm: str
@@ -185,16 +181,12 @@ class Machine:
         fd: Optional[int] = None,
     ) -> ObjectInfo:
         kind = inode.type.value
+        # positional, in field order: a syscall builds several of these,
+        # and keyword arguments double a NamedTuple's construction cost
         return ObjectInfo(
-            kind=kind,
-            role=role,
-            ino=inode.ino,
-            path=path,
-            fd=fd,
-            version=inode.version,
-            mode=mode_string(kind, inode.mode),
-            uid=inode.uid,
-            gid=inode.gid,
+            kind, role, inode.ino, path, fd, inode.version,
+            None, None, None,  # pipe_id, pid, task_id
+            mode_string(kind, inode.mode), inode.uid, inode.gid,
         )
 
     def process_object(self, process: Process, role: str) -> ObjectInfo:
@@ -231,7 +223,7 @@ class Machine:
         self.seq += 1
         seq = self.seq
         time_ns = self.clock.tick()
-        rendered_args = tuple(str(a) for a in args)
+        rendered_args = tuple(map(str, args))
         # LSM hooks run *during* the call and see the pre-call subject;
         # audit and libc report at syscall exit and see the post-call
         # subject (so e.g. setuid's audit record carries the new uid).
@@ -247,48 +239,28 @@ class Machine:
                 outcome.hooks = hooks
         subject_exit = self._subject(process)
         objects = self.last_objects = tuple(outcome.objects)
+        retval = outcome.retval
+        # The events are built positionally, in field order (see
+        # ``file_object``): each call emits two, plus one per LSM hook.
         audit_event = AuditEvent(
-            seq=seq,
-            time_ns=time_ns,
-            syscall=name,
-            args=rendered_args,
-            retval=outcome.retval,
-            success=success,
-            errno=errno_name,
-            subject=subject_exit,
-            objects=objects,
+            seq, time_ns, name, rendered_args, retval, success, errno_name,
+            subject_exit, objects,
         )
         if outcome.defer_audit:
             self._deferred_audit.append(audit_event)
         else:
             self.trace.audit.append(audit_event)
-        self.trace.libc.append(
-            LibcEvent(
-                seq=seq,
-                time_ns=time_ns,
-                function=libc_function or name,
-                args=rendered_args,
-                retval=outcome.retval,
-                success=success,
-                errno=errno_name,
-                subject=subject_exit,
-                objects=objects,
-            )
-        )
+        self.trace.libc.append(LibcEvent(
+            seq, time_ns, libc_function or name, rendered_args, retval,
+            success, errno_name, subject_exit, objects,
+        ))
         for hook_name, hook_objects, details in outcome.hooks:
-            self.trace.lsm.append(
-                LsmEvent(
-                    seq=seq,
-                    time_ns=self.clock.tick(),
-                    hook=hook_name,
-                    syscall=name,
-                    success=success,
-                    subject=subject_entry,
-                    objects=tuple(hook_objects),
-                    details=tuple(sorted(details.items())),
-                )
-            )
-        return outcome.retval
+            self.trace.lsm.append(LsmEvent(
+                seq, self.clock.tick(), hook_name, name, success,
+                subject_entry, tuple(hook_objects),
+                tuple(sorted(details.items())),
+            ))
+        return retval
 
     def flush_deferred_audit(self) -> None:
         """Emit audit records held back by vfork semantics."""

@@ -76,13 +76,21 @@ class FileSyscalls:
         hooks: List[Tuple[str, List[ObjectInfo], Dict[str, str]]] = []
         created = False
         try:
-            inode = self.fs.resolve(full, creds.euid, creds.egid)
+            parent, name, inode = self.fs.walk(full, creds.euid, creds.egid)
         except KernelError as error:
             if error.errno is not Errno.ENOENT or "O_CREAT" not in flags:
                 raise error.with_context(
                     [ObjectInfo(kind="file", role="path", path=full)], hooks
                 )
+            # A missing directory on the way fails again here, with no
+            # context; a dangling final symlink's name is taken (EEXIST).
             parent, name = self.fs.lookup_parent(full, creds.euid, creds.egid)
+            inode = None
+        if inode is None:
+            if "O_CREAT" not in flags:
+                raise KernelError(Errno.ENOENT, full).with_context(
+                    [ObjectInfo(kind="file", role="path", path=full)], hooks
+                )
             parent_obj = self.file_object(parent, self.fs.split(full)[0], "dir")
             try:
                 self.fs.check_access(parent, creds.euid, creds.egid, _WANT_WRITE)
@@ -93,12 +101,9 @@ class FileSyscalls:
                 parent, name, InodeType.REGULAR, mode, creds.euid, creds.egid
             )
             created = True
-            hooks.append((
-                "inode_create",
-                [parent_obj, self.file_object(inode, full, "path")],
-                {"mode": oct(mode)},
-            ))
         file_obj = self.file_object(inode, full, "path")
+        if created:
+            hooks.append(("inode_create", [parent_obj, file_obj], {"mode": oct(mode)}))
         if inode.type is InodeType.DIRECTORY and _flags_want(flags) & _WANT_WRITE:
             raise KernelError(Errno.EISDIR, full).with_context([file_obj], hooks)
         if not created:
@@ -512,12 +517,14 @@ class FileSyscalls:
         creds = process.creds
         full = self.fs.normalize(path, process.cwd)
         hooks: List[Tuple[str, List[ObjectInfo], Dict[str, str]]] = []
-        parent, name = self.fs.lookup_parent(full, creds.euid, creds.egid)
+        parent, name, target = self.fs.walk(
+            full, creds.euid, creds.egid, search=False, follow=False
+        )
+        if not name:
+            raise KernelError(Errno.EINVAL, full)
         parent_obj = self.file_object(parent, self.fs.split(full)[0], "dir")
-        target_ino = parent.entries.get(name)
-        if target_ino is None:
+        if target is None:
             raise KernelError(Errno.ENOENT, full).with_context([parent_obj], hooks)
-        target = self.fs.inode(target_ino)
         target_obj = self.file_object(target, full, "path")
         try:
             self.fs.check_access(parent, creds.euid, creds.egid, _WANT_WRITE)

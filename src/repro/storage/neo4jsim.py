@@ -24,7 +24,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+
+
+#: the encoder of a row's properties: ``json.dumps(props, sort_keys=True)``
+#: without building an encoder per row
+_PROPS_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _props_json(props: Optional[Mapping[str, str]]) -> str:
+    return _PROPS_ENCODER.encode(dict(props)) if props else "{}"
 
 
 class Neo4jSimError(Exception):
@@ -93,17 +103,19 @@ class Neo4jSim:
         self._rel_type_index: Optional[Dict[str, List[int]]] = None
 
     # -- write path (used by the OPUS capture system) -------------------------
+    #
+    # Each row is the line ``json.dumps(record, sort_keys=True)`` writes
+    # for the record, with its keys spelled out in that sorted order: a
+    # scale128 OPUS trial writes about a thousand rows, most of them
+    # relationships without properties.
 
     def create_node(
         self, node_id: int, label: str, props: Optional[Dict[str, str]] = None
     ) -> None:
-        record = {
-            "kind": "node",
-            "id": node_id,
-            "label": label,
-            "props": dict(props or {}),
-        }
-        self._log.append(json.dumps(record, sort_keys=True))
+        self._log.append(
+            f'{{"id": {node_id}, "kind": "node", '
+            f'"label": {_json_string(label)}, "props": {_props_json(props)}}}'
+        )
 
     def create_relationship(
         self,
@@ -113,15 +125,11 @@ class Neo4jSim:
         rel_type: str,
         props: Optional[Dict[str, str]] = None,
     ) -> None:
-        record = {
-            "kind": "rel",
-            "id": rel_id,
-            "start": start,
-            "end": end,
-            "type": rel_type,
-            "props": dict(props or {}),
-        }
-        self._log.append(json.dumps(record, sort_keys=True))
+        self._log.append(
+            f'{{"end": {end}, "id": {rel_id}, "kind": "rel", '
+            f'"props": {_props_json(props)}, "start": {start}, '
+            f'"type": {_json_string(rel_type)}}}'
+        )
 
     # -- session lifecycle ------------------------------------------------------
 

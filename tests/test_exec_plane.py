@@ -409,6 +409,19 @@ def test_thread_slot_drain_runs_the_queue_dry():
     manager.shutdown(wait=False)
 
 
+def test_a_drain_wakes_idle_thread_slots():
+    # an idle slot parks in the queue's wait for up to a poll interval;
+    # a drain rouses it instead of sleeping that out
+    manager = FleetJobManager(None, workers=2, poll_interval=60)
+    threads = [slot._thread for slot in manager.supervisor._procs]
+    assert len(threads) == 2
+    assert manager.drain(10) is True
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert manager.supervisor.alive_workers() == 0
+
+
 class BeatingService:
     """A duck-typed service whose runs pass stage boundaries until a
     gate opens, so a cancel request stops them."""

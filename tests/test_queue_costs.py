@@ -16,6 +16,9 @@ runner without a wall clock:
   token, per claim);
 * one ``/v1/metrics`` render over a fleet spool of N finished jobs
   parses 2N records (the ``jobs`` and ``sched`` gauges), not 3N;
+* one ``GET /v1/health`` over N finished jobs parses at most N records
+  (the state counts come from the pass that builds the sched stats; a
+  second pass for them parsed 2N);
 * a quota-bounded submit over a spool of N finished jobs parses no
   finished record (admission reads the jobs named in ``pending/`` and
   ``leases/``), and a refused one parses at most the 32 most recently
@@ -24,10 +27,15 @@ runner without a wall clock:
 
 from __future__ import annotations
 
+import json
+import threading
+import urllib.request
+
 import pytest
 
 from repro.api import BenchmarkService, RunRequest
 from repro.api.errors import QuotaExceededError
+from repro.api.http import make_server
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.remote import RemoteQueue
 from repro.exec import FleetJobManager, JobQueue
@@ -138,6 +146,34 @@ def test_metrics_render_parses_each_record_twice(tmp_path, monkeypatch):
         assert reference.render() == rendered
         assert len(reads) == 3 * finished
         assert rendered["gauges"]["sched_promotions_total"] == finished
+
+
+def test_health_poll_parses_each_record_once(tmp_path, monkeypatch):
+    finished = 20
+    with FleetJobManager(tmp_path, workers=0) as manager:
+        # no supervisor eviction pass (it parses every record) mid-count
+        monkeypatch.setattr(manager.supervisor, "EVICT_EVERY", 10**9)
+        queue = manager.queue
+        for _ in range(finished):
+            job_id = submit(queue)
+            queue.claim("w0.g1")
+            queue.complete(job_id, result={"ok": True})
+        server = make_server(BenchmarkService(jobs=manager), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            reads = count_record_reads(monkeypatch)
+            url = f"http://{host}:{port}/v1/health"
+            with urllib.request.urlopen(url, timeout=30) as resp:
+                health = json.loads(resp.read())
+            parsed = len(reads)
+        finally:
+            server.shutdown()
+            server.server_close()
+    assert health["jobs"]["total"] == health["jobs"]["done"] == finished
+    assert health["sched"]["classes"]
+    assert parsed <= finished  # was 2N
 
 
 def test_quota_admission_parses_no_finished_record(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Embedded Neo4j-substitute store tests."""
 
+import json
+
 import pytest
 
 from repro.storage.neo4jsim import Neo4jSim, Neo4jSimError
@@ -191,6 +193,24 @@ class TestBatchedSession:
 
 
 class TestPersistence:
+    @pytest.mark.parametrize("props", [
+        None, {}, {"pid": "42"}, {"z": "1", "a": "é\"\\\n", "m": ""},
+    ])
+    @pytest.mark.parametrize("label", ["Process", "Glo\"bal ü\u2603"])
+    def test_rows_are_the_sorted_json_dumps_of_their_records(
+        self, label, props
+    ):
+        store = Neo4jSim()
+        store.create_node(12, label, props)
+        store.create_relationship(10**9, 7, 123456, label, props)
+        node = {"kind": "node", "id": 12, "label": label,
+                "props": dict(props or {})}
+        rel = {"kind": "rel", "id": 10**9, "start": 7, "end": 123456,
+               "type": label, "props": dict(props or {})}
+        assert store.dump_log().split("\n") == [
+            json.dumps(node, sort_keys=True), json.dumps(rel, sort_keys=True),
+        ]
+
     def test_log_roundtrip(self, store):
         text = store.dump_log()
         clone = Neo4jSim.from_log(text)
