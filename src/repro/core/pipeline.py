@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.capture import CaptureSystem, make_capture
 from repro.capture.registry import tool_profile
@@ -130,15 +130,28 @@ class ProvMark:
         return self._store
 
     def run_benchmark(self, benchmark: Union[str, Program]) -> BenchmarkResult:
-        """Run the full four-stage pipeline for one benchmark."""
+        """Run the full four-stage pipeline for one benchmark.
+
+        With a store, each store file that gained a section is written
+        once, at the end, also when a stage error, the deadline or a
+        cancellation stopped the run: what was computed is kept.
+        """
         program = (
             benchmark if isinstance(benchmark, Program)
             else get_benchmark(benchmark)
         )
-        store = self.artifact_store()
-        ctx = self._make_context(program, store)
-        if store is not None and self.config.resume and self.config.cache:
-            resumed = self._load_stored_result(store, ctx)
+        ctx = self._make_context(program, self.artifact_store())
+        completed = False
+        try:
+            result = self._run(ctx)
+            completed = True
+        finally:
+            ctx.publish(quiet=not completed)
+        return result
+
+    def _run(self, ctx: RunContext) -> BenchmarkResult:
+        if ctx.store is not None and self.config.resume and self.config.cache:
+            resumed = self._load_stored_result(ctx)
             if resumed is not None:
                 return resumed
         self.pipeline.run(ctx)
@@ -147,10 +160,8 @@ class ProvMark:
             if ctx.failure is not None
             else self._success_result(ctx)
         )
-        if store is not None:
-            store.save(
-                RESULT_STAGE, self._result_material(ctx), result.to_payload()
-            )
+        if ctx.store is not None:
+            ctx.keep(None, RESULT_STAGE, result.to_payload())
         return result
 
     # -- context / result assembly -----------------------------------------
@@ -182,13 +193,8 @@ class ProvMark:
             traces=self.traces,
         )
 
-    def _result_material(self, ctx: RunContext) -> Dict[str, object]:
-        material = dict(ctx.key_material())
-        material["stage"] = RESULT_STAGE
-        return material
-
     def _load_stored_result(
-        self, store: ArtifactStore, ctx: RunContext
+        self, ctx: RunContext
     ) -> Optional[BenchmarkResult]:
         """The ``--resume`` fast path: replay a completed benchmark.
 
@@ -197,15 +203,14 @@ class ProvMark:
         are rewritten to this run's view — every stage was served from
         the store, none recomputed.
         """
-        material = self._result_material(ctx)
-        payload = store.load(RESULT_STAGE, material)
+        payload = ctx.stored(None, RESULT_STAGE)
         if payload is None:
             return None
         try:
             result = BenchmarkResult.from_payload(payload)
         except PAYLOAD_ERRORS:
             # A result payload from an incompatible format: recompute.
-            store.reject(RESULT_STAGE, material)
+            ctx.reject(None, RESULT_STAGE)
             return None
         result.timings.store_hits = len(self.pipeline.stages)
         result.timings.store_misses = 0

@@ -6,18 +6,21 @@ inputs and outputs, operating on a shared :class:`RunContext`.  A
 :class:`Pipeline` wires them together, owns per-stage wall-clock timing,
 and transparently checks each stage against the persistent
 :class:`~repro.storage.artifacts.ArtifactStore` when one is configured:
-a stage whose key has a stored artifact is *restored* instead of
-recomputed, with hit/miss counters recorded in
+a stage whose section is stored is *restored* instead of recomputed,
+with hit/miss counters recorded in
 :class:`~repro.core.result.StageTimings`.
 
 Recording, transformation and generalization handle the foreground and
 the background program separately (paper §3.2–3.4), so each variant has
-its own artifact, keyed by (variant, tool, resolved config, seed,
-stage): what that variant's trials execute, not the benchmark's name.
-Benchmarks that share a background — the 44 Table 2 benchmarks have
-five — record, transform and generalize it once per store.  Comparison
-and the final result are keyed by (benchmark, tool, resolved config,
-seed, stage).
+its own store file, keyed by (variant, tool, resolved config, seed),
+holding one section per stage: what that variant's trials execute, not
+the benchmark's name.  Benchmarks that share a background — the 44
+Table 2 benchmarks have five — record, transform and generalize it once
+per store.  Comparison and the final result are sections of the run's
+file, keyed by (benchmark, tool, resolved config, seed).  A run reads
+each file at most once, keeps its sections on the :class:`RunContext`,
+and :meth:`RunContext.publish` writes each file that gained a section
+once, at the end of the run.
 
 Restored stages are exact replays: graph payloads preserve element
 insertion order, and each solver-using stage stores the solver-counter
@@ -39,7 +42,9 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.capture.base import CaptureSystem
 from repro.core.compare import ComparisonError, ComparisonOutcome, compare
@@ -64,12 +69,17 @@ from repro.storage.artifacts import (
 )
 from repro.suite.program import Program
 
-#: stage name under which the driver stores assembled BenchmarkResults
+#: the run file's section holding the assembled BenchmarkResult
 #: (consulted by ``provmark batch --resume``)
 RESULT_STAGE = "result"
 
 #: the program variants, named as per-variant payloads key them
 FOREGROUND, BACKGROUND = "fg", "bg"
+
+#: The store files a run reads and writes, by what their key covers: a
+#: variant's (its recording, transformation and generalization
+#: sections) and the run's (its comparison and result sections).
+VARIANT_FILE, RUN_FILE = "variant", "run"
 
 #: The per-variant stages by name, each with the order it handles the
 #: variants in: recording runs the background first (the order its
@@ -198,26 +208,33 @@ class RunContext:
     _key_material: Dict[Optional[str], Dict[str, object]] = field(
         default_factory=dict, repr=False
     )
+    #: the store file sections of each key read or computed so far (a
+    #: variant, or None for the run), by stage, and the keys that gained
+    #: a section this run (see :meth:`publish`)
+    _sections: Dict[Optional[str], Dict[str, object]] = field(
+        default_factory=dict, repr=False
+    )
+    _gained: Set[Optional[str]] = field(default_factory=set, repr=False)
 
     def key_material(
         self, variant: Optional[str] = None
     ) -> Dict[str, object]:
-        """What an artifact key hashes over: the run's or one variant's.
+        """What a store file's key hashes over: the run's or one variant's.
 
         Both cover the capture backend (class + config repr + output
         format) and every resolved pipeline knob that can change a
         stage's output.  The run's identity (``variant=None``, keying
-        comparison and the final result) adds the benchmark program by
-        content as well as name — a custom ``Program`` with the same
-        name keys differently — and both pair policies.  A variant's
-        identity (``"fg"``/``"bg"``, keying recording, transformation
-        and generalization) adds only :meth:`Program.variant`, which is
-        everything that variant's trials execute, and that variant's
-        pair policy, so benchmarks that share a background share its
-        artifacts.  Parallelism and store settings are deliberately
-        excluded: they cannot change results.  The keys rely on seeded
-        determinism — drivers must not offer the store to a run without
-        a seed.
+        the run file: comparison and the final result) adds the
+        benchmark program by content as well as name — a custom
+        ``Program`` with the same name keys differently — and both pair
+        policies.  A variant's identity (``"fg"``/``"bg"``, keying that
+        variant's file: recording, transformation and generalization)
+        adds only :meth:`Program.variant`, which is everything that
+        variant's trials execute, and that variant's pair policy, so
+        benchmarks that share a background share its file.  Parallelism
+        and store settings are deliberately excluded: they cannot change
+        results.  The keys rely on seeded determinism — drivers must not
+        offer the store to a run without a seed.
         """
         material = self._key_material.get(variant)
         if material is not None:
@@ -252,6 +269,60 @@ class RunContext:
             )
         self._key_material[variant] = material
         return material
+
+    # -- store sections ----------------------------------------------------
+
+    def stored(self, key: Optional[str], stage: str) -> Optional[object]:
+        """The stored ``stage`` section of ``key``'s file, or None.
+
+        The file is read on first use, at most once per run, and not at
+        all without a store or with ``use_cache`` off.
+        """
+        if self.store is None or not self.use_cache:
+            return None
+        sections = self._sections.get(key)
+        if sections is None:
+            kind = RUN_FILE if key is None else VARIANT_FILE
+            payload = self.store.load(kind, self.key_material(key))
+            if payload is not None and not isinstance(payload, dict):
+                self.store.stats.invalid += 1
+                payload = None
+            sections = self._sections[key] = dict(payload or {})
+        return sections.get(stage)
+
+    def reject(self, key: Optional[str], stage: str) -> None:
+        """Drop a stored section its reader could not decode; it counts
+        invalid, and the recomputed section replaces it on disk."""
+        del self._sections[key][stage]
+        self.store.stats.invalid += 1
+
+    def keep(self, key: Optional[str], stage: str, payload: object) -> None:
+        """Hold a computed section of ``key``'s file for :meth:`publish`
+        (without a store, there is nothing to keep)."""
+        if self.store is not None:
+            self._sections.setdefault(key, {})[stage] = payload
+            self._gained.add(key)
+
+    def publish(self, quiet: bool = False) -> None:
+        """Write each file that gained a section, once, with every
+        section it holds; a file only restored is not rewritten.
+
+        ``quiet`` skips a file whose write fails, for a run that is
+        already failing: that error is the one to report.
+        """
+        for key, sections in self._sections.items():
+            if key not in self._gained:
+                continue
+            try:
+                self.store.save(
+                    RUN_FILE if key is None else VARIANT_FILE,
+                    self.key_material(key), sections,
+                    sections=tuple(sections),
+                )
+            except OSError:
+                if not quiet:
+                    raise
+        self._gained.clear()
 
 
 def _solver_delta_payload(before: SolverStats) -> Dict[str, int]:
@@ -298,7 +369,8 @@ class Stage(abc.ABC):
 
     A stage named in :data:`VARIANT_ORDER` is *per-variant*: its
     payloads map variant names (``"fg"``/``"bg"``) to that variant's
-    own payload, and the pipeline stores each under the variant's key.
+    own payload, and the pipeline stores each as that variant's section
+    for the stage.
     ``run`` computes just the variants in ``ctx.variants``, in order,
     and returns their payloads; a :class:`StageFailure` it raises
     carries the payloads of the variants computed before it plus the
@@ -618,46 +690,41 @@ class Pipeline:
 
         The units of a per-variant stage are its variants, in
         :data:`VARIANT_ORDER`; any other stage is one unit, the run.
-        Each unit is restored from its own artifact when the store holds
-        one its ``restore`` accepts; the units missing before it are
-        computed first, together in one ``run`` call.  A stored failure
-        thus surfaces only once every earlier unit is restored or
-        computed, as in a full computation.  The stage counts one store
-        hit when every unit was restored, one miss otherwise.
+        Each unit is restored from its store file's section for the
+        stage when it holds one its ``restore`` accepts; the units
+        missing before it are computed first, together in one ``run``
+        call.  A stored failure thus surfaces only once every earlier
+        unit is restored or computed, as in a full computation.  The
+        stage counts one store hit when every unit was restored, one
+        miss otherwise.
         """
-        variants = VARIANT_ORDER.get(stage.name)
-        units: Tuple[Optional[str], ...] = variants or (None,)
-        store = ctx.store
-        materials: Dict[Optional[str], Dict[str, object]] = {}
-        if store is not None:
-            for unit in units:
-                materials[unit] = dict(ctx.key_material(unit), stage=stage.name)
+        units: Tuple[Optional[str], ...] = (
+            VARIANT_ORDER.get(stage.name) or (None,)
+        )
         pending: List[Optional[str]] = []
         missed = False
         try:
             for unit in units:
-                payload = None
-                if store is not None and ctx.use_cache:
-                    payload = store.load(stage.name, materials[unit])
+                payload = ctx.stored(unit, stage.name)
                 if payload is None:
                     pending.append(unit)
                     continue
                 if pending:
                     missed = True
-                    cls._compute(stage, ctx, pending, materials)
+                    cls._compute(stage, ctx, pending)
                     pending = []
                 try:
                     stage.restore(
                         ctx, payload if unit is None else {unit: payload}
                     )
                 except PAYLOAD_ERRORS:
-                    store.reject(stage.name, materials[unit])
+                    ctx.reject(unit, stage.name)
                     pending.append(unit)
             if pending:
                 missed = True
-                cls._compute(stage, ctx, pending, materials)
+                cls._compute(stage, ctx, pending)
         finally:
-            if store is not None:
+            if ctx.store is not None:
                 if missed:
                     ctx.timings.store_misses += 1
                 else:
@@ -665,31 +732,28 @@ class Pipeline:
 
     @staticmethod
     def _compute(
-        stage: Stage,
-        ctx: RunContext,
-        units: List[Optional[str]],
-        materials: Dict[Optional[str], Dict[str, object]],
+        stage: Stage, ctx: RunContext, units: List[Optional[str]]
     ) -> None:
-        """Run ``stage`` for ``units``; store what it computed, failures
-        included, each under its unit's key."""
+        """Run ``stage`` for ``units``; keep what it computed, failures
+        included, as each unit's section for the stage."""
         per_variant = units[0] is not None
         if per_variant:
             ctx.variants = tuple(units)
 
-        def save(payload: Optional[Dict[str, object]]) -> None:
-            if not materials or payload is None:
+        def keep(payload: Optional[Dict[str, object]]) -> None:
+            if payload is None:
                 return
-            for unit, stored in (
+            for unit, section in (
                 payload.items() if per_variant else [(None, payload)]
             ):
-                ctx.store.save(stage.name, materials[unit], stored)
+                ctx.keep(unit, stage.name, section)
 
         try:
             payload = stage.run(ctx)
         except StageFailure as failure:
-            save(failure.payload)
+            keep(failure.payload)
             raise
-        save(payload)
+        keep(payload)
 
 
 def default_pipeline() -> Pipeline:

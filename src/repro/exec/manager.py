@@ -365,14 +365,14 @@ class FleetJobManager:
         """Cancel every active job (queued ones now, running ones at
         their next stage boundary), stop the fleet, then finalize any
         cancellation the slots did not get to observe."""
-        for record in self.queue.records():
+        for record in self.queue.live_records():
             if record.get("state") not in TERMINAL_STATES:
                 try:
                     self.queue.cancel(str(record["job_id"]))
                 except Exception:  # noqa: BLE001 — best-effort sweep
                     pass
         self.supervisor.stop()
-        for record in self.queue.records():
+        for record in self.queue.live_records():
             if record.get("state") not in TERMINAL_STATES:
                 self.queue.mark_cancelled(str(record["job_id"]))
 

@@ -151,14 +151,11 @@ def _write_json_atomic(path: Path, payload: Dict[str, object]) -> None:
 
 
 def _read_json(path: Path) -> Optional[Dict[str, object]]:
-    """Best-effort read: None for missing, torn, or non-object payloads."""
+    """Best-effort read: None for missing, torn, undecodable, or
+    non-object payloads."""
     try:
-        text = path.read_text()
-    except OSError:
-        return None
-    try:
-        payload = json.loads(text)
-    except ValueError:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):
         return None
     return payload if isinstance(payload, dict) else None
 

@@ -377,6 +377,10 @@ def load_scheduler_config(path: Union[str, Path]) -> SchedulerConfig:
         raise ValidationError(
             f"cannot read scheduler config {path}: {exc}"
         ) from exc
+    except ValueError as exc:  # bytes that are not UTF-8
+        raise ValidationError(
+            f"scheduler config {path} is not valid JSON: {exc}"
+        ) from exc
     try:
         payload = json.loads(text)
     except ValueError as exc:

@@ -3,13 +3,17 @@
 Every pipeline stage output — trial recordings, transformed property
 graphs, generalized graphs, comparison targets, final benchmark results —
 can be serialized to a JSON payload and persisted here, addressed by a
-stable key over the stage and what produced it: one program variant
-(its binary, tool, resolved config and seed) for recording,
-transformation and generalization, the whole run (benchmark, tool,
-resolved config, seed) for comparison and the final result.  Later runs
-with the same key reuse the stored artifact instead of recomputing the
-stage, which makes repeated sweeps near-free, lets benchmarks that share
-a background share its artifacts, and makes ``provmark batch``
+stable key over what produced it.  The pipeline keeps one file per key,
+each holding one section per stage: a *variant* file per program
+variant (its binary, tool, resolved config and seed) holds that
+variant's recording, transformation and generalization, and a *run*
+file per run (benchmark, tool, resolved config, seed) holds its
+comparison and final result.  A run reads each of its keys once and
+writes each key that gained a section once, so a cold run creates two
+or three files, not one per stage and variant.  Later runs with the
+same key reuse the stored sections instead of recomputing the stages,
+which makes repeated sweeps near-free, lets benchmarks that share a
+background share its variant file, and makes ``provmark batch``
 resumable.
 
 Design points:
@@ -20,13 +24,14 @@ Design points:
 * **Atomic writes.** Payloads are written to a unique temporary file and
   ``os.replace``d into place, so concurrent writers (a fleet's worker
   processes) and killed runs can never publish a half-written artifact
-  under the final name.
-* **Corruption tolerance.** A truncated, unparsable, or mismatched
-  artifact is treated as a miss: it is counted, best-effort deleted, and
-  the stage recomputes.  The store never raises on bad cache contents,
-  and a payload that parses but that its reader rejects (one raising
-  :data:`PAYLOAD_ERRORS`) goes the same way through
-  :meth:`ArtifactStore.reject`.
+  under the final name.  Concurrent writers of one key race whole
+  files: the last one wins, and each holds correct sections.
+* **Corruption tolerance.** A truncated, unparsable, undecodable or
+  mismatched artifact is treated as a miss: it is counted, best-effort
+  deleted, and the stages recompute.  The store never raises on bad
+  cache contents, and a section that parses but that its reader
+  rejects (one raising :data:`PAYLOAD_ERRORS`) is counted invalid and
+  recomputed, and the file republished without it.
 
 The payload codecs for the graph/raw-output value types live here too, so
 every stage serializes through one vocabulary.
@@ -41,14 +46,14 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Container, Dict, Mapping, Optional, Union
+from typing import Container, Dict, Mapping, Optional, Sequence, Union
 
 from repro.graph.model import PropertyGraph
 from repro.storage.neo4jsim import Neo4jSim
 
 #: bump when payload formats change incompatibly; old artifacts then
 #: read as misses instead of deserializing garbage
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: Process-wide fault-injection gate adopted by new stores (see
 #: ``ArtifactStore.__init__``).  Worker processes under chaos testing
@@ -109,7 +114,8 @@ class StoreStats:
     hits: int = 0
     misses: int = 0
     writes: int = 0
-    #: corrupt/partial artifacts discarded and recomputed
+    #: corrupt/partial artifacts discarded, and sections of a read file
+    #: their reader rejected, all recomputed
     invalid: int = 0
 
     def as_row(self) -> Dict[str, int]:
@@ -125,9 +131,11 @@ class ArtifactStore:
     """An on-disk artifact store rooted at a directory.
 
     Layout: ``root/<stage>/<digest>.json`` where ``digest`` is
-    :func:`canonical_key` of the stage's key material.  Each file wraps
-    its payload with the store version and the stage name so a version
-    bump or a mis-filed artifact invalidates cleanly.
+    :func:`canonical_key` of the key material, and ``stage`` names
+    what the file holds (the pipeline's ``variant`` and ``run`` files,
+    the ``spec`` and ``response`` stages).  Each file wraps its payload
+    with the store version and the stage name so a version bump or a
+    mis-filed artifact invalidates cleanly.
     """
 
     #: temp files older than this on store open are orphans of killed
@@ -174,12 +182,7 @@ class ArtifactStore:
         """Return the stored payload, or ``None`` on miss/corruption."""
         path = self.path_for(stage, material)
         try:
-            text = path.read_text()
-        except OSError:
-            self.stats.misses += 1
-            return None
-        try:
-            wrapper = json.loads(text)
+            wrapper = json.loads(path.read_text())
             if not isinstance(wrapper, dict):
                 raise ValueError("artifact wrapper must be an object")
             if wrapper.get("version") != STORE_VERSION:
@@ -187,36 +190,32 @@ class ArtifactStore:
             if wrapper.get("stage") != stage:
                 raise ValueError("stage mismatch")
             payload = wrapper["payload"]
+        except OSError:
+            self.stats.misses += 1
+            return None
         except (ValueError, KeyError):
-            # Truncated write, garbage, or a format from another life:
-            # drop it and recompute.
-            self._discard(path)
+            # Truncated write, undecodable bytes, garbage, or a format
+            # from another life: drop it and recompute.
+            self.stats.invalid += 1
+            self.stats.misses += 1
+            try:
+                path.unlink()
+            except OSError:
+                pass
             return None
         self.stats.hits += 1
         return payload
 
-    def reject(self, stage: str, material: Mapping[str, object]) -> None:
-        """Discard a loaded payload that its reader could not decode.
-
-        :meth:`load` counted it a hit.  It is counted invalid and a miss
-        instead, and deleted, like any other corrupt artifact, so the
-        caller recomputes it.
-        """
-        self.stats.hits -= 1
-        self._discard(self.path_for(stage, material))
-
-    def _discard(self, path: Path) -> None:
-        self.stats.invalid += 1
-        self.stats.misses += 1
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
     def save(
-        self, stage: str, material: Mapping[str, object], payload: object
+        self, stage: str, material: Mapping[str, object], payload: object,
+        sections: Sequence[str] = (),
     ) -> Path:
-        """Atomically persist ``payload`` under the stage/material key."""
+        """Atomically persist ``payload`` under the stage/material key.
+
+        ``sections`` names the stage sections a grouped payload carries;
+        the fault gate is consulted once per section, under its name
+        (once, under ``stage``, when there are none).
+        """
         path = self.path_for(stage, material)
         path.parent.mkdir(parents=True, exist_ok=True)
         wrapper = {
@@ -234,7 +233,8 @@ class ArtifactStore:
         if self.fault_gate is not None:
             # may publish a torn artifact under the final name and raise
             # (the injected mid-write crash the load() path must survive)
-            self.fault_gate.on_store_write(stage, path, blob)
+            for name in sections or (stage,):
+                self.fault_gate.on_store_write(name, path, blob)
         write_text_atomic(path, blob)
         self.stats.writes += 1
         return path

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.graph.model import PropertyGraph
@@ -52,3 +55,18 @@ def make_chain(length: int, label: str = "N", gid: str = "chain") -> PropertyGra
     for i in range(length - 1):
         graph.add_edge(f"e{i}", f"n{i}", f"n{i+1}", "next")
     return graph
+
+
+def stage_files(store: Path, stage: str):
+    """``(path, wrapper)`` of every variant or run file in an artifact
+    store that holds a ``stage`` section (``wrapper["payload"][stage]``):
+    variant files hold recording, transformation and generalization, run
+    files comparison and the result."""
+    found = []
+    for kind in ("variant", "run"):
+        for path in sorted((store / kind).glob("*.json")):
+            wrapper = json.loads(path.read_text())
+            if stage in wrapper["payload"]:
+                found.append((path, wrapper))
+    assert found, f"no stored file holds a {stage!r} section"
+    return found

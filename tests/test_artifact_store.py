@@ -20,6 +20,7 @@ from repro.storage.artifacts import (
     graph_from_payload,
     graph_to_payload,
 )
+from tests.conftest import stage_files
 
 MATERIAL = {
     "program": {"name": "open", "fingerprint": "Program(...)"},
@@ -48,6 +49,24 @@ def results_identical(a: BenchmarkResult, b: BenchmarkResult) -> bool:
         and a.timings.solver_row() == b.timings.solver_row()
         and a.timings.virtual_recording == b.timings.virtual_recording
     )
+
+
+def write_version_1(store: Path) -> None:
+    """Turn a store into what version 1 wrote: one file per stage and
+    key, beside the grouped files, which are marked version 1 too."""
+    for kind in ("variant", "run"):
+        for path in sorted((store / kind).glob("*.json")):
+            wrapper = json.loads(path.read_text())
+            for stage, section in wrapper["payload"].items():
+                material = dict(wrapper["key"], stage=stage)
+                old = store / stage / f"{canonical_key(material)}.json"
+                old.parent.mkdir(exist_ok=True)
+                old.write_text(json.dumps({
+                    "version": 1, "stage": stage, "key": material,
+                    "payload": section,
+                }))
+            wrapper["version"] = 1
+            path.write_text(json.dumps(wrapper))
 
 
 class TestKeys:
@@ -130,6 +149,30 @@ class TestStoreIO:
         path.write_text(json.dumps(wrapper))
         assert store.load("recording", MATERIAL) is None
 
+    def test_undecodable_bytes_are_a_miss(self, tmp_path):
+        """Bytes that are not UTF-8 read as corruption, not a crash."""
+        store = ArtifactStore(tmp_path)
+        path = store.save("recording", MATERIAL, {"x": 1})
+        path.write_bytes(b'{"a": "\xff"}')
+        assert store.load("recording", MATERIAL) is None
+        assert store.stats.invalid == 1
+        assert not path.exists()
+
+    def test_sections_each_consult_the_fault_gate(self, tmp_path):
+        """A grouped write asks the gate once per section it carries,
+        under the section's stage name."""
+        seen = []
+
+        class Gate:
+            def on_store_write(self, stage, path, blob):
+                seen.append(stage)
+
+        store = ArtifactStore(tmp_path, fault_gate=Gate())
+        store.save("variant", MATERIAL, {"recording": 1, "transformation": 2},
+                   sections=("recording", "transformation"))
+        store.save("spec", MATERIAL, {"x": 1})
+        assert seen == ["recording", "transformation", "spec"]
+
     def test_stage_mismatch_is_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
         path = store.save("recording", MATERIAL, {"x": 1})
@@ -207,8 +250,9 @@ class TestWarmRuns:
 
     def test_corrupted_stage_artifact_recomputed(self, tmp_path):
         cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
-        for path in (tmp_path / "generalization").glob("*.json"):
-            path.write_text("{ truncated")
+        for path, wrapper in stage_files(tmp_path, "generalization"):
+            wrapper["payload"]["generalization"] = "{ truncated"
+            path.write_text(json.dumps(wrapper))
         warm = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
         assert results_identical(cold, warm)
         assert warm.timings.store_hits == 3
@@ -245,13 +289,46 @@ class TestWarmRuns:
         assert result.timings.store_misses == 0
         assert not any(tmp_path.rglob("*.json"))
 
+    def test_torn_variant_file_recomputes_its_three_stages(self, tmp_path):
+        """A variant file cut short (a mid-write crash) is a miss for all
+        three of its stages: they are recomputed, identically."""
+        cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        path, _ = stage_files(tmp_path, "recording")[0]
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        provmark = ProvMark(config=spade_config(tmp_path))
+        warm = provmark.run_benchmark("open")
+        assert results_identical(cold, warm)
+        assert warm.timings.store_row() == {
+            "store_hits": 1, "store_misses": 3,
+        }
+        assert provmark.artifact_store().stats.invalid == 1
+        again = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        assert results_identical(cold, again)
+        assert again.timings.store_hits == 4  # republished whole
+
+    def test_store_in_the_per_stage_layout_reads_as_misses(self, tmp_path):
+        """A store written one file per stage and key (store version 1)
+        serves nothing: every stage recomputes, identically."""
+        cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        for resume in (False, True):
+            write_version_1(tmp_path)
+            result = ProvMark(
+                config=spade_config(tmp_path, resume=resume)
+            ).run_benchmark("open")
+            assert results_identical(cold, result)
+            assert result.timings.store_row() == {
+                "store_hits": 0, "store_misses": 4,
+            }
+
     def test_decodable_but_malformed_artifact_recomputed(self, tmp_path):
         """Valid JSON wrapper, payload the codecs reject (e.g. written
         by another code version): recompute, don't crash."""
         cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
-        for path in (tmp_path / "transformation").glob("*.json"):
-            wrapper = json.loads(path.read_text())
-            wrapper["payload"] = {"fg": [{"gid": "x"}], "bg": []}
+        for path, wrapper in stage_files(tmp_path, "transformation"):
+            wrapper["payload"]["transformation"] = {
+                "fg": [{"gid": "x"}], "bg": [],
+            }
             path.write_text(json.dumps(wrapper))
         warm = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
         assert results_identical(cold, warm)
@@ -262,9 +339,8 @@ class TestWarmRuns:
         """Payload fields of the wrong JSON type (string where a dict is
         expected) must read as corruption, not raise AttributeError."""
         cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
-        for path in (tmp_path / "generalization").glob("*.json"):
-            wrapper = json.loads(path.read_text())
-            wrapper["payload"]["solver"] = "garbage"
+        for path, wrapper in stage_files(tmp_path, "generalization"):
+            wrapper["payload"]["generalization"]["solver"] = "garbage"
             path.write_text(json.dumps(wrapper))
         warm = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
         assert results_identical(cold, warm)
@@ -273,32 +349,33 @@ class TestWarmRuns:
     def test_invalid_payload_not_counted_as_store_hit(self, tmp_path):
         provmark = ProvMark(config=spade_config(tmp_path))
         provmark.run_benchmark("open")
-        for path in (tmp_path / "transformation").glob("*.json"):
-            wrapper = json.loads(path.read_text())
-            wrapper["payload"] = {"fg": "nope", "bg": []}
+        for path, wrapper in stage_files(tmp_path, "transformation"):
+            wrapper["payload"]["transformation"] = {"fg": "nope", "bg": []}
             path.write_text(json.dumps(wrapper))
         warm = ProvMark(config=spade_config(tmp_path))
-        warm.run_benchmark("open")
+        result = warm.run_benchmark("open")
         stats = warm.artifact_store().stats
-        assert stats.invalid == 2  # both variants' transformation artifacts
-        # the genuinely served artifacts only: recording and
-        # generalization per variant, and comparison
-        assert stats.hits == 5
+        assert stats.invalid == 2  # both variants' transformation sections
+        # the files read (both variants' and the run's); a rejected
+        # section counts invalid, and its stage a miss, never a hit
+        assert stats.hits == 3
+        assert result.timings.store_row() == {
+            "store_hits": 3, "store_misses": 1,
+        }
 
     def test_short_recording_recomputed_not_cached_as_failure(self, tmp_path):
         """A stored recording with too few trials must read as a miss:
         restored, it would fail generalization ("need at least two trial
         graphs") and that failure would be stored for every later run."""
         cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
-        for path in (tmp_path / "recording").glob("*.json"):
-            wrapper = json.loads(path.read_text())
-            if wrapper["payload"][0]["foreground"]:
-                wrapper["payload"] = wrapper["payload"][:1]
-                path.write_text(json.dumps(wrapper))
-        for stage in ("transformation", "generalization", "comparison",
-                      "result"):
-            for path in (tmp_path / stage).glob("*.json"):
-                path.unlink()
+        for path, wrapper in stage_files(tmp_path, "recording"):
+            sections = wrapper["payload"]
+            if sections["recording"][0]["foreground"]:
+                sections["recording"] = sections["recording"][:1]
+            del sections["transformation"], sections["generalization"]
+            path.write_text(json.dumps(wrapper))
+        for path in (tmp_path / "run").glob("*.json"):
+            path.unlink()
         provmark = ProvMark(config=spade_config(tmp_path))
         warm = provmark.run_benchmark("open")
         assert results_identical(cold, warm)
@@ -313,9 +390,8 @@ class TestWarmRuns:
 
     def test_malformed_result_artifact_under_resume(self, tmp_path):
         cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
-        for path in (tmp_path / "result").glob("*.json"):
-            wrapper = json.loads(path.read_text())
-            wrapper["payload"]["target_graph"] = {"gid": "broken"}
+        for path, wrapper in stage_files(tmp_path, "result"):
+            wrapper["payload"]["result"]["target_graph"] = {"gid": "broken"}
             path.write_text(json.dumps(wrapper))
         resumed = ProvMark(
             config=spade_config(tmp_path, resume=True)
@@ -359,8 +435,9 @@ class TestResume:
 
     def test_resume_ignores_corrupt_result_artifact(self, tmp_path):
         cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
-        for path in (tmp_path / "result").glob("*.json"):
-            path.write_text('{"version": 1, "stage": "result", "payload": {}}')
+        for path, wrapper in stage_files(tmp_path, "result"):
+            wrapper["payload"]["result"] = {}
+            path.write_text(json.dumps(wrapper))
         resumed = ProvMark(
             config=spade_config(tmp_path, resume=True)
         ).run_benchmark("open")

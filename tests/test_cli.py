@@ -74,6 +74,18 @@ class TestCommands:
         assert code == 0
         assert out.count("/spade:") == 2
 
+    def test_batch_warm_store_serves_every_stage(self, tmp_path, capsys):
+        """The CI store smoke: a second ``batch`` over the same store,
+        through a fresh service and store, restores all four stages."""
+        argv = ["batch", "--benchmarks", "open", "--tool", "spade",
+                "--seed", "5", "--store", str(tmp_path / "store")]
+        assert main(argv) == 0
+        assert ("artifact store: 0 stage hits, 4 misses"
+                in capsys.readouterr().out)
+        assert main(argv) == 0
+        assert ("artifact store: 4 stage hits, 0 misses"
+                in capsys.readouterr().out)
+
     def test_batch_html(self, tmp_path, capsys):
         target = tmp_path / "index.html"
         code = main([

@@ -423,6 +423,18 @@ def test_evict_finished_holds_one_parsed_record_at_a_time(tmp_path):
     assert len(queue.records()) == 10
 
 
+def test_an_undecodable_record_reads_as_missing(queue, tmp_path):
+    """A record whose bytes are not UTF-8 is skipped like a torn one:
+    ``records()`` and ``census()`` (behind ``/v1/health``) still answer."""
+    job_id = submit(queue)["job_id"]
+    (tmp_path / "spool" / "jobs" / "job-bad.json").write_bytes(
+        b'{"a": "\xff"}'
+    )
+    assert [record["job_id"] for record in queue.records()] == [job_id]
+    states, _sched = queue.census()
+    assert states == {"queued": 1}
+
+
 def test_terminal_states_match_api_job_states():
     from repro.api.types import JOB_STATES
 

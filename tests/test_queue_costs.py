@@ -22,7 +22,10 @@ runner without a wall clock:
 * a quota-bounded submit over a spool of N finished jobs parses no
   finished record (admission reads the jobs named in ``pending/`` and
   ``leases/``), and a refused one parses at most the 32 most recently
-  finished for its Retry-After (both parsed all N).
+  finished for its Retry-After (both parsed all N);
+* leaving a ``with FleetJobManager(plane)`` block over N finished jobs
+  parses no record (its cancel sweep walks the live jobs only; two
+  full passes parsed 2N).
 """
 
 from __future__ import annotations
@@ -199,3 +202,18 @@ def test_quota_admission_parses_no_finished_record(tmp_path, monkeypatch):
         assert sorted(reads[:2]) == sorted([first, second])
         assert len(reads) - 2 <= manager.RETRY_AFTER_WINDOW  # was 2 x 102
         assert refused.value.retry_after >= 1.0
+
+
+def test_manager_exit_parses_no_finished_record(tmp_path, monkeypatch):
+    finished = 20
+    with FleetJobManager(tmp_path, workers=0) as manager:
+        # no supervisor eviction pass (it parses every record) mid-count
+        monkeypatch.setattr(manager.supervisor, "EVICT_EVERY", 10**9)
+        queue = manager.queue
+        for _ in range(finished):
+            job_id = submit(queue)
+            queue.claim("w0.g1")
+            queue.complete(job_id, result={"ok": True})
+        reads = count_record_reads(monkeypatch)
+    assert reads == []  # two full passes parsed 2N
+    assert queue.depth()["active"] == 0

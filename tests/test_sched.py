@@ -126,6 +126,19 @@ def test_scheduler_config_rejects_unknown_keys_and_bad_values(tmp_path):
         load_scheduler_config(bad)
 
 
+def test_undecodable_scheduler_config_is_a_usage_error(tmp_path, capsys):
+    """Bytes that are not UTF-8 are a ValidationError, so ``serve``
+    exits 2 with one line instead of a traceback."""
+    from repro.cli import main
+
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"a": "\xff"}')
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        load_scheduler_config(bad)
+    assert main(["serve", "--port", "0", "--scheduler", str(bad)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 # -- fair-share ledger -------------------------------------------------------
 
 

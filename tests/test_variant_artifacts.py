@@ -24,6 +24,7 @@ from repro.core.result import BenchmarkResult, Classification
 from repro.core.stages import Pipeline, Stage, default_pipeline
 from repro.suite.executor import ProgramExecutor
 from repro.suite.registry import TABLE2_ORDER, get_benchmark
+from tests.conftest import stage_files as stage_artifacts
 
 TOOLS = ("spade", "opus", "camflow")
 
@@ -53,14 +54,6 @@ def shared_background_pair():
             return seen[background], name
         seen[background] = name
     raise AssertionError("no two Table 2 benchmarks share a background")
-
-
-def stage_artifacts(store: Path, stage: str):
-    """``(path, wrapper)`` per artifact of one stage."""
-    return [
-        (path, json.loads(path.read_text()))
-        for path in sorted((store / stage).glob("*.json"))
-    ]
 
 
 class TestVariants:
@@ -180,14 +173,16 @@ class TestFailureOrder:
         )
         background = repr(get_benchmark("open").variant(False))
         for path, wrapper in stage_artifacts(store, "generalization"):
+            sections = wrapper["payload"]
             if wrapper["key"]["variant"] == background:
-                wrapper["payload"] = {"failed": "background boom", "solver": {}}
-                path.write_text(json.dumps(wrapper))
+                sections["generalization"] = {
+                    "failed": "background boom", "solver": {},
+                }
             else:
-                path.unlink()
-        for stage in ("comparison", "result"):
-            for path, _ in stage_artifacts(store, stage):
-                path.unlink()
+                del sections["generalization"]
+            path.write_text(json.dumps(wrapper))
+        for path, _ in stage_artifacts(store, "comparison"):
+            path.unlink()
 
     def test_background_failure_after_foreground_computed(self, tmp_path):
         self.prepare(tmp_path)
