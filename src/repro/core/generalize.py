@@ -3,19 +3,24 @@
 Partitions the trial graphs into similarity classes, discards graphs that
 are only similar to themselves (failed runs), picks the smallest
 consistent pair, and generalizes it: the matching that minimizes property
-mismatches is computed, and only agreeing properties are kept.
+mismatches is computed, and only agreeing properties are kept.  Trials 0
+and 1 are usually that pair, so their minimizing search runs first and
+doubles as their similarity check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.graph.model import PropertyGraph
 from repro.solver import (
+    SolverLimit,
     generalize_pair,
     isomorphism,
     partition_similarity_classes,
+    price_node_map,
+    solver_stats,
 )
 from repro.storage.artifacts import graph_from_payload, graph_to_payload
 
@@ -80,11 +85,18 @@ def generalize_trials(
     difference.  The pipeline exposes the policy so that remark can be
     reproduced (``tests/test_ablations.py``).
 
-    With ``matching_cache`` (the default) the isomorphism found while
-    classing the chosen pair warm-starts the minimizing search instead of
-    re-solving the identical problem from scratch; the generalized graph
-    is identical either way (the warm bound only prunes, never redirects,
-    the branch-and-bound).
+    With ``matching_cache`` (the default) no pair is searched twice.  The
+    native engine generalizes trials 0 and 1 before classing: a matching
+    proves them similar, and its graph is the answer whenever their class
+    is the one chosen (a ``matching_cache_hits`` hit); ``None`` proves
+    them dissimilar, and a :class:`~repro.solver.native.SolverLimit`
+    leaves the pair to classing as before.  Any other chosen pair
+    warm-starts its minimizing search from the isomorphism classing found
+    for it, priced once.  The generalized graph, ``discarded`` and
+    ``class_sizes`` are identical either way: classing reaches the same
+    verdicts, and the warm bound only prunes, never redirects, the
+    branch-and-bound.  ``matching_cache=False`` is the reference: it
+    classes every pair, then searches the chosen pair cold.
 
     On large trial graphs the minimizing search itself is decomposed: the
     solver partitions the pair along WL-color-stable anchors into
@@ -112,8 +124,18 @@ def generalize_trials(
         raise GeneralizationError(
             "fewer than two trials survived graph filtering"
         )
-    classes, pair_matchings = partition_similarity_classes(
-        pool, collect_matchings=True
+    # Trials 0 and 1 generalized, when they are similar.
+    speculative: Optional[PropertyGraph] = None
+    known: Dict[Tuple[int, int], bool] = {}
+    if engine == "native" and matching_cache:
+        try:
+            speculative = generalize_pair(pool[0], pool[1])
+        except SolverLimit:
+            pass  # classing's first-solution search decides the pair
+        else:
+            known[(0, 1)] = speculative is not None
+    classes, node_maps = partition_similarity_classes(
+        pool, collect_matchings=True, known=known
     )
     class_sizes = sorted((len(c) for c in classes), reverse=True)
     consistent = [c for c in classes if len(c) >= 2]
@@ -129,9 +151,12 @@ def generalize_trials(
     chooser = min if pair_policy == "smallest" else max
     best_class = chooser(consistent, key=lambda c: pool[c[0]].size)
     g1, g2 = pool[best_class[0]], pool[best_class[1]]
-    if engine == "native":
+    if speculative is not None and best_class[:2] == [0, 1]:
+        solver_stats().matching_cache_hits += 1
+        generalized = speculative
+    elif engine == "native":
         warm = (
-            pair_matchings.get((best_class[0], best_class[1]))
+            price_node_map(g1, g2, node_maps[best_class[0], best_class[1]])
             if matching_cache else None
         )
         generalized = generalize_pair(g1, g2, warm=warm)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.capture import CaptureSystem, make_capture
 from repro.capture.registry import tool_profile
@@ -79,6 +79,33 @@ class PipelineConfig:
         return tool_profile(self.tool).filtergraphs
 
 
+#: result timings that differ between runs with one outcome: the
+#: stages' wall clocks, and how many stages the store served
+_PER_RUN_TIMINGS = frozenset((
+    "recording", "transformation", "generalization", "comparison",
+    "store_hits", "store_misses",
+))
+
+
+def _same_outcome(stored: object, fresh: Dict[str, object]) -> bool:
+    """True when a stored result payload differs from ``fresh`` only in
+    :data:`_PER_RUN_TIMINGS`: a warm run then keeps the stored one,
+    and its file is not rewritten."""
+    if not isinstance(stored, dict) or not isinstance(
+        stored.get("timings"), dict
+    ):
+        return False
+
+    def outcome(payload: Dict[str, object]) -> Dict[str, object]:
+        timings = {
+            key: value for key, value in payload["timings"].items()
+            if key not in _PER_RUN_TIMINGS
+        }
+        return {**payload, "timings": timings}
+
+    return outcome(stored) == outcome(fresh)
+
+
 class ProvMark:
     """Automated provenance expressiveness benchmarking.
 
@@ -134,7 +161,9 @@ class ProvMark:
 
         With a store, each store file that gained a section is written
         once, at the end, also when a stage error, the deadline or a
-        cancellation stopped the run: what was computed is kept.
+        cancellation stopped the run: what was computed is kept.  A
+        result equal to the stored one but for its wall clocks and store
+        counters is no new section, so a warm pass writes no file.
         """
         program = (
             benchmark if isinstance(benchmark, Program)
@@ -161,7 +190,9 @@ class ProvMark:
             else self._success_result(ctx)
         )
         if ctx.store is not None:
-            ctx.keep(None, RESULT_STAGE, result.to_payload())
+            payload = result.to_payload()
+            if not _same_outcome(ctx.stored(None, RESULT_STAGE), payload):
+                ctx.keep(None, RESULT_STAGE, payload)
         return result
 
     # -- context / result assembly -----------------------------------------

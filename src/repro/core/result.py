@@ -55,7 +55,8 @@ class StageTimings:
     solver_steps: int = 0
     #: number of matching searches launched
     solver_searches: int = 0
-    #: generalizations warm-started from a cached similarity matching
+    #: generalizations that reused a search: warm-started from a
+    #: classing matching, or whose pair search proved the similarity
     matching_cache_hits: int = 0
     #: property-mismatch costs served from the per-search pair cache
     cost_cache_hits: int = 0

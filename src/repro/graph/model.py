@@ -11,35 +11,41 @@ Node and edge identifiers live in disjoint namespaces (the paper requires
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple,
+)
 
 
 class GraphError(Exception):
     """Raised on malformed graph operations (duplicate ids, dangling edges)."""
 
 
-@dataclass(frozen=True)
-class Node:
-    """A labelled vertex with string properties."""
+class Node(NamedTuple):
+    """A labelled vertex with string properties.
+
+    Nodes and edges are :class:`typing.NamedTuple` records: a scale128
+    run builds thousands, and a NamedTuple costs a third of a frozen
+    dataclass to construct.  Assigning a field raises
+    :class:`AttributeError`.  :class:`PropertyGraph` builds them, each
+    with its own ``props`` dict.
+    """
 
     id: str
     label: str
-    props: Mapping[str, str] = field(default_factory=dict)
+    props: Mapping[str, str]
 
     def prop(self, key: str, default: Optional[str] = None) -> Optional[str]:
         return self.props.get(key, default)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A labelled, directed edge with string properties."""
 
     id: str
     src: str
     tgt: str
     label: str
-    props: Mapping[str, str] = field(default_factory=dict)
+    props: Mapping[str, str]
 
     def prop(self, key: str, default: Optional[str] = None) -> Optional[str]:
         return self.props.get(key, default)

@@ -24,6 +24,7 @@ from repro.solver.native import (
     find_isomorphism,
     generalize_pair,
     partition_similarity_classes,
+    price_node_map,
     property_mismatch_cost,
     reset_solver_stats,
     solver_decomposition,
@@ -79,6 +80,7 @@ __all__ = [
     "generalize_pair",
     "isomorphism",
     "partition_similarity_classes",
+    "price_node_map",
     "property_mismatch_cost",
     "reset_solver_stats",
     "similarity",

@@ -28,8 +28,11 @@ Performance architecture (see ROADMAP.md):
   for the lifetime of one search;
 * wide parallel-edge groups are assigned optimally with the Hungarian
   algorithm instead of a greedy heuristic;
-* generalization reuses the isomorphism found during similarity classing
-  as a warm upper bound for the minimizing search;
+* each trial pair is searched once: similarity classing only decides
+  membership and prices nothing, generalization's minimizing search on
+  trials 0 and 1 doubles as their similarity proof, and any other
+  chosen pair warm-starts from its classing isomorphism, priced once
+  (:func:`price_node_map`);
 * exact matchings are *decomposed* whenever equivalence is provable:
   WL-singleton anchors pin the cross-component constraints, the residual
   connected components are solved independently by following the DFS's
@@ -66,9 +69,12 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.graph.model import Edge, Node, PropertyGraph
+
+_Element = Union[Node, Edge]
 
 
 class SolverLimit(Exception):
@@ -84,8 +90,9 @@ class SolverStats:
 
     ``steps`` — backtracking search steps; ``searches`` — number of
     :class:`_MatchSearch` runs; ``cost_cache_hits`` — memoized property
-    mismatch lookups served from cache; ``matching_cache_hits`` — warm
-    starts of the generalization search from a cached similarity matching.
+    mismatch lookups served from cache; ``matching_cache_hits`` —
+    generalizations that reused a search: a warm start from a classing
+    matching, or a pair search that was also the similarity proof.
     ``decomposed_components`` — independent sub-problems solved by the
     decomposed matcher instead of one monolithic search;
     ``component_steps_max`` — high-water mark of steps spent inside a
@@ -265,26 +272,28 @@ def _wl_colors(graph: PropertyGraph) -> Dict[str, int]:
     (edge label, direction, neighbor color).  Each round's color is the
     hash of the canonical signature, so colors computed independently for
     two graphs are comparable within one process; hash collisions can only
-    enlarge candidate sets (sound), never shrink them.
+    enlarge candidate sets (sound), never shrink them.  Each node's
+    (edge label, neighbor) pairs are collected once, for every round.
     """
     colors = {node.id: hash(("wl0", node.label)) for node in graph.nodes()}
+    outs: Dict[str, List[Tuple[str, str]]] = {node_id: [] for node_id in colors}
+    ins: Dict[str, List[Tuple[str, str]]] = {node_id: [] for node_id in colors}
+    for edge in graph.edges():
+        outs[edge.src].append((edge.label, edge.tgt))
+        ins[edge.tgt].append((edge.label, edge.src))
     for _ in range(_WL_ROUNDS):
-        refined = {}
-        for node in graph.nodes():
-            node_id = node.id
-            signature = (
-                colors[node_id],
+        colors = {
+            node_id: hash((
+                color,
                 tuple(sorted(
-                    (edge.label, colors[edge.tgt])
-                    for edge in graph.out_edges(node_id)
+                    (label, colors[tgt]) for label, tgt in outs[node_id]
                 )),
                 tuple(sorted(
-                    (edge.label, colors[edge.src])
-                    for edge in graph.in_edges(node_id)
+                    (label, colors[src]) for label, src in ins[node_id]
                 )),
-            )
-            refined[node_id] = hash(signature)
-        colors = refined
+            ))
+            for node_id, color in colors.items()
+        }
     return colors
 
 
@@ -1375,11 +1384,15 @@ def _decomposed_isomorphism(
     g2: PropertyGraph,
     minimize_cost: bool,
     max_steps: int,
+    price: bool = True,
 ):
     """Stitch per-component first-fit matchings into the DFS's answer.
 
     Returns a :class:`Matching` when the decomposition provably reproduces
     the monolithic search's result, or :data:`_FALLBACK` when it cannot.
+    A first-solution pass with ``price`` off returns the branch's node
+    map as soon as the branch completes, with no edge map and no cost:
+    :func:`price_node_map` derives both from it.
 
     When minimizing, the pass follows the monolithic DFS's leftmost
     branch: each node visits its class in ``_MatchSearch._search``'s
@@ -1489,56 +1502,26 @@ def _decomposed_isomorphism(
             # a costlier member) here; stitching cannot replicate that, so
             # hand the pair to the full search.
             return _FALLBACK
-    # The leftmost branch completed: compose the edge map and total cost
-    # group by group with the shared assignment machinery.
-    stats = solver_stats()
-    pair_cost: Dict[Tuple[str, str], int] = {}
-
-    def pcost(
-        id1: str, props1: Mapping[str, str], id2: str, props2: Mapping[str, str]
-    ) -> int:
-        key = (id1, id2)
-        cached = pair_cost.get(key)
-        if cached is not None:
-            stats.cost_cache_hits += 1
-            return cached
-        cost = property_mismatch_cost(props1, props2)
-        pair_cost[key] = cost
-        return cost
-
-    def edge_pair_cost(e1: Edge, e2: Edge) -> int:
-        return pcost(e1.id, e1.props, e2.id, e2.props)
-
-    total = 0
-    for node in g1.nodes():
-        image = g2.node(node_map[node.id])
-        total += pcost(node.id, node.props, image.id, image.props)
-    edge_map: Dict[str, str] = {}
-    paid: Dict[Tuple[int, int, str], List[Tuple[List[Edge], int]]] = {}
-    for key, edges1 in groups1.items():
-        src, tgt, label = key
-        edges2 = groups2.get((node_map[src], node_map[tgt], label))
-        if edges2 is None or len(edges2) != len(edges1):
-            return _FALLBACK  # unreachable: feasibility checked per step
-        if len(edges1) == 1:
-            e1, e2 = edges1[0], edges2[0]
-            group_cost = pcost(e1.id, e1.props, e2.id, e2.props)
-            edge_map[e1.id] = e2.id
-        else:
-            group_cost, pairs = _optimal_group_assignment(
-                edges1, edges2, edge_pair_cost
-            )
-            edge_map.update(pairs)
-        total += group_cost
-        class_key = (colors1[src], colors1[tgt], label)
-        if class_key in checked:
-            paid.setdefault(class_key, []).append((edges1, group_cost))
-    class_groups2 = _class_edge_groups(g2)
-    for class_key, class_paid in paid.items():
-        if not _groups_pay_class_minimum(
-            class_paid, class_groups2[class_key].values(), edge_pair_cost
+    # The leftmost branch completed.  A similarity check needs no more;
+    # otherwise compose the edge map and total cost group by group.
+    found: object = node_map
+    if price:
+        cost = _memoized_cost()
+        found, group_costs = _priced(g1, g2, node_map, cost)
+        paid: Dict[Tuple[int, int, str], List[Tuple[List[Edge], int]]] = {}
+        for ((src, tgt, label), edges1), group_cost in zip(
+            groups1.items(), group_costs
         ):
-            return _FALLBACK
+            class_key = (colors1[src], colors1[tgt], label)
+            if class_key in checked:
+                paid.setdefault(class_key, []).append((edges1, group_cost))
+        class_groups2 = _class_edge_groups(g2)
+        for class_key, class_paid in paid.items():
+            if not _groups_pay_class_minimum(
+                class_paid, class_groups2[class_key].values(), cost
+            ):
+                return _FALLBACK
+    stats = solver_stats()
     components = _residual_components(g1)
     stats.searches += 1
     stats.steps += len(order)
@@ -1547,7 +1530,75 @@ def _decomposed_isomorphism(
         largest = max(len(component) for component in components)
         if largest > stats.component_steps_max:
             stats.component_steps_max = largest
-    return Matching(node_map, edge_map, total)
+    return found
+
+
+def _memoized_cost() -> Callable[[_Element, _Element], int]:
+    """Property mismatch cost of two elements, memoized per id pair.
+
+    Node and edge ids share one namespace within a graph, so one memo
+    serves both kinds; each hit counts in ``cost_cache_hits``.
+    """
+    stats = solver_stats()
+    memo: Dict[Tuple[str, str], int] = {}
+
+    def cost(first: _Element, second: _Element) -> int:
+        key = (first.id, second.id)
+        cached = memo.get(key)
+        if cached is not None:
+            stats.cost_cache_hits += 1
+            return cached
+        value = memo[key] = property_mismatch_cost(first.props, second.props)
+        return value
+
+    return cost
+
+
+def _priced(
+    g1: PropertyGraph,
+    g2: PropertyGraph,
+    node_map: Dict[str, str],
+    cost: Callable[[_Element, _Element], int],
+) -> Tuple[Matching, List[int]]:
+    """The matching an isomorphism's node map induces, priced as the DFS
+    prices it, and what each g1 parallel-edge group paid, in group order.
+
+    Every node pays its property mismatch cost against its image, and
+    every g1 group its min-cost assignment onto its image group (which
+    exists, with as many edges, because ``node_map`` is an isomorphism's).
+    """
+    groups1 = _cached_structure(g1, "groups", lambda: _group_edges(g1))
+    groups2 = _cached_structure(g2, "groups", lambda: _group_edges(g2))
+    total = 0
+    for node in g1.nodes():
+        total += cost(node, g2.node(node_map[node.id]))
+    edge_map: Dict[str, str] = {}
+    group_costs: List[int] = []
+    for (src, tgt, label), edges1 in groups1.items():
+        edges2 = groups2[(node_map[src], node_map[tgt], label)]
+        if len(edges1) == 1:
+            group_cost = cost(edges1[0], edges2[0])
+            edge_map[edges1[0].id] = edges2[0].id
+        else:
+            group_cost, pairs = _optimal_group_assignment(
+                edges1, edges2, cost
+            )
+            edge_map.update(pairs)
+        group_costs.append(group_cost)
+        total += group_cost
+    return Matching(node_map, edge_map, total), group_costs
+
+
+def price_node_map(
+    g1: PropertyGraph, g2: PropertyGraph, node_map: Mapping[str, str]
+) -> Matching:
+    """The full matching of an isomorphism known by its node map.
+
+    The edge map and cost are those the search itself would have built
+    for that node map (see :func:`partition_similarity_classes`, whose
+    node maps come unpriced).
+    """
+    return _priced(g1, g2, dict(node_map), _memoized_cost())[0]
 
 
 DEFAULT_MAX_STEPS = 2_000_000
@@ -1635,11 +1686,16 @@ def generalize_pair(
     values such as timestamps and identifiers).  Returns ``None`` when the
     graphs are not similar.  Element ids of ``g1`` are kept.
 
-    ``warm`` supplies a matching already found between the same pair (the
-    similarity-classing step computes one); its cost becomes the initial
-    branch-and-bound upper bound, which prunes most of the re-search while
-    provably returning the same minimal matching.
+    ``warm`` supplies a matching already found between the same pair
+    (:func:`price_node_map` prices one that classing found); its cost
+    becomes the initial branch-and-bound upper bound, which prunes most
+    of the re-search while provably returning the same minimal matching.
+
+    Graphs with different structural signatures are refuted without a
+    search.
     """
+    if _signature_of(g1) != _signature_of(g2):
+        return None
     bound: Optional[int] = None
     if warm is not None and _OPTIMIZATIONS_ENABLED:
         solver_stats().matching_cache_hits += 1
@@ -1730,26 +1786,41 @@ def partition_similarity_classes(
     graphs: Sequence[PropertyGraph],
     max_steps: int = DEFAULT_MAX_STEPS,
     collect_matchings: bool = False,
+    known: Optional[Mapping[Tuple[int, int], bool]] = None,
 ):
     """Partition trial graphs into similarity classes (paper §3.4).
 
     Returns lists of indices into ``graphs``.  A cheap structural signature
-    pre-partitions; exact isomorphism confirms membership within buckets.
+    pre-partitions; an isomorphism search confirms membership within
+    buckets.  Membership is all it decides: the decomposed pass stops at
+    its first complete branch and prices nothing, calling neither
+    ``property_mismatch_cost`` nor the parallel-edge-group assignment.
 
-    With ``collect_matchings`` the return value is ``(classes, matchings)``
-    where ``matchings[(i, j)]`` is the isomorphism found from ``graphs[i]``
-    (a class representative) into ``graphs[j]`` — the generalization stage
-    reuses it as a warm start instead of re-searching the same pair.
+    ``known`` maps index pairs ``(i, j)``, ``i < j``, to a verdict the
+    caller has already established (generalization's pair search proves
+    or refutes trials 0 and 1); such a pair is not searched again.
+
+    With ``collect_matchings`` the return value is ``(classes, node_maps)``
+    where ``node_maps[(i, j)]`` is the node map of the isomorphism found
+    from ``graphs[i]`` (a class representative) into ``graphs[j]``, for
+    every pair the search joined.  :func:`price_node_map` turns one into
+    the matching that warm-starts the generalization search.
     """
+    known = known or {}
     buckets: Dict[Tuple, List[List[int]]] = {}
-    matchings: Dict[Tuple[int, int], Matching] = {}
+    node_maps: Dict[Tuple[int, int], Dict[str, str]] = {}
     for index, graph in enumerate(graphs):
-        signature = _signature_of(graph)
-        classes = buckets.setdefault(signature, [])
+        classes = buckets.setdefault(_signature_of(graph), [])
         for cls in classes:
-            found = find_isomorphism(graphs[cls[0]], graph, max_steps=max_steps)
-            if found:
-                matchings[(cls[0], index)] = found
+            similar = known.get((cls[0], index))
+            if similar is None:
+                node_map = _similarity_node_map(
+                    graphs[cls[0]], graph, max_steps
+                )
+                similar = node_map is not None
+                if similar:
+                    node_maps[(cls[0], index)] = node_map
+            if similar:
                 cls.append(index)
                 break
         else:
@@ -1759,5 +1830,24 @@ def partition_similarity_classes(
         result.extend(classes)
     result.sort(key=lambda cls: cls[0])
     if collect_matchings:
-        return result, matchings
+        return result, node_maps
     return result
+
+
+def _similarity_node_map(
+    g1: PropertyGraph, g2: PropertyGraph, max_steps: int
+) -> Optional[Dict[str, str]]:
+    """The node map of :func:`find_isomorphism`'s first-solution answer,
+    unpriced whenever the decomposed pass finds it."""
+    if g1.is_empty() and g2.is_empty():
+        return {}
+    if _OPTIMIZATIONS_ENABLED and _DECOMPOSITION_ENABLED:
+        node_map = _decomposed_isomorphism(
+            g1, g2, False, max_steps, price=False
+        )
+        if node_map is not _FALLBACK:
+            return node_map
+    found = _MatchSearch(
+        g1, g2, exact=True, minimize_cost=False, max_steps=max_steps
+    ).run()
+    return None if found is None else found.node_map

@@ -1,8 +1,13 @@
 """Unit tests for the property-graph model."""
 
+import dataclasses
+import importlib
+import pickle
+import typing
+
 import pytest
 
-from repro.graph.model import GraphError, PropertyGraph
+from repro.graph.model import Edge, GraphError, Node, PropertyGraph
 
 
 class TestConstruction:
@@ -196,3 +201,80 @@ class TestSignature:
             other.structural_signature()
             != diamond_graph.structural_signature()
         )
+
+
+class TestElements:
+    """Nodes and edges are records: immutable, readable, picklable."""
+
+    def test_assigning_a_field_raises(self, tiny_graph):
+        for element, names in (
+            (tiny_graph.node("n1"), ("id", "label", "props")),
+            (tiny_graph.edge("e1"), ("id", "src", "tgt", "label", "props")),
+        ):
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(element, name, "changed")
+        assert tiny_graph.node("n1").label == "File"
+
+    def test_repr_names_every_field(self, tiny_graph):
+        assert repr(tiny_graph.node("n2")) == (
+            "Node(id='n2', label='Process', props={})"
+        )
+        assert repr(tiny_graph.edge("e1")) == (
+            "Edge(id='e1', src='n1', tgt='n2', label='Used', props={})"
+        )
+
+    def test_pickle_round_trip_is_equal(self, tiny_graph):
+        for element in (tiny_graph.node("n1"), tiny_graph.edge("e1")):
+            clone = pickle.loads(pickle.dumps(element))
+            assert type(clone) is type(element)
+            assert clone == element
+        clone = pickle.loads(pickle.dumps(tiny_graph))
+        assert clone == tiny_graph
+        assert list(clone.nodes()) == list(tiny_graph.nodes())
+
+    def test_graph_equality_tells_ids_labels_and_props_apart(
+        self, tiny_graph
+    ):
+        def rebuilt(node_id="n2", label="Process", props=None):
+            graph = PropertyGraph("g2")
+            graph.add_node("n1", "File", {"Userid": "1", "Name": "text"})
+            graph.add_node(node_id, label, props)
+            graph.add_edge("e1", "n1", node_id, "Used")
+            return graph
+
+        assert rebuilt() == tiny_graph
+        assert rebuilt(node_id="n3") != tiny_graph
+        assert rebuilt(label="Thread") != tiny_graph
+        assert rebuilt(props={"pid": "7"}) != tiny_graph
+        edge_props = tiny_graph.copy()
+        edge_props.set_prop("e1", "time", "5")
+        assert edge_props != tiny_graph
+
+    def test_no_payload_type_holds_a_bare_element(self):
+        """The payload codec encodes any tuple as a list, so a node or
+        edge in a payload field would lose its field names; graphs
+        travel as ``graph_to_payload`` objects instead."""
+        modules = [
+            importlib.import_module(f"repro.{name}") for name in (
+                "api.specs", "api.types", "cluster.events", "exec.policy",
+                "faults", "sched.policy",
+            )
+        ]
+        payload_types = {
+            value for module in modules for value in vars(module).values()
+            if isinstance(value, type) and "_payload_fields" in vars(value)
+        }
+        assert len(payload_types) >= 20
+        for cls in payload_types:
+            hints = typing.get_type_hints(cls)
+            for field in dataclasses.fields(cls):
+                assert not _mentions_element(hints[field.name]), (
+                    f"{cls.__name__}.{field.name}"
+                )
+
+
+def _mentions_element(hint) -> bool:
+    if hint in (Node, Edge):
+        return True
+    return any(_mentions_element(arg) for arg in typing.get_args(hint))

@@ -11,13 +11,18 @@ holds, so these tests count file creations (calls to
   ``BenchmarkService`` creates at most 279 files: 147 variant files
   (44 foregrounds and 5 shared backgrounds per tool) and 132 run files
   (one file per stage and key created 705);
-* a warm pass over the same store creates at most 132, the run files
-  whose refreshed result is the one new section;
+* a warm pass over the same store creates none: a result that differs
+  from the stored one only in wall clocks and store counters keeps the
+  stored one (each run file was rewritten, 132 in all, before);
 * a warm, non-resume ``open``/spade run reads at most 3 files (both
-  variants' and the run's; one read per stage and variant made 7).
+  variants' and the run's; one read per stage and variant made 7);
+* a stored result whose counters differ from a fresh one (say, written
+  by an older solver) is rewritten once, then kept.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -26,6 +31,7 @@ from repro.core.pipeline import ProvMark
 from repro.storage import artifacts
 from repro.storage.artifacts import ArtifactStore
 from repro.suite.registry import TABLE2_ORDER
+from tests.conftest import stage_files
 
 TOOLS = ("spade", "opus", "camflow")
 
@@ -75,9 +81,8 @@ def test_table2_sweep_creates_one_file_per_key(tmp_path, created):
             assert service.run(request).result.timings.store_row() == {
                 "store_hits": 4, "store_misses": 0,
             }
-        # only the run files, for their refreshed results
-        assert len(created) <= 132
-        assert {path.parent.name for path in created} == {"run"}
+        # the stored results stand: was 132, every run file rewritten
+        assert created == []
 
 
 def test_warm_run_reads_each_key_once(tmp_path, reads):
@@ -89,3 +94,21 @@ def test_warm_run_reads_each_key_once(tmp_path, reads):
     assert warm.run_benchmark("open").timings.store_hits == 4
     assert len(reads) <= 3  # one read per stage and variant: 7
     assert sorted(reads) == ["run", "variant", "variant"]
+
+
+def test_a_stale_result_is_rewritten_once(tmp_path, created):
+    def run():
+        provmark = ProvMark(tool="spade", seed=5, store_path=str(tmp_path))
+        return provmark.run_benchmark("open")
+
+    cold = run()
+    [(path, wrapper)] = stage_files(tmp_path, "result")
+    wrapper["payload"]["result"]["timings"]["solver_searches"] += 1
+    path.write_text(json.dumps(wrapper))
+    created.clear()
+    warm = run()
+    assert warm.timings.solver_row() == cold.timings.solver_row()
+    assert [path.parent.name for path in created] == ["run"]
+    created.clear()
+    run()
+    assert created == []
