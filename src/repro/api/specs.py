@@ -58,11 +58,17 @@ from typing import Container, Dict, Iterator, List, Mapping, Optional, Tuple
 from repro.api.errors import ValidationError
 from repro.codec import check_choice, check_names, payload_type
 from repro.kernel import Kernel
-from repro.storage.artifacts import ArtifactStore, canonical_key
+from repro.storage.artifacts import STORE_VERSION, ArtifactStore, canonical_key
 from repro.suite.program import Arg, Op, Program, SetupAction
 
 #: artifact-store stage under which benchmark specs persist
 SPEC_STAGE = "spec"
+
+#: the store versions whose spec artifacts read as specs: a spec is user
+#: data, and its payload has not changed since version 1, so a bump of
+#: the cache's ``STORE_VERSION`` leaves every persisted spec listed,
+#: runnable and removable
+SPEC_VERSIONS = range(1, STORE_VERSION + 1)
 
 #: staging actions :class:`SetupSpec` may declare
 SETUP_KINDS = ("file", "dir", "fifo", "symlink")
@@ -542,7 +548,9 @@ def _remove_named(store: ArtifactStore, name: str, keep: str = "") -> int:
     the one whose digest (its filename stem) is ``keep``; returns the
     count.  No spec decode: one that no longer decodes is removable."""
     removed = 0
-    for path, stored in list(store.iter_stage(SPEC_STAGE)):
+    for path, stored in list(
+        store.iter_stage(SPEC_STAGE, versions=SPEC_VERSIONS)
+    ):
         if (path.stem != keep and isinstance(stored, Mapping)
                 and stored.get("name") == name):
             try:
@@ -564,7 +572,9 @@ def iter_persisted_specs(
     file read, so incremental consumers rescan a store for the price
     of a directory listing.
     """
-    for path, payload in store.iter_stage(SPEC_STAGE, skip_digests):
+    for path, payload in store.iter_stage(
+        SPEC_STAGE, skip_digests, versions=SPEC_VERSIONS
+    ):
         try:
             yield path, BenchmarkSpec.from_payload(payload)
         except ValidationError:

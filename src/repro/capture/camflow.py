@@ -20,17 +20,26 @@ Behaviours reproduced from the paper:
   (§3.2); ``structural_jitter`` reproduces this, and ProvMark's
   similarity-class selection plus the ``filtergraphs`` option (paper
   appendix A.4) deal with it.
+
+As CamFlow's kernel module streams records to user space, the capture
+writes each hook's records straight into the PROV-JSON document it
+ships: a node or relation becomes its body in the document, laid out by
+:func:`repro.graph.provjson.node_body` and
+:func:`~repro.graph.provjson.edge_body`, as its hook fires.  No property
+graph is built on the way; transformation parses the text.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.capture.base import CaptureSystem, RawOutput
-from repro.graph.model import PropertyGraph
-from repro.graph.provjson import graph_to_provjson
+from repro.graph.provjson import (
+    ProvDocument, document_text, edge_body, node_body,
+)
 from repro.kernel.trace import LsmEvent, ObjectInfo, Trace
 
 #: LSM hooks recorded by the default CamFlow 0.4.5 configuration.
@@ -71,11 +80,11 @@ class CamFlowCapture(CaptureSystem):
             builder.feed(event)
         if self.config.structural_jitter and rng.random() < self.config.structural_jitter:
             builder.add_jitter_artifact()
-        return graph_to_provjson(builder.graph)
+        return document_text(builder.doc)
 
 
 class _CamFlowBuilder:
-    """Streams LSM hook events into a PROV-style property graph."""
+    """Streams LSM hook events into a PROV-JSON document."""
 
     def __init__(
         self, config: CamFlowConfig, rng: random.Random,
@@ -83,9 +92,10 @@ class _CamFlowBuilder:
     ) -> None:
         self.config = config
         self.rng = rng
-        self.boot_id = boot_id
-        self.machine_id = machine_id
-        self.graph = PropertyGraph("camflow")
+        #: the properties every node carries
+        self._ids = {"cf:boot_id": boot_id, "cf:machine_id": machine_id}
+        #: the document shipped: group -> element id -> PROV-JSON body
+        self.doc: ProvDocument = defaultdict(dict)
         self._next = rng.randrange(10**6, 9 * 10**6)
         #: task_id -> current activity node
         self._task_node: Dict[int, str] = {}
@@ -102,54 +112,45 @@ class _CamFlowBuilder:
 
     # -- node management -----------------------------------------------------
 
-    def _node_props(self, extra: Dict[str, str]) -> Dict[str, str]:
-        props = {
-            "cf:boot_id": self.boot_id,
-            "cf:machine_id": self.machine_id,
-        }
-        props.update(extra)
-        return props
+    def _add_node(self, label: str, props: Mapping[str, str]) -> str:
+        """Write a new node's body; its id is drawn under its label."""
+        node_id = self._identifier(label)
+        kind, body = node_body(label, props)
+        self.doc[kind][node_id] = body
+        return node_id
+
+    def _add_edge(
+        self, src: str, tgt: str, label: str, props: Mapping[str, str]
+    ) -> None:
+        relation, body = edge_body(src, tgt, label, props)
+        self.doc[relation][self._identifier("rel")] = body
+
+    def _add_task(self, event: LsmEvent, pid: int) -> str:
+        return self._add_node("task", {
+            **self._ids,
+            "prov:kind": "activity",
+            "cf:pid": str(pid),
+            "cf:uid": str(event.subject.uid),
+            "cf:gid": str(event.subject.gid),
+            "cf:utime": str(event.time_ns),
+            "cf:name": event.subject.comm,
+        })
 
     def _ensure_task(self, event: LsmEvent) -> str:
         task_id = event.subject.task_id
         existing = self._task_node.get(task_id)
         if existing is not None:
             return existing
-        node = self.graph.add_node(
-            self._identifier("task"), "task",
-            self._node_props({
-                "prov:kind": "activity",
-                "cf:pid": str(event.subject.pid),
-                "cf:uid": str(event.subject.uid),
-                "cf:gid": str(event.subject.gid),
-                "cf:utime": str(event.time_ns),
-                "cf:name": event.subject.comm,
-            }),
-        )
-        self._task_node[task_id] = node.id
-        return node.id
+        self._task_node[task_id] = node = self._add_task(event, event.subject.pid)
+        return node
 
     def _new_task_version(self, event: LsmEvent, relation: str) -> str:
         task_id = event.subject.task_id
         old = self._task_node.get(task_id)
-        node = self.graph.add_node(
-            self._identifier("task"), "task",
-            self._node_props({
-                "prov:kind": "activity",
-                "cf:pid": str(event.subject.pid),
-                "cf:uid": str(event.subject.uid),
-                "cf:gid": str(event.subject.gid),
-                "cf:utime": str(event.time_ns),
-                "cf:name": event.subject.comm,
-            }),
-        )
-        self._task_node[task_id] = node.id
+        node = self._task_node[task_id] = self._add_task(event, event.subject.pid)
         if old is not None:
-            self.graph.add_edge(
-                self._identifier("rel"), node.id, old, relation,
-                {"cf:type": "version_activity"},
-            )
-        return node.id
+            self._add_edge(node, old, relation, {"cf:type": "version_activity"})
+        return node
 
     def _entity_key(self, obj: ObjectInfo) -> str:
         if obj.kind == "pipe":
@@ -162,20 +163,17 @@ class _CamFlowBuilder:
         if existing is not None:
             return existing
         label = {"pipe": "pipe", "socket": "socket"}.get(obj.kind, "inode")
-        node = self.graph.add_node(
-            self._identifier(label), label,
-            self._node_props({
-                "prov:kind": "entity",
-                "cf:ino": str(obj.ino or obj.pipe_id or 0),
-                "cf:mode": obj.mode or "",
-                "cf:uid": str(obj.uid if obj.uid is not None else ""),
-                "cf:version": "0",
-                "cf:subtype": obj.kind,
-            }),
-        )
-        self._entity_node[key] = node.id
+        node = self._entity_node[key] = self._add_node(label, {
+            **self._ids,
+            "prov:kind": "entity",
+            "cf:ino": str(obj.ino or obj.pipe_id or 0),
+            "cf:mode": obj.mode or "",
+            "cf:uid": str(obj.uid if obj.uid is not None else ""),
+            "cf:version": "0",
+            "cf:subtype": obj.kind,
+        })
         self._entity_version[key] = 0
-        return node.id
+        return node
 
     def _new_entity_version(self, obj: ObjectInfo, event: LsmEvent) -> str:
         key = self._entity_key(obj)
@@ -184,18 +182,15 @@ class _CamFlowBuilder:
             return self._ensure_entity(obj, event)
         version = self._entity_version.get(key, 0) + 1
         self._entity_version[key] = version
-        old_node = self.graph.node(old)
-        props = dict(old_node.props)
-        props["cf:version"] = str(version)
-        node = self.graph.add_node(
-            self._identifier(old_node.label), old_node.label, props
-        )
-        self._entity_node[key] = node.id
-        self.graph.add_edge(
-            self._identifier("rel"), node.id, old, "wasDerivedFrom",
-            {"cf:type": "version_entity"},
-        )
-        return node.id
+        # the new version's body is a copy of the old one's, but for
+        # its version
+        entities = self.doc["entity"]
+        body = dict(entities[old])
+        body["cf:version"] = str(version)
+        node = self._entity_node[key] = self._identifier(body["prov:type"])
+        entities[node] = body
+        self._add_edge(node, old, "wasDerivedFrom", {"cf:type": "version_entity"})
+        return node
 
     def _ensure_path(self, obj: ObjectInfo, entity: str) -> Optional[str]:
         if not obj.path:
@@ -204,31 +199,21 @@ class _CamFlowBuilder:
         existing = self._path_node.get(key)
         if existing is not None:
             return existing
-        node = self.graph.add_node(
-            self._identifier("path"), "path",
-            self._node_props({
-                "prov:kind": "entity",
-                "cf:pathname": obj.path,
-            }),
-        )
-        self._path_node[key] = node.id
-        self.graph.add_edge(
-            self._identifier("rel"), entity, node.id, "wasDerivedFrom",
-            {"cf:type": "named"},
-        )
-        return node.id
+        node = self._path_node[key] = self._add_node("path", {
+            **self._ids, "prov:kind": "entity", "cf:pathname": obj.path,
+        })
+        self._add_edge(entity, node, "wasDerivedFrom", {"cf:type": "named"})
+        return node
 
     def _used(self, task: str, entity: str, hook: str, event: LsmEvent) -> None:
-        self.graph.add_edge(
-            self._identifier("rel"), task, entity, "used",
-            {"cf:type": hook, "cf:jiffies": str(event.time_ns // 10_000_000)},
-        )
+        self._add_edge(task, entity, "used", {
+            "cf:type": hook, "cf:jiffies": str(event.time_ns // 10_000_000),
+        })
 
     def _generated(self, entity: str, task: str, hook: str, event: LsmEvent) -> None:
-        self.graph.add_edge(
-            self._identifier("rel"), entity, task, "wasGeneratedBy",
-            {"cf:type": hook, "cf:jiffies": str(event.time_ns // 10_000_000)},
-        )
+        self._add_edge(entity, task, "wasGeneratedBy", {
+            "cf:type": hook, "cf:jiffies": str(event.time_ns // 10_000_000),
+        })
 
     # -- event dispatch ----------------------------------------------------------
 
@@ -254,10 +239,9 @@ class _CamFlowBuilder:
         if obj is None or obj.kind == "process":
             return
         entity = self._ensure_entity(obj, event)
-        self.graph.add_edge(
-            self._identifier("rel"), task, entity, "used",
-            {"cf:type": f"{event.hook}_denied", "cf:permission": "denied"},
-        )
+        self._add_edge(task, entity, "used", {
+            "cf:type": f"{event.hook}_denied", "cf:permission": "denied",
+        })
 
     def _object(self, event: LsmEvent, *roles: str) -> Optional[ObjectInfo]:
         for role in roles:
@@ -359,22 +343,8 @@ class _CamFlowBuilder:
         obj = self._object(event, "child")
         if obj is None or obj.task_id is None:
             return
-        child = self.graph.add_node(
-            self._identifier("task"), "task",
-            self._node_props({
-                "prov:kind": "activity",
-                "cf:pid": str(obj.pid),
-                "cf:uid": str(event.subject.uid),
-                "cf:gid": str(event.subject.gid),
-                "cf:utime": str(event.time_ns),
-                "cf:name": event.subject.comm,
-            }),
-        )
-        self._task_node[obj.task_id] = child.id
-        self.graph.add_edge(
-            self._identifier("rel"), child.id, parent, "wasInformedBy",
-            {"cf:type": "clone"},
-        )
+        child = self._task_node[obj.task_id] = self._add_task(event, obj.pid)
+        self._add_edge(child, parent, "wasInformedBy", {"cf:type": "clone"})
 
     def _on_task_fix_setuid(self, event: LsmEvent) -> None:
         self._new_task_version(event, "wasInformedBy")
@@ -437,14 +407,13 @@ class _CamFlowBuilder:
 
     def add_jitter_artifact(self) -> None:
         """A spurious machine node occasionally left over by a recording
-        restart (§3.2) — what the ``filtergraphs`` option removes."""
-        node = self.graph.add_node(
-            self._identifier("machine"), "machine",
-            self._node_props({"prov:kind": "agent", "cf:restart": "true"}),
-        )
-        tasks = [n for n in self.graph.nodes() if n.label == "task"]
-        if tasks:
-            self.graph.add_edge(
-                self._identifier("rel"), tasks[0].id, node.id,
-                "wasAssociatedWith", {"cf:type": "machine"},
+        restart (§3.2) — what the ``filtergraphs`` option removes.  It
+        is linked to the first task (tasks are the only activities)."""
+        node = self._add_node("machine", {
+            **self._ids, "prov:kind": "agent", "cf:restart": "true",
+        })
+        first_task = next(iter(self.doc.get("activity", ())), None)
+        if first_task is not None:
+            self._add_edge(
+                first_task, node, "wasAssociatedWith", {"cf:type": "machine"}
             )

@@ -297,8 +297,11 @@ class RunContext:
         self.store.stats.invalid += 1
 
     def keep(self, key: Optional[str], stage: str, payload: object) -> None:
-        """Hold a computed section of ``key``'s file for :meth:`publish`
-        (without a store, there is nothing to keep)."""
+        """Hold a computed section of ``key``'s file for :meth:`publish`.
+
+        Without a store there is nothing to keep, and the stages build
+        no section to offer (see :meth:`Stage.run`).
+        """
         if self.store is not None:
             self._sections.setdefault(key, {})[stage] = payload
             self._gained.add(key)
@@ -389,7 +392,10 @@ class Stage(abc.ABC):
 
         Returns the JSON payload to persist (or ``None`` for
         uncacheable stages).  Expected failures raise
-        :class:`StageFailure` with their own cacheable payload.
+        :class:`StageFailure` with their own cacheable payload.  A run
+        without a store (``ctx.store`` None) keeps no section, so the
+        builtin stages build none: they return no payload for a variant
+        (or the run), success or failure.
         """
 
     @abc.abstractmethod
@@ -432,7 +438,8 @@ class RecordingStage(Stage):
                 ctx.program, foreground=variant == FOREGROUND
             )
             self._set_trials(ctx, variant, trials)
-            payloads[variant] = [trial.to_payload() for trial in trials]
+            if ctx.store is not None:
+                payloads[variant] = [trial.to_payload() for trial in trials]
         return payloads
 
     def restore(self, ctx: RunContext, payload: Mapping[str, object]) -> None:
@@ -488,7 +495,8 @@ class TransformationStage(Stage):
                 for i, trial in enumerate(trials)
             ]
             self._set_graphs(ctx, variant, graphs)
-            payloads[variant] = [graph_to_payload(g) for g in graphs]
+            if ctx.store is not None:
+                payloads[variant] = [graph_to_payload(g) for g in graphs]
         return payloads
 
     def restore(self, ctx: RunContext, payload: Mapping[str, object]) -> None:
@@ -545,14 +553,18 @@ class GeneralizationStage(Stage):
             except GeneralizationError as error:
                 counters = _solver_delta_payload(before)
                 _apply_solver_counters(ctx.timings, counters, "generalization")
-                payloads[variant] = {"failed": str(error), "solver": counters}
+                if ctx.store is not None:
+                    payloads[variant] = {
+                        "failed": str(error), "solver": counters,
+                    }
                 raise self._failed(ctx, str(error), payloads) from error
             counters = _solver_delta_payload(before)
             _apply_solver_counters(ctx.timings, counters, "generalization")
             setattr(ctx, f"{variant}_outcome", outcome)
-            payloads[variant] = {
-                "outcome": outcome.to_payload(), "solver": counters,
-            }
+            if ctx.store is not None:
+                payloads[variant] = {
+                    "outcome": outcome.to_payload(), "solver": counters,
+                }
         return payloads
 
     def restore(self, ctx: RunContext, payload: Mapping[str, object]) -> None:
@@ -589,7 +601,7 @@ class ComparisonStage(Stage):
     outputs = ("comparison",)
     timing_field = "comparison"
 
-    def run(self, ctx: RunContext) -> Dict[str, object]:
+    def run(self, ctx: RunContext) -> Optional[Dict[str, object]]:
         before = solver_stats().snapshot()
         try:
             outcome = compare(
@@ -598,12 +610,15 @@ class ComparisonStage(Stage):
         except ComparisonError as error:
             counters = _solver_delta_payload(before)
             _apply_solver_counters(ctx.timings, counters, "comparison")
-            raise StageFailure(
-                str(error), payload={"failed": str(error), "solver": counters}
-            ) from error
+            payload = None
+            if ctx.store is not None:
+                payload = {"failed": str(error), "solver": counters}
+            raise StageFailure(str(error), payload) from error
         counters = _solver_delta_payload(before)
         _apply_solver_counters(ctx.timings, counters, "comparison")
         ctx.comparison = outcome
+        if ctx.store is None:
+            return None
         return {"outcome": outcome.to_payload(), "solver": counters}
 
     def restore(self, ctx: RunContext, payload: Mapping[str, object]) -> None:

@@ -66,6 +66,10 @@ class PropertyGraph:
         self.gid = gid
         self._nodes: Dict[str, Node] = {}
         self._edges: Dict[str, Edge] = {}
+        #: edge ids out of / into each node that has such an edge: a
+        #: node gets its out (in) list with its first out (in) edge and
+        #: loses it with its last, so an isolated node costs no list
+        #: (read them with ``.get``)
         self._out: Dict[str, List[str]] = {}
         self._in: Dict[str, List[str]] = {}
         #: bumped on every mutation; lets derived-structure caches (the
@@ -93,8 +97,6 @@ class PropertyGraph:
             raise GraphError(f"duplicate identifier {node_id!r}")
         node = Node(node_id, label, dict(props or {}))
         self._nodes[node_id] = node
-        self._out[node_id] = []
-        self._in[node_id] = []
         self._version += 1
         return node
 
@@ -114,8 +116,16 @@ class PropertyGraph:
             raise GraphError(f"edge {edge_id!r} has unknown target {tgt!r}")
         edge = Edge(edge_id, src, tgt, label, dict(props or {}))
         self._edges[edge_id] = edge
-        self._out[src].append(edge_id)
-        self._in[tgt].append(edge_id)
+        out = self._out.get(src)
+        if out is None:
+            self._out[src] = [edge_id]
+        else:
+            out.append(edge_id)
+        into = self._in.get(tgt)
+        if into is None:
+            self._in[tgt] = [edge_id]
+        else:
+            into.append(edge_id)
         self._version += 1
         return edge
 
@@ -141,20 +151,21 @@ class PropertyGraph:
         """Remove a node and every edge incident to it."""
         if node_id not in self._nodes:
             raise GraphError(f"unknown node {node_id!r}")
-        for edge_id in list(self._out[node_id]) + list(self._in[node_id]):
+        for edge_id in self._out.get(node_id, []) + self._in.get(node_id, []):
             if edge_id in self._edges:
                 self.remove_edge(edge_id)
         del self._nodes[node_id]
-        del self._out[node_id]
-        del self._in[node_id]
         self._version += 1
 
     def remove_edge(self, edge_id: str) -> None:
         if edge_id not in self._edges:
             raise GraphError(f"unknown edge {edge_id!r}")
         edge = self._edges.pop(edge_id)
-        self._out[edge.src].remove(edge_id)
-        self._in[edge.tgt].remove(edge_id)
+        for adjacency, node_id in ((self._out, edge.src), (self._in, edge.tgt)):
+            ids = adjacency[node_id]
+            ids.remove(edge_id)
+            if not ids:
+                del adjacency[node_id]
         self._version += 1
 
     # -- access -----------------------------------------------------------
@@ -200,13 +211,13 @@ class PropertyGraph:
         return iter(self._edges)
 
     def out_edges(self, node_id: str) -> List[Edge]:
-        return [self._edges[e] for e in self._out.get(node_id, [])]
+        return [self._edges[e] for e in self._out.get(node_id, ())]
 
     def in_edges(self, node_id: str) -> List[Edge]:
-        return [self._edges[e] for e in self._in.get(node_id, [])]
+        return [self._edges[e] for e in self._in.get(node_id, ())]
 
     def degree(self, node_id: str) -> int:
-        return len(self._out.get(node_id, [])) + len(self._in.get(node_id, []))
+        return len(self._out.get(node_id, ())) + len(self._in.get(node_id, ()))
 
     def element_props(self, element_id: str) -> Mapping[str, str]:
         if element_id in self._nodes:
@@ -282,8 +293,9 @@ class PropertyGraph:
         Two isomorphic graphs always share a signature; unequal signatures
         prove non-similarity without running the solver.
         """
+        out, into = self._out, self._in
         node_part = sorted(
-            (n.label, len(self._out[n.id]), len(self._in[n.id]))
+            (n.label, len(out.get(n.id, ())), len(into.get(n.id, ())))
             for n in self.nodes()
         )
         edge_part = sorted(

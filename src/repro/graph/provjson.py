@@ -15,7 +15,8 @@ CamFlow labels its nodes with ``prov:type`` values such as ``task``,
 from __future__ import annotations
 
 import json
-from typing import Dict, Tuple
+from collections import defaultdict
+from typing import Dict, Mapping, Tuple
 
 from repro.graph.model import PropertyGraph
 
@@ -32,34 +33,63 @@ RELATION_KEYS: Dict[str, Tuple[str, str]] = {
 
 _NODE_KINDS = ("entity", "activity", "agent")
 
+#: a PROV-JSON document: group (a node kind or a relation) -> id -> body
+ProvDocument = Dict[str, Dict[str, Dict[str, str]]]
+
 
 class ProvJsonError(Exception):
     """Raised when PROV-JSON input is malformed."""
 
 
-def graph_to_provjson(graph: PropertyGraph) -> str:
-    """Render ``graph`` as a PROV-JSON document string."""
-    doc: Dict[str, Dict[str, Dict[str, str]]] = {}
-    for node in graph.nodes():
-        kind = node.props.get("prov:kind", "entity")
-        if kind not in _NODE_KINDS:
-            kind = "entity"
-        body = {"prov:type": node.label}
-        body.update(
-            {k: v for k, v in node.props.items() if k != "prov:kind"}
-        )
-        doc.setdefault(kind, {})[node.id] = body
-    for edge in graph.edges():
-        relation = edge.label if edge.label in RELATION_KEYS else "used"
-        src_key, tgt_key = RELATION_KEYS[relation]
-        body = {src_key: edge.src, tgt_key: edge.tgt}
-        if edge.label not in RELATION_KEYS:
-            body["prov:type"] = edge.label
-        body.update(edge.props)
-        doc.setdefault(relation, {})[edge.id] = body
+def node_body(
+    label: str, props: Mapping[str, str]
+) -> Tuple[str, Dict[str, str]]:
+    """A node's PROV-JSON group and body.
+
+    The ``prov:kind`` property picks the group (``entity`` when it is
+    missing or not a PROV node kind) and is left out of the body; the
+    label becomes ``prov:type``.
+    """
+    body = {"prov:type": label, **props}
+    kind = body.pop("prov:kind", "entity")
+    return (kind if kind in _NODE_KINDS else "entity"), body
+
+
+def edge_body(
+    src: str, tgt: str, label: str, props: Mapping[str, str]
+) -> Tuple[str, Dict[str, str]]:
+    """An edge's PROV-JSON relation and body.
+
+    The endpoints go under the relation's source and target keys; a
+    label PROV does not name is a ``used`` relation whose ``prov:type``
+    is the label.
+    """
+    relation = label if label in RELATION_KEYS else "used"
+    src_key, tgt_key = RELATION_KEYS[relation]
+    body = {src_key: src, tgt_key: tgt}
+    if relation != label:
+        body["prov:type"] = label
+    body.update(props)
+    return relation, body
+
+
+def document_text(doc: ProvDocument) -> str:
+    """The PROV-JSON text of a document built from these bodies."""
     # No indent: an indented dump runs json's pure-Python encoder, a
     # compact one the C encoder (about 3x faster on a scale128 trial).
     return json.dumps(doc, sort_keys=True)
+
+
+def graph_to_provjson(graph: PropertyGraph) -> str:
+    """Render ``graph`` as a PROV-JSON document string."""
+    doc: ProvDocument = defaultdict(dict)
+    for node in graph.nodes():
+        kind, body = node_body(node.label, node.props)
+        doc[kind][node.id] = body
+    for edge in graph.edges():
+        relation, body = edge_body(edge.src, edge.tgt, edge.label, edge.props)
+        doc[relation][edge.id] = body
+    return document_text(doc)
 
 
 def provjson_to_graph(text: str, gid: str = "prov") -> PropertyGraph:

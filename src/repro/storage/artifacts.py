@@ -135,7 +135,8 @@ class ArtifactStore:
     what the file holds (the pipeline's ``variant`` and ``run`` files,
     the ``spec`` and ``response`` stages).  Each file wraps its payload
     with the store version and the stage name so a version bump or a
-    mis-filed artifact invalidates cleanly.
+    mis-filed artifact invalidates cleanly; a stage of user data (the
+    specs) names the versions it still reads when it enumerates.
     """
 
     #: temp files older than this on store open are orphans of killed
@@ -176,20 +177,30 @@ class ArtifactStore:
     def path_for(self, stage: str, material: Mapping[str, object]) -> Path:
         return self.root / stage / f"{canonical_key(material)}.json"
 
+    @staticmethod
+    def _read(path: Path, stage: str, versions: Container[int]) -> object:
+        """The payload of the ``stage`` artifact at ``path``.
+
+        Raises :class:`OSError` when the file cannot be read, and
+        :class:`ValueError` or :class:`KeyError` when it is not a
+        ``stage`` artifact written under one of ``versions``.
+        """
+        wrapper = json.loads(path.read_text())
+        if not isinstance(wrapper, dict):
+            raise ValueError("artifact wrapper must be an object")
+        if wrapper.get("version") not in versions:
+            raise ValueError("store version mismatch")
+        if wrapper.get("stage") != stage:
+            raise ValueError("stage mismatch")
+        return wrapper["payload"]
+
     def load(
         self, stage: str, material: Mapping[str, object]
     ) -> Optional[object]:
         """Return the stored payload, or ``None`` on miss/corruption."""
         path = self.path_for(stage, material)
         try:
-            wrapper = json.loads(path.read_text())
-            if not isinstance(wrapper, dict):
-                raise ValueError("artifact wrapper must be an object")
-            if wrapper.get("version") != STORE_VERSION:
-                raise ValueError("store version mismatch")
-            if wrapper.get("stage") != stage:
-                raise ValueError("stage mismatch")
-            payload = wrapper["payload"]
+            payload = self._read(path, stage, (STORE_VERSION,))
         except OSError:
             self.stats.misses += 1
             return None
@@ -239,12 +250,16 @@ class ArtifactStore:
         self.stats.writes += 1
         return path
 
-    def iter_stage(self, stage: str, skip_digests: Container[str] = ()):
+    def iter_stage(
+        self, stage: str, skip_digests: Container[str] = (), *,
+        versions: Container[int],
+    ):
         """Yield ``(path, payload)`` for every readable stage artifact.
 
         Used by consumers that enumerate a whole stage (the ``spec``
         stage holding persisted benchmark definitions).  Corrupt or
-        mis-filed artifacts are skipped and counted invalid — not
+        mis-filed artifacts, and those written under a store version
+        not in ``versions``, are skipped and counted invalid — not
         deleted, since another process may be mid-write.  Paths are
         yielded in sorted order so enumeration is deterministic.
         ``skip_digests`` drops artifacts by filename stem (their
@@ -259,14 +274,7 @@ class ArtifactStore:
             if path.stem in skip_digests:
                 continue
             try:
-                wrapper = json.loads(path.read_text())
-                if not isinstance(wrapper, dict):
-                    raise ValueError("artifact wrapper must be an object")
-                if wrapper.get("version") != STORE_VERSION:
-                    raise ValueError("store version mismatch")
-                if wrapper.get("stage") != stage:
-                    raise ValueError("stage mismatch")
-                payload = wrapper["payload"]
+                payload = self._read(path, stage, versions)
             except (OSError, ValueError, KeyError):
                 self.stats.invalid += 1
                 continue

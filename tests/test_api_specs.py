@@ -16,7 +16,8 @@ from repro.api.specs import (
     spec_from_program,
     syscall_table,
 )
-from repro.storage.artifacts import ArtifactStore
+from repro.middleware.idempotency import RESPONSE_STAGE
+from repro.storage.artifacts import STORE_VERSION, ArtifactStore, canonical_key
 from repro.suite.registry import SUITE_REGISTRY
 
 
@@ -310,6 +311,68 @@ class TestPersistence:
         persist_spec(store, edited)
         loaded = load_persisted_specs(store)
         assert loaded == [edited]
+
+    @staticmethod
+    def write_spec_file(root, payload, version):
+        """A spec file as the store of ``version`` wrote it, by hand."""
+        material = {"spec": payload}
+        path = root / "spec" / f"{canonical_key(material)}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({
+            "version": version, "stage": "spec", "key": material,
+            "payload": payload,
+        }))
+        return path
+
+    def test_a_version_1_spec_is_listed_run_and_removed(self, tmp_path):
+        """Specs are user data: a cache version bump keeps them."""
+        path = self.write_spec_file(tmp_path, make_payload(), version=1)
+        store = ArtifactStore(tmp_path)
+        assert load_persisted_specs(store) == [
+            BenchmarkSpec.from_payload(make_payload())
+        ]
+        assert store.stats.invalid == 0
+        service = BenchmarkService(registry=SUITE_REGISTRY.builtin_copy())
+        response = service.run(RunRequest(
+            benchmark="touch_close", tool="spade", seed=7,
+            store_path=str(tmp_path),
+        ))
+        assert response.result.classification.value == "ok"
+        assert remove_persisted_spec(store, "touch_close") == 1
+        assert not path.exists()
+        assert load_persisted_specs(store) == []
+
+    def test_a_version_1_spec_is_replaced_by_an_edit(self, tmp_path):
+        old = self.write_spec_file(tmp_path, make_payload(), version=1)
+        store = ArtifactStore(tmp_path)
+        edited = BenchmarkSpec.from_payload(make_payload(description="edited"))
+        persist_spec(store, edited)
+        assert not old.exists()
+        assert load_persisted_specs(store) == [edited]
+
+    def test_specs_from_a_newer_store_or_malformed_are_skipped(self, tmp_path):
+        self.write_spec_file(
+            tmp_path, make_payload(), version=STORE_VERSION + 1
+        )
+        self.write_spec_file(
+            tmp_path, make_payload(name="x", program={"ops": "none"}),
+            version=1,
+        )
+        store = ArtifactStore(tmp_path)
+        assert load_persisted_specs(store) == []
+        assert store.stats.invalid == 2
+
+    def test_a_version_1_response_is_a_miss(self, tmp_path):
+        """Only specs read across versions: an idempotency response is
+        cache, so one from another version reads as a miss."""
+        store = ArtifactStore(tmp_path)
+        material = {"mode": "auto", "request": {"benchmark": "open"}}
+        path = store.save(RESPONSE_STAGE, material, {"status": 200})
+        wrapper = json.loads(path.read_text())
+        wrapper["version"] = 1
+        path.write_text(json.dumps(wrapper))
+        assert store.load(RESPONSE_STAGE, material) is None
+        assert store.stats.invalid == 1
 
     def test_corrupt_spec_artifacts_skipped(self, tmp_path):
         store = ArtifactStore(tmp_path)

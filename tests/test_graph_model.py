@@ -124,6 +124,78 @@ class TestAccessors:
         assert hist["y"] == 2
 
 
+class TestAdjacency:
+    """A node holds an out (in) edge list only while it has an out (in)
+    edge; every reader treats a missing list as no edges."""
+
+    @staticmethod
+    def lollipop() -> PropertyGraph:
+        """a -> b, a loop on b, and an isolated node c."""
+        graph = PropertyGraph("l")
+        graph.add_node("a", "P")
+        graph.add_node("b", "F", {"k": "v"})
+        graph.add_node("c", "F")
+        graph.add_edge("e1", "a", "b", "Used")
+        graph.add_edge("e2", "b", "b", "Self")
+        return graph
+
+    def test_an_isolated_node_holds_no_adjacency_list(self):
+        graph = PropertyGraph()
+        graph.add_node("n", "Process")
+        assert graph._out == {} and graph._in == {}
+        graph = self.lollipop()
+        assert graph._out == {"a": ["e1"], "b": ["e2"]}
+        assert graph._in == {"b": ["e1", "e2"]}
+
+    def test_readers(self):
+        graph = self.lollipop()
+        assert [graph.degree(n) for n in "abc"] == [1, 3, 0]
+        assert [e.id for e in graph.out_edges("b")] == ["e2"]
+        assert [e.id for e in graph.in_edges("b")] == ["e1", "e2"]
+        assert graph.out_edges("c") == graph.in_edges("c") == []
+        assert graph.out_edges("b")[0].tgt == "b"
+        assert graph.structural_signature() == (
+            (("F", 0, 0), ("F", 1, 2), ("P", 1, 0)),
+            (("Self", "F", "F"), ("Used", "P", "F")),
+        )
+
+    def test_removing_the_last_edge_drops_the_lists(self):
+        graph = self.lollipop()
+        graph.remove_edge("e2")
+        assert graph._out == {"a": ["e1"]} and graph._in == {"b": ["e1"]}
+        assert graph.degree("b") == 1
+        graph.remove_edge("e1")
+        assert graph._out == {} and graph._in == {}
+        assert graph.degree("a") == graph.degree("b") == 0
+
+    def test_remove_node_with_and_without_edges(self):
+        graph = self.lollipop()
+        graph.remove_node("c")
+        graph.remove_node("b")
+        assert list(graph.node_ids()) == ["a"]
+        assert graph.edge_count == 0
+        assert graph._out == {} and graph._in == {}
+        graph.add_node("b", "F")
+        graph.add_edge("e3", "a", "b", "Used")
+        assert graph.degree("a") == graph.degree("b") == 1
+
+    def test_copy_subgraph_and_pickle_keep_the_structure(self):
+        graph = self.lollipop()
+        for derived in (
+            graph.copy(),
+            graph.subgraph(["a", "b", "c"], ["e1", "e2"]),
+            pickle.loads(pickle.dumps(graph)),
+        ):
+            assert derived == graph
+            assert derived.structural_signature() == (
+                graph.structural_signature()
+            )
+            assert [derived.degree(n) for n in "abc"] == [1, 3, 0]
+        part = graph.subgraph(["a", "c"], [])
+        assert [part.degree(n) for n in "ac"] == [0, 0]
+        assert part._out == {} and part._in == {}
+
+
 class TestDerivedGraphs:
     def test_copy_is_independent(self, tiny_graph):
         clone = tiny_graph.copy()
