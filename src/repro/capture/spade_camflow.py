@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.capture.base import CaptureSystem, RawOutput
 from repro.capture.camflow import RECORDED_HOOKS
-from repro.graph.dot import graph_to_dot
-from repro.graph.model import PropertyGraph
+from repro.graph.dot import dot_document, dot_edge, dot_node
 from repro.kernel.trace import LsmEvent, ObjectInfo, Trace
 
 
@@ -54,7 +53,7 @@ class SpadeCamFlowCapture(CaptureSystem):
             if event.hook not in RECORDED_HOOKS:
                 continue
             builder.feed(event)
-        return graph_to_dot(builder.graph, name="spade_camflow")
+        return builder.dot()
 
 
 #: hook -> (edge label, direction) in SPADE's OPM vocabulary.
@@ -76,33 +75,55 @@ _HOOK_EDGES = {
 
 
 class _OpmFromLsmBuilder:
-    """Renders LSM hook events into SPADE's Process/Artifact vocabulary."""
+    """Renders LSM hook events into SPADE's Process/Artifact vocabulary,
+    as the DOT statements SPADE's Graphviz storage writes."""
 
     def __init__(self, rng: random.Random) -> None:
         self.rng = rng
-        self.graph = PropertyGraph("spade_camflow")
         self._seq = 0
         self._process_vertex: Dict[int, str] = {}
         self._artifact_vertex: Dict[str, str] = {}
+        #: each vertex's and edge's statement, by id
+        self._nodes: Dict[str, str] = {}
+        self._edges: Dict[str, str] = {}
 
     def _next_id(self, prefix: str) -> str:
         self._seq += 1
         return f"{prefix}{self.rng.randrange(16**8):08x}{self._seq}"
+
+    def _add_node(self, label: str, props: Mapping[str, str]) -> str:
+        node_id = self._next_id("v")
+        self._nodes[node_id] = dot_node(node_id, label, props)
+        return node_id
+
+    def _add_edge(
+        self, src: str, tgt: str, label: str, props: Mapping[str, str]
+    ) -> None:
+        edge_id = self._next_id("e")
+        self._edges[edge_id] = dot_edge(edge_id, src, tgt, label, props)
+
+    def dot(self) -> str:
+        """The document: vertices, then edges, each sorted by id (the
+        order ``graph_to_dot`` writes)."""
+        return dot_document("spade_camflow", [
+            *(self._nodes[node_id] for node_id in sorted(self._nodes)),
+            *(self._edges[edge_id] for edge_id in sorted(self._edges)),
+        ])
 
     def _ensure_process(self, event: LsmEvent) -> str:
         task_id = event.subject.task_id
         existing = self._process_vertex.get(task_id)
         if existing is not None:
             return existing
-        vertex = self.graph.add_node(self._next_id("v"), "Process", {
+        vertex = self._add_node("Process", {
             "pid": str(event.subject.pid),
             "name": event.subject.comm,
             "uid": str(event.subject.uid),
             "source": "camflow",
             "start time": str(event.time_ns),
         })
-        self._process_vertex[task_id] = vertex.id
-        return vertex.id
+        self._process_vertex[task_id] = vertex
+        return vertex
 
     def _artifact_key(self, obj: ObjectInfo) -> str:
         if obj.kind in ("pipe", "socket"):
@@ -114,15 +135,15 @@ class _OpmFromLsmBuilder:
         existing = self._artifact_vertex.get(key)
         if existing is not None:
             return existing
-        vertex = self.graph.add_node(self._next_id("v"), "Artifact", {
+        vertex = self._add_node("Artifact", {
             "subtype": obj.kind,
             "path": obj.path or "",
             "ino": str(obj.ino or obj.pipe_id or 0),
             "source": "camflow",
             "time": str(event.time_ns),
         })
-        self._artifact_vertex[key] = vertex.id
-        return vertex.id
+        self._artifact_vertex[key] = vertex
+        return vertex
 
     def feed(self, event: LsmEvent) -> None:
         process = self._ensure_process(event)
@@ -131,37 +152,35 @@ class _OpmFromLsmBuilder:
                 (o for o in event.objects if o.role == "child"), None
             )
             if child is not None and child.task_id is not None:
-                child_vertex = self.graph.add_node(
-                    self._next_id("v"), "Process", {
-                        "pid": str(child.pid),
-                        "source": "camflow",
-                        "start time": str(event.time_ns),
-                    },
-                )
-                self._process_vertex[child.task_id] = child_vertex.id
-                self.graph.add_edge(
-                    self._next_id("e"), child_vertex.id, process,
-                    "WasTriggeredBy", {"operation": "fork"},
+                child_vertex = self._add_node("Process", {
+                    "pid": str(child.pid),
+                    "source": "camflow",
+                    "start time": str(event.time_ns),
+                })
+                self._process_vertex[child.task_id] = child_vertex
+                self._add_edge(
+                    child_vertex, process, "WasTriggeredBy",
+                    {"operation": "fork"},
                 )
             return
         if event.hook in (
             "task_fix_setuid", "task_fix_setgid", "bprm_committed_creds",
         ):
-            new_vertex = self.graph.add_node(self._next_id("v"), "Process", {
+            new_vertex = self._add_node("Process", {
                 "pid": str(event.subject.pid),
                 "name": event.subject.comm,
                 "source": "camflow",
             })
-            self.graph.add_edge(
-                self._next_id("e"), new_vertex.id, process,
-                "WasTriggeredBy", {"operation": event.hook},
+            self._add_edge(
+                new_vertex, process, "WasTriggeredBy",
+                {"operation": event.hook},
             )
-            self._process_vertex[event.subject.task_id] = new_vertex.id
+            self._process_vertex[event.subject.task_id] = new_vertex
             task_obj = next(
                 (o for o in event.objects if o.role == "task"), None
             )
             if task_obj is not None and task_obj.task_id is not None:
-                self._process_vertex[task_obj.task_id] = new_vertex.id
+                self._process_vertex[task_obj.task_id] = new_vertex
             return
         if event.hook == "file_permission":
             obj = next((o for o in event.objects if o.fd is not None), None)
@@ -170,14 +189,13 @@ class _OpmFromLsmBuilder:
             artifact = self._ensure_artifact(obj, event)
             mask = dict(event.details).get("mask", "r")
             if mask == "w":
-                self.graph.add_edge(
-                    self._next_id("e"), artifact, process,
-                    "WasGeneratedBy", {"operation": "write"},
+                self._add_edge(
+                    artifact, process, "WasGeneratedBy",
+                    {"operation": "write"},
                 )
             else:
-                self.graph.add_edge(
-                    self._next_id("e"), process, artifact,
-                    "Used", {"operation": "read"},
+                self._add_edge(
+                    process, artifact, "Used", {"operation": "read"}
                 )
             return
         mapping = _HOOK_EDGES.get(event.hook)
@@ -186,9 +204,8 @@ class _OpmFromLsmBuilder:
                 obj = next((o for o in event.objects if o.role == "exe"), None)
                 if obj is not None:
                     artifact = self._ensure_artifact(obj, event)
-                    self.graph.add_edge(
-                        self._next_id("e"), process, artifact,
-                        "Used", {"operation": "load"},
+                    self._add_edge(
+                        process, artifact, "Used", {"operation": "load"}
                     )
             return
         label, direction, operation = mapping
@@ -199,12 +216,6 @@ class _OpmFromLsmBuilder:
             return
         artifact = self._ensure_artifact(target_obj, event)
         if direction == "used":
-            self.graph.add_edge(
-                self._next_id("e"), process, artifact, label,
-                {"operation": operation},
-            )
+            self._add_edge(process, artifact, label, {"operation": operation})
         else:
-            self.graph.add_edge(
-                self._next_id("e"), artifact, process, label,
-                {"operation": operation},
-            )
+            self._add_edge(artifact, process, label, {"operation": operation})

@@ -11,16 +11,25 @@ with hit/miss counters recorded in
 :class:`~repro.core.result.StageTimings`.
 
 Recording, transformation and generalization handle the foreground and
-the background program separately (paper §3.2–3.4), so each variant has
-its own store file, keyed by (variant, tool, resolved config, seed),
-holding one section per stage: what that variant's trials execute, not
-the benchmark's name.  Benchmarks that share a background — the 44
-Table 2 benchmarks have five — record, transform and generalize it once
-per store.  Comparison and the final result are sections of the run's
-file, keyed by (benchmark, tool, resolved config, seed).  A run reads
-each file at most once, keeps its sections on the :class:`RunContext`,
-and :meth:`RunContext.publish` writes each file that gained a section
-once, at the end of the run.
+the background program separately (paper §3.2–3.4).  The run's store
+file, keyed by (benchmark, tool, resolved config, seed), holds its
+foreground's sections for those three stages beside its comparison and
+final result.  Only a background has a file of its own, keyed by
+(variant, tool, resolved config, seed): what that variant's trials
+execute, not the benchmark's name, so benchmarks that share a
+background — the 44 Table 2 benchmarks have five — record, transform
+and generalize it once per store.  A run reads each file at most once,
+keeps its sections on the :class:`RunContext`, and
+:meth:`RunContext.publish` writes each file that gained a section once,
+at the end of the run: a cold run creates its run file, plus its
+background's file when no earlier run stored it.
+
+A variant's stored generalization section stands in for its recording
+and transformation: it carries their virtual seconds, so a later run
+skips both stages for that variant, and they are neither built nor
+written once it is kept.  Only a run stopped before generalization (a
+deadline, a cancellation, an error) writes a variant's recording and
+transformation sections, and a retry resumes from them.
 
 Restored stages are exact replays: graph payloads preserve element
 insertion order, and each solver-using stage stores the solver-counter
@@ -42,6 +51,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
 )
@@ -76,10 +86,17 @@ RESULT_STAGE = "result"
 #: the program variants, named as per-variant payloads key them
 FOREGROUND, BACKGROUND = "fg", "bg"
 
-#: The store files a run reads and writes, by what their key covers: a
-#: variant's (its recording, transformation and generalization
-#: sections) and the run's (its comparison and result sections).
+#: The store files a run reads and writes, by what their key covers: its
+#: background variant's (that variant's recording, transformation and
+#: generalization sections) and the run's (the foreground's sections for
+#: those three stages, then the comparison and result sections).
 VARIANT_FILE, RUN_FILE = "variant", "run"
+
+#: A variant's kept generalization section covers its recording and
+#: transformation: it carries their virtual seconds (under these keys),
+#: and a file holding it holds neither of those sections.
+COVERING_STAGE = "generalization"
+COVERED_STAGES: Tuple[str, ...] = ("recording", "transformation")
 
 #: The per-variant stages by name, each with the order it handles the
 #: variants in: recording runs the background first (the order its
@@ -204,17 +221,25 @@ class RunContext:
     comparison: Optional[ComparisonOutcome] = None
     #: set by Pipeline.run when a stage raised StageFailure
     failure: Optional[str] = None
+    #: each variant's virtual seconds, as its generalization section
+    #: carries them: its trials' recording seconds, in trial order, and
+    #: its transformation seconds
+    recording_seconds: Dict[str, List[float]] = field(default_factory=dict)
+    transformation_seconds: Dict[str, float] = field(default_factory=dict)
     #: memoized key_material() results, by variant (invariant for the run)
     _key_material: Dict[Optional[str], Dict[str, object]] = field(
         default_factory=dict, repr=False
     )
-    #: the store file sections of each key read or computed so far (a
-    #: variant, or None for the run), by stage, and the keys that gained
-    #: a section this run (see :meth:`publish`)
+    #: the store file sections of each key read or computed so far (the
+    #: background, or None for the run), by stage, and the keys that
+    #: gained a section this run (see :meth:`publish`)
     _sections: Dict[Optional[str], Dict[str, object]] = field(
         default_factory=dict, repr=False
     )
     _gained: Set[Optional[str]] = field(default_factory=set, repr=False)
+    #: per variant, whether its stored generalization section covers its
+    #: recording and transformation (see :meth:`covered`)
+    _covering: Dict[str, bool] = field(default_factory=dict, repr=False)
 
     def key_material(
         self, variant: Optional[str] = None
@@ -224,14 +249,15 @@ class RunContext:
         Both cover the capture backend (class + config repr + output
         format) and every resolved pipeline knob that can change a
         stage's output.  The run's identity (``variant=None``, keying
-        the run file: comparison and the final result) adds the
-        benchmark program by content as well as name — a custom
-        ``Program`` with the same name keys differently — and both pair
-        policies.  A variant's identity (``"fg"``/``"bg"``, keying that
-        variant's file: recording, transformation and generalization)
-        adds only :meth:`Program.variant`, which is everything that
-        variant's trials execute, and that variant's pair policy, so
-        benchmarks that share a background share its file.  Parallelism
+        the run file: the foreground's sections, comparison and the
+        final result) adds the benchmark program by content as well as
+        name — a custom ``Program`` with the same name keys differently
+        — and both pair policies.  A variant's identity
+        (``"fg"``/``"bg"``; the background's keys its file: recording,
+        transformation and generalization) adds only
+        :meth:`Program.variant`, which is everything that variant's
+        trials execute, and that variant's pair policy, so benchmarks
+        that share a background share its file.  Parallelism
         and store settings are deliberately excluded: they cannot change
         results.  The keys rely on seeded determinism — drivers must not
         offer the store to a run without a seed.
@@ -270,16 +296,40 @@ class RunContext:
         self._key_material[variant] = material
         return material
 
+    # -- virtual seconds -----------------------------------------------------
+
+    def price_recording(self, variant: str, seconds: List[float]) -> None:
+        """Set ``variant``'s trial recording seconds; the virtual
+        recording clock sums every trial's, foreground first, as
+        :attr:`RecordingSession.virtual_seconds` does."""
+        self.recording_seconds[variant] = seconds
+        self.timings.virtual_recording = sum(
+            self.recording_seconds.get(FOREGROUND, [])
+            + self.recording_seconds.get(BACKGROUND, [])
+        )
+
+    def price_transformation(self, variant: str, seconds: float) -> None:
+        """Set ``variant``'s transformation seconds; the virtual clock
+        adds the foreground's, then the background's."""
+        self.transformation_seconds[variant] = seconds
+        self.timings.virtual_transformation = sum(
+            self.transformation_seconds.get(name, 0.0)
+            for name in (FOREGROUND, BACKGROUND)
+        )
+
     # -- store sections ----------------------------------------------------
 
-    def stored(self, key: Optional[str], stage: str) -> Optional[object]:
-        """The stored ``stage`` section of ``key``'s file, or None.
+    def stored(self, unit: Optional[str], stage: str) -> Optional[object]:
+        """The stored ``stage`` section of ``unit`` (a variant, or None
+        for the run), or None.
 
-        The file is read on first use, at most once per run, and not at
-        all without a store or with ``use_cache`` off.
+        The foreground's sections live in the run's file.  A file is
+        read on first use, at most once per run, and not at all without
+        a store or with ``use_cache`` off.
         """
         if self.store is None or not self.use_cache:
             return None
+        key = _file_key(unit)
         sections = self._sections.get(key)
         if sections is None:
             kind = RUN_FILE if key is None else VARIANT_FILE
@@ -290,32 +340,80 @@ class RunContext:
             sections = self._sections[key] = dict(payload or {})
         return sections.get(stage)
 
-    def reject(self, key: Optional[str], stage: str) -> None:
+    def reject(self, unit: Optional[str], stage: str) -> None:
         """Drop a stored section its reader could not decode; it counts
         invalid, and the recomputed section replaces it on disk."""
-        del self._sections[key][stage]
+        del self._sections[_file_key(unit)][stage]
         self.store.stats.invalid += 1
 
-    def keep(self, key: Optional[str], stage: str, payload: object) -> None:
-        """Hold a computed section of ``key``'s file for :meth:`publish`.
+    def keep(self, unit: Optional[str], stage: str, payload: object) -> None:
+        """Hold a computed section of ``unit``'s file for :meth:`publish`.
 
-        Without a store there is nothing to keep, and the stages build
-        no section to offer (see :meth:`Stage.run`).
+        A section may be deferred: a callable that builds it, called
+        only if the section is written.  Without a store there is
+        nothing to keep, and the stages build no section to offer (see
+        :meth:`Stage.run`).
         """
         if self.store is not None:
+            key = _file_key(unit)
             self._sections.setdefault(key, {})[stage] = payload
             self._gained.add(key)
+
+    def covered(self, variant: str) -> bool:
+        """True when ``variant``'s stored generalization section stands
+        in for its recording and transformation, whose virtual seconds
+        are then priced from it.
+
+        Decided on first use.  A section without well-formed seconds
+        is rejected, and recomputed with them.
+        """
+        covering = self._covering.get(variant)
+        if covering is None:
+            covering = self._covering[variant] = self._price_covered(variant)
+        return covering
+
+    def _price_covered(self, variant: str) -> bool:
+        section = self.stored(variant, COVERING_STAGE)
+        if section is None:
+            return False
+        try:
+            recording = [float(s) for s in section["virtual_recording"]]
+            transformation = float(section["virtual_transformation"])
+            if len(recording) != self.trials:
+                raise ValueError("not one recording time per trial")
+        except PAYLOAD_ERRORS:
+            self.reject(variant, COVERING_STAGE)
+            return False
+        self.price_recording(variant, recording)
+        self.price_transformation(variant, transformation)
+        return True
+
+    def uncover(self, variant: str) -> bool:
+        """Stop ``variant``'s generalization section standing in for its
+        earlier stages (its reader rejected it); True when it did."""
+        covering = self._covering.get(variant, False)
+        self._covering[variant] = False
+        return covering
 
     def publish(self, quiet: bool = False) -> None:
         """Write each file that gained a section, once, with every
         section it holds; a file only restored is not rewritten.
 
-        ``quiet`` skips a file whose write fails, for a run that is
-        already failing: that error is the one to report.
+        A file holding a generalization section drops the recording and
+        transformation sections it covers, unbuilt; the other deferred
+        sections are built here.  ``quiet`` skips a file whose write
+        fails, for a run that is already failing: that error is the one
+        to report.
         """
         for key, sections in self._sections.items():
             if key not in self._gained:
                 continue
+            if COVERING_STAGE in sections:
+                for stage in COVERED_STAGES:
+                    sections.pop(stage, None)
+            for stage, section in sections.items():
+                if callable(section):
+                    sections[stage] = section()
             try:
                 self.store.save(
                     RUN_FILE if key is None else VARIANT_FILE,
@@ -326,6 +424,20 @@ class RunContext:
                 if not quiet:
                     raise
         self._gained.clear()
+
+
+def _file_key(unit: Optional[str]) -> Optional[str]:
+    """The key of the store file holding ``unit``'s sections: the
+    background's own, or the run's (None) for the foreground and run."""
+    return BACKGROUND if unit == BACKGROUND else None
+
+
+def _encode_all(
+    encode: Callable[[object], object], items: Sequence[object]
+) -> List[object]:
+    """Each of ``items`` encoded: the section a stage defers as
+    ``partial(_encode_all, encode, items)`` (see :meth:`RunContext.keep`)."""
+    return [encode(item) for item in items]
 
 
 def _solver_delta_payload(before: SolverStats) -> Dict[str, int]:
@@ -391,11 +503,12 @@ class Stage(abc.ABC):
         """Compute this stage's outputs onto ``ctx``.
 
         Returns the JSON payload to persist (or ``None`` for
-        uncacheable stages).  Expected failures raise
-        :class:`StageFailure` with their own cacheable payload.  A run
-        without a store (``ctx.store`` None) keeps no section, so the
-        builtin stages build none: they return no payload for a variant
-        (or the run), success or failure.
+        uncacheable stages); a variant's payload may be deferred, a
+        callable that builds it (see :meth:`RunContext.keep`).  Expected
+        failures raise :class:`StageFailure` with their own cacheable
+        payload.  A run without a store (``ctx.store`` None) keeps no
+        section, so the builtin stages build none: they return no
+        payload for a variant (or the run), success or failure.
         """
 
     @abc.abstractmethod
@@ -415,9 +528,10 @@ class Stage(abc.ABC):
 class RecordingStage(Stage):
     """Stage 1 — run fg/bg trials under the capture tool (paper §3.2).
 
-    A variant's payload is its trials.  The trial seeds are drawn up
-    front, so a variant recorded alone gets the trials a recording of
-    both would.
+    A variant's payload is its trials, deferred: it is built only when
+    a run stops before that variant's generalization.  The trial seeds
+    are drawn up front, so a variant recorded alone gets the trials a
+    recording of both would.
     """
 
     name = "recording"
@@ -439,7 +553,9 @@ class RecordingStage(Stage):
             )
             self._set_trials(ctx, variant, trials)
             if ctx.store is not None:
-                payloads[variant] = [trial.to_payload() for trial in trials]
+                payloads[variant] = partial(
+                    _encode_all, RecordedTrial.to_payload, trials
+                )
         return payloads
 
     def restore(self, ctx: RunContext, payload: Mapping[str, object]) -> None:
@@ -467,13 +583,14 @@ class RecordingStage(Stage):
             ctx.session.foreground_trials = trials
         else:
             ctx.session.background_trials = trials
-        ctx.timings.virtual_recording = ctx.session.virtual_seconds
+        ctx.price_recording(variant, [t.virtual_seconds for t in trials])
 
 
 class TransformationStage(Stage):
     """Stage 2 — native outputs to Datalog property graphs (paper §3.3).
 
-    Its virtual seconds come from the graphs, built or restored.
+    Its virtual seconds come from the graphs, built or restored.  A
+    variant's payload is its graphs, deferred like the recording's.
     """
 
     name = "transformation"
@@ -496,7 +613,9 @@ class TransformationStage(Stage):
             ]
             self._set_graphs(ctx, variant, graphs)
             if ctx.store is not None:
-                payloads[variant] = [graph_to_payload(g) for g in graphs]
+                payloads[variant] = partial(
+                    _encode_all, graph_to_payload, graphs
+                )
         return payloads
 
     def restore(self, ctx: RunContext, payload: Mapping[str, object]) -> None:
@@ -518,10 +637,10 @@ class TransformationStage(Stage):
     ) -> None:
         setattr(ctx, f"{variant}_graphs", graphs)
         startup = STARTUP_SECONDS[ctx.capture.output_format]
-        ctx.timings.virtual_transformation += sum(
+        ctx.price_transformation(variant, sum(
             startup + ROW_SECONDS * (graph.node_count + graph.edge_count)
             for graph in graphs
-        )
+        ))
 
 
 class GeneralizationStage(Stage):
@@ -648,6 +767,13 @@ class Pipeline:
                     f"stages only produce {sorted(produced)}"
                 )
             produced.update(stage.outputs)
+        by_name = {stage.name: stage for stage in self.stages}
+        #: the stages a stored generalization section stands in for, by
+        #: name, when the pipeline has them and generalization
+        self._covered: Dict[str, Stage] = (
+            {name: by_name[name] for name in COVERED_STAGES}
+            if by_name.keys() >= {COVERING_STAGE, *COVERED_STAGES} else {}
+        )
 
     def run(self, ctx: RunContext) -> RunContext:
         """Run every stage in order; stop at the first failed stage.
@@ -659,7 +785,11 @@ class Pipeline:
         :class:`ProgressEvent` is emitted at every stage boundary
         (started / finished / failed); callback exceptions propagate,
         which is how job cancellation aborts a run between stages.
+        With a store, each stage entered counts one store hit when none
+        of its units was computed, one miss otherwise (a later stage may
+        compute an earlier one's unit: see :meth:`_compute`).
         """
+        computed: Dict[str, bool] = {}
         for stage in self.stages:
             if (
                 ctx.deadline_at is not None
@@ -672,7 +802,7 @@ class Pipeline:
             self._emit(ctx, stage, "started", 0.0)
             started = time.perf_counter()
             try:
-                self._run_stage(stage, ctx)
+                self._run_stage(stage, ctx, computed)
             except StageFailure as failure:
                 ctx.failure = str(failure)
                 elapsed = self._credit_time(ctx, stage, started)
@@ -680,6 +810,10 @@ class Pipeline:
                 break
             elapsed = self._credit_time(ctx, stage, started)
             self._emit(ctx, stage, "finished", elapsed)
+        if ctx.store is not None:
+            misses = sum(computed.values())
+            ctx.timings.store_misses += misses
+            ctx.timings.store_hits += len(computed) - misses
         return ctx
 
     @staticmethod
@@ -699,59 +833,75 @@ class Pipeline:
         setattr(ctx.timings, stage.timing_field, current + elapsed)
         return elapsed
 
-    @classmethod
-    def _run_stage(cls, stage: Stage, ctx: RunContext) -> None:
+    def _run_stage(
+        self, stage: Stage, ctx: RunContext, computed: Dict[str, bool]
+    ) -> None:
         """Restore or compute one stage, unit by unit.
 
         The units of a per-variant stage are its variants, in
         :data:`VARIANT_ORDER`; any other stage is one unit, the run.
-        Each unit is restored from its store file's section for the
-        stage when it holds one its ``restore`` accepts; the units
-        missing before it are computed first, together in one ``run``
-        call.  A stored failure thus surfaces only once every earlier
-        unit is restored or computed, as in a full computation.  The
-        stage counts one store hit when every unit was restored, one
-        miss otherwise.
+        Recording and transformation skip a variant whose stored
+        generalization section covers them (:meth:`RunContext.covered`).
+        ``computed[stage.name]`` records whether any unit was computed.
         """
         units: Tuple[Optional[str], ...] = (
             VARIANT_ORDER.get(stage.name) or (None,)
         )
-        pending: List[Optional[str]] = []
-        missed = False
-        try:
-            for unit in units:
-                payload = ctx.stored(unit, stage.name)
-                if payload is None:
-                    pending.append(unit)
-                    continue
-                if pending:
-                    missed = True
-                    cls._compute(stage, ctx, pending)
-                    pending = []
-                try:
-                    stage.restore(
-                        ctx, payload if unit is None else {unit: payload}
-                    )
-                except PAYLOAD_ERRORS:
-                    ctx.reject(unit, stage.name)
-                    pending.append(unit)
-            if pending:
-                missed = True
-                cls._compute(stage, ctx, pending)
-        finally:
-            if ctx.store is not None:
-                if missed:
-                    ctx.timings.store_misses += 1
-                else:
-                    ctx.timings.store_hits += 1
+        if stage.name in self._covered:
+            units = tuple(unit for unit in units if not ctx.covered(unit))
+        computed[stage.name] = False
+        self._restore_or_compute(stage, ctx, units, computed)
 
-    @staticmethod
+    def _restore_or_compute(
+        self, stage: Stage, ctx: RunContext,
+        units: Sequence[Optional[str]], computed: Dict[str, bool],
+    ) -> None:
+        """Restore each unit from its store file's section for the stage
+        when it holds one ``restore`` accepts; compute the units missing
+        before it first, together in one ``run`` call.  A stored failure
+        thus surfaces only once every earlier unit is restored or
+        computed, as in a full computation."""
+        pending: List[Optional[str]] = []
+        for unit in units:
+            payload = ctx.stored(unit, stage.name)
+            if payload is None:
+                pending.append(unit)
+                continue
+            if pending:
+                self._compute(stage, ctx, pending, computed)
+                pending = []
+            try:
+                stage.restore(
+                    ctx, payload if unit is None else {unit: payload}
+                )
+            except PAYLOAD_ERRORS:
+                ctx.reject(unit, stage.name)
+                pending.append(unit)
+        if pending:
+            self._compute(stage, ctx, pending, computed)
+
     def _compute(
-        stage: Stage, ctx: RunContext, units: List[Optional[str]]
+        self, stage: Stage, ctx: RunContext, units: List[Optional[str]],
+        computed: Dict[str, bool],
     ) -> None:
         """Run ``stage`` for ``units``; keep what it computed, failures
-        included, as each unit's section for the stage."""
+        included, as each unit's section for the stage.
+
+        A variant generalized here whose earlier stages its rejected
+        generalization section covered gets them restored or computed
+        first.  A kept generalization section carries the variant's
+        recording and transformation virtual seconds.
+        """
+        computed[stage.name] = True
         per_variant = units[0] is not None
+        covering = stage.name == COVERING_STAGE and bool(self._covered)
+        if covering:
+            for unit in units:
+                if ctx.uncover(unit):
+                    for earlier in self._covered.values():
+                        self._restore_or_compute(
+                            earlier, ctx, (unit,), computed
+                        )
         if per_variant:
             ctx.variants = tuple(units)
 
@@ -761,6 +911,14 @@ class Pipeline:
             for unit, section in (
                 payload.items() if per_variant else [(None, payload)]
             ):
+                if covering:
+                    section = dict(
+                        section,
+                        virtual_recording=ctx.recording_seconds[unit],
+                        virtual_transformation=(
+                            ctx.transformation_seconds[unit]
+                        ),
+                    )
                 ctx.keep(unit, stage.name, section)
 
         try:

@@ -11,7 +11,7 @@ benchmark results.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.graph.model import PropertyGraph
 
@@ -40,7 +40,7 @@ class DotError(Exception):
     """Raised when DOT text cannot be parsed."""
 
 
-def _pack_label(label: str, props: Dict[str, str]) -> str:
+def _pack_label(label: str, props: Mapping[str, str]) -> str:
     parts = [f"type:{label}"]
     for key in sorted(props):
         parts.append(f"{key}:{props[key]}")
@@ -61,20 +61,38 @@ def _unpack_label(packed: str) -> Tuple[str, Dict[str, str]]:
     return label or "Unknown", props
 
 
+def dot_node(node_id: str, label: str, props: Mapping[str, str]) -> str:
+    """One vertex statement of the dialect."""
+    shape = _SHAPE_FOR_LABEL.get(label, "ellipse")
+    packed = _pack_label(label, props)
+    return f'  "{node_id}" [label="{packed}" shape="{shape}"];'
+
+
+def dot_edge(
+    edge_id: str, src: str, tgt: str, label: str, props: Mapping[str, str]
+) -> str:
+    """One edge statement of the dialect."""
+    packed = _pack_label(label, props)
+    return f'  "{src}" -> "{tgt}" [id="{edge_id}" label="{packed}"];'
+
+
+def dot_document(name: str, statements: Iterable[str]) -> str:
+    """A DOT document: ``statements`` inside ``digraph name { }``."""
+    return "\n".join([f"digraph {name} {{", *statements, "}"]) + "\n"
+
+
 def graph_to_dot(graph: PropertyGraph, name: str = "provenance") -> str:
-    """Render ``graph`` in the SPADE-like DOT dialect."""
-    lines = [f"digraph {name} {{"]
-    for node in sorted(graph.nodes(), key=lambda n: n.id):
-        shape = _SHAPE_FOR_LABEL.get(node.label, "ellipse")
-        packed = _pack_label(node.label, dict(node.props))
-        lines.append(f'  "{node.id}" [label="{packed}" shape="{shape}"];')
-    for edge in sorted(graph.edges(), key=lambda e: e.id):
-        packed = _pack_label(edge.label, dict(edge.props))
-        lines.append(
-            f'  "{edge.src}" -> "{edge.tgt}" [id="{edge.id}" label="{packed}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Render ``graph`` in the SPADE-like DOT dialect: its vertices,
+    then its edges, each sorted by id."""
+    nodes = sorted(graph.nodes(), key=lambda n: n.id)
+    edges = sorted(graph.edges(), key=lambda e: e.id)
+    return dot_document(name, [
+        *(dot_node(node.id, node.label, node.props) for node in nodes),
+        *(
+            dot_edge(edge.id, edge.src, edge.tgt, edge.label, edge.props)
+            for edge in edges
+        ),
+    ])
 
 
 def dot_to_graph(text: str, gid: str = "dot") -> PropertyGraph:

@@ -4,16 +4,19 @@ Every pipeline stage output — trial recordings, transformed property
 graphs, generalized graphs, comparison targets, final benchmark results —
 can be serialized to a JSON payload and persisted here, addressed by a
 stable key over what produced it.  The pipeline keeps one file per key,
-each holding one section per stage: a *variant* file per program
-variant (its binary, tool, resolved config and seed) holds that
-variant's recording, transformation and generalization, and a *run*
-file per run (benchmark, tool, resolved config, seed) holds its
-comparison and final result.  A run reads each of its keys once and
-writes each key that gained a section once, so a cold run creates two
-or three files, not one per stage and variant.  Later runs with the
-same key reuse the stored sections instead of recomputing the stages,
-which makes repeated sweeps near-free, lets benchmarks that share a
-background share its variant file, and makes ``provmark batch``
+each holding one section per stage: a *run* file per run (benchmark,
+tool, resolved config, seed) holds its foreground's generalization, its
+comparison and its final result, and a *variant* file per background
+(its binary, tool, resolved config and seed) holds that background's
+generalization.  A generalization section carries the virtual seconds of
+its variant's recording and transformation, which therefore keep no
+section of their own; only a run stopped before generalization stores
+them, for its retry to resume from.  A run reads each of its keys once
+and writes each key that gained a section once, so a cold run creates
+one file, plus one for a background that no earlier run stored.  Later
+runs with the same key reuse the stored sections instead of recomputing
+the stages, which makes repeated sweeps near-free, lets benchmarks that
+share a background share its variant file, and makes ``provmark batch``
 resumable.
 
 Design points:
@@ -53,7 +56,7 @@ from repro.storage.neo4jsim import Neo4jSim
 
 #: bump when payload formats change incompatibly; old artifacts then
 #: read as misses instead of deserializing garbage
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 #: Process-wide fault-injection gate adopted by new stores (see
 #: ``ArtifactStore.__init__``).  Worker processes under chaos testing

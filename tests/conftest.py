@@ -60,8 +60,10 @@ def make_chain(length: int, label: str = "N", gid: str = "chain") -> PropertyGra
 def stage_files(store: Path, stage: str):
     """``(path, wrapper)`` of every variant or run file in an artifact
     store that holds a ``stage`` section (``wrapper["payload"][stage]``):
-    variant files hold recording, transformation and generalization, run
-    files comparison and the result."""
+    a background's variant file holds its generalization, a run file its
+    foreground's generalization, the comparison and the result.  Only a
+    run stopped before generalization stores recording and
+    transformation sections, in both kinds of file."""
     found = []
     for kind in ("variant", "run"):
         for path in sorted((store / kind).glob("*.json")):

@@ -14,7 +14,9 @@ allocations, not time:
   the 54 graphs are 36 trials, 12 generalized and 6 comparison
   targets);
 * ``CamFlowCapture.record`` builds no ``PropertyGraph`` (one per trial
-  when the capture built a graph to render as PROV-JSON);
+  when the capture built a graph to render as PROV-JSON), and neither
+  does ``SpadeCamFlowCapture.record`` (one per trial when it built a
+  graph to render as DOT);
 * a warm seed-5 scale-major pass in a fresh interpreter allocates few
   enough containers: gen0 collections times the gen0 threshold, read
   through ``gc.callbacks`` with the interpreter's own thresholds, stays
@@ -31,6 +33,7 @@ from pathlib import Path
 
 from repro.api import BenchmarkService, RunRequest
 from repro.capture.camflow import CamFlowCapture
+from repro.capture.spade_camflow import SpadeCamFlowCapture
 from repro.core.compare import ComparisonOutcome
 from repro.core.generalize import GeneralizationOutcome
 from repro.core.recording import RecordedTrial
@@ -93,7 +96,8 @@ def test_a_storeless_pass_builds_no_store_section(monkeypatch):
     }
 
 
-def test_camflow_capture_builds_no_graph(monkeypatch):
+def graphs_built(monkeypatch):
+    """Every ``PropertyGraph`` built from now on."""
     built = []
     real = PropertyGraph.__init__
 
@@ -101,10 +105,23 @@ def test_camflow_capture_builds_no_graph(monkeypatch):
         built.append(self)
         real(self, *args, **kwargs)
 
-    trace = ProgramExecutor(get_benchmark("scale32"), seed=SEED).run(True).trace
     monkeypatch.setattr(PropertyGraph, "__init__", counted)
+    return built
+
+
+def test_camflow_capture_builds_no_graph(monkeypatch):
+    trace = ProgramExecutor(get_benchmark("scale32"), seed=SEED).run(True).trace
+    built = graphs_built(monkeypatch)
     text = CamFlowCapture().record(trace, random.Random(SEED))
     assert '"activity"' in text
+    assert built == []
+
+
+def test_spade_camflow_capture_builds_no_graph(monkeypatch):
+    trace = ProgramExecutor(get_benchmark("scale32"), seed=SEED).run(True).trace
+    built = graphs_built(monkeypatch)
+    text = SpadeCamFlowCapture().record(trace, random.Random(SEED))
+    assert "WasGeneratedBy" in text
     assert built == []
 
 

@@ -69,6 +69,34 @@ def write_version_1(store: Path) -> None:
             path.write_text(json.dumps(wrapper))
 
 
+class Stop(Exception):
+    """Raised by a progress callback to stop a run."""
+
+
+def stop_before_generalization(event) -> None:
+    if event.stage == "generalization" and event.status == "started":
+        raise Stop(event.benchmark)
+
+
+def partial_store(store: Path) -> None:
+    """What an ``open``/spade run stopped before generalization leaves:
+    both variants' recording and transformation sections, no other."""
+    provmark = ProvMark(
+        config=spade_config(store), progress=stop_before_generalization
+    )
+    with pytest.raises(Stop):
+        provmark.run_benchmark("open")
+
+
+def stored_sections(store: Path):
+    """The section names of every variant and run file, by kind."""
+    return sorted(
+        (path.parent.name, sorted(json.loads(path.read_text())["payload"]))
+        for kind in ("variant", "run")
+        for path in (store / kind).glob("*.json")
+    )
+
+
 class TestKeys:
     def test_key_is_order_independent(self):
         shuffled = dict(reversed(list(MATERIAL.items())))
@@ -255,8 +283,11 @@ class TestWarmRuns:
             path.write_text(json.dumps(wrapper))
         warm = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
         assert results_identical(cold, warm)
-        assert warm.timings.store_hits == 3
-        assert warm.timings.store_misses == 1
+        # a rejected generalization section no longer covers its
+        # variant's recording and transformation: all three recompute
+        assert warm.timings.store_row() == {
+            "store_hits": 1, "store_misses": 3,
+        }
 
     def test_deterministic_failure_served_from_store(self, tmp_path):
         def run():
@@ -293,7 +324,10 @@ class TestWarmRuns:
         """A variant file cut short (a mid-write crash) is a miss for all
         three of its stages: they are recomputed, identically."""
         cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
-        path, _ = stage_files(tmp_path, "recording")[0]
+        [path] = [
+            path for path, _ in stage_files(tmp_path, "generalization")
+            if path.parent.name == "variant"
+        ]
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
         provmark = ProvMark(config=spade_config(tmp_path))
@@ -324,16 +358,20 @@ class TestWarmRuns:
     def test_decodable_but_malformed_artifact_recomputed(self, tmp_path):
         """Valid JSON wrapper, payload the codecs reject (e.g. written
         by another code version): recompute, don't crash."""
-        cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        plain = ProvMark(tool="spade", seed=5).run_benchmark("open")
+        partial_store(tmp_path)
         for path, wrapper in stage_files(tmp_path, "transformation"):
             wrapper["payload"]["transformation"] = {
                 "fg": [{"gid": "x"}], "bg": [],
             }
             path.write_text(json.dumps(wrapper))
         warm = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
-        assert results_identical(cold, warm)
-        assert warm.timings.store_hits == 3
-        assert warm.timings.store_misses == 1
+        assert results_identical(plain, warm)
+        # recording restored, transformation recomputed (an intact
+        # partial store restores both), the later stages never stored
+        assert warm.timings.store_row() == {
+            "store_hits": 1, "store_misses": 3,
+        }
 
     def test_wrong_payload_type_recomputed_not_crash(self, tmp_path):
         """Payload fields of the wrong JSON type (string where a dict is
@@ -344,11 +382,13 @@ class TestWarmRuns:
             path.write_text(json.dumps(wrapper))
         warm = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
         assert results_identical(cold, warm)
-        assert warm.timings.store_misses == 1
+        # the rejected sections' recording and transformation recompute
+        assert warm.timings.store_row() == {
+            "store_hits": 1, "store_misses": 3,
+        }
 
     def test_invalid_payload_not_counted_as_store_hit(self, tmp_path):
-        provmark = ProvMark(config=spade_config(tmp_path))
-        provmark.run_benchmark("open")
+        partial_store(tmp_path)
         for path, wrapper in stage_files(tmp_path, "transformation"):
             wrapper["payload"]["transformation"] = {"fg": "nope", "bg": []}
             path.write_text(json.dumps(wrapper))
@@ -356,26 +396,25 @@ class TestWarmRuns:
         result = warm.run_benchmark("open")
         stats = warm.artifact_store().stats
         assert stats.invalid == 2  # both variants' transformation sections
-        # the files read (both variants' and the run's); a rejected
+        # the files read (the background's and the run's); a rejected
         # section counts invalid, and its stage a miss, never a hit
-        assert stats.hits == 3
+        assert stats.hits == 2
         assert result.timings.store_row() == {
-            "store_hits": 3, "store_misses": 1,
+            "store_hits": 1, "store_misses": 3,
         }
 
     def test_short_recording_recomputed_not_cached_as_failure(self, tmp_path):
         """A stored recording with too few trials must read as a miss:
         restored, it would fail generalization ("need at least two trial
         graphs") and that failure would be stored for every later run."""
-        cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        cold = ProvMark(tool="spade", seed=5).run_benchmark("open")
+        partial_store(tmp_path)
         for path, wrapper in stage_files(tmp_path, "recording"):
             sections = wrapper["payload"]
             if sections["recording"][0]["foreground"]:
                 sections["recording"] = sections["recording"][:1]
-            del sections["transformation"], sections["generalization"]
+            del sections["transformation"]
             path.write_text(json.dumps(wrapper))
-        for path in (tmp_path / "run").glob("*.json"):
-            path.unlink()
         provmark = ProvMark(config=spade_config(tmp_path))
         warm = provmark.run_benchmark("open")
         assert results_identical(cold, warm)
@@ -388,6 +427,20 @@ class TestWarmRuns:
         assert results_identical(cold, again)
         assert again.timings.store_hits == 4
 
+    def test_store_from_version_2_reads_as_misses(self, tmp_path):
+        """Version 2 kept each variant's recording and transformation
+        beside its generalization; its files serve nothing now."""
+        cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        for path in tmp_path.rglob("*.json"):
+            wrapper = json.loads(path.read_text())
+            wrapper["version"] = 2
+            path.write_text(json.dumps(wrapper))
+        warm = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        assert results_identical(cold, warm)
+        assert warm.timings.store_row() == {
+            "store_hits": 0, "store_misses": 4,
+        }
+
     def test_malformed_result_artifact_under_resume(self, tmp_path):
         cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
         for path, wrapper in stage_files(tmp_path, "result"):
@@ -397,6 +450,41 @@ class TestWarmRuns:
             config=spade_config(tmp_path, resume=True)
         ).run_benchmark("open")
         assert results_identical(cold, resumed)
+
+
+class TestStoppedRuns:
+    """A run stopped before generalization stores what it recorded and
+    transformed; a run that generalizes a variant stores neither."""
+
+    def test_a_cold_run_stores_no_recording_or_transformation(self, tmp_path):
+        ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        assert stored_sections(tmp_path) == [
+            ("run", ["comparison", "generalization", "result"]),
+            ("variant", ["generalization"]),
+        ]
+
+    def test_the_next_run_resumes_then_drops_them(self, tmp_path):
+        plain = ProvMark(tool="spade", seed=5).run_benchmark("open")
+        partial_store(tmp_path)
+        assert stored_sections(tmp_path) == [
+            ("run", ["recording", "transformation"]),
+            ("variant", ["recording", "transformation"]),
+        ]
+        resumed = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        assert results_identical(plain, resumed)
+        assert resumed.timings.virtual_transformation == (
+            plain.timings.virtual_transformation
+        )
+        assert resumed.timings.store_row() == {
+            "store_hits": 2, "store_misses": 2,
+        }
+        assert stored_sections(tmp_path) == [
+            ("run", ["comparison", "generalization", "result"]),
+            ("variant", ["generalization"]),
+        ]
+        warm = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        assert results_identical(plain, warm)
+        assert warm.timings.store_hits == 4
 
 
 class TestResume:

@@ -123,8 +123,9 @@ class TestSweepIdentity:
         monkeypatch.setattr(ProgramExecutor, "run", counting)
         provmark.run_benchmark(second)
         assert trials == [True, True]  # the foreground's trials only
-        for stage in ("recording", "transformation", "generalization"):
-            assert len(stage_artifacts(tmp_path, stage)) == 3, stage
+        # two run files, each with its foreground's generalization, and
+        # the one background's file
+        assert len(stage_artifacts(tmp_path, "generalization")) == 3
         assert len(stage_artifacts(tmp_path, "comparison")) == 2
 
 
@@ -158,7 +159,7 @@ class TestForwardingWrapper:
             assert deterministic_view(wrapped.run_benchmark(name)) == (
                 deterministic_view(plain.run_benchmark(name))
             )
-        assert len(stage_artifacts(tmp_path, "recording")) == 3
+        assert len(stage_artifacts(tmp_path, "generalization")) == 3
 
 
 class TestFailureOrder:
@@ -167,22 +168,21 @@ class TestFailureOrder:
 
     def prepare(self, store: Path) -> None:
         """A stored failed background generalization, and no foreground
-        generalization, comparison or result artifact."""
+        generalization, comparison or result artifact (no run file)."""
         ProvMark(tool="spade", seed=5, store_path=str(store)).run_benchmark(
             "open"
         )
         background = repr(get_benchmark("open").variant(False))
         for path, wrapper in stage_artifacts(store, "generalization"):
-            sections = wrapper["payload"]
-            if wrapper["key"]["variant"] == background:
-                sections["generalization"] = {
-                    "failed": "background boom", "solver": {},
-                }
-            else:
-                del sections["generalization"]
+            if path.parent.name == "run":
+                path.unlink()
+                continue
+            assert wrapper["key"]["variant"] == background
+            # still covering the background's recording and transformation
+            section = wrapper["payload"]["generalization"]
+            del section["outcome"]
+            section.update(failed="background boom", solver={})
             path.write_text(json.dumps(wrapper))
-        for path, _ in stage_artifacts(store, "comparison"):
-            path.unlink()
 
     def test_background_failure_after_foreground_computed(self, tmp_path):
         self.prepare(tmp_path)
@@ -192,8 +192,10 @@ class TestFailureOrder:
         assert result.classification is Classification.FAILED
         assert result.error == "background boom"
         assert result.foreground is None and result.background is None
+        # the foreground recorded, transformed and generalized; the
+        # background's failure covers its recording and transformation
         assert result.timings.store_row() == {
-            "store_hits": 2, "store_misses": 1,
+            "store_hits": 0, "store_misses": 3,
         }
         # the computed foreground was stored beside the failure
         assert len(stage_artifacts(tmp_path, "generalization")) == 2
