@@ -24,8 +24,10 @@ Performance architecture (see ROADMAP.md):
   parallel-edge groups incident to the newly mapped node, and the inverse
   node map is maintained alongside the forward map instead of being
   rebuilt;
-* ``property_mismatch_cost`` is memoized per (element1, element2) pair
-  for the lifetime of one search;
+* a cost-minimizing search prices no candidate pair: it reads each
+  element's cost against every candidate from g2's per-label property
+  postings (:func:`_holder_counts`), and embedding domains are computed
+  once per (label, neighbourhood signature);
 * wide parallel-edge groups are assigned optimally with the Hungarian
   algorithm instead of a greedy heuristic;
 * each trial pair is searched once: similarity classing only decides
@@ -89,8 +91,12 @@ class SolverStats:
     """Per-thread counters making the optimization wins observable.
 
     ``steps`` — backtracking search steps; ``searches`` — number of
-    :class:`_MatchSearch` runs; ``cost_cache_hits`` — memoized property
-    mismatch lookups served from cache; ``matching_cache_hits`` —
+    :class:`_MatchSearch` runs and decomposed passes;
+    ``cost_cache_hits`` — property mismatch costs served from the memo
+    of a decomposed pass or :func:`price_node_map`, the only pricing
+    that memoizes pairs (a :class:`_MatchSearch` reads postings when it
+    minimizes with the optimizations on, and prices pairs directly
+    otherwise); ``matching_cache_hits`` —
     generalizations that reused a search: a warm start from a classing
     matching, or a pair search that was also the similarity proof.
     ``decomposed_components`` — independent sub-problems solved by the
@@ -170,7 +176,7 @@ def solver_optimizations(enabled: bool) -> Iterator[None]:
 
     With ``enabled=False`` the engine falls back to the reference
     behavior: label/degree candidate scans, full group rescans per step,
-    uncached property costs, no warm starts.  Results are identical
+    property costs priced pair by pair, no warm starts.  Results are identical
     either way; only the work done differs.  (Wide parallel-edge groups
     are assigned with the exact Hungarian solver in both modes —
     exactness is not a speed toggle.)
@@ -297,17 +303,22 @@ def _wl_colors(graph: PropertyGraph) -> Dict[str, int]:
     return colors
 
 
-def _neighborhood_signature(
-    graph: PropertyGraph, node_id: str
-) -> Dict[Tuple[int, str, str], int]:
-    """Counts per (direction, edge label, neighbor label) bucket."""
-    counts: Dict[Tuple[int, str, str], int] = {}
-    for edge in graph.out_edges(node_id):
-        key = (0, edge.label, graph.node(edge.tgt).label)
-        counts[key] = counts.get(key, 0) + 1
-    for edge in graph.in_edges(node_id):
-        key = (1, edge.label, graph.node(edge.src).label)
-        counts[key] = counts.get(key, 0) + 1
+def _neighborhood_signatures(
+    graph: PropertyGraph,
+) -> Dict[str, Dict[Tuple[int, str, str], int]]:
+    """Per node: counts per (direction, edge label, neighbor label) bucket,
+    collected in one pass over the edges."""
+    labels = {node.id: node.label for node in graph.nodes()}
+    counts: Dict[str, Dict[Tuple[int, str, str], int]] = {
+        node_id: {} for node_id in labels
+    }
+    for edge in graph.edges():
+        out = counts[edge.src]
+        key = (0, edge.label, labels[edge.tgt])
+        out[key] = out.get(key, 0) + 1
+        into = counts[edge.tgt]
+        key = (1, edge.label, labels[edge.src])
+        into[key] = into.get(key, 0) + 1
     return counts
 
 
@@ -447,8 +458,63 @@ def _connected_expansion_order(graph: PropertyGraph) -> List[str]:
     return order
 
 
+def _label_postings(
+    elements: Iterable[_Element],
+) -> Dict[str, Tuple[int, Dict[Tuple[str, str], List[str]]]]:
+    """Per label: how many elements carry it, and (key, value) property ->
+    ids of those elements holding it, in insertion order."""
+    counts: Dict[str, int] = {}
+    postings: Dict[str, Dict[Tuple[str, str], List[str]]] = {}
+    for element in elements:
+        label = element.label
+        counts[label] = counts.get(label, 0) + 1
+        by_item = postings.setdefault(label, {})
+        for item in element.props.items():
+            by_item.setdefault(item, []).append(element.id)
+    return {label: (counts[label], by_item) for label, by_item in postings.items()}
+
+
+def _holder_counts(
+    props: Mapping[str, str],
+    postings: Mapping[Tuple[str, str], Sequence],
+    size: int,
+) -> Tuple[int, Dict]:
+    """How the ``size`` elements behind ``postings`` hold ``props``'s items.
+
+    Returns the number of items every element holds, each counted once,
+    and per element the count of the other items it holds: an element's
+    ``property_mismatch_cost`` is ``len(props)`` minus both.  Reads only
+    the postings of ``props``'s items that some but not all elements
+    hold, never the elements themselves.
+    """
+    common = 0
+    hits: Dict = {}
+    for item in props.items():
+        holders = postings.get(item)
+        if holders is None:
+            continue
+        if len(holders) == size:
+            common += 1
+            continue
+        for holder in holders:
+            hits[holder] = hits.get(holder, 0) + 1
+    return common, hits
+
+
 class _MatchSearch:
-    """Backtracking search shared by isomorphism and subgraph embedding."""
+    """Backtracking search shared by isomorphism and subgraph embedding.
+
+    With the optimizations on, a cost-minimizing search (the comparison's
+    embedding, the monolithic exact fallback) prices nothing pair by
+    pair.  An element's ``property_mismatch_cost`` against a candidate is
+    its property count minus the items the candidate holds, so one walk
+    over g2's per-label property postings (:func:`_holder_counts`) prices
+    a g1 element against every candidate at once.  Those counts give the
+    node and edge bounds, each node's cheapest-first candidate order
+    (stable-sorted once; the search filters it by the inverse map) and
+    the node and edge-group costs.  The reference mode and first-solution
+    searches call ``property_mismatch_cost`` per pair.
+    """
 
     def __init__(
         self,
@@ -500,9 +566,6 @@ class _MatchSearch:
             if upper_bound is not None and minimize_cost and self.optimized
             else None
         )
-        self._pair_cost: Optional[Dict[Tuple[str, str], int]] = (
-            {} if self.optimized else None
-        )
         if self.optimized:
             self.nodes1 = _cached_structure(
                 g1, "order", lambda: _connected_expansion_order(g1)
@@ -517,76 +580,121 @@ class _MatchSearch:
             self.candidates = {
                 node.id: self._node_candidates(node) for node in g1.nodes()
             }
+        # Costs read from postings (optimized and minimizing): per g1 node
+        # its candidates' costs; per g1 edge its cost against a same-label
+        # g2 edge holding none of its uncommon items, and per g2 edge
+        # holding some, how many.
+        self._node_costs: Dict[str, Dict[str, int]] = {}
+        self._edge_costs: Dict[str, Tuple[int, Dict[str, int]]] = {}
+        #: each node's candidates in the order the search tries them
+        self._ordered = self.candidates
         # Admissible lower bound: from depth d onward at least the minimum
         # candidate property cost of every remaining node must be paid.
         # Without it, symmetric nodes whose every pairing costs the same
         # (e.g. volatile timestamps on interchangeable Call nodes) force an
         # exhaustive permutation sweep.  The bound is only consulted by
-        # cost-minimizing searches; similarity checks skip the O(E1·E2)
-        # precomputation entirely.
+        # cost-minimizing searches; similarity checks skip this set-up
+        # entirely.
         if not minimize_cost:
             self._suffix_min = [0] * (len(self.nodes1) + 1)
             return
-        min_cost = []
-        for node_id in self.nodes1:
-            node = g1.node(node_id)
-            costs = [
-                self._pcost(node_id, node.props, v, g2.node(v).props)
-                for v in self.candidates[node_id]
-            ]
-            min_cost.append(min(costs) if costs else 0)
+        min_cost, edge_min = (
+            self._postings_bounds() if self.optimized
+            else self._pairwise_bounds()
+        )
         # Edge bound: an edge's cost is realized at the depth its second
         # endpoint is assigned; until then at least the cheapest
         # label-compatible g2 edge must be paid.
         position = {node_id: i for i, node_id in enumerate(self.nodes1)}
-        edges2_by_label: Dict[str, List[Edge]] = {}
-        for edge in g2.edges():
-            edges2_by_label.setdefault(edge.label, []).append(edge)
         edge_min_at = [0] * (len(self.nodes1) + 1)
         for edge in g1.edges():
-            compatible = edges2_by_label.get(edge.label, [])
-            if not compatible:
-                continue
-            cheapest = min(
-                self._pcost(edge.id, edge.props, other.id, other.props)
-                for other in compatible
-            )
-            completion = max(position[edge.src], position[edge.tgt])
-            edge_min_at[completion] += cheapest
+            cheapest = edge_min.get(edge.id)
+            if cheapest is not None:
+                completion = max(position[edge.src], position[edge.tgt])
+                edge_min_at[completion] += cheapest
         self._suffix_min = [0] * (len(min_cost) + 1)
         for index in range(len(min_cost) - 1, -1, -1):
             self._suffix_min[index] = (
                 self._suffix_min[index + 1] + min_cost[index] + edge_min_at[index]
             )
 
-    # -- memoized property costs -------------------------------------------
+    # -- property costs -----------------------------------------------------
 
-    def _pcost(
-        self,
-        id1: str,
-        props1: Mapping[str, str],
-        id2: str,
-        props2: Mapping[str, str],
-    ) -> int:
-        """Property mismatch cost memoized per (element1, element2) pair.
+    def _postings_bounds(self) -> Tuple[List[int], Dict[str, int]]:
+        """Every cost the search needs, read from g2's label postings.
 
-        Node and edge identifiers share one namespace within a graph, so
-        (g1 id, g2 id) keys cannot collide across element kinds.
+        Fills the node cost tables, the cheapest-first candidate orders
+        and the edge tables.  Returns each node's cheapest candidate cost
+        in search order and each g1 edge's cheapest same-label g2 edge.
         """
-        cache = self._pair_cost
-        if cache is None:
-            return property_mismatch_cost(props1, props2)
-        key = (id1, id2)
-        cached = cache.get(key)
-        if cached is not None:
-            self.stats.cost_cache_hits += 1
-            return cached
-        cost = property_mismatch_cost(props1, props2)
-        cache[key] = cost
-        return cost
+        g1, g2 = self.g1, self.g2
+        node_postings = _cached_structure(
+            g2, "node_postings", lambda: _label_postings(g2.nodes())
+        )
+        edge_postings = _cached_structure(
+            g2, "edge_postings", lambda: _label_postings(g2.edges())
+        )
+        no_postings: Tuple[int, Dict] = (0, {})
+        self._ordered = {}
+        min_cost = []
+        for node_id in self.nodes1:
+            node = g1.node(node_id)
+            size, postings = node_postings.get(node.label, no_postings)
+            common, hits = _holder_counts(node.props, postings, size)
+            base = len(node.props) - common
+            candidates = self.candidates[node_id]
+            costs = self._node_costs[node_id] = {
+                v: base - hits.get(v, 0) for v in candidates
+            }
+            ordered = self._ordered[node_id] = (
+                sorted(candidates, key=costs.__getitem__) if hits
+                else candidates
+            )
+            min_cost.append(costs[ordered[0]] if ordered else 0)
+        edge_min: Dict[str, int] = {}
+        for edge in g1.edges():
+            size, postings = edge_postings.get(edge.label, no_postings)
+            if not size:
+                continue
+            common, hits = _holder_counts(edge.props, postings, size)
+            base = len(edge.props) - common
+            self._edge_costs[edge.id] = (base, hits)
+            edge_min[edge.id] = base - max(hits.values(), default=0)
+        return min_cost, edge_min
+
+    def _pairwise_bounds(self) -> Tuple[List[int], Dict[str, int]]:
+        """The reference: each bound priced pair by pair."""
+        min_cost = []
+        for node_id in self.nodes1:
+            costs = [
+                self._node_cost(node_id, v) for v in self.candidates[node_id]
+            ]
+            min_cost.append(min(costs) if costs else 0)
+        edges2_by_label: Dict[str, List[Edge]] = {}
+        for edge in self.g2.edges():
+            edges2_by_label.setdefault(edge.label, []).append(edge)
+        edge_min: Dict[str, int] = {}
+        for edge in self.g1.edges():
+            compatible = edges2_by_label.get(edge.label)
+            if compatible:
+                edge_min[edge.id] = min(
+                    self._edge_pair_cost(edge, other) for other in compatible
+                )
+        return min_cost, edge_min
+
+    def _node_cost(self, u: str, v: str) -> int:
+        costs = self._node_costs.get(u)
+        if costs is not None:
+            return costs[v]
+        return property_mismatch_cost(
+            self.g1.node(u).props, self.g2.node(v).props
+        )
 
     def _edge_pair_cost(self, e1: Edge, e2: Edge) -> int:
-        return self._pcost(e1.id, e1.props, e2.id, e2.props)
+        table = self._edge_costs.get(e1.id)
+        if table is not None:
+            return table[0] - table[1].get(e2.id, 0)
+        return property_mismatch_cost(e1.props, e2.props)
 
     # -- candidate computation --------------------------------------------
 
@@ -641,7 +749,8 @@ class _MatchSearch:
         have extra structure), so the refinement is one-sided: every
         (direction, edge label, neighbor label) bucket of the pattern node
         must be covered by the candidate's bucket.  This subsumes the
-        in/out-degree inequalities.
+        in/out-degree inequalities.  Nodes sharing a label and a signature
+        share one domain, computed once.
         """
         g1, g2 = self.g1, self.g2
 
@@ -651,25 +760,28 @@ class _MatchSearch:
                 index.setdefault(node.label, []).append(node.id)
             return index
 
-        def signatures(graph: PropertyGraph):
-            return lambda: {
-                node.id: _neighborhood_signature(graph, node.id)
-                for node in graph.nodes()
-            }
-
         nodes2_by_label = _cached_structure(g2, "by_label", label_index)
-        need_sig = _cached_structure(g1, "neigh", signatures(g1))
-        have_sig = _cached_structure(g2, "neigh", signatures(g2))
+        need_sig = _cached_structure(
+            g1, "neigh", lambda: _neighborhood_signatures(g1)
+        )
+        have_sig = _cached_structure(
+            g2, "neigh", lambda: _neighborhood_signatures(g2)
+        )
+        domains: Dict[Tuple, List[str]] = {}
         result: Dict[str, List[str]] = {}
         for node in g1.nodes():
             need = need_sig[node.id]
-            domain: List[str] = []
-            for other_id in nodes2_by_label.get(node.label, ()):
-                have = have_sig[other_id]
-                if all(
-                    have.get(key, 0) >= count for key, count in need.items()
-                ):
-                    domain.append(other_id)
+            signature = (node.label, frozenset(need.items()))
+            domain = domains.get(signature)
+            if domain is None:
+                domain = domains[signature] = [
+                    other_id
+                    for other_id in nodes2_by_label.get(node.label, ())
+                    if all(
+                        have_sig[other_id].get(key, 0) >= count
+                        for key, count in need.items()
+                    )
+                ]
             result[node.id] = domain
         return result
 
@@ -761,7 +873,7 @@ class _MatchSearch:
             if len(edges1) == 1 and len(edges2) == 1:
                 # By far the most common shape: no assignment to optimize.
                 e1, e2 = edges1[0], edges2[0]
-                total += self._pcost(e1.id, e1.props, e2.id, e2.props)
+                total += self._edge_pair_cost(e1, e2)
                 pairs.append((e1.id, e2.id))
                 continue
             cost, group_pairs = _optimal_group_assignment(
@@ -825,17 +937,13 @@ class _MatchSearch:
                 self.best = Matching(dict(node_map), dict(edge_map), cost)
             return
         u = self.nodes1[depth]
-        props_u = self.g1.node(u).props
-        candidates = [v for v in self.candidates[u] if v not in inv]
-        if self.minimize_cost:
+        candidates = [v for v in self._ordered[u] if v not in inv]
+        if self.minimize_cost and not self.optimized:
             # Cheapest-first ordering finds a low-cost solution early, after
             # which branch-and-bound prunes the symmetric alternatives
-            # (e.g. OPUS's many interchangeable Env nodes).
-            candidates.sort(
-                key=lambda v: self._pcost(
-                    u, props_u, v, self.g2.node(v).props
-                )
-            )
+            # (e.g. OPUS's many interchangeable Env nodes).  Optimized,
+            # each node's candidates were sorted once, up front.
+            candidates.sort(key=lambda v: self._node_cost(u, v))
         for v in candidates:
             node_map[u] = v
             inv[v] = u
@@ -843,7 +951,7 @@ class _MatchSearch:
                 del node_map[u]
                 del inv[v]
                 continue
-            node_cost = self._pcost(u, props_u, v, self.g2.node(v).props)
+            node_cost = self._node_cost(u, v)
             edge_cost, pairs = self._edge_cost_for(node_map, u)
             for edge1_id, edge2_id in pairs:
                 edge_map[edge1_id] = edge2_id
@@ -859,9 +967,9 @@ class _MatchSearch:
 # -- decomposed exact matching ---------------------------------------------
 #
 # The monolithic branch-and-bound treats the two trial graphs as one big
-# matching problem; its per-search preprocessing (candidate cost lists and
-# edge bounds) is O(V1·V2 + E1·E2), which is what grows superlinearly on
-# the scalability sweep.  The decomposed matcher instead partitions the
+# matching problem, and its steps grow superlinearly on the scalability
+# sweep (CamFlow: 33,736 at scale128, 527,944 at scale512).  The
+# decomposed matcher instead partitions the
 # problem: WL-singleton nodes are *anchors* whose image is forced, and the
 # residual graph splits into connected components that are solved
 # independently — each component's nodes take the first feasible candidate
@@ -954,13 +1062,7 @@ def _cheapest_members(
     constant over the class).  Reads only the postings of ``props``'s
     items, never the whole class.
     """
-    hits: Dict[int, int] = {}
-    for item in props.items():
-        holders = postings.get(item)
-        if holders is None or len(holders) == size:
-            continue
-        for position in holders:
-            hits[position] = hits.get(position, 0) + 1
+    hits = _holder_counts(props, postings, size)[1]
     if not hits:
         return []
     top = max(hits.values())
@@ -1396,9 +1498,8 @@ def _decomposed_isomorphism(
 
     When minimizing, the pass follows the monolithic DFS's leftmost
     branch: each node visits its class in ``_MatchSearch._search``'s
-    order, unused members stably sorted by pcost (the DFS sorts only the
-    unused candidates, but stable-sorting the class once and skipping
-    used members gives the same order).  A node whose pcost is constant
+    order, the class stably sorted by pcost with used members skipped.
+    A node whose pcost is constant
     over its class keeps the first-fit pointer scan; any other must take
     one of its class-minimum members (:func:`_cheapest_members`) or the
     pass falls back.

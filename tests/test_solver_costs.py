@@ -15,20 +15,28 @@ regression fails on any runner:
   ~25-syscall build-like workload stays inside the step budget;
 * each trial pair is searched once: a two-trial generalization launches
   one search, similarity classing prices nothing, and a scale-major
-  pass stays under its search and ``property_mismatch_cost`` ceilings.
+  pass stays under its search and ``property_mismatch_cost`` ceilings;
+* the comparison prices no candidate pair: its embedding reads costs
+  from the foreground's property postings, so a Table 2 pass makes
+  almost no ``property_mismatch_cost`` calls there, and the postings
+  entries it reads in a scale-major pass grow linearly, an item every
+  candidate holds counted once rather than walked.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from typing import Iterator, Tuple
+
 from repro import ProvMark
 from repro.api import BenchmarkService, RunRequest
-from repro.core import generalize
+from repro.core import generalize, stages
+from repro.core.result import BenchmarkResult
 from repro.solver import native
 from repro.solver.native import solver_optimizations
 from repro.suite.program import Op, Program
-from repro.suite.registry import SUITE_REGISTRY
+from repro.suite.registry import SUITE_REGISTRY, TABLE2_ORDER
 
 SEED = 5
 #: per-tool solver_steps ceilings at scale128 — observed values are
@@ -39,36 +47,56 @@ SMOKE_STEP_CEILINGS = {"spade": 750, "camflow": 3700, "opus": 2400}
 SMOKE_GROWTH_ALARM = 6
 
 
+#: comparison postings entries a scale-major pass may read at scale128
+#: (486 read; 3051 when an item every candidate holds is walked too)
+SCALE128_POSTINGS_CEILING = 600
+
+
 @pytest.fixture
 def cost_calls(monkeypatch):
-    """``property_mismatch_cost`` calls from now on: all, and those made
-    while the generalization stage classes trials."""
-    calls = {"all": 0, "classing": 0}
-    classing = [False]
+    """``property_mismatch_cost`` calls from now on: all, those made
+    while the generalization stage classes trials and those made in the
+    comparison stage; and the postings entries the comparison reads."""
+    calls = {"all": 0, "classing": 0, "comparison": 0, "postings": 0}
+    phase = [None]
     original_cost = native.property_mismatch_cost
-    original_partition = generalize.partition_similarity_classes
+    original_holders = native._holder_counts
 
     def counted(props1, props2):
         calls["all"] += 1
-        calls["classing"] += classing[0]
+        if phase[0] is not None:
+            calls[phase[0]] += 1
         return original_cost(props1, props2)
 
-    def partition(*args, **kwargs):
-        classing[0] = True
-        try:
-            return original_partition(*args, **kwargs)
-        finally:
-            classing[0] = False
+    def holder_counts(props, postings, size):
+        common, hits = original_holders(props, postings, size)
+        if phase[0] == "comparison":
+            # one hit per postings entry read
+            calls["postings"] += sum(hits.values())
+        return common, hits
+
+    def during(name, function):
+        def wrapped(*args, **kwargs):
+            phase[0] = name
+            try:
+                return function(*args, **kwargs)
+            finally:
+                phase[0] = None
+        return wrapped
 
     monkeypatch.setattr(native, "property_mismatch_cost", counted)
-    monkeypatch.setattr(generalize, "partition_similarity_classes", partition)
+    monkeypatch.setattr(native, "_holder_counts", holder_counts)
+    monkeypatch.setattr(
+        generalize, "partition_similarity_classes",
+        during("classing", generalize.partition_similarity_classes),
+    )
+    monkeypatch.setattr(stages, "compare", during("comparison", stages.compare))
     return calls
 
 
-def scale_major_searches() -> int:
-    """Solver searches of a scale-major scale32+scale128 pass over the
-    three tools through one service (``scale_tail``'s order)."""
-    searches = 0
+def scale_major_results() -> Iterator[Tuple[str, BenchmarkResult]]:
+    """A scale-major scale32+scale128 pass over the three tools through
+    one service (``scale_tail``'s order): each scale and result."""
     with BenchmarkService() as service:
         for scale in ("scale32", "scale128"):
             for tool in ("spade", "opus", "camflow"):
@@ -76,8 +104,14 @@ def scale_major_searches() -> int:
                     RunRequest(benchmark=scale, tool=tool, seed=SEED)
                 ).result
                 assert result.classification.value == "ok"
-                searches += result.timings.solver_searches
-    return searches
+                yield scale, result
+
+
+def scale_major_searches() -> int:
+    """Solver searches of a scale-major pass."""
+    return sum(
+        result.timings.solver_searches for _, result in scale_major_results()
+    )
 
 
 def test_a_two_trial_generalization_searches_once():
@@ -99,9 +133,36 @@ def test_classing_prices_nothing(cost_calls):
 
 def test_a_scale_major_pass_searches_each_pair_once(cost_calls):
     """Was 42 searches and 16090 cost calls, each first trial pair
-    searched by classing and again by generalization."""
+    searched by classing and again by generalization; then 8380 calls,
+    4070 of them the comparison's pairwise pricing."""
     assert scale_major_searches() <= 30
-    assert cost_calls["all"] <= 8380
+    assert cost_calls["all"] <= 4310
+    assert cost_calls["comparison"] == 0
+
+
+def test_the_comparison_prices_no_candidate_pair(cost_calls):
+    """A seed-5 three-tool Table 2 pass: the comparison priced 28389
+    pairs when its embedding search called ``property_mismatch_cost``."""
+    with BenchmarkService() as service:
+        for tool in ("spade", "opus", "camflow"):
+            for name in TABLE2_ORDER:
+                service.run(RunRequest(benchmark=name, tool=tool, seed=SEED))
+    assert cost_calls["postings"] > 0
+    assert cost_calls["comparison"] <= 500
+
+
+def test_comparison_postings_reads_grow_linearly(cost_calls):
+    """The embedding reads each background element's postings, never an
+    item every candidate holds: scale32 reads 198 entries and scale128
+    486 (939 and 3051 when such items are walked)."""
+    reads = {"scale32": 0, "scale128": 0}
+    seen = 0
+    for scale, _ in scale_major_results():
+        reads[scale] += cost_calls["postings"] - seen
+        seen = cost_calls["postings"]
+    assert 0 < reads["scale32"]
+    assert reads["scale128"] <= SMOKE_GROWTH_ALARM * reads["scale32"]
+    assert reads["scale128"] <= SCALE128_POSTINGS_CEILING
 
 
 @pytest.mark.parametrize("tool", sorted(SMOKE_STEP_CEILINGS))
