@@ -127,12 +127,6 @@ ROW_SECONDS = 1e-5
 STEP_SECONDS = 3e-5
 
 
-def transformation_seconds(output_format: str, sizes: Sequence[int]) -> float:
-    """Virtual seconds to transform graphs of ``sizes`` nodes plus edges."""
-    startup = STARTUP_SECONDS[output_format]
-    return sum(startup + ROW_SECONDS * size for size in sizes)
-
-
 class PipelineDefinitionError(Exception):
     """A pipeline's stages do not chain (missing input products)."""
 
@@ -366,14 +360,12 @@ class RunContext:
             self._gained.add(key)
 
     def covered(self, variant: str) -> bool:
-        """True when ``variant``'s recording and transformation need not
-        run or be restored, their virtual seconds priced instead: from
-        its stored generalization section, or, when a stored failure of
-        a variant generalized before it ends the run first, from their
-        own stored sections, read without decoding a trial or a graph.
+        """True when ``variant``'s stored generalization section stands
+        in for its recording and transformation, whose virtual seconds
+        are then priced from it.
 
-        Decided on first use.  A generalization section without
-        well-formed seconds is rejected, and recomputed with them.
+        Decided on first use.  A section without well-formed seconds
+        is rejected, and recomputed with them.
         """
         covering = self._covering.get(variant)
         if covering is None:
@@ -383,7 +375,7 @@ class RunContext:
     def _price_covered(self, variant: str) -> bool:
         section = self.stored(variant, COVERING_STAGE)
         if section is None:
-            return self._ends_before(variant) and self._price_unread(variant)
+            return False
         try:
             recording = [float(s) for s in section["virtual_recording"]]
             transformation = float(section["virtual_transformation"])
@@ -394,48 +386,6 @@ class RunContext:
             return False
         self.price_recording(variant, recording)
         self.price_transformation(variant, transformation)
-        return True
-
-    def _ends_before(self, variant: str) -> bool:
-        """True when a variant generalized before ``variant`` has a
-        stored generalization failure, which ends the run first."""
-        order = VARIANT_ORDER[COVERING_STAGE]
-        # covered() first: it rejects a section that is not a mapping
-        return any(
-            self.covered(earlier)
-            and "failed" in (self.stored(earlier, COVERING_STAGE) or {})
-            for earlier in order[:order.index(variant)]
-        )
-
-    def _price_unread(self, variant: str) -> bool:
-        """Price ``variant``'s recording and transformation from their
-        stored sections, reading only each trial's seconds and each
-        graph's size; False when either section is missing or malformed
-        (the stage's ``restore`` then rejects it)."""
-        trials = self.stored(variant, "recording")
-        graphs = self.stored(variant, "transformation")
-        if trials is None or graphs is None:
-            return False
-        foreground = variant == FOREGROUND
-        try:
-            recording = [float(trial["virtual_seconds"]) for trial in trials]
-            sizes = [len(graph["nodes"]) + len(graph["edges"]) for graph in graphs]
-            if (
-                len(recording) != self.trials
-                or any(
-                    bool(trial["foreground"]) is not foreground
-                    for trial in trials
-                )
-                or [graph["gid"] for graph in graphs]
-                != [f"{variant}{i}" for i in range(self.trials)]
-            ):
-                return False
-        except PAYLOAD_ERRORS:
-            return False
-        self.price_recording(variant, recording)
-        self.price_transformation(
-            variant, transformation_seconds(self.capture.output_format, sizes)
-        )
         return True
 
     def uncover(self, variant: str) -> bool:
@@ -686,9 +636,10 @@ class TransformationStage(Stage):
         ctx: RunContext, variant: str, graphs: List[PropertyGraph]
     ) -> None:
         setattr(ctx, f"{variant}_graphs", graphs)
-        ctx.price_transformation(variant, transformation_seconds(
-            ctx.capture.output_format,
-            [graph.node_count + graph.edge_count for graph in graphs],
+        startup = STARTUP_SECONDS[ctx.capture.output_format]
+        ctx.price_transformation(variant, sum(
+            startup + ROW_SECONDS * (graph.node_count + graph.edge_count)
+            for graph in graphs
         ))
 
 

@@ -511,8 +511,9 @@ class _MatchSearch:
     over g2's per-label property postings (:func:`_holder_counts`) prices
     a g1 element against every candidate at once.  Those counts give the
     node and edge bounds, each node's cheapest-first candidate order
-    (stable-sorted once; the search filters it by the inverse map) and
-    the node and edge-group costs.  The reference mode and first-solution
+    (stable-sorted once, where some candidate holds one of the node's
+    uncommon items; the search filters it by the inverse map) and the
+    node and edge-group costs.  The reference mode and first-solution
     searches call ``property_mismatch_cost`` per pair.
     """
 
@@ -581,13 +582,10 @@ class _MatchSearch:
                 node.id: self._node_candidates(node) for node in g1.nodes()
             }
         # Costs read from postings (optimized and minimizing): per g1 node
-        # its candidates' costs; per g1 edge its cost against a same-label
-        # g2 edge holding none of its uncommon items, and per g2 edge
+        # or edge (one id namespace), its cost against a same-label g2
+        # element holding none of its uncommon items, and per g2 element
         # holding some, how many.
-        self._node_costs: Dict[str, Dict[str, int]] = {}
-        self._edge_costs: Dict[str, Tuple[int, Dict[str, int]]] = {}
-        #: each node's candidates in the order the search tries them
-        self._ordered = self.candidates
+        self._costs: Dict[str, Tuple[int, Dict[str, int]]] = {}
         # Admissible lower bound: from depth d onward at least the minimum
         # candidate property cost of every remaining node must be paid.
         # Without it, symmetric nodes whose every pairing costs the same
@@ -623,9 +621,11 @@ class _MatchSearch:
     def _postings_bounds(self) -> Tuple[List[int], Dict[str, int]]:
         """Every cost the search needs, read from g2's label postings.
 
-        Fills the node cost tables, the cheapest-first candidate orders
-        and the edge tables.  Returns each node's cheapest candidate cost
-        in search order and each g1 edge's cheapest same-label g2 edge.
+        Fills the cost table and puts each node's candidates in
+        cheapest-first order, sorting only those of a node that some
+        candidate holds an uncommon item of.  Returns each node's
+        cheapest candidate cost in search order and each g1 edge's
+        cheapest same-label g2 edge.
         """
         g1, g2 = self.g1, self.g2
         node_postings = _cached_structure(
@@ -635,31 +635,33 @@ class _MatchSearch:
             g2, "edge_postings", lambda: _label_postings(g2.edges())
         )
         no_postings: Tuple[int, Dict] = (0, {})
-        self._ordered = {}
+
+        def read(element: _Element, by_label) -> Tuple[int, int, Dict]:
+            """How many same-label g2 elements, and ``element``'s entry."""
+            size, postings = by_label.get(element.label, no_postings)
+            common, hits = _holder_counts(element.props, postings, size)
+            base = len(element.props) - common
+            self._costs[element.id] = (base, hits)
+            return size, base, hits
+
         min_cost = []
         for node_id in self.nodes1:
-            node = g1.node(node_id)
-            size, postings = node_postings.get(node.label, no_postings)
-            common, hits = _holder_counts(node.props, postings, size)
-            base = len(node.props) - common
+            _, base, hits = read(g1.node(node_id), node_postings)
             candidates = self.candidates[node_id]
-            costs = self._node_costs[node_id] = {
-                v: base - hits.get(v, 0) for v in candidates
-            }
-            ordered = self._ordered[node_id] = (
-                sorted(candidates, key=costs.__getitem__) if hits
-                else candidates
-            )
-            min_cost.append(costs[ordered[0]] if ordered else 0)
+            if not candidates:
+                min_cost.append(0)
+            elif not hits:
+                min_cost.append(base)
+            else:
+                ordered = self.candidates[node_id] = sorted(
+                    candidates, key=lambda v: -hits.get(v, 0)
+                )
+                min_cost.append(base - hits.get(ordered[0], 0))
         edge_min: Dict[str, int] = {}
         for edge in g1.edges():
-            size, postings = edge_postings.get(edge.label, no_postings)
-            if not size:
-                continue
-            common, hits = _holder_counts(edge.props, postings, size)
-            base = len(edge.props) - common
-            self._edge_costs[edge.id] = (base, hits)
-            edge_min[edge.id] = base - max(hits.values(), default=0)
+            size, base, hits = read(edge, edge_postings)
+            if size:
+                edge_min[edge.id] = base - max(hits.values(), default=0)
         return min_cost, edge_min
 
     def _pairwise_bounds(self) -> Tuple[List[int], Dict[str, int]]:
@@ -683,17 +685,17 @@ class _MatchSearch:
         return min_cost, edge_min
 
     def _node_cost(self, u: str, v: str) -> int:
-        costs = self._node_costs.get(u)
-        if costs is not None:
-            return costs[v]
+        entry = self._costs.get(u)
+        if entry is not None:
+            return entry[0] - entry[1].get(v, 0)
         return property_mismatch_cost(
             self.g1.node(u).props, self.g2.node(v).props
         )
 
     def _edge_pair_cost(self, e1: Edge, e2: Edge) -> int:
-        table = self._edge_costs.get(e1.id)
-        if table is not None:
-            return table[0] - table[1].get(e2.id, 0)
+        entry = self._costs.get(e1.id)
+        if entry is not None:
+            return entry[0] - entry[1].get(e2.id, 0)
         return property_mismatch_cost(e1.props, e2.props)
 
     # -- candidate computation --------------------------------------------
@@ -937,7 +939,7 @@ class _MatchSearch:
                 self.best = Matching(dict(node_map), dict(edge_map), cost)
             return
         u = self.nodes1[depth]
-        candidates = [v for v in self._ordered[u] if v not in inv]
+        candidates = [v for v in self.candidates[u] if v not in inv]
         if self.minimize_cost and not self.optimized:
             # Cheapest-first ordering finds a low-cost solution early, after
             # which branch-and-bound prunes the symmetric alternatives

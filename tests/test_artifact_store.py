@@ -303,27 +303,6 @@ class TestWarmRuns:
         assert warm.timings.store_hits == 3  # short-circuits at generalization
         assert warm.timings.store_misses == 0
 
-    def test_failure_section_of_the_wrong_type_recomputed(self, tmp_path):
-        """A stored foreground failure lets a warm run skip decoding the
-        background; one that is no mapping reads as corruption instead:
-        the background is restored and the foreground recomputed."""
-        def run():
-            capture = CamFlowCapture(CamFlowConfig(structural_jitter=1.0))
-            config = PipelineConfig(
-                tool="camflow", seed=8, trials=2, store_path=str(tmp_path)
-            )
-            return ProvMark(capture=capture, config=config).run_benchmark("open")
-
-        cold = run()
-        [(path, wrapper)] = stage_files(tmp_path, "generalization")
-        wrapper["payload"]["generalization"] = 7
-        path.write_text(json.dumps(wrapper))
-        warm = run()
-        assert results_identical(cold, warm)
-        assert warm.timings.store_row() == {
-            "store_hits": 0, "store_misses": 3,
-        }
-
     def test_different_seed_does_not_hit(self, tmp_path):
         ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
         other = PipelineConfig(tool="spade", seed=6, store_path=str(tmp_path))

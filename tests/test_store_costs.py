@@ -28,11 +28,7 @@ calls), and the recording and transformation sections built and decoded:
   background's and the run's; a file per variant read 3, a file per
   stage and variant 7);
 * a stored result whose counters differ from a fresh one (say, written
-  by an older solver) is rewritten once, then kept;
-* a warm run that ends at a stored foreground generalization failure
-  decodes none of its background's trials or graphs (2 and 2 were
-  decoded only to stop at the failure): it prices their virtual seconds
-  from the stored sections.
+  by an older solver) is rewritten once, then kept.
 """
 
 from __future__ import annotations
@@ -42,9 +38,8 @@ import json
 import pytest
 
 from repro.api import BenchmarkService, RunRequest
-from repro.capture.camflow import CamFlowCapture, CamFlowConfig
 from repro.core import stages
-from repro.core.pipeline import PipelineConfig, ProvMark
+from repro.core.pipeline import ProvMark
 from repro.core.recording import RecordedTrial
 from repro.storage import artifacts
 from repro.storage.artifacts import ArtifactStore
@@ -164,29 +159,3 @@ def test_a_stale_result_is_rewritten_once(tmp_path, created):
     created.clear()
     run()
     assert created == []
-
-
-def test_a_stored_failure_decodes_no_background(tmp_path, created, calls):
-    def run():
-        capture = CamFlowCapture(CamFlowConfig(structural_jitter=1.0))
-        config = PipelineConfig(
-            tool="camflow", seed=8, trials=2, store_path=str(tmp_path)
-        )
-        return ProvMark(capture=capture, config=config).run_benchmark("open")
-
-    cold = run()
-    assert cold.classification.value == "failed"
-    created.clear()
-    calls.update(dict.fromkeys(calls, 0))
-    warm = run()
-    # the background's trials and graphs: was 2 and 2
-    assert calls["from_payload"] == calls["graph_from_payload"] == 0
-    assert warm.timings.store_row() == {"store_hits": 3, "store_misses": 0}
-    # the same result: the stored one stands, virtual clocks included
-    assert created == []
-    assert warm.error == cold.error
-    assert warm.timings.virtual_recording == cold.timings.virtual_recording
-    assert (
-        warm.timings.virtual_transformation
-        == cold.timings.virtual_transformation
-    )
