@@ -28,13 +28,16 @@ field path** (``BenchmarkSpec.program.ops[3].args[0]``, never a bare
    each message naming the path where the bad value was found;
    malformed documents never half-decode.  ``__post_init__`` adds only
    the value rules (non-empty names, the setup ``kind`` choice);
-2. **semantic** (:meth:`BenchmarkSpec.validate`) — op names and arg
-   arity against the simulated kernel's syscall table
-   (:func:`syscall_table`), ``$var`` dataflow resolution for *both*
-   program variants (the background variant drops target ops, so a
-   non-target op must not consume a target op's result), setup-path
-   confinement to the staging directory, uid/gid ranges, and size caps
-   suitable for untrusted clients;
+2. **semantic** (:meth:`BenchmarkSpec.validate`) — op names, arg
+   arity and literal arg types against the simulated kernel's syscall
+   signatures (:func:`~repro.kernel.introspect.syscall_signatures`;
+   :func:`syscall_table` is their arity view), ``$var`` dataflow
+   resolution by the executor's binding rule
+   (:func:`~repro.suite.executor.bound_names`) for *both* program
+   variants (the background variant drops target ops, so a non-target
+   op must not consume a target op's result), setup-path confinement to
+   the staging directory, uid/gid ranges, and size caps suitable for
+   untrusted clients;
 3. **compilation** (:func:`compile_spec`) — a validated spec becomes a
    :class:`~repro.suite.program.Program` that is equal (same dataclass
    value, same ``repr``, hence the same artifact-store keys and
@@ -50,15 +53,15 @@ fingerprint the compiled program, so cached results stay correct.
 
 from __future__ import annotations
 
-import inspect
 import re
 from pathlib import Path
 from typing import Container, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.api.errors import ValidationError
 from repro.codec import check_choice, check_names, payload_type
-from repro.kernel import Kernel
+from repro.kernel.introspect import SyscallSignature, syscall_signatures
 from repro.storage.artifacts import STORE_VERSION, ArtifactStore, canonical_key
+from repro.suite.executor import bound_names
 from repro.suite.program import Arg, Op, Program, SetupAction
 
 #: artifact-store stage under which benchmark specs persist
@@ -97,68 +100,15 @@ def _fail(path: str, message: str) -> None:
 # -- the kernel syscall table ------------------------------------------------
 
 
-_SYSCALL_TABLE: Optional[Dict[str, Tuple[int, int]]] = None
-_SYSCALL_PARAMS: Optional[Dict[str, Tuple[Tuple[str, Optional[type]], ...]]] = None
-
-#: kernel parameter annotations the validator can type-check; anything
-#: else (e.g. execve's ``Optional[List[str]]`` argv) goes unchecked
-_ANNOTATION_TYPES: Dict[object, type] = {
-    "str": str, "int": int, "bytes": bytes,
-    str: str, int: int, bytes: bytes,
-}
-
-
-def _scan_kernel() -> None:
-    """Build both syscall caches from one pass over the Kernel class."""
-    global _SYSCALL_TABLE, _SYSCALL_PARAMS
-    table: Dict[str, Tuple[int, int]] = {}
-    param_map: Dict[str, Tuple[Tuple[str, Optional[type]], ...]] = {}
-    positional = (
-        inspect.Parameter.POSITIONAL_ONLY,
-        inspect.Parameter.POSITIONAL_OR_KEYWORD,
-    )
-    for attr in dir(Kernel):
-        if not attr.startswith("sys_"):
-            continue
-        params = [
-            p for p in
-            inspect.signature(getattr(Kernel, attr)).parameters.values()
-            if p.kind in positional
-        ][2:]  # drop self, process
-        required = sum(
-            1 for p in params if p.default is inspect.Parameter.empty
-        )
-        call = attr[len("sys_"):]
-        table[call] = (required, len(params))
-        param_map[call] = tuple(
-            (p.name, _ANNOTATION_TYPES.get(p.annotation)) for p in params
-        )
-    _SYSCALL_TABLE = table
-    _SYSCALL_PARAMS = param_map
-
-
 def syscall_table() -> Dict[str, Tuple[int, int]]:
-    """``call -> (required_args, max_args)`` from the simulated kernel.
-
-    Derived by introspection over the :class:`~repro.kernel.Kernel`
-    ``sys_*`` methods (dropping the ``self``/``process`` parameters), so
-    the validator can never drift from what the executor dispatches to.
-    """
-    if _SYSCALL_TABLE is None:
-        _scan_kernel()
-    return _SYSCALL_TABLE
-
-
-def syscall_params() -> Dict[str, Tuple[Tuple[str, Optional[type]], ...]]:
-    """Per-call ``((param_name, expected_type | None), ...)``.
-
-    ``None`` marks a parameter whose annotation the validator does not
-    type-check.  ``$var`` references are always exempt — they resolve
-    to kernel-bound integers at run time.
-    """
-    if _SYSCALL_PARAMS is None:
-        _scan_kernel()
-    return _SYSCALL_PARAMS
+    """``call -> (required_args, max_args)``: a view of the simulated
+    kernel's syscall signatures
+    (:func:`~repro.kernel.introspect.syscall_signatures`), which the
+    validator checks ops against."""
+    return {
+        call: (signature.required, signature.maximum)
+        for call, signature in syscall_signatures().items()
+    }
 
 
 # -- spec types ---------------------------------------------------------------
@@ -296,9 +246,9 @@ class BenchmarkSpec:
             _fail(f"{root}.setup", f"must have at most {MAX_SETUP} entries")
         for i, action in enumerate(program.setup):
             self._validate_setup_action(action, f"{root}.setup[{i}]")
-        table, params = syscall_table(), syscall_params()
+        signatures = syscall_signatures()
         for i, op in enumerate(program.ops):
-            self._validate_op(op, table, params, f"{root}.ops[{i}]")
+            self._validate_op(op, signatures, f"{root}.ops[{i}]")
         # Dataflow must resolve in the foreground program (all ops) AND
         # in the background program (target ops stripped out, paper §3).
         self._validate_dataflow(program.ops, root, variant="foreground")
@@ -333,15 +283,15 @@ class BenchmarkSpec:
     @staticmethod
     def _validate_op(
         op: OpSpec,
-        table: Mapping[str, Tuple[int, int]],
-        params: Mapping[str, Tuple[Tuple[str, Optional[type]], ...]],
+        signatures: Mapping[str, SyscallSignature],
         path: str,
     ) -> None:
-        if op.call not in table:
+        if op.call not in signatures:
             _fail(f"{path}.call",
                   f"unknown syscall {op.call!r}; the kernel implements: "
-                  f"{sorted(table)}")
-        required, maximum = table[op.call]
+                  f"{sorted(signatures)}")
+        signature = signatures[op.call]
+        required, maximum = signature.required, signature.maximum
         if not required <= len(op.args) <= maximum:
             expected = (
                 f"exactly {required}" if required == maximum
@@ -351,7 +301,8 @@ class BenchmarkSpec:
                   f"{op.call} takes {expected} argument(s), "
                   f"got {len(op.args)}")
         for j, arg in enumerate(op.args):
-            name, expected_type = params[op.call][j]
+            name = signature.params[j].name
+            expected_type = signature.params[j].expected_type
             if isinstance(arg, str) and arg.startswith("$"):
                 # a $var resolves to a kernel-bound *int* at run time,
                 # so it can only stand in an int (or unchecked) slot
@@ -407,17 +358,7 @@ class BenchmarkSpec:
                     )
                     _fail(f"{root}.ops[{i}].args[{j}]",
                           f"references unbound variable {arg!r}{hint}")
-            # binding rules of repro.suite.executor._run_ops
-            if op.result:
-                bound.add(op.result)
-            if op.call in ("pipe", "pipe2"):
-                prefix = op.result or "pipe"
-                bound.update((f"{prefix}_r", f"{prefix}_w"))
-            if op.call == "socketpair":
-                prefix = op.result or "sock"
-                bound.update((f"{prefix}_a", f"{prefix}_b"))
-            if op.call in ("fork", "vfork", "clone"):
-                bound.add(op.result or "child")
+            bound.update(bound_names(op))
 
     def to_program(self) -> Program:
         return compile_spec(self)

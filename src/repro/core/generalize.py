@@ -16,6 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.graph.model import PropertyGraph
 from repro.solver import (
     SolverLimit,
+    apply_matching,
     generalize_pair,
     isomorphism,
     partition_similarity_classes,
@@ -164,29 +165,10 @@ def generalize_trials(
         matching = isomorphism(g1, g2, minimize_properties=True, engine=engine)
         generalized = None
         if matching is not None:
-            generalized = _apply_matching(g1, g2, matching)
+            generalized = apply_matching(g1, g2, matching)
     if generalized is None:
         raise GeneralizationError("similar graphs failed to generalize")
     return GeneralizationOutcome(
         graph=generalized, discarded=discarded, class_sizes=class_sizes
     )
 
-
-def _apply_matching(g1: PropertyGraph, g2: PropertyGraph, matching) -> PropertyGraph:
-    """Keep agreeing properties under an externally computed matching."""
-    out = PropertyGraph(g1.gid)
-    for node in g1.nodes():
-        other = g2.node(matching.node_map[node.id])
-        props = {
-            key: value for key, value in node.props.items()
-            if other.props.get(key) == value
-        }
-        out.add_node(node.id, node.label, props)
-    for edge in g1.edges():
-        other_edge = g2.edge(matching.edge_map[edge.id])
-        props = {
-            key: value for key, value in edge.props.items()
-            if other_edge.props.get(key) == value
-        }
-        out.add_edge(edge.id, edge.src, edge.tgt, edge.label, props)
-    return out

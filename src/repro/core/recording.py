@@ -18,11 +18,11 @@ import random
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.capture.base import CaptureSystem, RawOutput
 from repro.kernel.trace import Trace
-from repro.storage.artifacts import raw_from_payload, raw_to_payload
+from repro.storage.artifacts import raw_to_payload
 from repro.suite.executor import ProgramExecutor
 from repro.suite.program import Program, Variant
 
@@ -43,15 +43,6 @@ class RecordedTrial:
             "foreground": self.foreground,
             "virtual_seconds": self.virtual_seconds,
         }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "RecordedTrial":
-        return cls(
-            raw=raw_from_payload(payload["raw"]),
-            seed=int(payload["seed"]),
-            foreground=bool(payload["foreground"]),
-            virtual_seconds=float(payload["virtual_seconds"]),
-        )
 
 
 @dataclass

@@ -13,23 +13,24 @@ with hit/miss counters recorded in
 Recording, transformation and generalization handle the foreground and
 the background program separately (paper §3.2–3.4).  The run's store
 file, keyed by (benchmark, tool, resolved config, seed), holds its
-foreground's sections for those three stages beside its comparison and
-final result.  Only a background has a file of its own, keyed by
-(variant, tool, resolved config, seed): what that variant's trials
-execute, not the benchmark's name, so benchmarks that share a
-background — the 44 Table 2 benchmarks have five — record, transform
-and generalize it once per store.  A run reads each file at most once,
-keeps its sections on the :class:`RunContext`, and
-:meth:`RunContext.publish` writes each file that gained a section once,
-at the end of the run: a cold run creates its run file, plus its
-background's file when no earlier run stored it.
+foreground's generalization beside its comparison and final result.
+Only a background has a file of its own, keyed by (variant, tool,
+resolved config, seed): what that variant's trials execute, not the
+benchmark's name, so benchmarks that share a background — the 44 Table
+2 benchmarks have five — record, transform and generalize it once per
+store.  A run reads each file at most once, keeps its sections on the
+:class:`RunContext`, and :meth:`RunContext.publish` writes each file
+that gained a section once, at the end of the run: a cold run creates
+its run file, plus its background's file when no earlier run stored it.
 
-A variant's stored generalization section stands in for its recording
-and transformation: it carries their virtual seconds, so a later run
-skips both stages for that variant, and they are neither built nor
-written once it is kept.  Only a run stopped before generalization (a
-deadline, a cancellation, an error) writes a variant's recording and
-transformation sections, and a retry resumes from them.
+Recording and transformation keep no section: they are seeded and
+deterministic, and a variant's stored generalization section stands in
+for both.  It carries their virtual seconds, so a later run skips both
+stages for that variant; a foreground's stored generalization failure,
+which ends the run before the background is generalized, carries the
+background's seconds too.  A run stopped before generalization (a
+deadline, a cancellation, an error) thus stores nothing of its own, and
+its retry records again, with the same trial seeds.
 
 Restored stages are exact replays: graph payloads preserve element
 insertion order, and each solver-using stage stores the solver-counter
@@ -51,10 +52,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import (
-    Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.capture.base import CaptureSystem
 from repro.core.compare import ComparisonError, ComparisonOutcome, compare
@@ -63,20 +61,12 @@ from repro.core.generalize import (
     GeneralizationOutcome,
     generalize_trials,
 )
-from repro.core.recording import (
-    RecordedTrial, Recorder, RecordingSession, TraceMemo,
-)
+from repro.core.recording import Recorder, RecordingSession, TraceMemo
 from repro.core.result import StageTimings
 from repro.core.transform import transform
 from repro.graph.model import PropertyGraph
 from repro.solver.native import SolverStats, solver_stats
-from repro.storage.artifacts import (
-    PAYLOAD_ERRORS,
-    ArtifactError,
-    ArtifactStore,
-    graph_from_payload,
-    graph_to_payload,
-)
+from repro.storage.artifacts import PAYLOAD_ERRORS, ArtifactError, ArtifactStore
 from repro.suite.program import Program
 
 #: the run file's section holding the assembled BenchmarkResult
@@ -87,14 +77,13 @@ RESULT_STAGE = "result"
 FOREGROUND, BACKGROUND = "fg", "bg"
 
 #: The store files a run reads and writes, by what their key covers: its
-#: background variant's (that variant's recording, transformation and
-#: generalization sections) and the run's (the foreground's sections for
-#: those three stages, then the comparison and result sections).
+#: background variant's (that variant's generalization section) and the
+#: run's (the foreground's generalization, the comparison and the result).
 VARIANT_FILE, RUN_FILE = "variant", "run"
 
-#: A variant's kept generalization section covers its recording and
-#: transformation: it carries their virtual seconds (under these keys),
-#: and a file holding it holds neither of those sections.
+#: Recording and transformation keep no section: a variant's kept
+#: generalization section covers them, carrying their virtual seconds
+#: (see :meth:`RunContext.seconds`).
 COVERING_STAGE = "generalization"
 COVERED_STAGES: Tuple[str, ...] = ("recording", "transformation")
 
@@ -221,9 +210,9 @@ class RunContext:
     comparison: Optional[ComparisonOutcome] = None
     #: set by Pipeline.run when a stage raised StageFailure
     failure: Optional[str] = None
-    #: each variant's virtual seconds, as its generalization section
-    #: carries them: its trials' recording seconds, in trial order, and
-    #: its transformation seconds
+    #: each variant's virtual seconds, as a generalization section carries
+    #: them (see :meth:`seconds`): its trials' recording seconds, in trial
+    #: order, and its transformation seconds
     recording_seconds: Dict[str, List[float]] = field(default_factory=dict)
     transformation_seconds: Dict[str, float] = field(default_factory=dict)
     #: memoized key_material() results, by variant (invariant for the run)
@@ -249,15 +238,15 @@ class RunContext:
         Both cover the capture backend (class + config repr + output
         format) and every resolved pipeline knob that can change a
         stage's output.  The run's identity (``variant=None``, keying
-        the run file: the foreground's sections, comparison and the
-        final result) adds the benchmark program by content as well as
-        name — a custom ``Program`` with the same name keys differently
-        — and both pair policies.  A variant's identity
-        (``"fg"``/``"bg"``; the background's keys its file: recording,
-        transformation and generalization) adds only
-        :meth:`Program.variant`, which is everything that variant's
-        trials execute, and that variant's pair policy, so benchmarks
-        that share a background share its file.  Parallelism
+        the run file: the foreground's generalization, comparison and
+        the final result) adds the benchmark program by content as well
+        as name — a custom ``Program`` with the same name keys
+        differently — and both pair policies.  A variant's identity
+        (``"fg"``/``"bg"``; the background's keys its file, holding its
+        generalization) adds only :meth:`Program.variant`, which is
+        everything that variant's trials execute, and that variant's
+        pair policy, so benchmarks that share a background share its
+        file.  Parallelism
         and store settings are deliberately excluded: they cannot change
         results.  The keys rely on seeded determinism — drivers must not
         offer the store to a run without a seed.
@@ -317,6 +306,14 @@ class RunContext:
             for name in (FOREGROUND, BACKGROUND)
         )
 
+    def seconds(self, variant: str) -> Dict[str, object]:
+        """``variant``'s recording and transformation virtual seconds,
+        under the keys a covering generalization section carries them."""
+        return {
+            "virtual_recording": self.recording_seconds[variant],
+            "virtual_transformation": self.transformation_seconds[variant],
+        }
+
     # -- store sections ----------------------------------------------------
 
     def stored(self, unit: Optional[str], stage: str) -> Optional[object]:
@@ -349,10 +346,8 @@ class RunContext:
     def keep(self, unit: Optional[str], stage: str, payload: object) -> None:
         """Hold a computed section of ``unit``'s file for :meth:`publish`.
 
-        A section may be deferred: a callable that builds it, called
-        only if the section is written.  Without a store there is
-        nothing to keep, and the stages build no section to offer (see
-        :meth:`Stage.run`).
+        Without a store there is nothing to keep, and the stages build
+        no section to offer (see :meth:`Stage.run`).
         """
         if self.store is not None:
             key = _file_key(unit)
@@ -360,12 +355,15 @@ class RunContext:
             self._gained.add(key)
 
     def covered(self, variant: str) -> bool:
-        """True when ``variant``'s stored generalization section stands
-        in for its recording and transformation, whose virtual seconds
-        are then priced from it.
+        """True when a stored generalization section stands in for
+        ``variant``'s recording and transformation, whose virtual
+        seconds are then priced from it.
 
-        Decided on first use.  A section without well-formed seconds
-        is rejected, and recomputed with them.
+        That section is the variant's own, or, for the background, a
+        stored foreground failure (which ends the run before the
+        background is generalized, and carries its seconds under its
+        name), read first.  Decided on first use.  A section without
+        well-formed seconds is rejected, and recomputed with them.
         """
         covering = self._covering.get(variant)
         if covering is None:
@@ -373,7 +371,13 @@ class RunContext:
         return covering
 
     def _price_covered(self, variant: str) -> bool:
-        section = self.stored(variant, COVERING_STAGE)
+        owner, section = FOREGROUND, self.stored(FOREGROUND, COVERING_STAGE)
+        if variant == BACKGROUND:
+            if isinstance(section, dict) and BACKGROUND in section:
+                section = section[BACKGROUND]
+            else:
+                owner = BACKGROUND
+                section = self.stored(BACKGROUND, COVERING_STAGE)
         if section is None:
             return False
         try:
@@ -382,7 +386,7 @@ class RunContext:
             if len(recording) != self.trials:
                 raise ValueError("not one recording time per trial")
         except PAYLOAD_ERRORS:
-            self.reject(variant, COVERING_STAGE)
+            self.reject(owner, COVERING_STAGE)
             return False
         self.price_recording(variant, recording)
         self.price_transformation(variant, transformation)
@@ -399,21 +403,12 @@ class RunContext:
         """Write each file that gained a section, once, with every
         section it holds; a file only restored is not rewritten.
 
-        A file holding a generalization section drops the recording and
-        transformation sections it covers, unbuilt; the other deferred
-        sections are built here.  ``quiet`` skips a file whose write
-        fails, for a run that is already failing: that error is the one
-        to report.
+        ``quiet`` skips a file whose write fails, for a run that is
+        already failing: that error is the one to report.
         """
         for key, sections in self._sections.items():
             if key not in self._gained:
                 continue
-            if COVERING_STAGE in sections:
-                for stage in COVERED_STAGES:
-                    sections.pop(stage, None)
-            for stage, section in sections.items():
-                if callable(section):
-                    sections[stage] = section()
             try:
                 self.store.save(
                     RUN_FILE if key is None else VARIANT_FILE,
@@ -430,14 +425,6 @@ def _file_key(unit: Optional[str]) -> Optional[str]:
     """The key of the store file holding ``unit``'s sections: the
     background's own, or the run's (None) for the foreground and run."""
     return BACKGROUND if unit == BACKGROUND else None
-
-
-def _encode_all(
-    encode: Callable[[object], object], items: Sequence[object]
-) -> List[object]:
-    """Each of ``items`` encoded: the section a stage defers as
-    ``partial(_encode_all, encode, items)`` (see :meth:`RunContext.keep`)."""
-    return [encode(item) for item in items]
 
 
 def _solver_delta_payload(before: SolverStats) -> Dict[str, int]:
@@ -502,24 +489,24 @@ class Stage(abc.ABC):
     def run(self, ctx: RunContext) -> Optional[Dict[str, object]]:
         """Compute this stage's outputs onto ``ctx``.
 
-        Returns the JSON payload to persist (or ``None`` for
-        uncacheable stages); a variant's payload may be deferred, a
-        callable that builds it (see :meth:`RunContext.keep`).  Expected
-        failures raise :class:`StageFailure` with their own cacheable
-        payload.  A run without a store (``ctx.store`` None) keeps no
-        section, so the builtin stages build none: they return no
-        payload for a variant (or the run), success or failure.
+        Returns the JSON payload to persist, or ``None`` for a stage
+        that keeps no section.  Expected failures raise
+        :class:`StageFailure` with their own cacheable payload.  A run
+        without a store (``ctx.store`` None) keeps no section, so the
+        builtin stages build none: they return no payload for a variant
+        (or the run), success or failure.
         """
 
-    @abc.abstractmethod
     def restore(self, ctx: RunContext, payload: Mapping[str, object]) -> None:
         """Rebuild this stage's outputs on ``ctx`` from a stored payload.
 
         Raises :class:`StageFailure` when the payload records a cached
         failure, and one of
         :data:`~repro.storage.artifacts.PAYLOAD_ERRORS` when it cannot
-        be decoded; it decodes fully before touching ``ctx``.
+        be decoded; it decodes fully before touching ``ctx``.  A stage
+        that keeps no section rejects every payload.
         """
+        raise ArtifactError(f"stage {self.name!r} keeps no store section")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -528,17 +515,15 @@ class Stage(abc.ABC):
 class RecordingStage(Stage):
     """Stage 1 — run fg/bg trials under the capture tool (paper §3.2).
 
-    A variant's payload is its trials, deferred: it is built only when
-    a run stops before that variant's generalization.  The trial seeds
-    are drawn up front, so a variant recorded alone gets the trials a
-    recording of both would.
+    Keeps no section.  The trial seeds are drawn up front, so a variant
+    recorded alone gets the trials a recording of both would.
     """
 
     name = "recording"
     outputs = ("session",)
     timing_field = "recording"
 
-    def run(self, ctx: RunContext) -> Dict[str, object]:
+    def run(self, ctx: RunContext) -> None:
         recorder = Recorder(
             ctx.capture,
             trials=ctx.trials,
@@ -546,51 +531,23 @@ class RecordingStage(Stage):
             truncation_rate=ctx.truncation_rate,
             traces=ctx.traces,
         )
-        payloads = {}
+        if ctx.session is None:
+            ctx.session = RecordingSession(ctx.program, ctx.capture.name)
         for variant in ctx.variants:
             trials = recorder.record_variant(
                 ctx.program, foreground=variant == FOREGROUND
             )
-            self._set_trials(ctx, variant, trials)
-            if ctx.store is not None:
-                payloads[variant] = partial(
-                    _encode_all, RecordedTrial.to_payload, trials
-                )
-        return payloads
-
-    def restore(self, ctx: RunContext, payload: Mapping[str, object]) -> None:
-        [(variant, stored)] = payload.items()
-        trials = [RecordedTrial.from_payload(t) for t in stored]
-        foreground = variant == FOREGROUND
-        # a short recording would fail generalization, and that failure
-        # would be stored: reject it instead
-        if len(trials) != ctx.trials or any(
-            trial.foreground is not foreground for trial in trials
-        ):
-            raise ArtifactError(
-                f"stored {variant} recording does not hold "
-                f"{ctx.trials} {variant} trials"
-            )
-        self._set_trials(ctx, variant, trials)
-
-    @staticmethod
-    def _set_trials(
-        ctx: RunContext, variant: str, trials: List[RecordedTrial]
-    ) -> None:
-        if ctx.session is None:
-            ctx.session = RecordingSession(ctx.program, ctx.capture.name)
-        if variant == FOREGROUND:
-            ctx.session.foreground_trials = trials
-        else:
-            ctx.session.background_trials = trials
-        ctx.price_recording(variant, [t.virtual_seconds for t in trials])
+            if variant == FOREGROUND:
+                ctx.session.foreground_trials = trials
+            else:
+                ctx.session.background_trials = trials
+            ctx.price_recording(variant, [t.virtual_seconds for t in trials])
 
 
 class TransformationStage(Stage):
     """Stage 2 — native outputs to Datalog property graphs (paper §3.3).
 
-    Its virtual seconds come from the graphs, built or restored.  A
-    variant's payload is its graphs, deferred like the recording's.
+    Keeps no section; its virtual seconds come from the graphs.
     """
 
     name = "transformation"
@@ -598,8 +555,8 @@ class TransformationStage(Stage):
     outputs = ("fg_graphs", "bg_graphs")
     timing_field = "transformation"
 
-    def run(self, ctx: RunContext) -> Dict[str, object]:
-        payloads = {}
+    def run(self, ctx: RunContext) -> None:
+        startup = STARTUP_SECONDS[ctx.capture.output_format]
         for variant in ctx.variants:
             trials = (
                 ctx.session.foreground_trials if variant == FOREGROUND
@@ -611,36 +568,11 @@ class TransformationStage(Stage):
                 )
                 for i, trial in enumerate(trials)
             ]
-            self._set_graphs(ctx, variant, graphs)
-            if ctx.store is not None:
-                payloads[variant] = partial(
-                    _encode_all, graph_to_payload, graphs
-                )
-        return payloads
-
-    def restore(self, ctx: RunContext, payload: Mapping[str, object]) -> None:
-        [(variant, stored)] = payload.items()
-        graphs = [graph_from_payload(p) for p in stored]
-        # one graph per trial, each named for its variant and trial
-        if [g.gid for g in graphs] != [
-            f"{variant}{i}" for i in range(ctx.trials)
-        ]:
-            raise ArtifactError(
-                f"stored {variant} graphs do not match "
-                f"{ctx.trials} {variant} trials"
-            )
-        self._set_graphs(ctx, variant, graphs)
-
-    @staticmethod
-    def _set_graphs(
-        ctx: RunContext, variant: str, graphs: List[PropertyGraph]
-    ) -> None:
-        setattr(ctx, f"{variant}_graphs", graphs)
-        startup = STARTUP_SECONDS[ctx.capture.output_format]
-        ctx.price_transformation(variant, sum(
-            startup + ROW_SECONDS * (graph.node_count + graph.edge_count)
-            for graph in graphs
-        ))
+            setattr(ctx, f"{variant}_graphs", graphs)
+            ctx.price_transformation(variant, sum(
+                startup + ROW_SECONDS * (graph.node_count + graph.edge_count)
+                for graph in graphs
+            ))
 
 
 class GeneralizationStage(Stage):
@@ -840,17 +772,21 @@ class Pipeline:
 
         The units of a per-variant stage are its variants, in
         :data:`VARIANT_ORDER`; any other stage is one unit, the run.
-        Recording and transformation skip a variant whose stored
-        generalization section covers them (:meth:`RunContext.covered`).
-        ``computed[stage.name]`` records whether any unit was computed.
+        Recording and transformation keep no section: they compute each
+        variant no stored generalization section covers
+        (:meth:`RunContext.covered`).  ``computed[stage.name]`` records
+        whether any unit was computed.
         """
         units: Tuple[Optional[str], ...] = (
             VARIANT_ORDER.get(stage.name) or (None,)
         )
-        if stage.name in self._covered:
-            units = tuple(unit for unit in units if not ctx.covered(unit))
         computed[stage.name] = False
-        self._restore_or_compute(stage, ctx, units, computed)
+        if stage.name not in self._covered:
+            self._restore_or_compute(stage, ctx, units, computed)
+            return
+        pending = [unit for unit in units if not ctx.covered(unit)]
+        if pending:
+            self._compute(stage, ctx, pending, computed)
 
     def _restore_or_compute(
         self, stage: Stage, ctx: RunContext,
@@ -888,9 +824,11 @@ class Pipeline:
         included, as each unit's section for the stage.
 
         A variant generalized here whose earlier stages its rejected
-        generalization section covered gets them restored or computed
-        first.  A kept generalization section carries the variant's
-        recording and transformation virtual seconds.
+        generalization section covered gets them computed first.  A kept
+        generalization section carries the variant's recording and
+        transformation virtual seconds, and a foreground's failure the
+        background's too: the run ends before the background is
+        generalized.
         """
         computed[stage.name] = True
         per_variant = units[0] is not None
@@ -899,32 +837,30 @@ class Pipeline:
             for unit in units:
                 if ctx.uncover(unit):
                     for earlier in self._covered.values():
-                        self._restore_or_compute(
-                            earlier, ctx, (unit,), computed
-                        )
+                        self._compute(earlier, ctx, [unit], computed)
         if per_variant:
             ctx.variants = tuple(units)
 
-        def keep(payload: Optional[Dict[str, object]]) -> None:
+        def keep(
+            payload: Optional[Dict[str, object]], failed: bool = False
+        ) -> None:
             if payload is None:
                 return
             for unit, section in (
                 payload.items() if per_variant else [(None, payload)]
             ):
                 if covering:
-                    section = dict(
-                        section,
-                        virtual_recording=ctx.recording_seconds[unit],
-                        virtual_transformation=(
-                            ctx.transformation_seconds[unit]
-                        ),
-                    )
+                    section = dict(section, **ctx.seconds(unit))
+                    # the foreground is generalized first, so a failure
+                    # payload holding it alone is its own failure
+                    if failed and list(payload) == [FOREGROUND]:
+                        section[BACKGROUND] = ctx.seconds(BACKGROUND)
                 ctx.keep(unit, stage.name, section)
 
         try:
             payload = stage.run(ctx)
         except StageFailure as failure:
-            keep(failure.payload)
+            keep(failure.payload, failed=True)
             raise
         keep(payload)
 

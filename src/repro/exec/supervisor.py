@@ -206,21 +206,8 @@ class Supervisor:
         return clean
 
     def stop(self, grace: float = 1.0) -> None:
-        """Immediate shutdown: SIGTERM, a short grace, SIGKILL, recover."""
-        with self._lock:
-            self._draining = True
-            procs = [p for p in self._procs if p is not None]
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        deadline = time.monotonic() + max(0.0, grace)
-        for proc in procs:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-        self._shutdown_monitor()
-        self._recover_dead()
+        """Immediate shutdown: a :meth:`drain` with a short grace."""
+        self.drain(grace)
 
     def alive_workers(self) -> int:
         with self._lock:

@@ -1,16 +1,16 @@
 """Introspection over the simulated kernel's syscall surface.
 
-The benchmark-spec validator already derives a ``call -> arity`` table by
-scanning the :class:`~repro.kernel.Kernel` ``sys_*`` methods
-(:func:`repro.api.specs.syscall_table`); the synthesis engine needs more:
-*what each argument means*, so a generator can sample plausible values
-(a path, an open file descriptor, a mode, a uid) instead of guessing
-from type annotations alone.
+One pass over the :class:`~repro.kernel.Kernel` ``sys_*`` methods gives
+every syscall's positional parameters, so neither consumer can drift
+from what the executor dispatches to.  The benchmark-spec validator
+checks an op's arity and argument types against them
+(:meth:`repro.api.specs.BenchmarkSpec.validate`); the synthesis engine
+needs more: *what each argument means*, so a generator can sample
+plausible values (a path, an open file descriptor, a mode, a uid)
+instead of guessing from type annotations alone.
 
-This module classifies every positional parameter of every syscall into
-an :class:`ArgKind` by (name, annotation), derived in one pass over the
-class — so the classification can never drift from what the executor
-dispatches to.  Anything unrecognized is :data:`ArgKind.OPAQUE`: the
+Each parameter is classified into an :class:`ArgKind` by (name,
+annotation).  Anything unrecognized is :data:`ArgKind.OPAQUE`: the
 generator simply refuses to synthesize calls it cannot type, rather
 than emitting garbage.
 """
@@ -85,6 +85,11 @@ _BY_NAME: Dict[str, ArgKind] = {
     "mask": ArgKind.MASK,
 }
 
+#: parameter annotations a spec's literal argument is type-checked
+#: against; anything else (e.g. execve's ``Optional[List[str]]`` argv)
+#: goes unchecked
+_CHECKABLE: Dict[str, type] = {"str": str, "int": int, "bytes": bytes}
+
 
 @dataclass(frozen=True)
 class SyscallParam:
@@ -95,6 +100,8 @@ class SyscallParam:
     required: bool
     #: the literal default for optional parameters (None when required)
     default: object = None
+    #: the type a literal argument must have (None: unchecked)
+    expected_type: Optional[type] = None
 
 
 @dataclass(frozen=True)
@@ -134,9 +141,9 @@ def _classify(name: str, annotation: object) -> ArgKind:
 def syscall_signatures() -> Dict[str, SyscallSignature]:
     """``call -> SyscallSignature`` over every ``sys_*`` kernel method.
 
-    Built lazily in one pass (like the spec validator's arity table) and
-    cached; the ``self``/``process`` parameters are dropped, so indexes
-    line up with :class:`~repro.suite.program.Op` argument positions.
+    Built lazily in one pass and cached; the ``self``/``process``
+    parameters are dropped, so indexes line up with
+    :class:`~repro.suite.program.Op` argument positions.
     """
     global _SIGNATURES
     if _SIGNATURES is not None:
@@ -166,6 +173,9 @@ def syscall_signatures() -> Dict[str, SyscallSignature]:
                     default=(
                         None if p.default is inspect.Parameter.empty
                         else p.default
+                    ),
+                    expected_type=_CHECKABLE.get(
+                        _annotation_name(p.annotation)
                     ),
                 )
                 for p in params

@@ -19,6 +19,7 @@ from repro.solver.native import (
     Matching,
     SolverLimit,
     SolverStats,
+    apply_matching,
     are_similar,
     embed_subgraph,
     find_isomorphism,
@@ -74,6 +75,7 @@ __all__ = [
     "Matching",
     "SolverLimit",
     "SolverStats",
+    "apply_matching",
     "are_similar",
     "embed_subgraph",
     "find_isomorphism",

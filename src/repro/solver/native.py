@@ -513,8 +513,10 @@ class _MatchSearch:
     node and edge bounds, each node's cheapest-first candidate order
     (stable-sorted once, where some candidate holds one of the node's
     uncommon items; the search filters it by the inverse map) and the
-    node and edge-group costs.  The reference mode and first-solution
-    searches call ``property_mismatch_cost`` per pair.
+    node and edge-group costs.  The reference mode calls
+    ``property_mismatch_cost`` per pair.  A first-solution search prices
+    nothing: its answer's node map is all it holds (no edge map, cost 0),
+    and :func:`price_node_map` completes it.
     """
 
     def __init__(
@@ -727,17 +729,9 @@ class _MatchSearch:
         already subsumes the label + exact in/out-degree checks.  Colors
         and color classes are cached per graph (see :func:`_wl_colors`).
         """
-        g1, g2 = self.g1, self.g2
+        g1 = self.g1
         colors1 = _cached_structure(g1, "wl", lambda: _wl_colors(g1))
-        colors2 = _cached_structure(g2, "wl", lambda: _wl_colors(g2))
-
-        def color_classes() -> Dict[int, List[str]]:
-            by_color: Dict[int, List[str]] = {}
-            for node in g2.nodes():
-                by_color.setdefault(colors2[node.id], []).append(node.id)
-            return by_color
-
-        by_color = _cached_structure(g2, "wl_classes", color_classes)
+        by_color = _node_color_classes(self.g2)
         empty: List[str] = []
         return {
             node.id: by_color.get(colors1[node.id], empty)
@@ -953,13 +947,14 @@ class _MatchSearch:
                 del node_map[u]
                 del inv[v]
                 continue
-            node_cost = self._node_cost(u, v)
-            edge_cost, pairs = self._edge_cost_for(node_map, u)
-            for edge1_id, edge2_id in pairs:
-                edge_map[edge1_id] = edge2_id
-            self._search(
-                depth + 1, node_map, inv, edge_map, cost + node_cost + edge_cost
-            )
+            pairs: List[Tuple[str, str]] = []
+            placed = 0
+            if self.minimize_cost:
+                placed, pairs = self._edge_cost_for(node_map, u)
+                placed += self._node_cost(u, v)
+                for edge1_id, edge2_id in pairs:
+                    edge_map[edge1_id] = edge2_id
+            self._search(depth + 1, node_map, inv, edge_map, cost + placed)
             for edge1_id, _ in pairs:
                 del edge_map[edge1_id]
             del node_map[u]
@@ -1488,14 +1483,13 @@ def _decomposed_isomorphism(
     g2: PropertyGraph,
     minimize_cost: bool,
     max_steps: int,
-    price: bool = True,
 ):
     """Stitch per-component first-fit matchings into the DFS's answer.
 
     Returns a :class:`Matching` when the decomposition provably reproduces
     the monolithic search's result, or :data:`_FALLBACK` when it cannot.
-    A first-solution pass with ``price`` off returns the branch's node
-    map as soon as the branch completes, with no edge map and no cost:
+    A first-solution pass returns the branch's node map as soon as the
+    branch completes, with no edge map and no cost:
     :func:`price_node_map` derives both from it.
 
     When minimizing, the pass follows the monolithic DFS's leftmost
@@ -1608,7 +1602,7 @@ def _decomposed_isomorphism(
     # The leftmost branch completed.  A similarity check needs no more;
     # otherwise compose the edge map and total cost group by group.
     found: object = node_map
-    if price:
+    if minimize_cost:
         cost = _memoized_cost()
         found, group_costs = _priced(g1, g2, node_map, cost)
         paid: Dict[Tuple[int, int, str], List[Tuple[List[Edge], int]]] = {}
@@ -1722,18 +1716,20 @@ def find_isomorphism(
     branch-and-bound with the cost of a known valid matching (e.g. from a
     previous similarity check) so pruning starts immediately; the result
     is identical to the unseeded search.  Returns ``None`` when the graphs
-    are not similar.
+    are not similar.  A first solution is found unpriced, then priced
+    once (:func:`price_node_map`).
     """
+    if not minimize_properties:
+        node_map = _similarity_node_map(g1, g2, max_steps)
+        return None if node_map is None else price_node_map(g1, g2, node_map)
     if g1.is_empty() and g2.is_empty():
         return Matching({}, {}, 0)
     if _OPTIMIZATIONS_ENABLED and _DECOMPOSITION_ENABLED:
-        stitched = _decomposed_isomorphism(
-            g1, g2, minimize_properties, max_steps
-        )
+        stitched = _decomposed_isomorphism(g1, g2, True, max_steps)
         if stitched is not _FALLBACK:
             return stitched
     search = _MatchSearch(
-        g1, g2, exact=True, minimize_cost=minimize_properties,
+        g1, g2, exact=True, minimize_cost=True,
         max_steps=max_steps, upper_bound=upper_bound,
     )
     return search.run()
@@ -1752,7 +1748,7 @@ def are_similar(
     """Paper §3.4: same shape and labels, properties ignored."""
     if _signature_of(g1) != _signature_of(g2):
         return False
-    return find_isomorphism(g1, g2, max_steps=max_steps) is not None
+    return _similarity_node_map(g1, g2, max_steps) is not None
 
 
 def embed_subgraph(
@@ -1809,6 +1805,18 @@ def generalize_pair(
     )
     if matching is None:
         return None
+    return apply_matching(g1, g2, matching, gid)
+
+
+def apply_matching(
+    g1: PropertyGraph,
+    g2: PropertyGraph,
+    matching: Matching,
+    gid: Optional[str] = None,
+) -> PropertyGraph:
+    """``g1`` keeping exactly the properties on which each element
+    agrees with its image in ``g2`` under ``matching`` (an isomorphism's,
+    found by either engine).  Element ids of ``g1`` are kept."""
     out = PropertyGraph(gid or g1.gid)
     for node in g1.nodes():
         other = g2.node(matching.node_map[node.id])
@@ -1940,14 +1948,12 @@ def partition_similarity_classes(
 def _similarity_node_map(
     g1: PropertyGraph, g2: PropertyGraph, max_steps: int
 ) -> Optional[Dict[str, str]]:
-    """The node map of :func:`find_isomorphism`'s first-solution answer,
-    unpriced whenever the decomposed pass finds it."""
+    """The node map of the first isomorphism the search finds, unpriced
+    (None when the graphs are not similar)."""
     if g1.is_empty() and g2.is_empty():
         return {}
     if _OPTIMIZATIONS_ENABLED and _DECOMPOSITION_ENABLED:
-        node_map = _decomposed_isomorphism(
-            g1, g2, False, max_steps, price=False
-        )
+        node_map = _decomposed_isomorphism(g1, g2, False, max_steps)
         if node_map is not _FALLBACK:
             return node_map
     found = _MatchSearch(

@@ -1,21 +1,20 @@
 """Content-addressed persistent store for pipeline stage artifacts.
 
-Every pipeline stage output — trial recordings, transformed property
-graphs, generalized graphs, comparison targets, final benchmark results —
-can be serialized to a JSON payload and persisted here, addressed by a
-stable key over what produced it.  The pipeline keeps one file per key,
-each holding one section per stage: a *run* file per run (benchmark,
-tool, resolved config, seed) holds its foreground's generalization, its
-comparison and its final result, and a *variant* file per background
-(its binary, tool, resolved config and seed) holds that background's
-generalization.  A generalization section carries the virtual seconds of
-its variant's recording and transformation, which therefore keep no
-section of their own; only a run stopped before generalization stores
-them, for its retry to resume from.  A run reads each of its keys once
-and writes each key that gained a section once, so a cold run creates
-one file, plus one for a background that no earlier run stored.  Later
-runs with the same key reuse the stored sections instead of recomputing
-the stages, which makes repeated sweeps near-free, lets benchmarks that
+The pipeline's generalized graphs, comparison targets and final
+benchmark results are serialized to JSON payloads and persisted here,
+addressed by a stable key over what produced them.  The pipeline keeps
+one file per key, each holding one section per stage: a *run* file per
+run (benchmark, tool, resolved config, seed) holds its foreground's
+generalization, its comparison and its final result, and a *variant*
+file per background (its binary, tool, resolved config and seed) holds
+that background's generalization.  Recording and transformation are
+seeded and keep no section: a generalization section carries their
+virtual seconds, so a run stopped before generalization stores nothing
+and its retry records again.  A run reads each of its keys once and
+writes each key that gained a section once, so a cold run creates one
+file, plus one for a background that no earlier run stored.  Later runs
+with the same key reuse the stored sections instead of recomputing the
+stages, which makes repeated sweeps near-free, lets benchmarks that
 share a background share its variant file, and makes ``provmark batch``
 resumable.
 
@@ -55,8 +54,9 @@ from repro.graph.model import PropertyGraph
 from repro.storage.neo4jsim import Neo4jSim
 
 #: bump when payload formats change incompatibly; old artifacts then
-#: read as misses instead of deserializing garbage
-STORE_VERSION = 3
+#: read as misses instead of deserializing garbage (4: recording and
+#: transformation keep no section)
+STORE_VERSION = 4
 
 #: Process-wide fault-injection gate adopted by new stores (see
 #: ``ArtifactStore.__init__``).  Worker processes under chaos testing
@@ -347,11 +347,3 @@ def raw_to_payload(raw: Union[str, Neo4jSim]) -> Dict[str, object]:
         return {"kind": "text", "text": raw}
     raise ArtifactError(f"unsupported raw output type {type(raw).__name__}")
 
-
-def raw_from_payload(payload: Mapping[str, object]) -> Union[str, Neo4jSim]:
-    kind = payload.get("kind")
-    if kind == "neo4j":
-        return Neo4jSim.from_log(str(payload["log"]))
-    if kind == "text":
-        return str(payload["text"])
-    raise ArtifactError(f"unknown raw payload kind {kind!r}")

@@ -14,7 +14,7 @@ cancel out (paper §3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Set
 
 from repro.kernel import (
     BENCH_GID, BENCH_UID, Credentials, Kernel, KernelError, Process,
@@ -130,6 +130,8 @@ class ProgramExecutor:
     def _run_ops(
         self, kernel: Kernel, process: Process, ops: Sequence[Op]
     ) -> Dict[str, int]:
+        """Run ``ops``; each binds the variables :func:`bound_names`
+        names, and ``self`` is the benchmark process."""
         variables: Dict[str, int] = {"self": process.pid}
         current = process
         for op in ops:
@@ -199,6 +201,24 @@ class ProgramExecutor:
         if path.startswith("/"):
             return path
         return f"{STAGING_DIR}/{path}"
+
+
+def bound_names(op: Op) -> Set[str]:
+    """The variables ``op`` binds when :meth:`ProgramExecutor._run_ops`
+    runs it: its ``result``, both ends of a pipe or socket pair (named
+    for the result, or ``pipe``/``sock``), a fork's child (``child``
+    unless named).  Reads only ``call`` and ``result``, so a spec's
+    ``OpSpec`` answers too."""
+    names = {op.result} if op.result else set()
+    if op.call in ("pipe", "pipe2"):
+        prefix = op.result or "pipe"
+        names.update((f"{prefix}_r", f"{prefix}_w"))
+    elif op.call == "socketpair":
+        prefix = op.result or "sock"
+        names.update((f"{prefix}_a", f"{prefix}_b"))
+    elif op.call in ("fork", "vfork", "clone"):
+        names.add(op.result or "child")
+    return names
 
 
 def run_trial(

@@ -35,6 +35,7 @@ from typing import Callable, List, Optional, Set, Tuple
 
 from repro.api.specs import BenchmarkSpec, OpSpec
 from repro.kernel.introspect import ArgKind, syscall_signatures
+from repro.suite.executor import bound_names
 from repro.synth.templates import LENGTHS, MASKS, MODES, OFFSETS, PAYLOADS
 
 MutationOperator = Callable[[BenchmarkSpec, random.Random], Optional[BenchmarkSpec]]
@@ -53,22 +54,6 @@ def _with_ops(spec: BenchmarkSpec, ops: Tuple[OpSpec, ...]) -> BenchmarkSpec:
     return dataclasses.replace(
         spec, program=dataclasses.replace(spec.program, ops=ops)
     )
-
-
-def _bound_vars(op: OpSpec) -> Set[str]:
-    """Variables an op binds (mirrors the executor's binding rules)."""
-    bound: Set[str] = set()
-    if op.result:
-        bound.add(op.result)
-    if op.call in ("pipe", "pipe2"):
-        prefix = op.result or "pipe"
-        bound.update((f"{prefix}_r", f"{prefix}_w"))
-    if op.call == "socketpair":
-        prefix = op.result or "sock"
-        bound.update((f"{prefix}_a", f"{prefix}_b"))
-    if op.call in ("fork", "vfork", "clone"):
-        bound.add(op.result or "child")
-    return bound
 
 
 def _used_vars(op: OpSpec) -> Set[str]:
@@ -132,11 +117,11 @@ def insert_op(
                    result="probe_fd"),
         ))
     taken = set().union(*(
-        _bound_vars(op) | _used_vars(op) for op in spec.program.ops
+        bound_names(op) | _used_vars(op) for op in spec.program.ops
     ))
     candidates = [
         op for op in choices
-        if not (_bound_vars(op) & taken)
+        if not (bound_names(op) & taken)
     ]
     if not candidates:
         return None
@@ -153,7 +138,7 @@ def delete_op(
     for i, op in enumerate(ops):
         if op.target:
             continue
-        bound = _bound_vars(op)
+        bound = bound_names(op)
         if any(bound & _used_vars(later) for later in ops[i + 1:]):
             continue
         deletable.append(i)
@@ -174,7 +159,7 @@ def swap_ops(
     sites = [
         i for i in range(len(ops) - 1)
         if not ops[i].target and not ops[i + 1].target
-        and not (_bound_vars(ops[i]) & _used_vars(ops[i + 1]))
+        and not (bound_names(ops[i]) & _used_vars(ops[i + 1]))
         and (ops[i].call, ops[i].args) != (ops[i + 1].call, ops[i + 1].args)
     ]
     if not sites:
@@ -226,12 +211,12 @@ def substitute_target(
     else:
         return None
     taken = set().union(*(
-        _bound_vars(other) | _used_vars(other) for other in ops
+        bound_names(other) | _used_vars(other) for other in ops
     ))
     menu = [
         candidate for candidate in menu
         if candidate.call != op.call
-        and not (_bound_vars(candidate) & taken)
+        and not (bound_names(candidate) & taken)
     ]
     if not menu:
         return None

@@ -61,9 +61,8 @@ def stage_files(store: Path, stage: str):
     """``(path, wrapper)`` of every variant or run file in an artifact
     store that holds a ``stage`` section (``wrapper["payload"][stage]``):
     a background's variant file holds its generalization, a run file its
-    foreground's generalization, the comparison and the result.  Only a
-    run stopped before generalization stores recording and
-    transformation sections, in both kinds of file."""
+    foreground's generalization, the comparison and the result.
+    Recording and transformation keep no section."""
     found = []
     for kind in ("variant", "run"):
         for path in sorted((store / kind).glob("*.json")):

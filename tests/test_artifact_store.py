@@ -20,6 +20,7 @@ from repro.storage.artifacts import (
     graph_from_payload,
     graph_to_payload,
 )
+from repro.suite.executor import ProgramExecutor
 from tests.conftest import stage_files
 
 MATERIAL = {
@@ -80,7 +81,7 @@ def stop_before_generalization(event) -> None:
 
 def partial_store(store: Path) -> None:
     """What an ``open``/spade run stopped before generalization leaves:
-    both variants' recording and transformation sections, no other."""
+    nothing, since recording and transformation keep no section."""
     provmark = ProvMark(
         config=spade_config(store), progress=stop_before_generalization
     )
@@ -303,6 +304,41 @@ class TestWarmRuns:
         assert warm.timings.store_hits == 3  # short-circuits at generalization
         assert warm.timings.store_misses == 0
 
+    def test_a_stored_failure_covers_the_background(self, tmp_path, monkeypatch):
+        """A foreground's stored generalization failure ends the run
+        before the background is generalized, and carries the
+        background's virtual seconds: the background keeps no file, and
+        a warm run reads the run's file alone and runs no trial."""
+        def run():
+            capture = CamFlowCapture(CamFlowConfig(structural_jitter=1.0))
+            config = PipelineConfig(
+                tool="camflow", seed=8, trials=2, store_path=str(tmp_path)
+            )
+            provmark = ProvMark(capture=capture, config=config)
+            return provmark, provmark.run_benchmark("open")
+
+        _, cold = run()
+        assert cold.classification is Classification.FAILED
+        assert stored_sections(tmp_path) == [
+            ("run", ["generalization", "result"]),
+        ]
+        trials = []
+        real_run = ProgramExecutor.run
+
+        def counting(executor, foreground):
+            trials.append(foreground)
+            return real_run(executor, foreground)
+
+        monkeypatch.setattr(ProgramExecutor, "run", counting)
+        provmark, warm = run()
+        assert trials == []
+        assert results_identical(cold, warm)
+        assert warm.timings.virtual_transformation == (
+            cold.timings.virtual_transformation
+        )
+        stats = provmark.artifact_store().stats
+        assert (stats.hits, stats.misses) == (1, 0)
+
     def test_different_seed_does_not_hit(self, tmp_path):
         ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
         other = PipelineConfig(tool="spade", seed=6, store_path=str(tmp_path))
@@ -358,20 +394,20 @@ class TestWarmRuns:
     def test_decodable_but_malformed_artifact_recomputed(self, tmp_path):
         """Valid JSON wrapper, payload the codecs reject (e.g. written
         by another code version): recompute, don't crash."""
-        plain = ProvMark(tool="spade", seed=5).run_benchmark("open")
-        partial_store(tmp_path)
-        for path, wrapper in stage_files(tmp_path, "transformation"):
-            wrapper["payload"]["transformation"] = {
-                "fg": [{"gid": "x"}], "bg": [],
+        cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        for path, wrapper in stage_files(tmp_path, "comparison"):
+            wrapper["payload"]["comparison"]["outcome"] = {
+                "target": {"gid": "x"},
             }
             path.write_text(json.dumps(wrapper))
-        warm = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
-        assert results_identical(plain, warm)
-        # recording restored, transformation recomputed (an intact
-        # partial store restores both), the later stages never stored
+        provmark = ProvMark(config=spade_config(tmp_path))
+        warm = provmark.run_benchmark("open")
+        assert results_identical(cold, warm)
+        # the three earlier stages restored, the comparison recomputed
         assert warm.timings.store_row() == {
-            "store_hits": 1, "store_misses": 3,
+            "store_hits": 3, "store_misses": 1,
         }
+        assert provmark.artifact_store().stats.invalid == 1
 
     def test_wrong_payload_type_recomputed_not_crash(self, tmp_path):
         """Payload fields of the wrong JSON type (string where a dict is
@@ -388,44 +424,20 @@ class TestWarmRuns:
         }
 
     def test_invalid_payload_not_counted_as_store_hit(self, tmp_path):
-        partial_store(tmp_path)
-        for path, wrapper in stage_files(tmp_path, "transformation"):
-            wrapper["payload"]["transformation"] = {"fg": "nope", "bg": []}
+        ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        for path, wrapper in stage_files(tmp_path, "comparison"):
+            wrapper["payload"]["comparison"] = {"outcome": "nope"}
             path.write_text(json.dumps(wrapper))
         warm = ProvMark(config=spade_config(tmp_path))
         result = warm.run_benchmark("open")
         stats = warm.artifact_store().stats
-        assert stats.invalid == 2  # both variants' transformation sections
+        assert stats.invalid == 1  # the comparison section
         # the files read (the background's and the run's); a rejected
         # section counts invalid, and its stage a miss, never a hit
         assert stats.hits == 2
         assert result.timings.store_row() == {
-            "store_hits": 1, "store_misses": 3,
+            "store_hits": 3, "store_misses": 1,
         }
-
-    def test_short_recording_recomputed_not_cached_as_failure(self, tmp_path):
-        """A stored recording with too few trials must read as a miss:
-        restored, it would fail generalization ("need at least two trial
-        graphs") and that failure would be stored for every later run."""
-        cold = ProvMark(tool="spade", seed=5).run_benchmark("open")
-        partial_store(tmp_path)
-        for path, wrapper in stage_files(tmp_path, "recording"):
-            sections = wrapper["payload"]
-            if sections["recording"][0]["foreground"]:
-                sections["recording"] = sections["recording"][:1]
-            del sections["transformation"]
-            path.write_text(json.dumps(wrapper))
-        provmark = ProvMark(config=spade_config(tmp_path))
-        warm = provmark.run_benchmark("open")
-        assert results_identical(cold, warm)
-        assert provmark.artifact_store().stats.invalid == 1
-        resumed = ProvMark(
-            config=spade_config(tmp_path, resume=True)
-        ).run_benchmark("open")
-        assert resumed.classification is Classification.OK
-        again = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
-        assert results_identical(cold, again)
-        assert again.timings.store_hits == 4
 
     def test_store_from_version_2_reads_as_misses(self, tmp_path):
         """Version 2 kept each variant's recording and transformation
@@ -434,6 +446,20 @@ class TestWarmRuns:
         for path in tmp_path.rglob("*.json"):
             wrapper = json.loads(path.read_text())
             wrapper["version"] = 2
+            path.write_text(json.dumps(wrapper))
+        warm = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        assert results_identical(cold, warm)
+        assert warm.timings.store_row() == {
+            "store_hits": 0, "store_misses": 4,
+        }
+
+    def test_store_from_version_3_reads_as_misses(self, tmp_path):
+        """Version 3 kept a stopped run's recording and transformation
+        sections; its files serve nothing now."""
+        cold = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
+        for path in tmp_path.rglob("*.json"):
+            wrapper = json.loads(path.read_text())
+            wrapper["version"] = 3
             path.write_text(json.dumps(wrapper))
         warm = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
         assert results_identical(cold, warm)
@@ -453,8 +479,8 @@ class TestWarmRuns:
 
 
 class TestStoppedRuns:
-    """A run stopped before generalization stores what it recorded and
-    transformed; a run that generalizes a variant stores neither."""
+    """No run stores what it recorded or transformed: one stopped before
+    generalization stores nothing, and its retry records again."""
 
     def test_a_cold_run_stores_no_recording_or_transformation(self, tmp_path):
         ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
@@ -464,19 +490,18 @@ class TestStoppedRuns:
         ]
 
     def test_the_next_run_resumes_then_drops_them(self, tmp_path):
+        """The retry of a stopped run records again, with the trial
+        seeds the stopped run drew, and stores what a cold run does."""
         plain = ProvMark(tool="spade", seed=5).run_benchmark("open")
         partial_store(tmp_path)
-        assert stored_sections(tmp_path) == [
-            ("run", ["recording", "transformation"]),
-            ("variant", ["recording", "transformation"]),
-        ]
+        assert stored_sections(tmp_path) == []
         resumed = ProvMark(config=spade_config(tmp_path)).run_benchmark("open")
         assert results_identical(plain, resumed)
         assert resumed.timings.virtual_transformation == (
             plain.timings.virtual_transformation
         )
         assert resumed.timings.store_row() == {
-            "store_hits": 2, "store_misses": 2,
+            "store_hits": 0, "store_misses": 4,
         }
         assert stored_sections(tmp_path) == [
             ("run", ["comparison", "generalization", "result"]),

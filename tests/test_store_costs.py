@@ -2,28 +2,25 @@
 
 The pipeline keeps one store file per key: a run's file holds its
 foreground's generalization, comparison and result sections, and a
-background's file that background's generalization.  A generalization
-section stands in for its variant's recording and transformation, so
-only a run stopped before generalization stores those.  A new file
-costs a create (a temp file renamed into place), far more kernel time
-than the bytes it holds, so these tests count file creations and bytes
-(calls to ``write_text_atomic``), store reads (``ArtifactStore.load``
-calls), and the recording and transformation sections built and decoded:
+background's file that background's generalization.  Recording and
+transformation keep no section: a generalization section stands in for
+them.  A new file costs a create (a temp file renamed into place), far
+more kernel time than the bytes it holds, so these tests count file
+creations and bytes (calls to ``write_text_atomic``), store reads
+(``ArtifactStore.load`` calls), and the trials encoded:
 
 * a cold three-tool Table 2 sweep at seed 5 through one
   ``BenchmarkService`` creates at most 147 files: 132 run files and 15
   background files, one per tool for each of the 5 shared backgrounds
   (a file per variant made 279, a file per stage and key 705).  It
   writes at most 1.4 MB (4.49 MB when each variant's file held its
-  recording and transformation) and builds no recording or
-  transformation section (441 ``RecordedTrial.to_payload`` and 441
-  ``graph_to_payload`` calls did);
+  recording and transformation) and encodes no trial (441
+  ``RecordedTrial.to_payload`` calls did);
 * a warm pass over the same store creates no file: a result that
   differs from the stored one only in wall clocks and store counters
   keeps the stored one (each run file was rewritten, 132 in all,
-  before).  It reads 2 files per run and decodes no trial or
-  transformed graph (792 ``RecordedTrial.from_payload`` and 792
-  ``graph_from_payload`` calls did);
+  before).  It reads 2 files per run (and once decoded 792 trials and
+  792 transformed graphs);
 * a warm, non-resume ``open``/spade run reads at most 2 files (the
   background's and the run's; a file per variant read 3, a file per
   stage and variant 7);
@@ -38,7 +35,6 @@ import json
 import pytest
 
 from repro.api import BenchmarkService, RunRequest
-from repro.core import stages
 from repro.core.pipeline import ProvMark
 from repro.core.recording import RecordedTrial
 from repro.storage import artifacts
@@ -79,8 +75,7 @@ def reads(monkeypatch):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Call counts of the codecs a recording or transformation section
-    goes through, from now on."""
+    """Call counts of the trial encoder, from now on."""
     counts = {}
 
     def count(owner, name):
@@ -94,9 +89,6 @@ def calls(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(RecordedTrial, "to_payload")
-    count(RecordedTrial, "from_payload")
-    count(stages, "graph_to_payload")
-    count(stages, "graph_from_payload")
     return counts
 
 
@@ -116,8 +108,8 @@ def test_table2_sweep_creates_one_file_per_key(
         assert sum(size for _, size in created) <= 1_400_000  # was 4.49 MB
         assert len(list((tmp_path / "store" / "variant").iterdir())) == 15
         assert len(list((tmp_path / "store" / "run").iterdir())) == 132
-        # no recording or transformation section built: was 441 each
-        assert calls["to_payload"] == calls["graph_to_payload"] == 0
+        # no recording section built: was 441 trials encoded
+        assert calls["to_payload"] == 0
         created.clear()
         reads.clear()
         for request in requests:
@@ -127,8 +119,6 @@ def test_table2_sweep_creates_one_file_per_key(
         # the stored results stand: was 132, every run file rewritten
         assert created == []
         assert len(reads) <= 2 * len(requests)  # a file per variant: 3
-        # no trial or transformed graph decoded: was 792 each
-        assert calls["from_payload"] == calls["graph_from_payload"] == 0
 
 
 def test_warm_run_reads_each_key_once(tmp_path, reads):
