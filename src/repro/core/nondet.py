@@ -30,10 +30,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.capture import CaptureSystem, make_capture
 from repro.core.compare import ComparisonError, compare
 from repro.core.generalize import GeneralizationError, generalize_trials
+from repro.core.recording import TraceMemo
 from repro.core.result import BenchmarkResult, Classification, StageTimings
 from repro.core.transform import transform
 from repro.graph.model import PropertyGraph
-from repro.suite.executor import ProgramExecutor
 from repro.suite.program import Op, Program
 
 
@@ -111,6 +111,8 @@ class NondetProvMark:
         self.trials = trials
         self.engine = engine
         self._rng = random.Random(seed)
+        #: runs the kernel once per schedule variant and background
+        self._traces = TraceMemo()
 
     # -- recording -----------------------------------------------------------
 
@@ -123,21 +125,22 @@ class NondetProvMark:
             trial_seed = self._rng.randrange(2**31)
             # The "scheduler": an unobserved nondeterministic choice.
             schedule = self._rng.randrange(len(program.schedules))
-            variant = program.variant(schedule)
-            execution = ProgramExecutor(variant, seed=trial_seed).run(True)
+            trace = self._traces.trace(
+                program.variant(schedule), True, trial_seed, keep=False
+            )
             raw = self.capture.record(
-                execution.trace, random.Random(trial_seed ^ 0x5EED)
+                trace, random.Random(trial_seed ^ 0x5EED)
             )
             foregrounds.append(
                 transform(raw, self.capture.output_format, gid=f"fg{index}")
             )
         for index in range(max(2, self.trials // 2)):
             trial_seed = self._rng.randrange(2**31)
-            execution = ProgramExecutor(
-                program.background, seed=trial_seed
-            ).run(False)
+            trace = self._traces.trace(
+                program.background, False, trial_seed, keep=False
+            )
             raw = self.capture.record(
-                execution.trace, random.Random(trial_seed ^ 0x5EED)
+                trace, random.Random(trial_seed ^ 0x5EED)
             )
             backgrounds.append(
                 transform(raw, self.capture.output_format, gid=f"bg{index}")

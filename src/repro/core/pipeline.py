@@ -134,9 +134,9 @@ class ProvMark:
         #: stage-boundary observer handed to every RunContext this
         #: driver builds (the job manager's progress/cancellation hook)
         self.progress = progress
-        #: kernel traces this driver's recordings share with other
-        #: drivers' (a ``BenchmarkService`` hands one to each it builds)
-        self.traces: Optional[TraceMemo] = None
+        #: kernel runs this driver's recordings share: its own, or the
+        #: one a ``BenchmarkService`` hands each driver it builds
+        self.traces = TraceMemo()
         self.capture = capture or make_capture(config.tool)
         self.pipeline: Pipeline = default_pipeline()
         self._store: Optional[ArtifactStore] = None

@@ -194,9 +194,10 @@ class RunContext:
     #: :class:`DeadlineExceeded`.  Excluded from :meth:`key_material` —
     #: a deadline bounds wall clock, it cannot change results.
     deadline_at: Optional[float] = None
-    #: kernel traces shared with other runs (by every driver of one
-    #: ``BenchmarkService``); like the deadline, excluded from
-    #: :meth:`key_material`: a replayed trace equals a fresh one
+    #: kernel runs shared with other runs (the driver's, or every
+    #: driver's of one ``BenchmarkService``); like the deadline,
+    #: excluded from :meth:`key_material`: a replayed or reseeded trace
+    #: equals a fresh one
     traces: Optional[TraceMemo] = None
     #: the variants a per-variant stage's ``run`` computes, in the
     #: stage's order; the pipeline sets it before each call

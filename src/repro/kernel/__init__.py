@@ -5,7 +5,7 @@ replaces the real Linux + auditd + LSM + libc stack that the paper's
 capture systems observe; see DESIGN.md §2 for the substitution argument.
 """
 
-from repro.kernel.clock import IdAllocator, VirtualClock, make_rng
+from repro.kernel.clock import DrawLog, IdAllocator, VirtualClock, make_rng
 from repro.kernel.errors import Errno, KernelError
 from repro.kernel.introspect import (
     ArgKind,
@@ -46,6 +46,7 @@ __all__ = [
     "BENCH_GID",
     "BENCH_UID",
     "Credentials",
+    "DrawLog",
     "Errno",
     "FileSystem",
     "FileSyscalls",

@@ -11,13 +11,28 @@ with ``k`` that width's bit length.  CPython's ``randrange`` runs that
 loop (3.10 through 3.13), so the stream of numbers is the one
 ``randrange`` draws, at a third of its cost: a trial draws about a
 thousand of them.
+
+Reseeding rests on one invariant: no kernel decision reads a drawn
+value, unless a pid reaches a syscall other than as a PID-kind
+``$variable`` (:func:`repro.suite.executor.reseedable` tells such
+programs apart).  A run at another seed then makes the same draws in
+the same order and differs only in the values drawn, which land in:
+event times; a subject's ``pid``, ``ppid`` and ``task_id``; an object's
+``ino``, ``pid``, ``task_id`` and ``pipe_id``, and the ``pipe:[id]`` and
+``socket:[id]`` paths of pipe and socket descriptors; the results of
+``fork``, ``vfork``, ``clone`` and ``getpid``; PID-kind syscall
+arguments; and the trace's ``boot_id`` and ``machine_id``.  A machine
+given a :class:`DrawLog` logs its draws, :meth:`DrawLog.replay` makes
+them again from another seed, and :func:`repro.kernel.trace.reseed`
+writes the new values into a copy of the trace.
 """
 
 from __future__ import annotations
 
 import random
 import uuid
-from typing import Callable, Optional
+from array import array
+from typing import Callable, Dict, List, Optional, Tuple
 
 #: a tick advances the clock by a draw from [TICK_MIN_NS, TICK_MAX_NS)
 TICK_MIN_NS, TICK_MAX_NS = 1_000, 90_000
@@ -83,3 +98,87 @@ def make_rng(seed: Optional[int]) -> random.Random:
     if seed is None:
         return random.Random()
     return random.Random(seed)
+
+
+#: the kinds of draw a :class:`DrawLog` tells apart, in the order of
+#: ``DrawLog.values``
+TICK, PID, INO, OBJECT_ID = range(4)
+
+
+class DrawLog:
+    """Every draw of one machine's clock and id allocator, in order.
+
+    Kept in arrays, not lists of tuples: a trace memo holds a log per
+    variant, and the cyclic garbage collector never walks an array.
+    """
+
+    __slots__ = ("kinds", "values")
+
+    def __init__(self) -> None:
+        #: the kind of each draw (``TICK`` ...), in draw order
+        self.kinds = bytearray()
+        #: per kind, the values drawn, in draw order
+        self.values = (array("q"), array("q"), array("q"), array("q"))
+
+    def allocators(
+        self, rng: random.Random
+    ) -> Tuple[VirtualClock, IdAllocator]:
+        """A clock and an id allocator on ``rng`` that log here, built
+        in the order a machine builds its own."""
+        return _LoggedClock(rng, self), _LoggedIds(rng, self)
+
+    def replay(
+        self, seed: int
+    ) -> Tuple[IdAllocator, List[Dict[int, int]], random.Random]:
+        """The logged draws made again by a machine booted with
+        ``seed``: its id allocator (for the boot and machine ids), per
+        kind a map from each logged value to the one drawn in its
+        place, and its RNG, left where that machine's would be."""
+        rng = make_rng(seed)
+        clock, ids = VirtualClock(rng), IdAllocator(rng)
+        drawn: Tuple[List[int], ...] = ([], [], [], [])
+        draw = (clock.tick, ids.pid, ids.ino, ids.object_id)
+        keep = [values.append for values in drawn]
+        for kind in self.kinds:
+            keep[kind](draw[kind]())
+        return ids, [
+            dict(zip(logged, new)) for logged, new in zip(self.values, drawn)
+        ], rng
+
+
+class _LoggedClock(VirtualClock):
+    def __init__(self, rng: random.Random, log: DrawLog) -> None:
+        super().__init__(rng)
+        self._kinds = log.kinds
+        self._ticks = log.values[TICK]
+
+    def tick(self) -> int:
+        now = VirtualClock.tick(self)
+        self._kinds.append(TICK)
+        self._ticks.append(now)
+        return now
+
+
+class _LoggedIds(IdAllocator):
+    def __init__(self, rng: random.Random, log: DrawLog) -> None:
+        super().__init__(rng)
+        self._kinds = log.kinds
+        self._values = log.values
+
+    def pid(self) -> int:
+        value = IdAllocator.pid(self)
+        self._kinds.append(PID)
+        self._values[PID].append(value)
+        return value
+
+    def ino(self) -> int:
+        value = IdAllocator.ino(self)
+        self._kinds.append(INO)
+        self._values[INO].append(value)
+        return value
+
+    def object_id(self) -> int:
+        value = IdAllocator.object_id(self)
+        self._kinds.append(OBJECT_ID)
+        self._values[OBJECT_ID].append(value)
+        return value

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.kernel.clock import IdAllocator, VirtualClock, make_rng
+from repro.kernel.clock import DrawLog, IdAllocator, VirtualClock, make_rng
 from repro.kernel.errors import Errno, KernelError
 from repro.kernel.fs import (
     FileSystem, Inode, InodeType, TreeTemplate, mode_string,
@@ -114,10 +114,17 @@ class SyscallOutcome:
 class Machine:
     """Kernel state container and syscall dispatcher."""
 
-    def __init__(self, seed: Optional[int] = None) -> None:
+    def __init__(
+        self, seed: Optional[int] = None, draws: Optional[DrawLog] = None
+    ) -> None:
+        """A booted machine; with ``draws``, its clock and id allocator
+        log every draw there."""
         self.rng = make_rng(seed)
-        self.clock = VirtualClock(self.rng)
-        self.ids = IdAllocator(self.rng)
+        if draws is None:
+            self.clock = VirtualClock(self.rng)
+            self.ids = IdAllocator(self.rng)
+        else:
+            self.clock, self.ids = draws.allocators(self.rng)
         self.fs = FileSystem(self.ids, self.clock, BOOT_TREE)
         self.processes: Dict[int, Process] = {}
         self.pipes: Dict[int, Pipe] = {}
@@ -210,7 +217,6 @@ class Machine:
         name: str,
         args: Sequence[object],
         implementation: Callable[[], SyscallOutcome],
-        libc_function: Optional[str] = None,
     ) -> int:
         """Run a syscall implementation and emit its observation records.
 
@@ -251,7 +257,7 @@ class Machine:
         else:
             self.trace.audit.append(audit_event)
         self.trace.libc.append(LibcEvent(
-            seq, time_ns, libc_function or name, rendered_args, retval,
+            seq, time_ns, name, rendered_args, retval,
             success, errno_name, subject_exit, objects,
         ))
         for hook_name, hook_objects, details in outcome.hooks:

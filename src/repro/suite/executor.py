@@ -13,14 +13,16 @@ cancel out (paper §3).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.kernel import (
-    BENCH_GID, BENCH_UID, Credentials, Kernel, KernelError, Process,
+    BENCH_GID, BENCH_UID, ArgKind, Credentials, DrawLog, Kernel, KernelError,
+    Process, syscall_signatures,
 )
 from repro.kernel.fs import InodeType
-from repro.kernel.trace import Trace
+from repro.kernel.trace import PID_RESULTS, Trace, reseed
 from repro.suite.program import Arg, Op, Program, Variant
 
 STAGING_DIR = "/home/bench/staging"
@@ -41,11 +43,16 @@ class ExecutionResult:
 
 
 class ProgramExecutor:
-    """Runs one program variant (fg or bg) on a fresh kernel."""
+    """Runs one program variant (fg or bg) on a fresh kernel; with
+    ``draws``, the kernel logs its draws there."""
 
-    def __init__(self, program: Program, seed: Optional[int] = None) -> None:
+    def __init__(
+        self, program: Program, seed: Optional[int] = None,
+        draws: Optional[DrawLog] = None,
+    ) -> None:
         self.program = program
         self.seed = seed
+        self.draws = draws
 
     def run(self, foreground: bool) -> ExecutionResult:
         """One trial of the program's foreground or background variant.
@@ -55,7 +62,7 @@ class ProgramExecutor:
         for what the trial records.
         """
         variant = self.program.variant(foreground)
-        kernel = Kernel(seed=self.seed)
+        kernel = Kernel(seed=self.seed, draws=self.draws)
         self._prepare_staging(kernel, variant)
         start_seq = kernel.seq + 1
         process = self._start_benchmark_process(kernel, variant)
@@ -226,3 +233,68 @@ def run_trial(
 ) -> ExecutionResult:
     """Convenience wrapper: one trial of one program variant."""
     return ProgramExecutor(program, seed=seed).run(foreground)
+
+
+@functools.lru_cache(maxsize=None)
+def _pid_arguments() -> Dict[str, Tuple[int, ...]]:
+    """Per syscall with PID-kind parameters, their positions."""
+    return {
+        call: positions
+        for call, signature in syscall_signatures().items()
+        if (positions := tuple(
+            index for index, param in enumerate(signature.params)
+            if param.kind is ArgKind.PID
+        ))
+    }
+
+
+def reseedable(variant: Variant) -> bool:
+    """Whether a run of ``variant`` at one seed, reseeded, is its run
+    at any other: whether every pid it hands a syscall is a
+    ``$variable`` in a PID-kind position, and every PID-kind argument
+    such a variable.  A literal pid may name a process at one seed and
+    none at another (``kill(20428)``), and a pid used as a length or a
+    mode changes what the call does."""
+    signatures = syscall_signatures()
+    pids = {"self"}
+    for op in variant.ops:
+        signature = signatures.get(op.call)
+        params = signature.params if signature is not None else ()
+        for index, arg in enumerate(op.args):
+            as_pid = index < len(params) and params[index].kind is ArgKind.PID
+            is_pid = isinstance(arg, str) and arg[:1] == "$" and arg[1:] in pids
+            if as_pid != is_pid:
+                return False
+        bound = bound_names(op)
+        pids = pids | bound if op.call in PID_RESULTS else pids - bound
+    return True
+
+
+class TraceTemplate:
+    """One variant's trial, run on the kernel with its draws logged: the
+    trace of any other trial seed without running the kernel again.
+
+    Only for a :func:`reseedable` variant.  :meth:`at` a new seed replays
+    the logged draws from that seed through a fresh clock and id
+    allocator and writes what they draw into a copy of the trace
+    (:func:`repro.kernel.trace.reseed`), which equals the trace a run at
+    that seed records.
+    """
+
+    __slots__ = ("seed", "trace", "draws")
+
+    def __init__(self, program: Program, foreground: bool, seed: int) -> None:
+        self.seed = seed
+        self.draws = DrawLog()
+        self.trace = ProgramExecutor(program, seed, self.draws).run(
+            foreground
+        ).trace
+
+    def at(self, seed: int) -> Trace:
+        """The trace of the trial at ``seed``."""
+        if seed == self.seed:
+            return self.trace
+        ids, maps, _ = self.draws.replay(seed)
+        return reseed(
+            self.trace, ids.boot_id, ids.machine_id, maps, _pid_arguments(),
+        )

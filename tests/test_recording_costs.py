@@ -15,11 +15,12 @@ runner without a wall clock:
   json's C encoder, not the pure-Python one;
 * ``ProgramExecutor.run`` per store-backed Table 2 sweep: a background
   shared by many benchmarks is recorded once per store, not once per
-  benchmark;
+  benchmark, and each variant's kernel runs once, its other trials
+  reseeding that run (``reseed`` counts beside the runs);
 * ``ProgramExecutor.run`` per scale-major pass and per
   benchmark-major Table 2 sweep through one ``BenchmarkService``: a
-  (variant, trial seed) that several tools record runs once, through
-  the service's trace memo;
+  variant that several tools record at several trial seeds runs once,
+  through the service's trace memo;
 * ``random.Random.randrange`` per boot: the boot tree is a template
   whose numbers are drawn through the same ``getrandbits`` loop;
 * path walks and ``KernelError`` raises per ``creat`` of a missing
@@ -47,6 +48,7 @@ from repro.kernel.trace import (
     ObjectInfo,
     SubjectInfo,
 )
+from repro.suite import executor
 from repro.suite.executor import ProgramExecutor
 from repro.suite.registry import TABLE2_ORDER, get_benchmark
 
@@ -142,41 +144,57 @@ class TestCaptureCeilings:
 class TestStoreCeilings:
     def test_a_sweep_records_each_background_once(self, monkeypatch, tmp_path):
         calls = count_calls(monkeypatch, ProgramExecutor, "run")
+        reseeds = count_calls(monkeypatch, executor, "reseed")
         provmark = ProvMark(tool="spade", seed=SEED, store_path=str(tmp_path))
         for name in TABLE2_ORDER:
             provmark.run_benchmark(name)
-        # 44 foregrounds and 5 distinct backgrounds, 2 trials each; was
-        # 176, every benchmark recording its own background
+        # 44 foregrounds and 5 distinct backgrounds, each run once and
+        # reseeded for its second trial; was (44 + 5) * 2 runs, and 176
+        # before that, every benchmark recording its own background
         assert len(TABLE2_ORDER) == 44
-        assert len(calls) == (44 + 5) * 2
+        assert len(calls) == 44 + 5
+        assert len(reseeds) == 44 + 5
+
+
+def scale_major_pass(service):
+    for scale in ("scale32", "scale128"):
+        for tool in ("spade", "opus", "camflow"):
+            service.run(RunRequest(benchmark=scale, tool=tool, seed=SEED))
 
 
 class TestTraceSharing:
     def test_a_scale_major_pass_runs_each_shared_trial_once(self, monkeypatch):
         calls = count_calls(monkeypatch, ProgramExecutor, "run")
+        reseeds = count_calls(monkeypatch, executor, "reseed")
         service = BenchmarkService()
-        for scale in ("scale32", "scale128"):
-            for tool in ("spade", "opus", "camflow"):
-                service.run(RunRequest(benchmark=scale, tool=tool, seed=SEED))
-        # scale32: SPADE runs its 2 + 2 trials, OPUS replays all four and
-        # CamFlow the 2 backgrounds, running 3 + 5; scale128 runs the
-        # same but for SPADE's backgrounds, which are scale32's.  19 of
-        # these 22 are distinct (CamFlow's last 3 backgrounds run again);
-        # was 2 x (4 + 4 + 10) = 36
-        assert len(calls) <= 22
+        scale_major_pass(service)
+        # scale32's foreground and background (scale128's too) and
+        # scale128's foreground; was <= 22, SPADE running its 2 + 2
+        # trials, OPUS replaying them and CamFlow running 3 + 5 per scale
+        assert len(calls) <= 3
+        # CamFlow's 5 foregrounds and last 3 backgrounds per scale, and
+        # SPADE's second foreground (the first is the template's own)
+        assert len(reseeds) <= 19
+        del calls[:], reseeds[:]
+        scale_major_pass(service)
+        # a warm pass runs no kernel at all
+        assert len(calls) == 0
+        assert len(reseeds) <= 18
 
     def test_a_benchmark_major_table2_sweep_shares_its_trials(
         self, monkeypatch
     ):
         calls = count_calls(monkeypatch, ProgramExecutor, "run")
+        reseeds = count_calls(monkeypatch, executor, "reseed")
         service = BenchmarkService()
         for name in TABLE2_ORDER:
             for tool in ("spade", "opus", "camflow"):
                 service.run(RunRequest(benchmark=name, tool=tool, seed=SEED))
-        # per benchmark SPADE's 2 foregrounds, its 2 backgrounds unless
-        # the last benchmark had the same, and CamFlow's 3 + 5; 333
-        # (variant, trial seed) pairs are distinct; was 44 x 18 = 792
-        assert len(calls) <= 482
+        # 44 foregrounds and 5 distinct backgrounds, once each; was
+        # <= 482, every (variant, trial seed) that no tool had run yet
+        # (333 distinct), and 44 x 18 = 792 before that
+        assert len(calls) <= 49
+        assert len(reseeds) <= 417
 
 
 class TestSnapshotsAreImmutable:

@@ -58,12 +58,9 @@ class TestTraceMemo:
         # "link" and "open" share their background: one run serves both
         background = memo.trace(get_benchmark("open"), False, SEED)
         assert memo.trace(get_benchmark("link"), False, SEED) is background
-        # another trial seed is another trial
+        # another trial seed is another trial, reseeded from the first
         assert memo.trace(get_benchmark("open"), True, SEED + 1) is not first
-        assert runs == [
-            ("open", True, SEED), ("open", False, SEED),
-            ("open", True, SEED + 1),
-        ]
+        assert runs == [("open", True, SEED), ("open", False, SEED)]
 
     def test_it_holds_the_most_recently_used_traces(self):
         memo = TraceMemo()
@@ -120,9 +117,38 @@ class TestTraceMemo:
     def test_a_trace_it_is_not_to_keep_runs_again(self):
         memo = TraceMemo()
         program = get_benchmark("open")
-        first = memo.trace(program, True, SEED, keep=False)
-        again = memo.trace(program, True, SEED, keep=False)
+        # the first trial is its variant's template, held as such
+        template = memo.trace(program, True, SEED, keep=False)
+        assert memo.trace(program, True, SEED, keep=False) is template
+        first = memo.trace(program, True, SEED + 1, keep=False)
+        again = memo.trace(program, True, SEED + 1, keep=False)
         assert again is not first and again == first
+
+    def test_it_holds_templates_within_its_event_bound(self, monkeypatch):
+        memo = TraceMemo()
+        sizes = {
+            name: ProgramExecutor(get_benchmark(name), seed=SEED).run(
+                True).trace.event_count
+            for name in ("open", "creat", "scale8")
+        }
+        monkeypatch.setattr(
+            TraceMemo, "EVENTS", sizes["open"] + sizes["creat"]
+        )
+        for name in ("open", "creat", "scale8", "open", "creat"):
+            memo.trace(get_benchmark(name), True, SEED, keep=False)
+            assert memo.held_events <= TraceMemo.EVENTS
+        # scale8 is too large to hold; open and creat are held again
+        assert memo.held_events == sizes["open"] + sizes["creat"]
+        runs = []
+        real = ProgramExecutor.run
+        monkeypatch.setattr(
+            ProgramExecutor, "run",
+            lambda executor, foreground: runs.append(1) or real(
+                executor, foreground),
+        )
+        memo.trace(get_benchmark("open"), True, SEED + 1, keep=False)
+        memo.trace(get_benchmark("scale8"), True, SEED + 1, keep=False)
+        assert runs == [1]  # scale8 runs again, open reseeds
 
     def test_recorders_keep_what_a_two_trial_plan_draws(self):
         two = Recorder(make_capture("spade"), 2, SEED)

@@ -122,7 +122,7 @@ class TestSweepIdentity:
 
         monkeypatch.setattr(ProgramExecutor, "run", counting)
         provmark.run_benchmark(second)
-        assert trials == [True, True]  # the foreground's trials only
+        assert trials == [True]  # the foreground's first trial only
         # two run files, each with its foreground's generalization, and
         # the one background's file
         assert len(stage_artifacts(tmp_path, "generalization")) == 3
