@@ -23,10 +23,10 @@ Behaviours reproduced from the paper:
 
 As CamFlow's kernel module streams records to user space, the capture
 writes each hook's records straight into the PROV-JSON document it
-ships: a node or relation becomes its body in the document, laid out by
-:func:`repro.graph.provjson.node_body` and
-:func:`~repro.graph.provjson.edge_body`, as its hook fires.  No property
-graph is built on the way; transformation parses the text.
+ships: a node or relation becomes its body in the document as its hook
+fires, built once in the layout :func:`repro.graph.provjson.node_body`
+and :func:`~repro.graph.provjson.edge_body` give it.  No property graph
+is built on the way; transformation parses the text.
 """
 
 from __future__ import annotations
@@ -34,12 +34,10 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.capture.base import CaptureSystem, RawOutput
-from repro.graph.provjson import (
-    ProvDocument, document_text, edge_body, node_body,
-)
+from repro.graph.provjson import RELATION_KEYS, ProvDocument, document_text
 from repro.kernel.trace import LsmEvent, ObjectInfo, Trace
 
 #: LSM hooks recorded by the default CamFlow 0.4.5 configuration.
@@ -52,6 +50,10 @@ RECORDED_HOOKS = frozenset({
     "file_splice_pipe_to_pipe",
     "socket_create", "socket_sendmsg", "socket_recvmsg",
 })
+#: hooks whose denials ``record_failed`` renders
+_DENIABLE_HOOKS = RECORDED_HOOKS | {"inode_permission"}
+#: an object kind's entity label, ``inode`` for any other kind
+_ENTITY_LABELS = {"pipe": "pipe", "socket": "socket"}
 
 
 @dataclass
@@ -111,24 +113,30 @@ class _CamFlowBuilder:
         return f"cf:{kind}:{self._next}"
 
     # -- node management -----------------------------------------------------
+    #
+    # Each body is built once, in its final layout: a node's under its
+    # PROV kind with its label as ``prov:type``, a relation's with its
+    # endpoints under the relation's keys (``RELATION_KEYS``).
 
-    def _add_node(self, label: str, props: Mapping[str, str]) -> str:
+    def _add_node(self, kind: str, label: str, body: Dict[str, str]) -> str:
         """Write a new node's body; its id is drawn under its label."""
         node_id = self._identifier(label)
-        kind, body = node_body(label, props)
+        body["prov:type"] = label
         self.doc[kind][node_id] = body
         return node_id
 
     def _add_edge(
-        self, src: str, tgt: str, label: str, props: Mapping[str, str]
+        self, src: str, tgt: str, relation: str, body: Dict[str, str]
     ) -> None:
-        relation, body = edge_body(src, tgt, label, props)
+        """Write a new relation's body."""
+        src_key, tgt_key = RELATION_KEYS[relation]
+        body[src_key] = src
+        body[tgt_key] = tgt
         self.doc[relation][self._identifier("rel")] = body
 
     def _add_task(self, event: LsmEvent, pid: int) -> str:
-        return self._add_node("task", {
+        return self._add_node("activity", "task", {
             **self._ids,
-            "prov:kind": "activity",
             "cf:pid": str(pid),
             "cf:uid": str(event.subject.uid),
             "cf:gid": str(event.subject.gid),
@@ -162,10 +170,9 @@ class _CamFlowBuilder:
         existing = self._entity_node.get(key)
         if existing is not None:
             return existing
-        label = {"pipe": "pipe", "socket": "socket"}.get(obj.kind, "inode")
-        node = self._entity_node[key] = self._add_node(label, {
+        label = _ENTITY_LABELS.get(obj.kind, "inode")
+        node = self._entity_node[key] = self._add_node("entity", label, {
             **self._ids,
-            "prov:kind": "entity",
             "cf:ino": str(obj.ino or obj.pipe_id or 0),
             "cf:mode": obj.mode or "",
             "cf:uid": str(obj.uid if obj.uid is not None else ""),
@@ -199,8 +206,8 @@ class _CamFlowBuilder:
         existing = self._path_node.get(key)
         if existing is not None:
             return existing
-        node = self._path_node[key] = self._add_node("path", {
-            **self._ids, "prov:kind": "entity", "cf:pathname": obj.path,
+        node = self._path_node[key] = self._add_node("entity", "path", {
+            **self._ids, "cf:pathname": obj.path,
         })
         self._add_edge(entity, node, "wasDerivedFrom", {"cf:type": "named"})
         return node
@@ -221,16 +228,12 @@ class _CamFlowBuilder:
         if not event.success:
             # Permission denials are visible to LSM but unrecorded by the
             # default configuration (§3.1, Alice).
-            if self.config.record_failed and event.hook in (
-                RECORDED_HOOKS | {"inode_permission"}
-            ):
+            if self.config.record_failed and event.hook in _DENIABLE_HOOKS:
                 self._render_denial(event)
             return
-        if event.hook not in RECORDED_HOOKS:
-            return
-        handler = getattr(self, f"_on_{event.hook}", None)
+        handler = _HOOK_HANDLERS.get(event.hook)
         if handler is not None:
-            handler(event)
+            handler(self, event)
 
     def _render_denial(self, event: LsmEvent) -> None:
         """A denied check: task --used(denied)--> object entity."""
@@ -409,11 +412,18 @@ class _CamFlowBuilder:
         """A spurious machine node occasionally left over by a recording
         restart (§3.2) — what the ``filtergraphs`` option removes.  It
         is linked to the first task (tasks are the only activities)."""
-        node = self._add_node("machine", {
-            **self._ids, "prov:kind": "agent", "cf:restart": "true",
+        node = self._add_node("agent", "machine", {
+            **self._ids, "cf:restart": "true",
         })
         first_task = next(iter(self.doc.get("activity", ())), None)
         if first_task is not None:
             self._add_edge(
                 first_task, node, "wasAssociatedWith", {"cf:type": "machine"}
             )
+
+
+#: recorded hook -> the builder method that renders it, looked up once
+#: for the class rather than by name per event
+_HOOK_HANDLERS: Dict[str, Callable[[_CamFlowBuilder, LsmEvent], None]] = {
+    hook: getattr(_CamFlowBuilder, f"_on_{hook}") for hook in RECORDED_HOOKS
+}

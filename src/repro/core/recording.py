@@ -83,7 +83,7 @@ class TraceMemo:
     A variant's first trial runs the kernel with its draws logged
     (:class:`~repro.suite.executor.TraceTemplate`); every later trial of
     the variant, at any seed, reseeds that run, at about half a run's
-    cost.  A variant whose pids reach a syscall other than as PID-kind
+    cost, and rewrites only the streams its captures read.  A variant whose pids reach a syscall other than as PID-kind
     ``$variable`` arguments (:func:`~repro.suite.executor.reseedable`)
     runs the kernel for every trial.  Templates are held least recently
     used first out while their events stay within ``EVENTS``; a larger

@@ -39,21 +39,25 @@ def transform_neo4j(raw: RawOutput, gid: str) -> PropertyGraph:
     if not isinstance(raw, Neo4jSim):
         raise TransformError("Neo4j transformer expects a Neo4jSim store")
     raw.start()
-    graph = PropertyGraph(gid)
     try:
         # Batched session: the compiled rows come back in replay order as
-        # one batch, so the graph is built without per-row deserialization
-        # or copies (add_node/add_edge copy props on insert).
+        # one batch, and the graph adopts each row's props dict (the
+        # session's rows are dropped at shutdown).
         session = raw.session()
-        for row in session.nodes():
-            graph.add_node(f"n{row.node_id}", row.label, row.props)
-        for rel in session.relationships():
-            graph.add_edge(
-                f"e{rel.rel_id}", f"n{rel.start}", f"n{rel.end}", rel.rel_type, rel.props
-            )
+        return PropertyGraph.from_elements(
+            gid,
+            [
+                (f"n{row.node_id}", row.label, row.props)
+                for row in session.nodes()
+            ],
+            [
+                (f"e{rel.rel_id}", f"n{rel.start}", f"n{rel.end}",
+                 rel.rel_type, rel.props)
+                for rel in session.relationships()
+            ],
+        )
     finally:
         raw.shutdown()
-    return graph
 
 
 _TRANSFORMERS: Dict[str, Callable[[RawOutput, str], PropertyGraph]] = {

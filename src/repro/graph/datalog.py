@@ -15,9 +15,9 @@ comparison stage feeds to the solver.
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from repro.graph.model import PropertyGraph
+from repro.graph.model import GraphError, PropertyGraph
 
 
 class DatalogError(Exception):
@@ -135,11 +135,20 @@ def datalog_to_graph(text: str, gid: str = "") -> PropertyGraph:
             if len(args) != 3:
                 raise DatalogError(f"property fact arity != 3: {args}")
             props.append((args[0], args[1], args[2]))
-    graph = PropertyGraph(suffix or "g")
-    for node_id, label in nodes:
-        graph.add_node(node_id, label)
-    for edge_id, src, tgt, label in edges:
-        graph.add_edge(edge_id, src, tgt, label)
+    element_props: Dict[str, Dict[str, str]] = {}
     for element_id, key, value in props:
-        graph.set_prop(element_id, key, value)
+        element_props.setdefault(element_id, {})[key] = value
+    graph = PropertyGraph.from_elements(
+        suffix or "g",
+        [
+            (node_id, label, element_props.pop(node_id, {}))
+            for node_id, label in nodes
+        ],
+        [
+            (edge_id, src, tgt, label, element_props.pop(edge_id, {}))
+            for edge_id, src, tgt, label in edges
+        ],
+    )
+    if element_props:  # a property of no node or edge, first in fact order
+        raise GraphError(f"unknown element {next(iter(element_props))!r}")
     return graph

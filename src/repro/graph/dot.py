@@ -3,9 +3,11 @@
 SPADE's Graphviz storage emits one DOT statement per vertex and edge with
 the provenance annotations packed into the ``label`` attribute
 (``key1:value1\\nkey2:value2``) and the element kind in ``shape``
-(box = Process, ellipse = Artifact, octagon = Agent).  The transformation
-stage parses exactly this dialect; the writer is also used to visualize
-benchmark results.
+(box = Process, ellipse = Artifact, octagon = Agent).  A ``\\`` or a
+``"`` inside a key or a value is written with Graphviz's own escapes
+(``\\\\``, ``\\"``), so any string value round-trips.  The
+transformation stage parses exactly this dialect; the writer is also
+used to visualize benchmark results.
 """
 
 from __future__ import annotations
@@ -31,26 +33,63 @@ _LABEL_FOR_SHAPE = {
     "egg": "Dummy",
 }
 
-_NODE_RE = re.compile(r'^\s*"?([\w.]+)"?\s*\[(.*)\];?\s*$')
-_EDGE_RE = re.compile(r'^\s*"?([\w.]+)"?\s*->\s*"?([\w.]+)"?\s*\[(.*)\];?\s*$')
-_ATTR_RE = re.compile(r'(\w+)\s*=\s*"((?:[^"\\]|\\.)*)"')
+#: a vertex (``"id" [attrs]``) or an edge (``"src" -> "tgt" [attrs]``)
+#: statement, stripped
+_STATEMENT_RE = re.compile(
+    r'"?([\w.]+)"?\s*(?:->\s*"?([\w.]+)"?\s*)?\[(.*)\];?'
+)
+#: one ``key="value"`` attribute; the quoted part is unrolled (runs of
+#: plain characters between escapes), which matches what the alternation
+#: ``(?:[^"\\]|\\.)*`` does at a third of its cost
+_ATTR_RE = re.compile(r'(\w+)\s*=\s*"([^"\\]*(?:\\.[^"\\]*)*)"')
+#: an escape sequence inside a quoted DOT string
+_ESCAPE_RE = re.compile(r"(\\.)", re.S)
+#: starts of lines that hold no statement
+_SKIPPED = ("digraph", "}", "//", "#")
 
 
 class DotError(Exception):
     """Raised when DOT text cannot be parsed."""
 
 
+def _escape(part: str) -> str:
+    return part.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _pack_label(label: str, props: Mapping[str, str]) -> str:
     parts = [f"type:{label}"]
     for key in sorted(props):
         parts.append(f"{key}:{props[key]}")
-    return "\\n".join(parts)
+    packed = "\\n".join(parts)
+    if '"' in packed or packed.count("\\") >= len(parts):
+        # a part holds a quote or a backslash of its own
+        packed = "\\n".join(map(_escape, parts))
+    return packed
+
+
+def _split_escaped(packed: str) -> List[str]:
+    """The parts of a packed label that holds escapes other than the
+    ``\\n`` separators, unescaped; an escape DOT does not define
+    stays as written."""
+    parts = [""]
+    for index, token in enumerate(_ESCAPE_RE.split(packed)):
+        if index % 2 == 0 or token not in ("\\n", "\\\\", '\\"'):
+            parts[-1] += token
+        elif token == "\\n":
+            parts.append("")
+        else:
+            parts[-1] += token[1]
+    return parts
 
 
 def _unpack_label(packed: str) -> Tuple[str, Dict[str, str]]:
+    if "\\\\" in packed or '\\"' in packed:
+        parts = _split_escaped(packed)
+    else:
+        parts = packed.split("\\n")
     label = ""
     props: Dict[str, str] = {}
-    for part in packed.split("\\n"):
+    for part in parts:
         if not part:
             continue
         key, _, value = part.partition(":")
@@ -96,43 +135,36 @@ def graph_to_dot(graph: PropertyGraph, name: str = "provenance") -> str:
 
 
 def dot_to_graph(text: str, gid: str = "dot") -> PropertyGraph:
-    """Parse the SPADE-like DOT dialect back into a property graph."""
-    graph = PropertyGraph(gid)
-    edge_seq = 0
-    pending_edges: List[Tuple[str, str, str, Dict[str, str]]] = []
+    """Parse the SPADE-like DOT dialect back into a property graph.
+
+    Vertices keep their order; an edge endpoint no statement declares
+    becomes an ``Unknown`` vertex after them, in the order edges name
+    it.  Edges without an ``id`` are numbered ``e0``, ``e1``, ...
+    """
+    nodes: List[Tuple[str, str, Dict[str, str]]] = []
+    edges: List[Tuple[str, str, str, str, Dict[str, str]]] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if (
-            not line
-            or line.startswith(("digraph", "}", "//", "#"))
-            or line in ("{",)
-        ):
+        if not line or line.startswith(_SKIPPED) or line == "{":
             continue
-        edge_match = _EDGE_RE.match(line)
-        if edge_match:
-            src, tgt, attrs_text = edge_match.groups()
-            attrs = dict(_ATTR_RE.findall(attrs_text))
+        match = _STATEMENT_RE.fullmatch(line)
+        if match is None:
+            raise DotError(f"unparseable DOT line: {raw!r}")
+        element_id, tgt, attrs_text = match.groups()
+        attrs = dict(_ATTR_RE.findall(attrs_text))
+        if tgt is not None:
             label, props = _unpack_label(attrs.get("label", ""))
-            edge_id = attrs.get("id") or f"e{edge_seq}"
-            edge_seq += 1
-            pending_edges.append((edge_id, src, tgt, {"label": label, **props}))
-            continue
-        node_match = _NODE_RE.match(line)
-        if node_match:
-            node_id, attrs_text = node_match.groups()
-            attrs = dict(_ATTR_RE.findall(attrs_text))
-            if "label" in attrs:
-                label, props = _unpack_label(attrs["label"])
-            else:
-                label = _LABEL_FOR_SHAPE.get(attrs.get("shape", ""), "Unknown")
-                props = {}
-            graph.add_node(node_id, label, props)
-            continue
-        raise DotError(f"unparseable DOT line: {raw!r}")
-    for edge_id, src, tgt, attrs in pending_edges:
-        label = attrs.pop("label")
+            edge_id = attrs.get("id") or f"e{len(edges)}"
+            edges.append((edge_id, element_id, tgt, label, props))
+        elif "label" in attrs:
+            nodes.append((element_id, *_unpack_label(attrs["label"])))
+        else:
+            label = _LABEL_FOR_SHAPE.get(attrs.get("shape", ""), "Unknown")
+            nodes.append((element_id, label, {}))
+    declared = {node[0] for node in nodes}
+    for _, src, tgt, _, _ in edges:
         for endpoint in (src, tgt):
-            if not graph.has_node(endpoint):
-                graph.add_node(endpoint, "Unknown")
-        graph.add_edge(edge_id, src, tgt, label, attrs)
-    return graph
+            if endpoint not in declared:
+                declared.add(endpoint)
+                nodes.append((endpoint, "Unknown", {}))
+    return PropertyGraph.from_elements(gid, nodes, edges)

@@ -27,7 +27,7 @@ class Node(NamedTuple):
     run builds thousands, and a NamedTuple costs a third of a frozen
     dataclass to construct.  Assigning a field raises
     :class:`AttributeError`.  :class:`PropertyGraph` builds them, each
-    with its own ``props`` dict.
+    with a ``props`` dict of its own that nothing changes in place.
     """
 
     id: str
@@ -90,13 +90,37 @@ class PropertyGraph:
 
     # -- construction -----------------------------------------------------
 
+    @classmethod
+    def from_elements(
+        cls,
+        gid: str,
+        nodes: Iterable[Tuple[str, str, Dict[str, str]]],
+        edges: Iterable[Tuple[str, str, str, str, Dict[str, str]]],
+    ) -> "PropertyGraph":
+        """A graph of ``nodes`` (id, label, props) and then ``edges``
+        (id, src, tgt, label, props), in order, checked as
+        :meth:`add_node` and :meth:`add_edge` check them.
+
+        Adopts each ``props`` dict instead of copying it.  The caller
+        hands over dicts it has just built, keeps no reference to them
+        and changes none of them afterwards; a graph never changes a
+        props dict in place.  Incremental builders, and any caller whose
+        dicts belong to someone else, use ``add_node``/``add_edge``,
+        which copy.
+        """
+        graph = cls(gid)
+        place_node, place_edge = graph._place_node, graph._place_edge
+        for node_id, label, props in nodes:
+            place_node(node_id, label, props)
+        for edge_id, src, tgt, label, props in edges:
+            place_edge(edge_id, src, tgt, label, props)
+        graph._version = len(graph._nodes) + len(graph._edges)
+        return graph
+
     def add_node(
         self, node_id: str, label: str, props: Optional[Mapping[str, str]] = None
     ) -> Node:
-        if node_id in self._nodes or node_id in self._edges:
-            raise GraphError(f"duplicate identifier {node_id!r}")
-        node = Node(node_id, label, dict(props or {}))
-        self._nodes[node_id] = node
+        node = self._place_node(node_id, label, dict(props or {}))
         self._version += 1
         return node
 
@@ -108,14 +132,29 @@ class PropertyGraph:
         label: str,
         props: Optional[Mapping[str, str]] = None,
     ) -> Edge:
+        edge = self._place_edge(edge_id, src, tgt, label, dict(props or {}))
+        self._version += 1
+        return edge
+
+    def _place_node(self, node_id: str, label: str, props: Dict[str, str]) -> Node:
+        """Insert a node that owns ``props``."""
+        if node_id in self._nodes or node_id in self._edges:
+            raise GraphError(f"duplicate identifier {node_id!r}")
+        node = self._nodes[node_id] = Node(node_id, label, props)
+        return node
+
+    def _place_edge(
+        self, edge_id: str, src: str, tgt: str, label: str,
+        props: Dict[str, str],
+    ) -> Edge:
+        """Insert an edge that owns ``props``."""
         if edge_id in self._edges or edge_id in self._nodes:
             raise GraphError(f"duplicate identifier {edge_id!r}")
         if src not in self._nodes:
             raise GraphError(f"edge {edge_id!r} has unknown source {src!r}")
         if tgt not in self._nodes:
             raise GraphError(f"edge {edge_id!r} has unknown target {tgt!r}")
-        edge = Edge(edge_id, src, tgt, label, dict(props or {}))
-        self._edges[edge_id] = edge
+        edge = self._edges[edge_id] = Edge(edge_id, src, tgt, label, props)
         out = self._out.get(src)
         if out is None:
             self._out[src] = [edge_id]
@@ -126,7 +165,6 @@ class PropertyGraph:
             self._in[tgt] = [edge_id]
         else:
             into.append(edge_id)
-        self._version += 1
         return edge
 
     def set_prop(self, element_id: str, key: str, value: str) -> None:

@@ -92,37 +92,52 @@ def graph_to_provjson(graph: PropertyGraph) -> str:
     return document_text(doc)
 
 
+def _strings(body: Dict[str, object]) -> Dict[str, str]:
+    """``body`` with every value a string: ``body`` itself when each
+    already is (CamFlow writes nothing else), else a converted copy."""
+    for value in body.values():
+        if type(value) is not str:
+            return {key: str(value) for key, value in body.items()}
+    return body
+
+
 def provjson_to_graph(text: str, gid: str = "prov") -> PropertyGraph:
-    """Parse a PROV-JSON document into a property graph."""
+    """Parse a PROV-JSON document into a property graph.
+
+    Nodes come in group order (entities, activities, agents), then
+    relations in :data:`RELATION_KEYS` order; an endpoint no node group
+    declares becomes an ``entity`` node after them, in the order
+    relations name it.  The graph adopts the decoded bodies as its
+    property dicts.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProvJsonError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProvJsonError("top level must be an object")
-    graph = PropertyGraph(gid)
+    nodes = []
     for kind in _NODE_KINDS:
         for node_id, body in doc.get(kind, {}).items():
-            props = {k: str(v) for k, v in body.items() if k != "prov:type"}
+            props = _strings(body)
+            label = props.pop("prov:type", kind)
             props["prov:kind"] = kind
-            label = str(body.get("prov:type", kind))
-            graph.add_node(node_id, label, props)
+            nodes.append((node_id, label, props))
+    declared = {node[0] for node in nodes}
+    edges = []
     for relation, (src_key, tgt_key) in RELATION_KEYS.items():
         for edge_id, body in doc.get(relation, {}).items():
-            src = body.get(src_key)
-            tgt = body.get(tgt_key)
+            src = body.pop(src_key, None)
+            tgt = body.pop(tgt_key, None)
             if src is None or tgt is None:
                 raise ProvJsonError(
                     f"relation {edge_id!r} missing {src_key}/{tgt_key}"
                 )
-            label = str(body.get("prov:type", relation))
-            props = {
-                k: str(v)
-                for k, v in body.items()
-                if k not in (src_key, tgt_key, "prov:type")
-            }
+            props = _strings(body)
+            label = props.pop("prov:type", relation)
             for endpoint in (src, tgt):
-                if not graph.has_node(endpoint):
-                    graph.add_node(endpoint, "entity", {"prov:kind": "entity"})
-            graph.add_edge(edge_id, src, tgt, label, props)
-    return graph
+                if endpoint not in declared:
+                    declared.add(endpoint)
+                    nodes.append((endpoint, "entity", {"prov:kind": "entity"}))
+            edges.append((edge_id, src, tgt, label, props))
+    return PropertyGraph.from_elements(gid, nodes, edges)

@@ -24,7 +24,8 @@ event times; a subject's ``pid``, ``ppid`` and ``task_id``; an object's
 arguments; and the trace's ``boot_id`` and ``machine_id``.  A machine
 given a :class:`DrawLog` logs its draws, :meth:`DrawLog.replay` makes
 them again from another seed, and :func:`repro.kernel.trace.reseed`
-writes the new values into a copy of the trace.
+writes the new values into a copy of the trace, each stream of it when
+something first reads that stream.
 """
 
 from __future__ import annotations

@@ -21,12 +21,15 @@ Assigning a field raises :class:`AttributeError`.
 
 :func:`reseed` holds the one map of the fields a value drawn by the
 machine's clock or id allocator reaches (see :mod:`repro.kernel.clock`).
+A trace it makes writes each stream when something first reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+import threading
+from typing import (
+    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 
 class SubjectInfo(NamedTuple):
@@ -109,29 +112,87 @@ class LsmEvent(NamedTuple):
     details: Tuple[Tuple[str, str], ...] = ()
 
 
-@dataclass
 class Trace:
-    """Everything one run of the machine produced."""
+    """Everything one run of the machine produced: its ids and three
+    event streams.
 
-    boot_id: str = ""
-    machine_id: str = ""
-    audit: List[AuditEvent] = field(default_factory=list)
-    libc: List[LibcEvent] = field(default_factory=list)
-    lsm: List[LsmEvent] = field(default_factory=list)
+    A trace :func:`reseed` makes holds each stream unwritten until
+    something first reads it, and writes it then, once, even when two
+    threads read it at the same time.  Each capture reads one stream
+    (SPADE ``audit``, OPUS ``libc``, CamFlow ``lsm``), so a trial
+    rewrites only the stream its tool reads, and a trace that a memo
+    shares between tools rewrites each stream once.
+    """
+
+    __slots__ = ("boot_id", "machine_id", "_audit", "_libc", "_lsm", "_pending")
+
+    def __init__(
+        self,
+        boot_id: str = "",
+        machine_id: str = "",
+        audit: Optional[List[AuditEvent]] = None,
+        libc: Optional[List[LibcEvent]] = None,
+        lsm: Optional[List[LsmEvent]] = None,
+    ) -> None:
+        self.boot_id = boot_id
+        self.machine_id = machine_id
+        self._audit = [] if audit is None else audit
+        self._libc = [] if libc is None else libc
+        self._lsm = [] if lsm is None else lsm
+        #: a reseeded trace's lock and the writers of its unwritten
+        #: streams, by name (each dropped once it has run)
+        self._pending: Optional[
+            Tuple[threading.Lock, Dict[str, Callable[[], list]]]
+        ] = None
+
+    @property
+    def audit(self) -> List[AuditEvent]:
+        events = self._audit
+        return events if events is not None else self._write("audit")
+
+    @property
+    def libc(self) -> List[LibcEvent]:
+        events = self._libc
+        return events if events is not None else self._write("libc")
+
+    @property
+    def lsm(self) -> List[LsmEvent]:
+        events = self._lsm
+        return events if events is not None else self._write("lsm")
+
+    def _write(self, name: str) -> list:
+        lock, writers = self._pending
+        slot = f"_{name}"
+        with lock:
+            events = getattr(self, slot)
+            if events is None:
+                events = writers.pop(name)()
+                setattr(self, slot, events)
+        return events
 
     def window(self, start_seq: int, end_seq: int) -> "Trace":
         """Sub-trace covering a recording window (inclusive bounds)."""
-        selected = Trace(boot_id=self.boot_id, machine_id=self.machine_id)
-        selected.audit = [
-            e for e in self.audit if start_seq <= e.seq <= end_seq
-        ]
-        selected.libc = [e for e in self.libc if start_seq <= e.seq <= end_seq]
-        selected.lsm = [e for e in self.lsm if start_seq <= e.seq <= end_seq]
-        return selected
+        return Trace(
+            self.boot_id, self.machine_id,
+            [e for e in self.audit if start_seq <= e.seq <= end_seq],
+            [e for e in self.libc if start_seq <= e.seq <= end_seq],
+            [e for e in self.lsm if start_seq <= e.seq <= end_seq],
+        )
 
     @property
     def event_count(self) -> int:
         return len(self.audit) + len(self.libc) + len(self.lsm)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            self.boot_id == other.boot_id
+            and self.machine_id == other.machine_id
+            and self.audit == other.audit
+            and self.libc == other.libc
+            and self.lsm == other.lsm
+        )
 
 
 #: the syscalls whose result is a pid
@@ -153,6 +214,11 @@ def reseed(
     stays.  ``pid_args`` gives, per syscall, the positions of its
     PID-kind arguments.  A snapshot shared by several events in
     ``trace`` is shared in the copy too.
+
+    The copy writes each stream when something first reads it (see
+    :class:`Trace`): a stream nothing reads is never rewritten.  Until
+    its last stream is written, the copy keeps ``trace`` and the
+    snapshots it has rewritten.
     """
     times, pids, inos, object_ids = maps
     new = tuple.__new__
@@ -216,12 +282,14 @@ def reseed(
             groups.get(id(objs)) or group(objs),
         )
 
-    return Trace(
-        boot_id=boot_id,
-        machine_id=machine_id,
-        audit=[new(AuditEvent, call(event)) for event in trace.audit],
-        libc=[new(LibcEvent, call(event)) for event in trace.libc],
-        lsm=[
+    def audit() -> List[AuditEvent]:
+        return [new(AuditEvent, call(event)) for event in trace.audit]
+
+    def libc() -> List[LibcEvent]:
+        return [new(LibcEvent, call(event)) for event in trace.libc]
+
+    def lsm() -> List[LsmEvent]:
+        return [
             new(LsmEvent, (
                 seq, times[time_ns], hook, name, success,
                 subjects.get(id(subj)) or subject(subj),
@@ -229,5 +297,11 @@ def reseed(
             ))
             for seq, time_ns, hook, name, success, subj, objs, details
             in trace.lsm
-        ],
+        ]
+
+    reseeded = Trace(boot_id, machine_id)
+    reseeded._audit = reseeded._libc = reseeded._lsm = None
+    reseeded._pending = (
+        threading.Lock(), {"audit": audit, "libc": libc, "lsm": lsm},
     )
+    return reseeded

@@ -1817,24 +1817,24 @@ def apply_matching(
     """``g1`` keeping exactly the properties on which each element
     agrees with its image in ``g2`` under ``matching`` (an isomorphism's,
     found by either engine).  Element ids of ``g1`` are kept."""
-    out = PropertyGraph(gid or g1.gid)
-    for node in g1.nodes():
-        other = g2.node(matching.node_map[node.id])
-        props = {
-            key: value
-            for key, value in node.props.items()
-            if other.props.get(key) == value
-        }
-        out.add_node(node.id, node.label, props)
-    for edge in g1.edges():
-        other_edge = g2.edge(matching.edge_map[edge.id])
-        props = {
-            key: value
-            for key, value in edge.props.items()
-            if other_edge.props.get(key) == value
-        }
-        out.add_edge(edge.id, edge.src, edge.tgt, edge.label, props)
-    return out
+
+    def agreed(props: Mapping[str, str], other: Mapping[str, str]):
+        return {key: value for key, value in props.items() if other.get(key) == value}
+
+    node_map, edge_map = matching.node_map, matching.edge_map
+    return PropertyGraph.from_elements(
+        gid or g1.gid,
+        [
+            (node.id, node.label,
+             agreed(node.props, g2.node(node_map[node.id]).props))
+            for node in g1.nodes()
+        ],
+        [
+            (edge.id, edge.src, edge.tgt, edge.label,
+             agreed(edge.props, g2.edge(edge_map[edge.id]).props))
+            for edge in g1.edges()
+        ],
+    )
 
 
 DUMMY_LABEL = "Dummy"
@@ -1868,6 +1868,8 @@ def subtract_matching(
 
     The target graph of :func:`subtract_background`, for a matching that
     is already known (the pipeline's comparison stage computes its own).
+    Built with ``add_node``/``add_edge``, which copy: the props dicts
+    belong to the foreground graph.
     """
     matched_nodes = set(matching.node_map.values())
     matched_edges = set(matching.edge_map.values())

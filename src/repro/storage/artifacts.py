@@ -328,6 +328,9 @@ def graph_to_payload(graph: PropertyGraph) -> Dict[str, object]:
 
 
 def graph_from_payload(payload: Mapping[str, object]) -> PropertyGraph:
+    """The graph a stored payload holds.  Built with ``add_node``/
+    ``add_edge``: a payload is untrusted, and their ``dict()`` copy is
+    its props' type check."""
     try:
         graph = PropertyGraph(str(payload["gid"]))
         for node_id, label, props in payload["nodes"]:

@@ -8,11 +8,11 @@ and query execution over larger graphs).
 
 This store reproduces the database's interface, not its cost.  Records
 are persisted as serialized JSON rows; opening a session **compiles** the
-log — one parsing pass into typed row objects — and nothing else.  The
-JVM and database start-up is priced on the virtual processing clock
-instead (:data:`repro.core.stages.STARTUP_SECONDS`), which charges every
-trial graph built from a ``neo4j`` output, so Figure 6's shape holds
-exactly and costs no CPU.
+log — one ``json.loads`` of the whole log, then typed row objects — and
+nothing else.  The JVM and database start-up is priced on the virtual
+processing clock instead (:data:`repro.core.stages.STARTUP_SECONDS`),
+which charges every trial graph built from a ``neo4j`` output, so
+Figure 6's shape holds exactly and costs no CPU.
 
 Queries serve the typed rows directly.  Label- and rel-type-filtered
 matches go through lazy inverted indexes built on first use, and the
@@ -23,9 +23,8 @@ transformation stage can build its property graph without per-row copies.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 
 #: the encoder of a row's properties: ``json.dumps(props, sort_keys=True)``
@@ -41,17 +40,19 @@ class Neo4jSimError(Exception):
     """Raised on malformed queries or closed-session access."""
 
 
-@dataclass(frozen=True)
-class NodeRow:
-    """One compiled node record (parsed exactly once per session)."""
+class NodeRow(NamedTuple):
+    """One compiled node record (parsed exactly once per session).
+
+    Rows are :class:`typing.NamedTuple` records, like the graph's
+    ``Node``: a scale128 OPUS trial compiles about a thousand.
+    """
 
     node_id: int
     label: str
     props: Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class RelRow:
+class RelRow(NamedTuple):
     """One compiled relationship record (parsed exactly once per session)."""
 
     rel_id: int
@@ -68,8 +69,10 @@ class Neo4jSession:
     handing it the compiled row lists directly (rather than per-row
     deserialized copies) is the batched-query equivalent of running one
     ``MATCH (n) RETURN n`` / ``MATCH ()-[r]->() RETURN r`` pair.  Rows are
-    shared, not copied — callers must treat ``props`` as read-only (the
-    property-graph builder copies them on insert).
+    shared, not copied: callers must not change ``props``.  The
+    transformation stage's graph adopts each row's ``props`` dict, and
+    :meth:`Neo4jSim.shutdown` drops the rows, so after the session that
+    graph is the dicts' only holder.
     """
 
     def __init__(self, store: "Neo4jSim") -> None:
@@ -134,14 +137,13 @@ class Neo4jSim:
     # -- session lifecycle ------------------------------------------------------
 
     def start(self) -> None:
-        """Compile the log: one parsing pass builds the typed row objects
-        and id indexes."""
+        """Compile the log: one ``json.loads`` of every row at once, then
+        the typed row objects and id indexes."""
         node_rows: List[NodeRow] = []
         rel_rows: List[RelRow] = []
         node_index: Dict[int, NodeRow] = {}
         rel_index: Dict[int, RelRow] = {}
-        for line in self._log:
-            record = json.loads(line)
+        for record in json.loads(f"[{','.join(self._log)}]"):
             if record["kind"] == "node":
                 row = NodeRow(record["id"], record["label"], record["props"])
                 node_rows.append(row)
@@ -165,7 +167,11 @@ class Neo4jSim:
         self._open = True
 
     def shutdown(self) -> None:
+        """Close the session and drop its compiled rows; the next
+        :meth:`start` compiles the log again."""
         self._open = False
+        self._node_rows = self._rel_rows = ()
+        self._node_index, self._rel_index = {}, {}
 
     @property
     def is_open(self) -> bool:

@@ -74,8 +74,10 @@ class ProgramExecutor:
         for child in list(kernel.processes.values()):
             if child.ppid == process.pid and child.alive:
                 kernel.sys_exit(child, 0)
-        end_seq = kernel.seq
-        trace = kernel.trace.window(start_seq, end_seq)
+        trace = kernel.trace
+        if start_seq > 1:
+            # staging made events of its own: leave them out
+            trace = trace.window(start_seq, kernel.seq)
         return ExecutionResult(
             trace=trace,
             variables=variables,
@@ -278,7 +280,8 @@ class TraceTemplate:
     the logged draws from that seed through a fresh clock and id
     allocator and writes what they draw into a copy of the trace
     (:func:`repro.kernel.trace.reseed`), which equals the trace a run at
-    that seed records.
+    that seed records; the copy writes each stream when it is first
+    read.
     """
 
     __slots__ = ("seed", "trace", "draws")

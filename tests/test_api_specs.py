@@ -247,6 +247,34 @@ class TestSemanticValidation:
         assert classes == {"spade": "empty", "opus": "ok", "camflow": "empty"}
 
 
+    def test_a_quoted_path_reaches_spade_whole(self):
+        # SPADE's DOT escapes the quote: its target artifact carries the
+        # full path, as CamFlow's PROV-JSON does (the path was cut at the
+        # quote, "/home/bench/staging/we", before DOT values were escaped)
+        payload = make_payload(name="quoted_creat")
+        payload["program"]["ops"] = [
+            {"call": "creat", "args": ['we"ird.txt', 420], "result": "fd",
+             "target": True},
+        ]
+        spec = BenchmarkSpec.from_payload(payload).validate()
+        service = BenchmarkService(registry=SUITE_REGISTRY.builtin_copy())
+        paths = {
+            tool: {
+                value
+                for node in service.run(
+                    RunRequest(spec=spec, tool=tool, seed=5)
+                ).result.target_graph.nodes()
+                for key, value in node.props.items()
+                if key in ("path", "cf:pathname")
+            }
+            for tool in ("spade", "camflow")
+        }
+        assert paths == {
+            "spade": {'/home/bench/staging/we"ird.txt'},
+            "camflow": {'/home/bench/staging/we"ird.txt'},
+        }
+
+
 class TestBuiltinRoundTrip:
     def test_every_builtin_round_trips_exactly(self):
         """Program -> BenchmarkSpec -> JSON -> BenchmarkSpec -> Program.

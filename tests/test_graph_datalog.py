@@ -11,7 +11,7 @@ from repro.graph.datalog import (
     iter_facts,
     quote,
 )
-from repro.graph.model import PropertyGraph
+from repro.graph.model import GraphError, PropertyGraph
 
 
 class TestRendering:
@@ -70,6 +70,11 @@ class TestParsing:
             datalog_to_graph('ng(n1,"X","extra").', gid="g")
         with pytest.raises(DatalogError):
             datalog_to_graph('eg(e1,n1,"X").', gid="g")
+
+    def test_a_property_of_no_element_is_a_graph_error(self):
+        text = 'ng(n1,"X").\npg(n1,"k","v").\npg(ghost,"k","v").\n'
+        with pytest.raises(GraphError, match="unknown element 'ghost'"):
+            datalog_to_graph(text, gid="g")
 
     def test_values_with_commas_and_parens(self):
         graph = PropertyGraph("g")

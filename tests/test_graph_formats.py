@@ -43,6 +43,27 @@ class TestDot:
         assert edge.props["operation"] == "open"
         assert edge.props["time"] == "5"
 
+    @pytest.mark.parametrize("value", [
+        'we"ird.txt', "back\\slash", "literal\\nnewline", 'mix\\"ed\\', '"',
+    ], ids=["quote", "backslash", "literal_newline_escape", "mixed", "bare_quote"])
+    def test_values_with_quotes_and_backslashes_roundtrip(self, value):
+        graph = PropertyGraph()
+        graph.add_node("a", "Process", {"exe": value, "pid": "1"})
+        graph.add_node("b", "Artifact", {"path": value})
+        graph.add_edge("e1", "a", "b", "Used", {"operation": value})
+        back = dot_to_graph(graph_to_dot(graph))
+        assert back == graph
+        assert back.node("b").props == {"path": value}
+
+    def test_an_edge_property_named_label_roundtrips(self):
+        graph = PropertyGraph()
+        graph.add_node("a", "Process")
+        graph.add_node("b", "Artifact")
+        graph.add_edge("e1", "a", "b", "Used", {"label": "x", "time": "5"})
+        back = dot_to_graph(graph_to_dot(graph))
+        assert back.edge("e1").label == "Used"
+        assert back.edge("e1").props == {"label": "x", "time": "5"}
+
     def test_dangling_edge_endpoint_becomes_unknown_node(self):
         text = 'digraph g {\n  "a" -> "ghost" [label="type:Used"];\n  "a" [label="type:Process"];\n}'
         graph = dot_to_graph(text)

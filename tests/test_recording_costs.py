@@ -21,6 +21,9 @@ runner without a wall clock:
   benchmark-major Table 2 sweep through one ``BenchmarkService``: a
   variant that several tools record at several trial seeds runs once,
   through the service's trace memo;
+* events rewritten per stream over a warm scale-major pass: a reseeded
+  trace rewrites a stream only when a capture first reads it, so a
+  CamFlow trial rewrites no ``audit`` or ``libc`` event;
 * ``random.Random.randrange`` per boot: the boot tree is a template
   whose numbers are drawn through the same ``getrandbits`` loop;
 * path walks and ``KernelError`` raises per ``creat`` of a missing
@@ -47,6 +50,7 @@ from repro.kernel.trace import (
     LsmEvent,
     ObjectInfo,
     SubjectInfo,
+    Trace,
 )
 from repro.suite import executor
 from repro.suite.executor import ProgramExecutor
@@ -195,6 +199,56 @@ class TestTraceSharing:
         # (333 distinct), and 44 x 18 = 792 before that
         assert len(calls) <= 49
         assert len(reseeds) <= 417
+
+
+def count_rewrites(monkeypatch):
+    """Events a reseeded trace writes, per stream, from here on."""
+    rewritten = {"audit": 0, "libc": 0, "lsm": 0}
+    real = Trace._write
+
+    def counting(trace, name):
+        events = real(trace, name)
+        rewritten[name] += len(events)
+        return events
+
+    monkeypatch.setattr(Trace, "_write", counting)
+    return rewritten
+
+
+class TestLazyStreams:
+    def test_a_warm_scale_major_pass_rewrites_only_streams_it_reads(
+        self, monkeypatch
+    ):
+        service = BenchmarkService()
+        try:
+            scale_major_pass(service)
+            rewritten = count_rewrites(monkeypatch)
+            scale_major_pass(service)
+        finally:
+            service.close()
+        # SPADE's and OPUS's second foreground and CamFlow's reseeded
+        # trials; was 2028 audit, 2028 libc and 3966 lsm events, every
+        # reseed rewriting all three streams
+        assert rewritten["audit"] <= 332
+        assert rewritten["libc"] <= 332
+        assert rewritten["lsm"] <= 3312
+
+    def test_a_camflow_trial_rewrites_no_audit_or_libc_event(
+        self, monkeypatch
+    ):
+        rewritten = count_rewrites(monkeypatch)
+        service = BenchmarkService()
+        try:
+            for scale in ("scale32", "scale128"):
+                service.run(
+                    RunRequest(benchmark=scale, tool="camflow", seed=SEED)
+                )
+        finally:
+            service.close()
+        # was 1370 audit and 1370 libc events, rewritten beside the lsm
+        # streams CamFlow reads
+        assert rewritten["audit"] == rewritten["libc"] == 0
+        assert rewritten["lsm"] == 2665
 
 
 class TestSnapshotsAreImmutable:

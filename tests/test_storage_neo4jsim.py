@@ -171,7 +171,7 @@ class TestBatchedSession:
             session.nodes()
 
     def test_single_parse_per_start(self, store, monkeypatch):
-        """The compiled session parses each log line exactly once."""
+        """The compiled session decodes the whole log in one call."""
         import json as json_module
 
         calls = {"n": 0}
@@ -185,7 +185,7 @@ class TestBatchedSession:
 
         monkeypatch.setattr(mod.json, "loads", counting_loads)
         store.start()
-        assert calls["n"] == 3  # 2 nodes + 1 rel
+        assert calls["n"] == 1  # 2 nodes + 1 rel; was one decode per row
         calls["n"] = 0
         list(store.match_nodes())
         list(store.match_relationships(rel_type="READS"))
@@ -219,8 +219,8 @@ class TestPersistence:
         assert clone.relationship_count() == 1
 
     def test_startup_cost_scales_with_size(self, monkeypatch):
-        """Start-up replays the whole log: one parse per record, so a
-        2000-node log costs 200x the parses of a 10-node one."""
+        """Start-up replays the whole log: one compiled row per record,
+        so a 2000-node log compiles 200x the rows of a 10-node one."""
         import repro.storage.neo4jsim as mod
 
         small, large = Neo4jSim(), Neo4jSim()
@@ -229,14 +229,14 @@ class TestPersistence:
         for i in range(2000):
             large.create_node(i, "N", {"k": "v"})
         calls = {"n": 0}
-        real_loads = mod.json.loads
+        real_row = mod.NodeRow
 
-        def counting_loads(s, *a, **kw):
+        def counting_row(*a, **kw):
             calls["n"] += 1
-            return real_loads(s, *a, **kw)
+            return real_row(*a, **kw)
 
-        monkeypatch.setattr(mod.json, "loads", counting_loads)
+        monkeypatch.setattr(mod, "NodeRow", counting_row)
         small.start()
-        small_parses, calls["n"] = calls["n"], 0
+        small_rows, calls["n"] = calls["n"], 0
         large.start()
-        assert (small_parses, calls["n"]) == (10, 2000)
+        assert (small_rows, calls["n"]) == (10, 2000)

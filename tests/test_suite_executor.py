@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.suite.executor import STAGING_DIR, ExecutionError, run_trial
+from repro.suite.executor import (
+    STAGING_DIR, ExecutionError, ProgramExecutor, run_trial,
+)
 from repro.suite.program import (
     Op,
     Program,
@@ -11,7 +13,7 @@ from repro.suite.program import (
     create_file,
     create_symlink,
 )
-from repro.suite.registry import get_benchmark
+from repro.suite.registry import SUITE_REGISTRY, get_benchmark
 
 
 class TestBoilerplate:
@@ -170,3 +172,43 @@ class TestDeterminism:
             e.syscall for e in r2.trace.audit
         ]
         assert r1.trace.audit[0].subject.pid != r2.trace.audit[0].subject.pid
+
+
+class TestRecordingWindow:
+    """Staging writes the filesystem directly and makes no event, so a
+    trial's window holds every event of its kernel's trace: the trial
+    hands on that trace itself, equal to the windowed copy it used to
+    make."""
+
+    @pytest.mark.parametrize("foreground", [True, False], ids=["fg", "bg"])
+    @pytest.mark.parametrize("name", [name for name, _ in SUITE_REGISTRY.items()])
+    def test_a_trial_is_its_kernels_own_trace(self, name, foreground, monkeypatch):
+        kernels, starts = [], []
+        real_start = ProgramExecutor._start_benchmark_process
+
+        def start(self, kernel, variant):
+            kernels.append(kernel)
+            starts.append(kernel.seq + 1)  # the window's first event
+            return real_start(self, kernel, variant)
+
+        monkeypatch.setattr(ProgramExecutor, "_start_benchmark_process", start)
+        trace = ProgramExecutor(get_benchmark(name), seed=5).run(foreground).trace
+        (kernel,), (start_seq,) = kernels, starts
+        assert trace is kernel.trace
+        assert trace == kernel.trace.window(start_seq, kernel.seq)
+
+    def test_events_staging_makes_stay_out_of_the_window(self, monkeypatch):
+        kernels = []
+        real_prepare = ProgramExecutor._prepare_staging
+
+        def prepare(self, kernel, variant):
+            real_prepare(self, kernel, variant)
+            kernel.sys_getpid(kernel.shell)
+            kernels.append(kernel)
+
+        monkeypatch.setattr(ProgramExecutor, "_prepare_staging", prepare)
+        trace = ProgramExecutor(get_benchmark("open"), seed=5).run(True).trace
+        (kernel,) = kernels
+        assert kernel.trace.audit[0].syscall == "getpid"
+        assert trace == kernel.trace.window(2, kernel.seq)
+        assert "getpid" not in {event.syscall for event in trace.audit}
